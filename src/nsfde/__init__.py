@@ -20,19 +20,18 @@ from .spectral import (SpectralOperator, assemble_operator, decay_constants,
 from .noise import (QWienerSpec, RngStream, geometric_qwiener,
                     ou_convolution_increment, ou_std, power_qwiener,
                     sample_increment)
-from .segment import (PROFILES, Segment, constant_segment, evaluate,
+from .segment import (PROFILES, Segment, constant_segment,
                       from_initial_condition, random_segment, segment_to_csv,
-                      shift_append, sup_norm, zero_segment)
-from .coefficients import (CoefficientSet, Kernel, OsgoodCertificate,
-                           ProbeReport, builtin_coefficients, eval_f, eval_g,
-                           eval_sigma, g_half_norm, growth_check,
+                      sup_norm, zero_segment)
+from .coefficients import (CoefficientSet, GridMaps, Kernel, OsgoodCertificate,
+                           ProbeReport, builtin_coefficients, growth_check,
                            lipschitz_probe_g, linear_modulus,
                            modulus_bound_check, modulus_shape_check,
                            osgood_certificate, osgood_drift, osgood_integral,
                            osgood_modulus)
 from .solver import (HorizonResult, SolverConfig, StepResult, Trajectory,
                      contraction_factor, find_horizon, picard_run, simulate,
-                     stability_bound, step)
+                     stability_bound)
 from .measure import (ComparisonReport, DependenceReport, EmpiricalMeasure,
                       TightnessReport, continuous_dependence_probe,
                       default_functionals, homogeneity_test, invariance_test,

@@ -223,7 +223,7 @@ def _cmd_t1(args) -> int:
     print(f"gamma = {res.contraction!r}")
     print(f"cond2 = {res.stability!r}")
     if res.capped:
-        print("note: search capped; both conditions hold out to the cap")
+        print("note: T1 capped; both conditions hold out to the cap")
     return 0
 
 

@@ -14,15 +14,14 @@ into sampled numerical verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (ConfigError, DomainError, ShapeError,
-                     SingularModulusError)
-from .segment import Segment, evaluate, random_segment, sup_norm
+from .errors import ConfigError, DomainError, SingularModulusError
+from .segment import Segment, random_segment, sup_norm
 from .spectral import SpectralOperator, fractional_norm
 
 E_MINUS_2 = math.exp(-2.0)
@@ -122,11 +121,6 @@ class Kernel:
             return np.tanh(z)
         return np.asarray(z, dtype=float)
 
-    def b(self, x, z, y) -> np.ndarray:
-        """Full kernel, broadcasting over (x, z, y)."""
-        del y  # built-in kernels do not weight the integration variable
-        return self.profile(x) * self.z_map(z)
-
 
 _SCALARS = {
     "zero": lambda p: (_pointwise(_scalar_zero), 0.0),
@@ -215,44 +209,50 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
         sigma_const=_CONST_SCALARS.get(sigma), f_is_zero=(f == "zero"))
 
 
-def _check_alignment(cs: CoefficientSet, seg: Segment, op: SpectralOperator):
-    if seg.n_modes != op.n_modes:
-        raise ShapeError("segment and operator truncation dimensions disagree")
+class GridMaps:
+    """f, sigma and g of one coefficient set on one operator's quadrature grid.
 
+    The single implementation of the three functionals: the integrator and
+    the condition probes both call it.  Each map takes the mode coefficients
+    of the one segment node it reads.  The neutral functional
+    g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a separable built-in
+    kernel factors as profile(x) times the grid integral of z_map(field), so
+    the projected profile is computed once here.
+    """
 
-def eval_f(cs: CoefficientSet, seg: Segment, op: SpectralOperator) -> np.ndarray:
-    """Drift functional: f applied pointwise to the delayed field, projected back."""
-    _check_alignment(cs, seg, op)
-    grid = op.grid(cs.grid_points)
-    fld = grid.synth @ evaluate(seg, -seg.h)
-    return grid.project @ cs.f(fld)
+    def __init__(self, cs: CoefficientSet, op: SpectralOperator):
+        self.cs = cs
+        self.grid = op.grid(cs.grid_points)
+        self._zero = np.zeros(op.n_modes)
+        kern = cs.kernel_b
+        self.g_mode = "none" if kern is None else kern.delay_mode
+        if kern is not None:
+            self._g_profile = self.grid.project @ kern.profile(self.grid.x)
+            self._z_map = kern.z_map
 
+    def f_field(self, state: np.ndarray) -> np.ndarray:
+        """Drift f applied pointwise to the field of ``state`` on the grid."""
+        return self.cs.f(self.grid.synth @ state)
 
-def eval_sigma(cs: CoefficientSet, seg: Segment, op: SpectralOperator) -> np.ndarray:
-    """Diffusion multiplier field sigma(u(t - h, .)) on the quadrature grid."""
-    _check_alignment(cs, seg, op)
-    grid = op.grid(cs.grid_points)
-    fld = grid.synth @ evaluate(seg, -seg.h)
-    return np.asarray(cs.sigma(fld), dtype=float)
+    def f(self, state: np.ndarray) -> np.ndarray:
+        """Drift functional as mode coefficients: the drift field projected back."""
+        return self.grid.project @ self.f_field(state)
 
+    def sigma(self, state: np.ndarray) -> np.ndarray:
+        """Diffusion multiplier field sigma(u(.)) on the grid."""
+        return np.asarray(self.cs.sigma(self.grid.synth @ state), dtype=float)
 
-def eval_g(cs: CoefficientSet, seg: Segment, op: SpectralOperator) -> np.ndarray:
-    """Neutral functional g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy as mode coefficients."""
-    _check_alignment(cs, seg, op)
-    if cs.kernel_b is None:
-        return np.zeros(op.n_modes)
-    kern = cs.kernel_b
-    theta = -seg.h if kern.delay_mode == "point" else 0.0
-    grid = op.grid(cs.grid_points)
-    fld = grid.synth @ evaluate(seg, theta)
-    # separable built-ins factor as profile(x) * integral of z_map(field)
-    mass = float(grid.weights @ kern.z_map(fld))
-    return grid.project @ (kern.profile(grid.x) * mass)
+    def g(self, state: np.ndarray) -> np.ndarray:
+        """Neutral functional as mode coefficients (zero without a kernel)."""
+        if self.g_mode == "none":
+            return self._zero
+        mass = float(self.grid.weights @ self._z_map(self.grid.synth @ state))
+        return self._g_profile * mass
 
-
-def g_half_norm(cs: CoefficientSet, seg: Segment, op: SpectralOperator) -> float:
-    """Fractional graph norm ||(-A)^{1/2} g(phi)|| reported alongside g."""
-    return fractional_norm(op, eval_g(cs, seg, op), 0.5)
+    def g_window(self, window: np.ndarray) -> np.ndarray:
+        """g at the node the kernel reads: window[0] (theta = -h) for a point
+        delay, window[-1] (theta = 0) for an instant one."""
+        return self.g(window[0] if self.g_mode == "point" else window[-1])
 
 
 def osgood_integral(cs: CoefficientSet, eps: float) -> float:
@@ -372,6 +372,7 @@ def lipschitz_probe_g(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
     """Max over random segment pairs of ||g(phi1) - g(phi2)||_{1/2} / ||phi1 - phi2||_C."""
     if n_samples < 1:
         raise DomainError("need at least one probe pair")
+    maps = GridMaps(cs, op)
     dt = h / 4.0
     best = 0.0
     used = 0
@@ -381,7 +382,7 @@ def lipschitz_probe_g(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
         denom = sup_norm(Segment(h=h, dt=dt, values=s1.values - s2.values))
         if denom < 1e-12:
             continue
-        num = fractional_norm(op, eval_g(cs, s1, op) - eval_g(cs, s2, op), 0.5)
+        num = fractional_norm(op, maps.g_window(s1.values) - maps.g_window(s2.values), 0.5)
         best = max(best, num / denom)
         used += 1
     return ProbeReport(estimate=best, bound=cs.lipschitz_Mg,
@@ -400,7 +401,8 @@ def growth_check(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
     """
     if n_samples < 1:
         raise DomainError("need at least one sample segment")
-    grid = op.grid(cs.grid_points)
+    maps = GridMaps(cs, op)
+    grid = maps.grid
     if qspec is not None:
         density = np.einsum("k,jk->j", qspec.lambdas, grid.synth ** 2)
     else:
@@ -410,9 +412,9 @@ def growth_check(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
     amps = 10.0 ** gen.uniform(-3.0, 2.0, size=n_samples)
     for amp in amps:
         seg = random_segment(op, h, dt, gen, amplitude=float(amp))
-        fld = grid.synth @ evaluate(seg, -h)
-        f_norm = math.sqrt(float(grid.weights @ cs.f(fld) ** 2))
-        s_fld = np.asarray(cs.sigma(fld), dtype=float)
+        delayed = seg.values[0]  # theta = -h
+        f_norm = math.sqrt(float(grid.weights @ maps.f_field(delayed) ** 2))
+        s_fld = maps.sigma(delayed)
         s_norm = math.sqrt(float(grid.weights @ (s_fld ** 2 * density)))
         worst = max(worst, (f_norm + s_norm) / (1.0 + sup_norm(seg)))
     return worst

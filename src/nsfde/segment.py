@@ -2,19 +2,18 @@
 
 A segment stores mode coefficients at the m + 1 grid offsets
 theta_j = -h + j dt (so values[0] is the oldest node and values[m] the
-current state).  The sup norm is taken over the stored nodes; off-grid
-evaluation interpolates linearly between neighbours.
+current state).  The sup norm is taken over the stored nodes, and the
+coefficient functionals read nodes only: nothing interpolates between them.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, ShapeError
 from .spectral import SpectralOperator
 
 _RATIO_TOL = 1e-9
@@ -26,13 +25,14 @@ PROFILES = {
 }
 
 
-def _window_steps(h: float, dt: float) -> int:
+def _window_steps(h: float, dt: float, name: str = "delay/step ratio h/dt") -> int:
+    """The whole number of steps dt in the span h; ``name`` labels the ratio in errors."""
     if h <= 0.0 or dt <= 0.0:
         raise ConfigError("delay h and step dt must be positive")
     ratio = h / dt
     m = int(round(ratio))
     if m < 1 or abs(ratio - m) > _RATIO_TOL * max(1.0, ratio):
-        raise ConfigError(f"delay/step ratio h/dt = {ratio!r} must be a positive integer")
+        raise ConfigError(f"{name} = {ratio!r} must be a positive integer")
     return m
 
 
@@ -73,33 +73,6 @@ class Segment:
 def sup_norm(seg: Segment) -> float:
     """sup over the stored window nodes of the H-norm ||u(t + theta)||."""
     return float(np.max(np.linalg.norm(seg.values, axis=1)))
-
-
-def evaluate(seg: Segment, theta: float) -> np.ndarray:
-    """Value at offset theta in [-h, 0]; linear interpolation between grid nodes."""
-    tol = 1e-12 * max(1.0, seg.h)
-    if theta < -seg.h - tol or theta > tol:
-        raise DomainError(f"theta = {theta!r} outside [-h, 0] with h = {seg.h!r}")
-    pos = (theta + seg.h) / seg.dt
-    pos = min(max(pos, 0.0), float(seg.m))
-    j = int(math.floor(pos))
-    if j >= seg.m:
-        return seg.values[seg.m].copy()
-    frac = pos - j
-    if frac == 0.0:
-        return seg.values[j].copy()
-    return (1.0 - frac) * seg.values[j] + frac * seg.values[j + 1]
-
-
-def shift_append(seg: Segment, new_value) -> Segment:
-    """Advance the window by one step: drop the oldest node, append u(t + dt)."""
-    new_value = np.asarray(new_value, dtype=float)
-    if new_value.shape != (seg.n_modes,):
-        raise ShapeError("appended state has the wrong number of modes")
-    vals = np.empty_like(seg.values)
-    vals[:-1] = seg.values[1:]
-    vals[-1] = new_value
-    return Segment(h=seg.h, dt=seg.dt, values=vals)
 
 
 def zero_segment(h: float, dt: float, n_modes: int) -> Segment:

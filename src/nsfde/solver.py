@@ -25,13 +25,14 @@ neutral term stays attached to the current iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import noise as noise_mod
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, GridMaps
 from .errors import (BlowupError, ConfigError, DomainError,
                      NonconvergenceError, ShapeError)
 from .noise import QWienerSpec, RngStream
@@ -56,6 +57,7 @@ class SolverConfig:
             raise ConfigError("solver.dt must be positive")
         if self.t_end < self.dt:
             raise ConfigError("solver.t_end must be at least one step")
+        _window_steps(self.t_end, self.dt, "solver.t_end / solver.dt")
         if self.fp_tol <= 0.0:
             raise ConfigError("solver.fp_tol must be positive")
         if self.fp_max < 1:
@@ -69,8 +71,7 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        steps = int(round(self.t_end / self.dt))
-        return max(steps, 1)
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(eq=False)
@@ -105,84 +106,53 @@ class _Stepper:
     """Precomputed per-run machinery; ``advance`` performs one step on a raw window."""
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator, qspec: QWienerSpec,
-                 cfg: SolverConfig, h: float):
+                 cfg: SolverConfig):
         if qspec.n_modes != op.n_modes:
             raise ShapeError("covariance spectrum and operator truncation disagree")
         self.cs = cs
-        self.op = op
         self.cfg = cfg
-        self.m = _window_steps(h, cfg.dt)
         mu = op.eigenvalues
         self.decay = np.exp(-mu * cfg.dt)
         self.phi1 = -np.expm1(-mu * cfg.dt) / mu
         self.ou_std = noise_mod.ou_std(qspec, op, cfg.dt)
-        self.grid = op.grid(cs.grid_points)
-        self.n = op.n_modes
-        self._zero = np.zeros(self.n)
-
-        kern = cs.kernel_b
-        if kern is None:
-            self.g_mode = "none"
-            self._g_coeffs = None
-        else:
-            self.g_mode = kern.delay_mode
-            self._g_profile_coeffs = self.grid.project @ kern.profile(self.grid.x)
-            self._g_zmap = kern.z_map
-        self.f_zero = cs.f_is_zero
-        self.sigma_const = cs.sigma_const
-
-    def g_of(self, state: np.ndarray) -> np.ndarray:
-        """Neutral functional applied to the single segment node it reads."""
-        if self.g_mode == "none":
-            return self._zero
-        fld = self.grid.synth @ state
-        mass = float(self.grid.weights @ self._g_zmap(fld))
-        return self._g_profile_coeffs * mass
-
-    def f_of(self, state: np.ndarray) -> np.ndarray:
-        if self.f_zero:
-            return self._zero
-        fld = self.grid.synth @ state
-        return self.grid.project @ self.cs.f(fld)
+        self.maps = GridMaps(cs, op)
 
     def noise_of(self, delayed_state: np.ndarray, z: np.ndarray) -> np.ndarray:
         """OU increment composed with the multiplier frozen at the left endpoint."""
         ou = self.ou_std * z
-        if self.sigma_const is not None:
-            if self.sigma_const == 1.0:
+        sigma_const = self.cs.sigma_const
+        if sigma_const is not None:
+            if sigma_const == 1.0:
                 return ou
-            return self.sigma_const * ou
-        sig_field = np.asarray(self.cs.sigma(self.grid.synth @ delayed_state), dtype=float)
-        return self.grid.project @ (sig_field * (self.grid.synth @ ou))
+            return sigma_const * ou
+        grid = self.maps.grid
+        return grid.project @ (self.maps.sigma(delayed_state) * (grid.synth @ ou))
 
-    def advance(self, hist: np.ndarray, z: np.ndarray,
-                f_src: Optional[np.ndarray] = None,
-                sig_src: Optional[np.ndarray] = None) -> StepResult:
+    def advance(self, hist: np.ndarray, z: np.ndarray, src: np.ndarray) -> StepResult:
         """One step from the chronological window ``hist`` (rows: u(t-h)..u(t)).
 
-        ``f_src``/``sig_src`` override the states feeding the drift and the
-        diffusion multiplier (used by the successive-approximation driver);
-        both default to this trajectory's own delayed node.
+        ``src`` is the delayed state that feeds the drift and the diffusion
+        multiplier: ``hist[0]`` for a direct run, the previous iterate's
+        delayed state in the successive-approximation driver.
         """
+        maps = self.maps
         u = hist[-1]
-        delayed = hist[0]
-        g_curr = self.g_of(delayed if self.g_mode == "point" else u)
-        rhs = self.decay * u + g_curr
-        if not self.f_zero:
-            rhs = rhs + self.phi1 * self.f_of(delayed if f_src is None else f_src)
-        rhs = rhs + self.noise_of(delayed if sig_src is None else sig_src, z)
+        rhs = self.decay * u + maps.g_window(hist)
+        if not self.cs.f_is_zero:
+            rhs = rhs + self.phi1 * maps.f(src)
+        rhs = rhs + self.noise_of(src, z)
 
-        if self.g_mode != "instant":
-            if self.g_mode == "point":
+        if maps.g_mode != "instant":
+            if maps.g_mode == "point":
                 # u(t + dt - h) is already history whenever h >= dt
-                rhs = rhs - self.g_of(hist[1])
+                rhs = rhs - maps.g(hist[1])
             return StepResult(rhs, 0, [])
 
         # neutral term reads the unknown new state: contract to the fixed point
         u_k = u
         residuals = []
         for _ in range(self.cfg.fp_max):
-            u_next = rhs - self.g_of(u_k)
+            u_next = rhs - maps.g(u_k)
             r = float(np.linalg.norm(u_next - u_k))
             residuals.append(r)
             u_k = u_next
@@ -194,19 +164,63 @@ class _Stepper:
             residual=residuals[-1], iterations=len(residuals))
 
 
-def step(seg: Segment, cs: CoefficientSet, op: SpectralOperator, qspec: QWienerSpec,
-         cfg: SolverConfig, gen: np.random.Generator) -> StepResult:
-    """Advance one step from an explicit segment, drawing one noise row from ``gen``."""
-    stepper = _Stepper(cs, op, qspec, cfg, seg.h)
-    z = gen.standard_normal(op.n_modes)
-    return stepper.advance(seg.values, z)
-
-
 def _check_initial(initial: Segment, op: SpectralOperator, cfg: SolverConfig):
     if initial.n_modes != op.n_modes:
         raise ShapeError("initial segment and operator truncation dimensions disagree")
     if abs(initial.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
         raise ConfigError("initial segment step must equal solver.dt")
+
+
+def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
+               stream: RngStream, z_block: np.ndarray,
+               src_rows: Optional[np.ndarray] = None,
+               collect_fp_residuals: bool = False) -> tuple[Trajectory, np.ndarray]:
+    """The stepping loop of ``simulate`` and ``picard_run``.
+
+    Returns the trajectory and the rows u(-h), ..., u(t_end) of the whole
+    path, every grid time once.  Step i reads the window ``rows[i:i + m + 1]``
+    and takes the state feeding drift and diffusion from ``src_rows[i]``,
+    by default this path's own delayed node ``rows[i]``.
+    """
+    m, steps, stride = initial.m, cfg.n_steps, cfg.store_stride
+    rows = np.empty((m + 1 + steps, initial.n_modes))
+    rows[:m + 1] = initial.values
+    norms = np.empty(m + 1 + steps)
+    norms[:m + 1] = np.linalg.norm(initial.values, axis=1)
+    fp_iters = np.zeros(steps + 1, dtype=int)
+    src_rows = rows if src_rows is None else src_rows
+    residual_log = [] if collect_fp_residuals else None
+
+    for i in range(steps):
+        u_new, iters, residuals = stepper.advance(rows[i:i + m + 1], z_block[i],
+                                                  src_rows[i])
+        nrm = float(np.linalg.norm(u_new))
+        if not math.isfinite(nrm) or nrm > cfg.blowup_threshold:
+            raise BlowupError(f"state norm {nrm:.3e} at t = {(i + 1) * cfg.dt:g} "
+                              f"exceeds blow-up guard {cfg.blowup_threshold:g}")
+        rows[m + 1 + i] = u_new
+        norms[m + 1 + i] = nrm
+        fp_iters[i + 1] = iters
+        if residual_log is not None:
+            residual_log.append(residuals)
+
+    # the window ending at step k is rows[k:k + m + 1]
+    stored = np.arange(0, steps + 1, stride)
+    window_norms = np.lib.stride_tricks.sliding_window_view(norms, m + 1)
+    segments = segment_times = None
+    if cfg.segment_stride:
+        checkpoints = np.arange(cfg.segment_stride, steps + 1, cfg.segment_stride)
+        segments = [Segment(h=initial.h, dt=cfg.dt, values=rows[k:k + m + 1].copy())
+                    for k in checkpoints]
+        segment_times = checkpoints * cfg.dt
+    traj = Trajectory(
+        times=stored * cfg.dt, snapshots=rows[m + stored],
+        seg_norms=window_norms[stored].max(axis=1), fp_iters=fp_iters[stored],
+        seed=stream.seed, stream_id=stream.stream_id,
+        dt=cfg.dt, store_stride=stride,
+        final_segment=Segment(h=initial.h, dt=cfg.dt, values=rows[steps:].copy()),
+        segments=segments, segment_times=segment_times, fp_residuals=residual_log)
+    return traj, rows
 
 
 def simulate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
@@ -221,77 +235,16 @@ def simulate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     overrides the block, e.g. for shared-refinement convergence studies.
     """
     _check_initial(initial, op, cfg)
-    stepper = _Stepper(cs, op, qspec, cfg, initial.h)
-    steps = cfg.n_steps
-    n = op.n_modes
+    stepper = _Stepper(cs, op, qspec, cfg)
+    shape = (cfg.n_steps, op.n_modes)
     if noise_z is None:
-        z_block = stream.generator().standard_normal((steps, n))
+        z_block = stream.generator().standard_normal(shape)
     else:
         z_block = np.asarray(noise_z, dtype=float)
-        if z_block.shape != (steps, n):
-            raise ShapeError(f"noise block must have shape {(steps, n)}")
-
-    hist = initial.values.copy()
-    norms = np.linalg.norm(hist, axis=1)
-    times = [0.0]
-    snaps = [hist[-1].copy()]
-    seg_norms = [float(norms.max())]
-    fp_iters = [0]
-    segments = [] if cfg.segment_stride else None
-    segment_times = [] if cfg.segment_stride else None
-    residual_log = [] if collect_fp_residuals else None
-
-    for i in range(steps):
-        u_new, iters, residuals = stepper.advance(hist, z_block[i])
-        nrm = float(np.linalg.norm(u_new))
-        if not math.isfinite(nrm) or nrm > cfg.blowup_threshold:
-            raise BlowupError(f"state norm {nrm:.3e} at t = {(i + 1) * cfg.dt:g} "
-                              f"exceeds blow-up guard {cfg.blowup_threshold:g}")
-        hist[:-1] = hist[1:]
-        hist[-1] = u_new
-        norms[:-1] = norms[1:]
-        norms[-1] = nrm
-        if residual_log is not None:
-            residual_log.append(residuals)
-        if (i + 1) % cfg.store_stride == 0:
-            times.append((i + 1) * cfg.dt)
-            snaps.append(u_new.copy())
-            seg_norms.append(float(norms.max()))
-            fp_iters.append(iters)
-        if cfg.segment_stride and (i + 1) % cfg.segment_stride == 0:
-            segments.append(Segment(h=initial.h, dt=cfg.dt, values=hist.copy()))
-            segment_times.append((i + 1) * cfg.dt)
-
-    return Trajectory(
-        times=np.asarray(times), snapshots=np.asarray(snaps),
-        seg_norms=np.asarray(seg_norms), fp_iters=np.asarray(fp_iters, dtype=int),
-        seed=stream.seed, stream_id=stream.stream_id, dt=cfg.dt,
-        store_stride=cfg.store_stride,
-        final_segment=Segment(h=initial.h, dt=cfg.dt, values=hist.copy()),
-        segments=segments,
-        segment_times=None if segment_times is None else np.asarray(segment_times),
-        fp_residuals=residual_log)
-
-
-def _rolling_seg_norms(initial: Segment, path: np.ndarray, m: int) -> np.ndarray:
-    """Window sup norms along a full path (path[0] is the initial state)."""
-    all_rows = np.vstack([initial.values[:-1], path])
-    norms = np.linalg.norm(all_rows, axis=1)
-    return np.array([norms[i:i + m + 1].max() for i in range(path.shape[0])])
-
-
-def _traj_from_path(initial: Segment, path: np.ndarray, cfg: SolverConfig,
-                    stream: RngStream, fp_counts: np.ndarray) -> Trajectory:
-    m = initial.m
-    steps = path.shape[0] - 1
-    idx = np.arange(0, steps + 1, cfg.store_stride)
-    seg_norms = _rolling_seg_norms(initial, path, m)
-    window = np.vstack([initial.values[:-1], path])[steps:steps + m + 1]
-    return Trajectory(
-        times=idx * cfg.dt, snapshots=path[idx], seg_norms=seg_norms[idx],
-        fp_iters=fp_counts[idx], seed=stream.seed, stream_id=stream.stream_id,
-        dt=cfg.dt, store_stride=cfg.store_stride,
-        final_segment=Segment(h=initial.h, dt=cfg.dt, values=window.copy()))
+        if z_block.shape != shape:
+            raise ShapeError(f"noise block must have shape {shape}")
+    return _integrate(stepper, initial, cfg, stream, z_block,
+                      collect_fp_residuals=collect_fp_residuals)[0]
 
 
 def picard_run(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
@@ -310,47 +263,21 @@ def picard_run(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     if cfg.mode != "picard":
         raise ConfigError("picard_run requires solver.mode = 'picard'")
     _check_initial(initial, op, cfg)
-    steps = cfg.n_steps
-    m = initial.m
-    n = op.n_modes
-    z_block = stream.generator().standard_normal((steps, n))
-
+    z_block = stream.generator().standard_normal((cfg.n_steps, op.n_modes))
     cs0 = replace(cs, f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                   sigma=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                   f_name="zero", sigma_name="zero", sigma_const=0.0, f_is_zero=True)
-    stepper0 = _Stepper(cs0, op, qspec, cfg, initial.h)
-    stepper = _Stepper(cs, op, qspec, cfg, initial.h)
+    stepper = _Stepper(cs, op, qspec, cfg)
 
-    def run(active: _Stepper, prev_path: Optional[np.ndarray]):
-        hist = initial.values.copy()
-        path = np.empty((steps + 1, n))
-        path[0] = hist[-1]
-        counts = np.zeros(steps + 1, dtype=int)
-        for i in range(steps):
-            if prev_path is None:
-                res = active.advance(hist, z_block[i])
-            else:
-                j = i - m
-                src = prev_path[j] if j >= 0 else initial.values[i]
-                res = active.advance(hist, z_block[i], f_src=src, sig_src=src)
-            hist[:-1] = hist[1:]
-            hist[-1] = res.new_state
-            path[i + 1] = res.new_state
-            counts[i + 1] = res.fp_iters
-            nrm = float(np.linalg.norm(res.new_state))
-            if not math.isfinite(nrm) or nrm > cfg.blowup_threshold:
-                raise BlowupError(f"state norm {nrm:.3e} exceeds blow-up guard "
-                                  f"in successive approximation")
-        return path, counts
-
-    out = []
-    path_prev, counts = run(stepper0, None)
-    out.append((_traj_from_path(initial, path_prev, cfg, stream, counts), math.nan))
+    traj, rows_prev = _integrate(_Stepper(cs0, op, qspec, cfg), initial, cfg, stream,
+                                 z_block)
+    out = [(traj, math.nan)]
+    m = initial.m
     for _ in range(cfg.picard_iters):
-        path_new, counts = run(stepper, path_prev)
-        sup_diff = float(np.max(np.linalg.norm(path_new - path_prev, axis=1)))
-        out.append((_traj_from_path(initial, path_new, cfg, stream, counts), sup_diff))
-        path_prev = path_new
+        traj, rows = _integrate(stepper, initial, cfg, stream, z_block, src_rows=rows_prev)
+        sup_diff = float(np.max(np.linalg.norm(rows[m:] - rows_prev[m:], axis=1)))
+        out.append((traj, sup_diff))
+        rows_prev = rows
     return out
 
 
@@ -405,32 +332,35 @@ class HorizonResult(NamedTuple):
 
 
 def find_horizon(mg: float, p: float, alpha: float, c_frac: float,
-                 cap: float = 1e12, rel_tol: float = 1e-10) -> HorizonResult:
-    """Largest window length with both smallness bounds strictly below 1 (bisection).
+                 cap: float = 1e12) -> HorizonResult:
+    """Largest window length with both smallness bounds strictly below 1 (closed form).
 
-    Both bounds increase monotonically from Mg < 1 at T = 0, so the feasible
-    set is an interval; the returned horizon sits on the feasible side of
-    the crossing to relative tolerance ``rel_tol``.  If even ``cap``
-    satisfies both bounds the cap is returned with ``capped=True``.
+    With a = Mg^p c^p / ((1 - Mg)^{p-1} alpha^p) the contraction factor is
+    Mg + a T^{alpha p} and the stability bound Mg + 5^{p-1} a T^{alpha p}.
+    As 5^{p-1} > 1, stability is the larger of the two at every T > 0, so it
+    alone binds, and it reaches 1 at T1 = ((1 - Mg) / (5^{p-1} a))^{1/(alpha p)}.
+    T1 is evaluated to 40 digits and rounded down, so the window lies at or
+    below the exact root (double precision lands a few ulps above it on
+    about one tuple in eight), then stepped down ulp by ulp until the
+    computed stability bound is below 1.  If even ``cap`` satisfies both
+    bounds the cap is returned with ``capped=True``.
     """
     _check_window_args(mg, p, alpha, c_frac)
 
-    def worst(t):
-        return max(contraction_factor(mg, p, alpha, c_frac, t),
-                   stability_bound(mg, p, alpha, c_frac, t))
+    def result(t, capped):
+        return HorizonResult(t, contraction_factor(mg, p, alpha, c_frac, t),
+                             stability_bound(mg, p, alpha, c_frac, t), capped)
 
-    if worst(cap) < 1.0:
-        return HorizonResult(cap, contraction_factor(mg, p, alpha, c_frac, cap),
-                             stability_bound(mg, p, alpha, c_frac, cap), True)
-    hi = min(1.0, cap)
-    while worst(hi) < 1.0:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if worst(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return HorizonResult(lo, contraction_factor(mg, p, alpha, c_frac, lo),
-                         stability_bound(mg, p, alpha, c_frac, lo), False)
+    if stability_bound(mg, p, alpha, c_frac, cap) < 1.0:
+        return result(cap, True)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d_mg, d_p, d_alpha, d_c = map(Decimal, (mg, p, alpha, c_frac))
+        a = d_mg ** d_p * d_c ** d_p / ((1 - d_mg) ** (d_p - 1) * d_alpha ** d_p)
+        root = ((1 - d_mg) / (5 ** (d_p - 1) * a)) ** (1 / (d_alpha * d_p))
+    t = float(root)
+    if Decimal(t) > root:
+        t = math.nextafter(t, 0.0)
+    while stability_bound(mg, p, alpha, c_frac, t) >= 1.0:
+        t = math.nextafter(t, 0.0)
+    return result(t, False)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nsfde import (CoefficientSet, ConfigError, DomainError, Kernel,
-                   RngStream, Segment, SingularModulusError,
-                   assemble_operator, builtin_coefficients, constant_segment,
-                   eval_f, eval_g, eval_sigma, fractional_norm, g_half_norm,
+from nsfde import (CoefficientSet, ConfigError, DomainError, GridMaps, Kernel,
+                   RngStream, SingularModulusError,
+                   assemble_operator, builtin_coefficients,
                    growth_check, linear_modulus, lipschitz_probe_g,
                    modulus_bound_check, modulus_shape_check,
                    osgood_certificate, osgood_integral, osgood_modulus,
@@ -128,13 +127,12 @@ def test_eval_f_matches_adaptive_quadrature():
     op = assemble_operator(n_modes=4)
     cs = builtin_coefficients(f="bounded_tanh", sigma="one", kernel="zero")
     coeffs = np.array([0.4, -0.2, 0.1, 0.05])
-    seg = constant_segment(0.1, 0.05, coeffs)
 
     def field(x):
         n = np.arange(1, 5)
         return np.sqrt(2.0) * np.sin(np.pi * np.outer(np.atleast_1d(x), n)) @ coeffs
 
-    got = eval_f(cs, seg, op)
+    got = GridMaps(cs, op).f(coeffs)
     for k in range(1, 5):
         want = quad(lambda x: math.tanh(field(x)[0]) * math.sqrt(2.0) * math.sin(k * np.pi * x),
                     0.0, 1.0, epsabs=1e-12, epsrel=1e-12)[0]
@@ -143,9 +141,8 @@ def test_eval_f_matches_adaptive_quadrature():
 
 def test_eval_sigma_is_grid_field():
     op = assemble_operator(n_modes=4)
-    seg = constant_segment(0.1, 0.05, np.zeros(4))
     cs = builtin_coefficients(sigma="one")
-    out = eval_sigma(cs, seg, op)
+    out = GridMaps(cs, op).sigma(np.zeros(4))
     assert np.array_equal(out, np.ones_like(out))
     assert out.size == cs.grid_points + 1
 
@@ -154,34 +151,34 @@ def test_eval_g_separable_kernel():
     op = assemble_operator(n_modes=4)
     c = 0.3
     cs = builtin_coefficients(kernel_scale=c)
-    # constant-in-theta window: point and instant reads agree
+    maps = GridMaps(cs, op)
     coeffs = np.array([0.5, 0.1, 0.0, 0.0])
-    seg = constant_segment(0.1, 0.05, coeffs)
 
     def field(x):
         n = np.arange(1, 5)
         return np.sqrt(2.0) * np.sin(np.pi * np.outer(np.atleast_1d(x), n)) @ coeffs
 
     mass = quad(lambda x: math.tanh(field(x)[0]), 0.0, 1.0, epsabs=1e-12)[0]
-    got = eval_g(cs, seg, op)
+    got = maps.g(coeffs)
     # c sin(pi x) = (c/sqrt2) e_1: only the first mode is hit
     assert got[0] == pytest.approx(c / math.sqrt(2.0) * mass, abs=1e-9)
     assert np.max(np.abs(got[1:])) <= 1e-12
 
-    inst = builtin_coefficients(kernel_scale=c, kernel_delay="instant")
-    assert np.array_equal(eval_g(inst, seg, op), got)
+    # constant-in-theta window: point and instant reads agree
+    inst = GridMaps(builtin_coefficients(kernel_scale=c, kernel_delay="instant"), op)
+    window = np.tile(coeffs, (3, 1))
+    assert np.array_equal(maps.g_window(window), got)
+    assert np.array_equal(inst.g_window(window), got)
 
     # theta-dependent window separates the two reads: the point kernel sees
     # the (zero) oldest node, the instant kernel sees the current one
-    ramp = Segment(h=0.1, dt=0.05, values=np.outer([0.0, 0.5, 1.0], coeffs))
-    assert not eval_g(cs, ramp, op).any()
-    assert abs(eval_g(inst, ramp, op)[0]) > 0.01
+    ramp = np.outer([0.0, 0.5, 1.0], coeffs)
+    assert not maps.g_window(ramp).any()
+    assert abs(inst.g_window(ramp)[0]) > 0.01
 
-    assert g_half_norm(cs, seg, op) == pytest.approx(
-        fractional_norm(op, got, 0.5), rel=1e-15)
-
-    none = builtin_coefficients(kernel="zero")
-    assert not eval_g(none, seg, op).any()
+    none = GridMaps(builtin_coefficients(kernel="zero"), op)
+    assert none.g_mode == "none"
+    assert not none.g(coeffs).any() and not none.g_window(ramp).any()
 
 
 def test_lipschitz_probe_scales_linearly_with_kernel():

@@ -1,15 +1,13 @@
-"""History-window container: validation, interpolation, shifting, construction."""
+"""History-window container: validation, norms, construction."""
 import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from nsfde import (ConfigError, DomainError, RngStream, Segment, ShapeError,
-                   assemble_operator, constant_segment, evaluate,
+from nsfde import (ConfigError, RngStream, Segment, ShapeError,
+                   assemble_operator, constant_segment,
                    from_initial_condition, random_segment, segment_to_csv,
-                   shift_append, sup_norm, zero_segment)
+                   sup_norm, zero_segment)
 
 
 def test_window_shape_validation():
@@ -22,29 +20,6 @@ def test_window_shape_validation():
     seg = Segment(h=0.1, dt=0.01, values=np.zeros((11, 3)))
     assert seg.m == 10 and seg.n_modes == 3
     assert seg.thetas[0] == pytest.approx(-0.1) and seg.thetas[-1] == 0.0
-
-
-def test_evaluate_nodes_and_interpolation():
-    vals = np.arange(6, dtype=float)[:, None]
-    seg = Segment(h=0.5, dt=0.1, values=vals)
-    assert evaluate(seg, -0.5)[0] == 0.0
-    assert evaluate(seg, 0.0)[0] == 5.0
-    assert evaluate(seg, -0.25)[0] == pytest.approx(2.5)  # halfway between nodes
-    assert evaluate(seg, -0.17)[0] == pytest.approx(3.3, rel=1e-12)
-    with pytest.raises(DomainError):
-        evaluate(seg, 0.2)
-    with pytest.raises(DomainError):
-        evaluate(seg, -0.51)
-
-
-def test_shift_append_rolls_the_window():
-    seg = Segment(h=0.3, dt=0.1, values=np.arange(8, dtype=float).reshape(4, 2))
-    out = shift_append(seg, np.array([9.0, 9.5]))
-    assert np.array_equal(out.values[:-1], seg.values[1:])
-    assert np.array_equal(out.values[-1], [9.0, 9.5])
-    assert np.array_equal(seg.values.ravel(), np.arange(8.0))  # input untouched
-    with pytest.raises(ShapeError):
-        shift_append(seg, np.zeros(3))
 
 
 def test_sup_norm_is_max_node_norm():
@@ -118,22 +93,3 @@ def test_segment_csv_round_trip(tmp_path):
     back = np.array([[float(c) for c in row] for row in rows[1:]])
     assert np.array_equal(back[:, 0], seg.thetas)  # repr round-trips exactly
     assert np.array_equal(back[:, 1:], seg.values)
-
-
-@given(st.integers(1, 40), st.floats(0.05, 2.0), st.data())
-@settings(max_examples=60, deadline=None)
-def test_evaluate_stays_in_node_hull(m, h, data):
-    vals = np.array([[data.draw(st.floats(-5.0, 5.0))] for _ in range(m + 1)])
-    seg = Segment(h=h, dt=h / m, values=vals)
-    theta = data.draw(st.floats(-h, 0.0))
-    out = evaluate(seg, theta)[0]
-    assert vals.min() - 1e-12 <= out <= vals.max() + 1e-12
-
-
-@given(st.integers(2, 30), st.integers(0, 28))
-@settings(max_examples=60, deadline=None)
-def test_evaluate_reproduces_nodes_exactly(m, j):
-    j = min(j, m)
-    vals = np.sin(np.arange(m + 1, dtype=float))[:, None]
-    seg = Segment(h=1.0, dt=1.0 / m, values=vals)
-    assert evaluate(seg, seg.thetas[j])[0] == pytest.approx(vals[j, 0], abs=1e-12)

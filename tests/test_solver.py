@@ -11,7 +11,7 @@ from nsfde import (BlowupError, ConfigError, DomainError, HorizonResult,
                    SolverConfig, assemble_operator, builtin_coefficients,
                    constant_segment, contraction_factor, find_horizon,
                    from_initial_condition, ou_std, picard_run, power_qwiener,
-                   simulate, stability_bound, step, zero_segment)
+                   simulate, stability_bound, zero_segment)
 
 OP4 = assemble_operator(n_modes=4)
 Q4 = power_qwiener(4, trace_target=0.5)
@@ -29,8 +29,13 @@ def test_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, fp_tol=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(dt=0.1, t_end=1.0, store_stride=0)
+    with pytest.raises(ConfigError, match="solver.t_end"):
+        SolverConfig(dt=0.3, t_end=1.0)  # 3.33 steps: would stop at 0.9
+    with pytest.raises(ConfigError, match="solver.t_end"):
+        SolverConfig(dt=0.1, t_end=1.05)
     assert SolverConfig(dt=0.1, t_end=1.0).n_steps == 10
     assert SolverConfig(dt=0.3, t_end=0.3).n_steps == 1
+    assert SolverConfig(dt=1e-3, t_end=0.5).n_steps == 500
 
 
 def test_initial_segment_checks():
@@ -111,9 +116,10 @@ def test_store_stride_and_endpoint_bookkeeping():
 def test_single_step_helper_is_pure_decay_for_linear():
     seg = constant_segment(0.05, 0.01, np.array([1.0, 0.0, -1.0, 0.5]))
     cfg = SolverConfig(dt=0.01, t_end=0.01)
-    res = step(seg, LINEAR, OP4, Q4, cfg, RngStream(8, 0).generator())
-    assert res.fp_iters == 0 and res.residuals == []
-    assert np.allclose(res.new_state, np.exp(-OP4.eigenvalues * 0.01) * seg.head(),
+    traj = simulate(seg, LINEAR, OP4, Q4, cfg, RngStream(8, 0),
+                    collect_fp_residuals=True)
+    assert traj.fp_iters[-1] == 0 and traj.fp_residuals == [[]]
+    assert np.allclose(traj.snapshots[-1], np.exp(-OP4.eigenvalues * 0.01) * seg.head(),
                        rtol=1e-14)
 
 
@@ -183,6 +189,35 @@ def test_picard_matches_direct_on_shared_noise():
     assert gap <= 1e-9
 
 
+def test_picard_store_stride_keeps_every_kth_row():
+    cs = builtin_coefficients(kernel_scale=0.2)
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.2}, 0.05, 0.01, OP4)
+    runs = [picard_run(ini, cs, OP4, Q4,
+                       SolverConfig(dt=0.01, t_end=0.3, mode="picard", picard_iters=3,
+                                    store_stride=k), RngStream(14, 0))
+            for k in (1, 5)]
+    for (full, d_full), (thin, d_thin) in zip(*runs):
+        for name in ("times", "snapshots", "seg_norms", "fp_iters"):
+            assert np.array_equal(getattr(thin, name), getattr(full, name)[::5])
+        assert np.array_equal(thin.final_segment.values, full.final_segment.values)
+        assert d_thin == d_full or (math.isnan(d_thin) and math.isnan(d_full))
+
+
+def test_picard_iterates_equal_simulate_without_drift_and_state_noise():
+    # with f = 0 and sigma = 1 the previous iterate feeds nothing, so every
+    # sweep from 1 on is the direct run on the same noise
+    cs = builtin_coefficients(f="zero", sigma="one", kernel_scale=0.2)
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.4}, 0.05, 0.01, OP4)
+    cfg = SolverConfig(dt=0.01, t_end=0.2, mode="picard", picard_iters=3)
+    direct = simulate(ini, cs, OP4, Q4, cfg, RngStream(15, 0))
+    for traj, _ in picard_run(ini, cs, OP4, Q4, cfg, RngStream(15, 0))[1:]:
+        for name in ("times", "snapshots", "seg_norms", "fp_iters"):
+            assert np.array_equal(getattr(traj, name), getattr(direct, name))
+        assert np.array_equal(traj.final_segment.values, direct.final_segment.values)
+
+
 @given(scale=st.floats(-4.0, 4.0))
 @settings(max_examples=40, deadline=None)
 def test_linear_dynamics_scale_equivariance(scale):
@@ -235,6 +270,27 @@ def test_find_horizon_monotone_in_coupling():
         t_above = 1.0001 * res.horizon
         assert max(contraction_factor(mg, 3.0, 0.5, c, t_above),
                    stability_bound(mg, 3.0, 0.5, c, t_above)) >= 1.0
+
+
+def test_find_horizon_is_the_closed_form_root():
+    # the 50-digit root of stability_bound = 1; the returned window lies at
+    # or below it, within a few ulps, and keeps both bounds below 1
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    gen = RngStream(16, 0).generator()
+    for _ in range(20):
+        mg = gen.uniform(0.1, 0.65)
+        p = gen.uniform(2.2, 5.0)
+        alpha = gen.uniform(0.25, 1.0)
+        c = gen.uniform(0.3, 3.0)
+        res = find_horizon(mg, p, alpha, c)
+        m_mg, m_p, m_alpha, m_c = map(mp.mpf, (mg, p, alpha, c))
+        a = m_mg ** m_p * m_c ** m_p / ((1 - m_mg) ** (m_p - 1) * m_alpha ** m_p)
+        root = ((1 - m_mg) / (5 ** (m_p - 1) * a)) ** (1 / (m_alpha * m_p))
+        assert not res.capped
+        assert mp.mpf(res.horizon) <= root
+        assert (root - res.horizon) / root <= 1e-14
+        assert res.contraction < 1.0 and res.stability < 1.0
 
 
 def test_find_horizon_cap():

@@ -33,23 +33,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_config_args(sp, seed=True, resolved=True):
+def _add_config_args(sp):
     sp.add_argument("--config", required=True, help="YAML run configuration")
-    if seed:
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    if resolved:
-        sp.add_argument("--resolved", default=None, metavar="PATH",
-                        help="dump the fully resolved config to PATH")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="override the config seed")
+    sp.add_argument("--resolved", default=None, metavar="PATH",
+                    help="dump the fully resolved config to PATH")
 
 
 def _load(args) -> config_mod.RunConfig:
     rc = config_mod.load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("seed must be nonnegative")
         rc.seed = args.seed
-    if getattr(args, "resolved", None):
+    if args.resolved:
         config_mod.dump_resolved(rc, args.resolved)
     return rc
 
@@ -176,8 +174,8 @@ def _condition_rows(rc: config_mod.RunConfig, n_samples: int):
     small = 2.0 * cs.lipschitz_Mg ** 2 * cs.meas_D ** 2
     add("neutral_smallness", small, 1.0, small < 1.0)
     add("noise_trace", float(qspec.trace), float("inf"), np.isfinite(qspec.trace))
-    add("modulus_shape", 1.0 if modulus_shape_check(cs) else 0.0, 1.0,
-        modulus_shape_check(cs))
+    shape_ok = modulus_shape_check(cs)
+    add("modulus_shape", 1.0 if shape_ok else 0.0, 1.0, shape_ok)
     cert = osgood_certificate(cs)
     add("osgood_divergence", float(cert.integrals[-1]), float("inf"), cert.certified)
     violations, max_ratio = modulus_bound_check(cs, n_samples, gen)
@@ -189,31 +187,17 @@ def _condition_rows(rc: config_mod.RunConfig, n_samples: int):
     return rows
 
 
-def _print_condition_rows(rows) -> bool:
-    all_ok = True
+def _cmd_check_conditions(args) -> int:
+    rows = _condition_rows(_load(args), args.samples)
     for name, est, _, thr, verdict in rows:
         mark = "ok " if verdict == "pass" else "FAIL"
         print(f"[{mark}] {name}: estimate {est:.6g}, threshold {thr:.6g}")
-        all_ok = all_ok and verdict == "pass"
-    return all_ok
-
-
-def _cmd_check_conditions(args) -> int:
-    rc = _load(args)
-    rows = _condition_rows(rc, args.samples)
-    ok = _print_condition_rows(rows)
+    ok = all(verdict == "pass" for *_, verdict in rows)
+    print("configuration valid; all condition checks passed" if ok
+          else "configuration loads, but some condition checks FAILED")
     if args.out:
         serialize.write_report_csv(args.out, rows)
         print(f"wrote {args.out}")
-    return 0 if ok else 1
-
-
-def _cmd_validate(args) -> int:
-    rc = _load(args)
-    rows = _condition_rows(rc, 2000)
-    ok = _print_condition_rows(rows)
-    print("configuration valid; all condition checks passed" if ok
-          else "configuration loads, but some condition checks FAILED")
     return 0 if ok else 1
 
 
@@ -287,7 +271,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("validate", help="load, validate, and check a config")
     _add_config_args(sp)
-    sp.set_defaults(func=_cmd_validate)
+    sp.set_defaults(func=_cmd_check_conditions, samples=2000, out=None)
 
     return parser
 

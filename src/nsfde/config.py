@@ -2,17 +2,19 @@
 
 A config file is a nested mapping with the sections below; every omitted
 field takes the documented default and every unknown key is rejected with
-its dotted path.  ``resolved_dict`` echoes the fully defaulted config (plus
-a ``derived`` block of computed quantities, ignored on reload) so that a
-dumped resolved config reloads to bit-identical behaviour.
+its dotted path.  The ``operator`` and ``solver`` sections are the keyword
+arguments of ``assemble_operator`` and ``SolverConfig``, and ``initial`` is
+the descriptor ``from_initial_condition`` reads; the builders pass them whole.
+``resolved_dict`` echoes the fully defaulted config (plus a ``derived``
+block of computed quantities, ignored on reload) so that a dumped resolved
+config reloads to bit-identical behaviour.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-import numpy as np
 import yaml
 
 from . import coefficients as coeff_mod
@@ -241,15 +243,9 @@ def parse_config(raw) -> RunConfig:
               "initial.coeffs must list one coefficient per mode")
 
     # cross-field: the window must hold an integer number of steps
-    try:
-        _window_steps(data["delay"]["h"], data["solver"]["dt"])
-    except ConfigError as exc:
-        raise ConfigError(f"delay.h / solver.dt: {exc}") from None
+    _window_steps(data["delay"]["h"], data["solver"]["dt"], "delay.h / solver.dt")
 
-    return RunConfig(seed=data["seed"], operator=data["operator"],
-                     noise=data["noise"], delay=data["delay"],
-                     coefficients=data["coefficients"], solver=data["solver"],
-                     measure=data["measure"], initial=data["initial"])
+    return RunConfig(**data)
 
 
 def load_config(path) -> RunConfig:
@@ -266,10 +262,7 @@ def load_config(path) -> RunConfig:
 
 
 def make_operator(rc: RunConfig):
-    return spectral.assemble_operator(
-        kind=rc.operator["kind"], n_modes=rc.operator["n_modes"],
-        a=rc.operator["a"], delta_fraction=rc.operator["delta_fraction"],
-        quad_factor=rc.operator["quad_factor"])
+    return spectral.assemble_operator(**rc.operator)
 
 
 def make_noise(rc: RunConfig, op) -> noise_mod.QWienerSpec:
@@ -289,26 +282,11 @@ def make_coefficients(rc: RunConfig) -> coeff_mod.CoefficientSet:
 
 
 def make_solver_config(rc: RunConfig) -> SolverConfig:
-    s = rc.solver
-    return SolverConfig(dt=s["dt"], t_end=s["t_end"], fp_tol=s["fp_tol"],
-                        fp_max=s["fp_max"], mode=s["mode"],
-                        picard_iters=s["picard_iters"],
-                        store_stride=s["store_stride"],
-                        segment_stride=s["segment_stride"],
-                        blowup_threshold=s["blowup_threshold"])
+    return SolverConfig(**rc.solver)
 
 
 def make_initial_segment(rc: RunConfig, op):
-    ini = rc.initial
-    if ini["kind"] == "zero":
-        desc = {"kind": "zero"}
-    elif ini["kind"] == "coeffs":
-        desc = {"kind": "coeffs", "coeffs": np.asarray(ini["coeffs"], dtype=float)}
-    else:
-        desc = {"kind": "profile", "profile": ini["profile"],
-                "amplitude": ini["amplitude"], "ramp": ini["ramp"]}
-    return from_initial_condition(desc, rc.h, rc.dt, op,
-                                  n_grid=rc.grid_points())
+    return from_initial_condition(rc.initial, rc.h, rc.dt, op, n_grid=rc.grid_points())
 
 
 def make_stream(rc: RunConfig, stream_id: int = 0) -> RngStream:
@@ -318,16 +296,7 @@ def make_stream(rc: RunConfig, stream_id: int = 0) -> RngStream:
 def resolved_dict(rc: RunConfig) -> dict:
     """Fully defaulted config plus a ``derived`` block of computed values."""
     op = make_operator(rc)
-    out = {
-        "seed": rc.seed,
-        "operator": copy.deepcopy(rc.operator),
-        "noise": copy.deepcopy(rc.noise),
-        "delay": copy.deepcopy(rc.delay),
-        "coefficients": copy.deepcopy(rc.coefficients),
-        "solver": copy.deepcopy(rc.solver),
-        "measure": copy.deepcopy(rc.measure),
-        "initial": copy.deepcopy(rc.initial),
-    }
+    out = asdict(rc)
     out["coefficients"]["grid_points"] = rc.grid_points()
     out["measure"]["burn_in"] = rc.burn_in()
     out["derived"] = {

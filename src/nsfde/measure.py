@@ -22,7 +22,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import ConfigError, DomainError, ShapeError
 from .noise import QWienerSpec, RngStream
-from .segment import Segment, sup_norm
+from .segment import Segment, _window_steps, sup_norm
 from .solver import SolverConfig, Trajectory, simulate
 from .spectral import SpectralOperator
 
@@ -82,10 +82,6 @@ class EmpiricalMeasure:
     thin: int
     t_end: float
 
-    def __post_init__(self):
-        self._norms = None
-        self._modes = None
-
     @property
     def n_samples(self) -> int:
         return len(self.segments)
@@ -95,15 +91,11 @@ class EmpiricalMeasure:
         return self.segments[0].n_modes
 
     def norms(self) -> np.ndarray:
-        if self._norms is None:
-            self._norms = np.array([sup_norm(s) for s in self.segments])
-        return self._norms
+        return self.functional_values(sup_norm)
 
     def modes(self) -> np.ndarray:
         """Endpoint coefficient vectors, one row per sample."""
-        if self._modes is None:
-            self._modes = np.array([s.head() for s in self.segments])
-        return self._modes
+        return np.array([s.head() for s in self.segments])
 
     def functional_values(self, fn: Callable[[Segment], float]) -> np.ndarray:
         return np.array([fn(s) for s in self.segments])
@@ -212,15 +204,18 @@ class ComparisonReport:
                    float(self.ks_stat[i]), self.ks_crit, bool(self.passed[i]))
 
 
-def _compare(names, before: np.ndarray, after: np.ndarray) -> ComparisonReport:
-    # before/after: (n_functionals, n_samples) value matrices
+def _compare(functionals: dict, before: list, after: list) -> ComparisonReport:
+    """Compare the laws of each functional over two lists of windows."""
+    names = list(functionals)
+    before = np.array([[fn(seg) for seg in before] for fn in functionals.values()])
+    after = np.array([[fn(seg) for seg in after] for fn in functionals.values()])
     nb, na = before.shape[1], after.shape[1]
     crit = ks_critical(nb, na)
     mean_b = before.mean(axis=1)
     mean_a = after.mean(axis=1)
     se = np.sqrt(before.var(axis=1, ddof=1) / nb + after.var(axis=1, ddof=1) / na)
     ks = np.array([ks_statistic(before[i], after[i]) for i in range(len(names))])
-    return ComparisonReport(names=list(names), mean_before=mean_b, mean_after=mean_a,
+    return ComparisonReport(names=names, mean_before=mean_b, mean_after=mean_a,
                             diff=mean_a - mean_b, stderr=se, ks_stat=ks,
                             ks_crit=crit, passed=ks < crit)
 
@@ -230,7 +225,8 @@ def invariance_test(mu: EmpiricalMeasure, t: float, cs: CoefficientSet,
                     stream: RngStream, n_draws: int = 500,
                     functionals: Optional[dict] = None) -> ComparisonReport:
     """Push ``n_draws`` segments drawn from the measure forward by time ``t``
-    with fresh noise and compare observable laws before vs. after.
+    (a whole multiple of ``dt``, else ``ConfigError``) with fresh noise and
+    compare observable laws before vs. after.
 
     Draw i evolves on stream_id = stream.stream_id + 1 + i; the index draw
     itself uses the base stream, so the whole test is reproducible.
@@ -243,24 +239,17 @@ def invariance_test(mu: EmpiricalMeasure, t: float, cs: CoefficientSet,
         raise ConfigError("empirical measure holds no stored segments")
     if functionals is None:
         functionals = default_functionals(mu.n_modes)
-    names = list(functionals)
 
     gen = stream.generator()
     idx = gen.integers(0, mu.n_samples, size=n_draws)
-    steps = max(int(round(t / dt)), 1)
+    steps = _window_steps(t, dt, "t / dt")
     cfg = SolverConfig(dt=dt, t_end=steps * dt, store_stride=steps)
 
-    before = np.empty((len(names), n_draws))
-    after = np.empty((len(names), n_draws))
-    for j, i in enumerate(idx):
-        seg = mu.segments[i]
-        evolved = simulate(seg, cs, op, qspec, cfg,
-                           replace(stream, stream_id=stream.stream_id + 1 + j))
-        fin = evolved.final_segment
-        for k, name in enumerate(names):
-            before[k, j] = functionals[name](seg)
-            after[k, j] = functionals[name](fin)
-    return _compare(names, before, after)
+    before = [mu.segments[i] for i in idx]
+    after = [simulate(seg, cs, op, qspec, cfg,
+                      replace(stream, stream_id=stream.stream_id + 1 + j)).final_segment
+             for j, seg in enumerate(before)]
+    return _compare(functionals, before, after)
 
 
 def homogeneity_test(phi: Segment, s: float, t: float, cs: CoefficientSet,
@@ -273,6 +262,7 @@ def homogeneity_test(phi: Segment, s: float, t: float, cs: CoefficientSet,
     path started at 0 would have used on [0, s) (drawn and discarded); side
     B runs from 0 to t - s directly.  The stepper is autonomous, so this
     validates the harness and the stream bookkeeping, not new dynamics.
+    ``t`` and ``t - s`` must be whole multiples of ``dt``, else ``ConfigError``.
     """
     if s < 0.0 or t <= s:
         raise DomainError("need t > s >= 0")
@@ -280,24 +270,18 @@ def homogeneity_test(phi: Segment, s: float, t: float, cs: CoefficientSet,
         raise ConfigError("homogeneity test needs at least two samples per side")
     if functionals is None:
         functionals = default_functionals(phi.n_modes)
-    names = list(functionals)
-    steps = max(int(round((t - s) / dt)), 1)
-    skip = int(round(s / dt))
+    steps = _window_steps(t - s, dt, "(t - s) / dt")
+    skip = _window_steps(t, dt, "t / dt") - steps
     cfg = SolverConfig(dt=dt, t_end=steps * dt, store_stride=steps)
-    n = op.n_modes
 
-    side_a = np.empty((len(names), n_samples))
-    side_b = np.empty((len(names), n_samples))
+    side_a, side_b = [], []
     for i in range(n_samples):
         st_a = replace(stream, stream_id=stream.stream_id + 1 + i)
-        z = st_a.generator().standard_normal((skip + steps, n))[skip:]
-        traj_a = simulate(phi, cs, op, qspec, cfg, st_a, noise_z=z)
+        z = st_a.generator().standard_normal((skip + steps, op.n_modes))[skip:]
+        side_a.append(simulate(phi, cs, op, qspec, cfg, st_a, noise_z=z).final_segment)
         st_b = replace(stream, stream_id=stream.stream_id + 1 + n_samples + i)
-        traj_b = simulate(phi, cs, op, qspec, cfg, st_b)
-        for k, name in enumerate(names):
-            side_a[k, i] = functionals[name](traj_a.final_segment)
-            side_b[k, i] = functionals[name](traj_b.final_segment)
-    return _compare(names, side_a, side_b)
+        side_b.append(simulate(phi, cs, op, qspec, cfg, st_b).final_segment)
+    return _compare(functionals, side_a, side_b)
 
 
 @dataclass(eq=False)
@@ -322,6 +306,7 @@ def continuous_dependence_probe(phi: Segment, psi_list: Sequence[Segment],
     Pair j draws one noise block (stream_id = base + 1 + j) shared by the
     phi-path and every psi_n-path, so the difference paths carry no Monte
     Carlo noise of their own and psi = phi returns exactly zero.
+    ``horizon`` must be a whole multiple of ``dt``, else ``ConfigError``.
     """
     psi_list = list(psi_list)
     if not psi_list:
@@ -334,14 +319,13 @@ def continuous_dependence_probe(phi: Segment, psi_list: Sequence[Segment],
     if np.any(np.diff(offsets) > 1e-12 * max(1.0, offsets[0])):
         raise DomainError("comparison segments must be ordered with "
                           "nonincreasing distance from the base segment")
-    steps = max(int(round(horizon / dt)), 1)
+    steps = _window_steps(horizon, dt, "horizon / dt")
     cfg = SolverConfig(dt=dt, t_end=steps * dt, store_stride=1)
-    n = op.n_modes
 
     per_pair = np.empty((len(psi_list), n_paths))
     for j in range(n_paths):
         st = replace(stream, stream_id=stream.stream_id + 1 + j)
-        z = st.generator().standard_normal((steps, n))
+        z = st.generator().standard_normal((steps, op.n_modes))
         base = simulate(phi, cs, op, qspec, cfg, st, noise_z=z).snapshots
         for i, psi in enumerate(psi_list):
             other = simulate(psi, cs, op, qspec, cfg, st, noise_z=z).snapshots

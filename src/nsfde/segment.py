@@ -28,7 +28,7 @@ PROFILES = {
 def _window_steps(h: float, dt: float, name: str = "delay/step ratio h/dt") -> int:
     """The whole number of steps dt in the span h; ``name`` labels the ratio in errors."""
     if h <= 0.0 or dt <= 0.0:
-        raise ConfigError("delay h and step dt must be positive")
+        raise ConfigError(f"{name}: span and step dt must be positive")
     ratio = h / dt
     m = int(round(ratio))
     if m < 1 or abs(ratio - m) > _RATIO_TOL * max(1.0, ratio):

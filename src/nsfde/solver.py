@@ -296,6 +296,23 @@ def _check_window_args(mg: float, p: float, alpha: float, c_frac: float):
         raise DomainError("decay-envelope constant must be positive")
 
 
+def _window_term(mg: float, p: float, alpha: float, c_frac: float, horizon: float,
+                 log_factor: float) -> float:
+    """e^{log_factor} a T^{alpha p}, a = Mg^p c^p / ((1 - Mg)^{p-1} alpha^p), summed in
+    log space so that no power overflows; ``inf`` beyond the double range."""
+    _check_window_args(mg, p, alpha, c_frac)
+    if horizon < 0.0:
+        raise DomainError("window length must be nonnegative")
+    if horizon == 0.0:
+        return 0.0
+    log_term = (log_factor + p * (math.log(mg) + math.log(c_frac) - math.log(alpha))
+                + alpha * p * math.log(horizon) - (p - 1.0) * math.log1p(-mg))
+    try:
+        return math.exp(log_term)
+    except OverflowError:
+        return math.inf
+
+
 def contraction_factor(mg: float, p: float, alpha: float, c_frac: float,
                        horizon: float) -> float:
     """Contraction factor of the auxiliary neutral map on a window of length ``horizon``:
@@ -304,11 +321,7 @@ def contraction_factor(mg: float, p: float, alpha: float, c_frac: float,
 
     where c is the decay-envelope constant at order 1 - alpha.
     """
-    _check_window_args(mg, p, alpha, c_frac)
-    if horizon < 0.0:
-        raise DomainError("window length must be nonnegative")
-    return mg + (mg ** p) * (c_frac ** p) * horizon ** (alpha * p) / (
-        (1.0 - mg) ** (p - 1.0) * alpha ** p)
+    return mg + _window_term(mg, p, alpha, c_frac, horizon, 0.0)
 
 
 def stability_bound(mg: float, p: float, alpha: float, c_frac: float,
@@ -317,11 +330,7 @@ def stability_bound(mg: float, p: float, alpha: float, c_frac: float,
 
         Mg + (5 / (1 - Mg))^{p-1} (c T^alpha Mg / alpha)^p < 1.
     """
-    _check_window_args(mg, p, alpha, c_frac)
-    if horizon < 0.0:
-        raise DomainError("window length must be nonnegative")
-    return mg + (5.0 / (1.0 - mg)) ** (p - 1.0) * (
-        c_frac * horizon ** alpha * mg / alpha) ** p
+    return mg + _window_term(mg, p, alpha, c_frac, horizon, (p - 1.0) * math.log(5.0))
 
 
 class HorizonResult(NamedTuple):

@@ -3,8 +3,8 @@
 All but the console-script checks run in process through main(argv).  The
 console script is run by name as a separate process: one check generates the
 script itself from ``[project.scripts]`` in ``pyproject.toml``, as an installer
-would, so it needs no prior install; the other runs an installed ``nsfde``
-and is skipped where none is on PATH.
+would, so it needs no prior install, and also runs ``python -m nsfde``; the
+other runs an installed ``nsfde`` and is skipped where none is on PATH.
 """
 import os
 import shutil
@@ -130,6 +130,15 @@ def test_t1_prints_the_library_answer(capsys):
     assert got["gamma"] == res.contraction
     assert got["cond2"] == res.stability
 
+    # large p: the bounds overflow a double at the cap, T1 itself does not
+    assert main(["t1", "--Mg", "0.3", "--p", "28", "--alpha", "1.0"]) == 0
+    t1 = float(capsys.readouterr().out.splitlines()[0].split(" = ")[1])
+    exact = 0.49427653715729309
+    assert t1 <= exact and (exact - t1) / exact <= 1e-14
+
+    assert main(["t1", "--Mg", "1e-9", "--p", "2.5", "--alpha", "0.01"]) == 0
+    assert "note: T1 capped" in capsys.readouterr().out
+
 
 def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys):
     text = ZERO_CFG.replace("t_end: 0.2", "t_end: 0.5")
@@ -146,6 +155,13 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys):
     assert not mu.norms().any()             # zero dynamics: point mass at 0
     assert np.all(mu.times > 0.1)
 
+    late = tmp_path / "late.jsonl"
+    assert main(["estimate-measure", "--config", cfg, "--trajectories", "2",
+                 "--thin", "5", "--burn-in", "0.22", "--out", str(late)]) == 0
+    assert "pooled 12 segment checkpoints from 2 trajectories (burn-in 0.22," in \
+        capsys.readouterr().out
+    assert np.all(read_measure_jsonl(late).times > 0.22)
+
     # the point mass at zero is exactly invariant here, so every KS is 0
     report = tmp_path / "inv.csv"
     assert main(["invariance-test", "--config", cfg, "--measure", str(mfile),
@@ -156,6 +172,11 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys):
         ["seg_norm", "head_norm", "mode_1", "mode_2", "mode_3"]
     assert all(r["verdict"] == "pass" for r in rows)
     assert all(float(r["estimate"]) == 0.0 for r in rows)
+
+    # a horizon off the step grid is refused, not rounded to 0.2
+    assert main(["invariance-test", "--config", cfg, "--measure", str(mfile),
+                 "--t", "0.205", "--draws", "20", "--out", str(tmp_path / "x.csv")]) == 1
+    assert "t / dt" in capsys.readouterr().err
 
     # config/measure consistency guards
     wrong_modes = _cfg(tmp_path, text.replace("n_modes: 4", "n_modes: 8"),
@@ -244,9 +265,10 @@ def _declared_entry():
         return tomllib.load(fh)["project"]["scripts"]["nsfde"]
 
 
-def _check_t1_script(**run_kwargs):
-    """Run ``nsfde t1`` by name and check its answer and its usage exit."""
-    proc = subprocess.run(["nsfde", "t1", "--Mg", "0.3", "--p", "3.0",
+def _check_t1_script(cmd=("nsfde",), **run_kwargs):
+    """Run ``nsfde t1`` (by name unless ``cmd`` says otherwise) and check its
+    answer and its usage exit."""
+    proc = subprocess.run([*cmd, "t1", "--Mg", "0.3", "--p", "3.0",
                            "--alpha", "0.5"], capture_output=True, text=True,
                           **run_kwargs)
     assert proc.returncode == 0, proc.stderr
@@ -256,7 +278,7 @@ def _check_t1_script(**run_kwargs):
     assert float(first[len("T1 = "):]) == \
         find_horizon(0.3, 3.0, 0.5, 1.0).horizon
 
-    proc = subprocess.run(["nsfde", "t1", "--p", "3.0", "--alpha", "0.5"],
+    proc = subprocess.run([*cmd, "t1", "--p", "3.0", "--alpha", "0.5"],
                           capture_output=True, text=True, **run_kwargs)
     assert proc.returncode == 1             # sys.exit carries main's code
     assert "--Mg" in proc.stderr
@@ -281,6 +303,8 @@ def test_console_script_is_installed(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     _check_t1_script(env=env, cwd=tmp_path)
+    # ``python -m nsfde`` reaches the same entry through ``__main__.py``
+    _check_t1_script((sys.executable, "-m", "nsfde"), env=env, cwd=tmp_path)
 
 
 @pytest.mark.skipif(shutil.which("nsfde") is None,

@@ -132,6 +132,12 @@ def test_builders_reflect_the_parsed_values():
                                                   "solver": {"dt": 0.01}}), op)
     assert not zero_seg.values.any()
 
+    coeffs_rc = parse_config({**_SMALL, "initial": {"kind": "coeffs",
+                                                    "coeffs": [0.1, 0.2, 0.3, 0.4]}})
+    coeffs_seg = make_initial_segment(coeffs_rc, op)
+    assert coeffs_seg.values.shape == (6, 4)
+    assert np.array_equal(coeffs_seg.values, np.tile([0.1, 0.2, 0.3, 0.4], (6, 1)))
+
     sa = make_stream(rc, 3).generator().standard_normal(5)
     sb = RngStream(rc.seed, 3).generator().standard_normal(5)
     assert np.array_equal(sa, sb)

@@ -162,6 +162,9 @@ def test_invariance_test_exact_fixed_point():
         invariance_test(mu, 0.0, cs, OP, Q, 0.01, RngStream(60, 0))
     with pytest.raises(ConfigError):
         invariance_test(mu, 0.2, cs, OP, Q, 0.01, RngStream(60, 0), n_draws=1)
+    with pytest.raises(ConfigError, match="t / dt"):
+        # not a whole number of steps: refused, not rounded to 0.2
+        invariance_test(mu, 0.205, cs, OP, Q, 0.01, RngStream(60, 0), n_draws=8)
 
 
 def test_homogeneity_deterministic_sides_coincide():
@@ -185,6 +188,9 @@ def test_homogeneity_deterministic_sides_coincide():
     with pytest.raises(ConfigError):
         homogeneity_test(ini, 0.0, 0.5, cs, OP, Q, 0.01, RngStream(61, 0),
                          n_samples=1)
+    with pytest.raises(ConfigError, match="t - s"):
+        homogeneity_test(ini, 0.505, 1.5, cs, OP, Q, 0.01, RngStream(61, 0),
+                         n_samples=3)
 
 
 def test_dependence_probe_identical_windows_give_zero():
@@ -215,6 +221,9 @@ def test_dependence_probe_validation():
     with pytest.raises(DomainError):
         continuous_dependence_probe(base, [nearer], 0.0, 0.2, cs, OP, Q, 0.01,
                                     RngStream(63, 0))
+    with pytest.raises(ConfigError, match="horizon / dt"):
+        continuous_dependence_probe(base, [nearer], 3.0, 0.205, cs, OP, Q, 0.01,
+                                    RngStream(63, 0), n_paths=2)
 
 
 def test_dependence_probe_coupled_paths_order():

@@ -246,6 +246,9 @@ def test_window_bounds_at_zero_and_validation():
                                args["c_frac"], 1.0)
     with pytest.raises(DomainError):
         stability_bound(0.3, 3.0, 0.5, 1.0, -1.0)
+    # beyond the double range the bounds are infinite, not an OverflowError
+    assert stability_bound(0.3, 500.0, 0.5, 1.0, 1e12) == math.inf
+    assert contraction_factor(0.3, 28.0, 1.0, 1.0, 1e300) == math.inf
 
 
 def test_find_horizon_pinned_example():
@@ -278,11 +281,11 @@ def test_find_horizon_is_the_closed_form_root():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     gen = RngStream(16, 0).generator()
-    for _ in range(20):
-        mg = gen.uniform(0.1, 0.65)
-        p = gen.uniform(2.2, 5.0)
-        alpha = gen.uniform(0.25, 1.0)
-        c = gen.uniform(0.3, 3.0)
+    tuples = [(gen.uniform(0.1, 0.65), gen.uniform(2.2, 5.0),
+               gen.uniform(0.25, 1.0), gen.uniform(0.3, 3.0)) for _ in range(20)]
+    # large p: the bounds at the cap 1e12 lie beyond the double range
+    tuples += [(0.3, 28.0, 1.0, 1.0), (0.3, 56.0, 0.5, 1.0), (0.3, 500.0, 0.5, 1.0)]
+    for mg, p, alpha, c in tuples:
         res = find_horizon(mg, p, alpha, c)
         m_mg, m_p, m_alpha, m_c = map(mp.mpf, (mg, p, alpha, c))
         a = m_mg ** m_p * m_c ** m_p / ((1 - m_mg) ** (m_p - 1) * m_alpha ** m_p)

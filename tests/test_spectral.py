@@ -7,9 +7,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfde import (DomainError, EllipticityError, assemble_operator,
+from nsfde import (DomainError, EllipticityError, RngStream, SolverConfig,
+                   assemble_operator, builtin_coefficients, constant_segment,
                    decay_constants, frac_semigroup_norm, fractional_apply,
-                   fractional_norm, semigroup_apply, simpson_weights)
+                   fractional_norm, power_qwiener, semigroup_apply,
+                   simpson_weights, simulate)
 
 
 def test_constant_coefficient_spectrum_is_analytic():
@@ -124,6 +126,21 @@ def test_variable_coefficient_tabulated_form():
     op_t = assemble_operator(n_modes=8, a=table)
     op_c = assemble_operator(n_modes=8, a=lambda x: 1.0 + 0.5 * x)
     assert np.max(np.abs(op_t.eigenvalues - op_c.eigenvalues) / op_c.eigenvalues) <= 1e-9
+
+
+def test_variable_coefficient_grid_and_semigroup():
+    op = assemble_operator(n_modes=6, a=[[0.0, 1.0], [0.5, 2.0], [1.0, 1.5]])
+    grid = op.grid()
+    # synthesis in the rotated eigenbasis stays inverse to projection
+    assert np.max(np.abs(grid.project @ grid.synth - np.eye(6))) <= 1e-12
+
+    u0 = np.array([1.0, -0.5, 0.25, 0.2, -0.1, 0.05])
+    cfg = SolverConfig(dt=0.01, t_end=0.2)
+    traj = simulate(constant_segment(0.05, 0.01, u0),
+                    builtin_coefficients(f="zero", sigma="zero", kernel="zero"),
+                    op, power_qwiener(6, trace_target=0.5), cfg, RngStream(5, 0))
+    exact = semigroup_apply(op, 0.2, u0)
+    assert np.linalg.norm(traj.snapshots[-1] - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_ellipticity_rejected():

@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 validation/configuration failure (including failed
 condition checks and failed statistical verdicts), 2 numerical failure
-(blow-up or fixed-point nonconvergence).  Only the seed may be overridden
-from the command line; nothing is read from environment variables.
+(blow-up or fixed-point nonconvergence).  Nothing is read from environment
+variables.  A flag that sets a config field has its dotted path as dest
+(``--thin`` sets ``measure.thin``; ``picard`` sets ``solver.mode``) and is
+validated with the file's values, so a ``--resolved`` dump reruns bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,12 +44,17 @@ def _add_config_args(sp):
                     help="dump the fully resolved config to PATH")
 
 
+def _radii(text: str) -> list:
+    try:
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated radii, got {text!r}") from None
+
+
 def _load(args) -> config_mod.RunConfig:
-    rc = config_mod.load_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        rc.seed = args.seed
+    overrides = {k: v for k, v in vars(args).items()
+                 if (k == "seed" or "." in k) and v is not None}
+    rc = config_mod.load_config(args.config, overrides)
     if args.resolved:
         config_mod.dump_resolved(rc, args.resolved)
     return rc
@@ -74,7 +82,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_picard(args) -> int:
     rc = _load(args)
-    rc.solver["mode"] = "picard"
     op, qspec, cs, cfg, initial = _build(rc)
     iterates = picard_run(initial, cs, op, qspec, cfg, RngStream(rc.seed, 0))
     rows = []
@@ -91,14 +98,8 @@ def _cmd_picard(args) -> int:
 
 def _cmd_estimate_measure(args) -> int:
     rc = _load(args)
-    if args.trajectories is not None:
-        rc.measure["n_trajectories"] = args.trajectories
-    if args.burn_in is not None:
-        rc.measure["burn_in"] = args.burn_in
-    if args.thin is not None:
-        rc.measure["thin"] = args.thin
-    rc.solver["segment_stride"] = rc.measure["thin"]
     op, qspec, cs, cfg, initial = _build(rc)
+    cfg = replace(cfg, segment_stride=rc.measure["thin"])   # checkpoint every thin steps
     trajs = measure_mod.run_ensemble(initial, cs, op, qspec, cfg, rc.seed,
                                      rc.measure["n_trajectories"])
     mu = measure_mod.krylov_bogoliubov(trajs, rc.burn_in(), thin=1)
@@ -135,13 +136,6 @@ def _cmd_invariance_test(args) -> int:
 
 def _cmd_tightness(args) -> int:
     rc = _load(args)
-    if args.trajectories is not None:
-        rc.measure["n_trajectories"] = args.trajectories
-    if args.R:
-        try:
-            rc.measure["r_grid"] = [float(tok) for tok in args.R.split(",") if tok]
-        except ValueError:
-            raise ConfigError(f"--R expects comma-separated radii, got {args.R!r}") from None
     op, qspec, cs, cfg, initial = _build(rc)
     trajs = measure_mod.run_ensemble(initial, cs, op, qspec, cfg, rc.seed,
                                      rc.measure["n_trajectories"])
@@ -159,9 +153,7 @@ def _condition_rows(rc: config_mod.RunConfig, n_samples: int):
     """Assemble the hypothesis checklist; construction itself enforces the
     hard inequalities (ellipticity, Mg range, smallness), so reaching the
     sampled checks already certifies those."""
-    op = config_mod.make_operator(rc)
-    qspec = config_mod.make_noise(rc, op)
-    cs = config_mod.make_coefficients(rc)
+    op, qspec, cs, _, _ = _build(rc)
     gen = RngStream(rc.seed, _PROBE_STREAM).generator()
 
     rows = []
@@ -227,14 +219,14 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("picard", help="successive-approximation iterates")
     _add_config_args(sp)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_picard)
+    sp.set_defaults(func=_cmd_picard, **{"solver.mode": "picard"})
 
     sp = sub.add_parser("estimate-measure",
                         help="pool an ensemble into an occupation measure")
     _add_config_args(sp)
-    sp.add_argument("--trajectories", type=int, default=None)
-    sp.add_argument("--burn-in", dest="burn_in", type=float, default=None)
-    sp.add_argument("--thin", type=int, default=None)
+    sp.add_argument("--trajectories", dest="measure.n_trajectories", type=int)
+    sp.add_argument("--burn-in", dest="measure.burn_in", type=float)
+    sp.add_argument("--thin", dest="measure.thin", type=int)
     sp.add_argument("--out", default="measure.jsonl")
     sp.set_defaults(func=_cmd_estimate_measure)
 
@@ -249,8 +241,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("tightness", help="tail fractions over an ensemble")
     _add_config_args(sp)
-    sp.add_argument("--R", default=None, help="comma-separated radius grid")
-    sp.add_argument("--trajectories", type=int, default=None)
+    sp.add_argument("--R", dest="measure.r_grid", type=_radii,
+                    help="comma-separated radius grid")
+    sp.add_argument("--trajectories", dest="measure.n_trajectories", type=int)
     sp.add_argument("--out", default="tightness.csv")
     sp.set_defaults(func=_cmd_tightness)
 

@@ -13,6 +13,7 @@ config reloads to bit-identical behaviour.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import asdict, dataclass
 
 import yaml
@@ -139,6 +140,7 @@ def _as_real(data: dict, section: str, key: str, lo=None, hi=None,
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where} must be a number")
     val = float(val)
+    _need(math.isfinite(val), f"{where} = {val!r} must be finite")
     if lo is not None:
         _need(val > lo if lo_open else val >= lo,
               f"{where} = {val!r} out of range")
@@ -162,8 +164,9 @@ def _choice(data: dict, section: str, key: str, allowed):
           f"{section}.{key} = {val!r} not one of {sorted(allowed)}")
 
 
-def parse_config(raw) -> RunConfig:
-    """Validate a config mapping (or YAML text) against the full schema."""
+def parse_config(raw, overrides=None) -> RunConfig:
+    """Validate a config mapping (or YAML text) against the full schema;
+    ``overrides`` maps ``seed`` or ``section.key`` to values set before checking."""
     if isinstance(raw, str):
         raw = yaml.safe_load(raw)
     if raw is None:
@@ -173,6 +176,9 @@ def parse_config(raw) -> RunConfig:
     raw = dict(raw)
     raw.pop("derived", None)  # round-trip convenience: resolved dumps carry it
     data = _merge(_DEFAULTS, raw, "")
+    for name, val in (overrides or {}).items():
+        section, _, key = name.rpartition(".")
+        data = _merge(data, {section: {key: val}} if section else {key: val}, "")
 
     if isinstance(data["seed"], bool) or not isinstance(data["seed"], int):
         raise ConfigError("seed must be an integer")
@@ -184,7 +190,7 @@ def parse_config(raw) -> RunConfig:
     _as_int(data, "operator", "quad_factor", 2)
     a = data["operator"]["a"]
     if isinstance(a, (int, float)) and not isinstance(a, bool):
-        _need(float(a) > 0.0, "operator.a must be positive")
+        _need(0.0 < float(a) < math.inf, "operator.a must be positive and finite")
         data["operator"]["a"] = float(a)
     elif isinstance(a, list):
         _need(len(a) >= 2 and all(isinstance(r, list) and len(r) == 2 for r in a),
@@ -248,13 +254,13 @@ def parse_config(raw) -> RunConfig:
     return RunConfig(**data)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config parse failure in {path}: {exc}") from None
-    return parse_config(raw)
+    return parse_config(raw, overrides)
 
 
 # ---------------------------------------------------------------------------

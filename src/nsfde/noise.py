@@ -27,6 +27,11 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.stream_id < 0:
+            raise DomainError(f"noise stream ({self.seed}, {self.stream_id}): "
+                              "seed and stream_id must be nonnegative")
+
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; same (seed, stream_id) -> identical draws."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))

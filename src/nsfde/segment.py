@@ -9,6 +9,7 @@ coefficient functionals read nodes only: nothing interpolates between them.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ PROFILES = {
 
 def _window_steps(h: float, dt: float, name: str = "delay/step ratio h/dt") -> int:
     """The whole number of steps dt in the span h; ``name`` labels the ratio in errors."""
-    if h <= 0.0 or dt <= 0.0:
-        raise ConfigError(f"{name}: span and step dt must be positive")
+    if not (h > 0.0 and dt > 0.0 and math.isfinite(h / dt)):
+        raise ConfigError(f"{name}: span and step dt must be positive and finite")
     ratio = h / dt
     m = int(round(ratio))
     if m < 1 or abs(ratio - m) > _RATIO_TOL * max(1.0, ratio):

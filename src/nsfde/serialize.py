@@ -25,16 +25,31 @@ REPORT_FORMAT = "nsfde-report/1"
 REPORT_COLUMNS = ("statistic", "estimate", "stderr", "threshold", "verdict")
 
 
-def _read_header(path, expected: str) -> tuple[dict, list]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    if not lines:
+def _read_jsonl(path, expected: str, header_keys, row_keys) -> tuple[dict, list]:
+    """Header and records of a JSONL file in format ``expected``; a line that is
+    not a JSON object with the keys its reader takes fails naming its number."""
+    recs = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}, line {lineno}"
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:   # bad JSON or bad UTF-8
+                raise ConfigError(f"{where}: not valid JSON: {exc}") from None
+            if not isinstance(rec, dict):
+                raise ConfigError(f"{where}: expected a JSON object")
+            if not recs and rec.get("format") != expected:
+                raise ConfigError(f"{path}: expected format {expected!r}, "
+                                  f"found {rec.get('format')!r}")
+            missing = [k for k in (row_keys if recs else header_keys) if k not in rec]
+            if missing:
+                raise ConfigError(f"{where}: missing {', '.join(missing)}")
+            recs.append(rec)
+    if not recs:
         raise ConfigError(f"{path}: empty file")
-    header = json.loads(lines[0])
-    if header.get("format") != expected:
-        raise ConfigError(f"{path}: expected format {expected!r}, "
-                          f"found {header.get('format')!r}")
-    return header, lines[1:]
+    return recs[0], recs[1:]
 
 
 def write_trajectory_jsonl(traj: Trajectory, path):
@@ -61,8 +76,8 @@ def write_trajectory_jsonl(traj: Trajectory, path):
 
 def read_trajectory_jsonl(path) -> dict:
     """Header fields plus times / snapshots / seg_norms / fp_iters arrays."""
-    header, rows = _read_header(path, TRAJECTORY_FORMAT)
-    recs = [json.loads(ln) for ln in rows]
+    header, recs = _read_jsonl(path, TRAJECTORY_FORMAT, (),
+                               ("t", "u", "seg_norm", "fp_iters"))
     out = dict(header)
     out["times"] = np.array([r["t"] for r in recs])
     out["snapshots"] = np.array([r["u"] for r in recs])
@@ -96,8 +111,9 @@ def write_measure_jsonl(mu: EmpiricalMeasure, path):
 
 
 def read_measure_jsonl(path) -> EmpiricalMeasure:
-    header, rows = _read_header(path, MEASURE_FORMAT)
-    recs = [json.loads(ln) for ln in rows]
+    header, recs = _read_jsonl(path, MEASURE_FORMAT,
+                               ("h", "dt", "burn_in", "thin", "t_end"),
+                               ("t", "seed", "stream", "values"))
     if not recs:
         raise ConfigError(f"{path}: measure file holds no samples")
     segments = [Segment(h=header["h"], dt=header["dt"],

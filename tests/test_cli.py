@@ -58,6 +58,7 @@ def test_validate_passes_on_default_style_config(tmp_path, capsys):
     (NOISY_CFG + "measure: {thin: 0}\n", "measure.thin"),
     ("coefficients: {Mg: 1.2}\n", "coefficients.Mg"),
     ("delay: {h: 0.1}\nsolver: {dt: 0.03}\n", "delay.h / solver.dt"),
+    ("delay: {h: 0.3}\nsolver: {dt: 0.3, t_end: 1.0}\n", "solver.t_end / solver.dt"),
     ("solver: {dtt: 1}\n", "unknown config key"),
 ])
 def test_validate_rejects_bad_configs(tmp_path, capsys, text, needle):
@@ -90,7 +91,7 @@ def test_simulate_writes_versioned_trajectory(tmp_path, capsys):
     assert not data["fp_iters"].any()
 
 
-def test_simulate_is_reproducible_and_seed_overridable(tmp_path):
+def test_simulate_is_reproducible_and_seed_overridable(tmp_path, capsys):
     cfg = _cfg(tmp_path, NOISY_CFG)
     out_a, out_b, out_c = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "c.jsonl"))
     resolved = tmp_path / "resolved.yaml"
@@ -106,8 +107,13 @@ def test_simulate_is_reproducible_and_seed_overridable(tmp_path):
                  "--out", str(out_c)]) == 0
     assert out_a.read_bytes() == out_c.read_bytes()
 
+    capsys.readouterr()
     assert main(["simulate", "--config", cfg, "--seed", "-1",
                  "--out", str(out_a)]) == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--stream", "-1",
+                 "--out", str(out_a)]) == 1
+    assert "stream_id must be nonnegative" in capsys.readouterr().err
 
 
 def test_simulate_blowup_exits_2(tmp_path, capsys):
@@ -140,7 +146,14 @@ def test_t1_prints_the_library_answer(capsys):
     assert "note: T1 capped" in capsys.readouterr().out
 
 
-def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys):
+def _forbid_integration(monkeypatch):
+    """Make any trajectory integration by the measure drivers fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trajectory was integrated before the flags were checked")
+    monkeypatch.setattr("nsfde.measure.simulate", refuse)
+
+
+def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
     text = ZERO_CFG.replace("t_end: 0.2", "t_end: 0.5")
     cfg = _cfg(tmp_path, text)
     mfile = tmp_path / "measure.jsonl"
@@ -155,12 +168,19 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys):
     assert not mu.norms().any()             # zero dynamics: point mass at 0
     assert np.all(mu.times > 0.1)
 
-    late = tmp_path / "late.jsonl"
+    late, rerun = tmp_path / "late.jsonl", tmp_path / "rerun.jsonl"
+    resolved = tmp_path / "late.yaml"
     assert main(["estimate-measure", "--config", cfg, "--trajectories", "2",
-                 "--thin", "5", "--burn-in", "0.22", "--out", str(late)]) == 0
+                 "--thin", "5", "--burn-in", "0.22", "--out", str(late),
+                 "--resolved", str(resolved)]) == 0
     assert "pooled 12 segment checkpoints from 2 trajectories (burn-in 0.22," in \
         capsys.readouterr().out
     assert np.all(read_measure_jsonl(late).times > 0.22)
+    # the dump records the flags: rerun without them, the run is the same
+    assert main(["estimate-measure", "--config", str(resolved),
+                 "--out", str(rerun)]) == 0
+    capsys.readouterr()
+    assert rerun.read_bytes() == late.read_bytes()
 
     # the point mass at zero is exactly invariant here, so every KS is 0
     report = tmp_path / "inv.csv"
@@ -188,22 +208,46 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys):
     assert main(["invariance-test", "--config", wrong_h, "--measure",
                  str(mfile), "--t", "0.3", "--out", str(report)]) == 1
     assert "delay h" in capsys.readouterr().err
+    garbage = tmp_path / "garbage.jsonl"
+    garbage.write_text("not a measure\n")
+    assert main(["invariance-test", "--config", cfg, "--measure", str(garbage),
+                 "--t", "0.3", "--out", str(report)]) == 1
+    assert "line 1: not valid JSON" in capsys.readouterr().err
+
+    # bad flags fail as the config fields they set, before any integration
+    _forbid_integration(monkeypatch)
+    for flag, value, field in (("--burn-in", "-1", "measure.burn_in"),
+                               ("--thin", "0", "measure.thin"),
+                               ("--trajectories", "0", "measure.n_trajectories")):
+        assert main(["estimate-measure", "--config", cfg, flag, value,
+                     "--out", str(tmp_path / "bad.jsonl")]) == 1
+        assert f"error: {field} = " in capsys.readouterr().err
 
 
-def test_tightness_reports_tail_fractions(tmp_path, capsys):
+def test_tightness_reports_tail_fractions(tmp_path, capsys, monkeypatch):
     cfg = _cfg(tmp_path, ZERO_CFG)
-    report = tmp_path / "tight.csv"
+    report, rerun = tmp_path / "tight.csv", tmp_path / "rerun.csv"
+    resolved = tmp_path / "tight.yaml"
     assert main(["tightness", "--config", cfg, "--R", "0.5,2.0",
-                 "--trajectories", "2", "--out", str(report)]) == 0
+                 "--trajectories", "2", "--out", str(report),
+                 "--resolved", str(resolved)]) == 0
     assert "sup_t fraction with segment norm > 0.5" in capsys.readouterr().out
     rows = read_report_csv(report)
     assert [r["statistic"] for r in rows] == \
         ["tail_fraction_R_0.5", "tail_fraction_R_2"]
     assert all(float(r["estimate"]) == 0.0 for r in rows)
+    assert main(["tightness", "--config", str(resolved),
+                 "--out", str(rerun)]) == 0
+    capsys.readouterr()
+    assert rerun.read_bytes() == report.read_bytes()
 
+    _forbid_integration(monkeypatch)
     assert main(["tightness", "--config", cfg, "--R", "a,b",
                  "--out", str(report)]) == 1
     assert "comma-separated radii" in capsys.readouterr().err
+    assert main(["tightness", "--config", cfg, "--R=-1,2",
+                 "--out", str(report)]) == 1
+    assert "error: measure.r_grid must be" in capsys.readouterr().err
 
 
 def test_check_conditions_writes_the_checklist(tmp_path, capsys):
@@ -231,10 +275,15 @@ def test_picard_prints_contracting_iterates(tmp_path, capsys):
     text = NOISY_CFG.replace("sigma: one", "sigma: zero") \
                     .replace("solver: {dt: 0.01, t_end: 0.2, store_stride: 2}",
                              "solver: {dt: 0.01, t_end: 0.2, picard_iters: 4}")
-    report = tmp_path / "picard.csv"
+    report, rerun = tmp_path / "picard.csv", tmp_path / "rerun.csv"
+    resolved = tmp_path / "picard.yaml"
     assert main(["picard", "--config", _cfg(tmp_path, text),
-                 "--out", str(report)]) == 0
+                 "--out", str(report), "--resolved", str(resolved)]) == 0
     assert "iterate 1: sup_diff" in capsys.readouterr().out
+    assert load_config(resolved).solver["mode"] == "picard"   # the run's mode
+    assert main(["picard", "--config", str(resolved), "--out", str(rerun)]) == 0
+    capsys.readouterr()
+    assert rerun.read_bytes() == report.read_bytes()
     rows = read_report_csv(report)
     assert [r["statistic"] for r in rows] == [f"sup_diff_iterate_{k}"
                                               for k in (1, 2, 3, 4)]

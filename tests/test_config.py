@@ -65,6 +65,10 @@ def test_unknown_keys_report_dotted_paths():
     ({"operator": {"a": -1.0}}, "operator.a must be positive"),
     ({"operator": {"a": "piecewise"}}, "operator.a must be a number"),
     ({"operator": {"a": [[0.0, 1.0]]}}, "operator.a must be a number"),
+    ({"operator": {"a": float("inf")}}, "operator.a must be positive and finite"),
+    ({"delay": {"h": float("inf")}}, "delay.h = inf must be finite"),
+    ({"solver": {"t_end": float("inf")}}, "solver.t_end = inf must be finite"),
+    ({"initial": {"amplitude": float("nan")}}, "initial.amplitude = nan must be finite"),
 ])
 def test_out_of_range_values_name_the_field(patch, needle):
     with pytest.raises(ConfigError, match=re.escape(needle)):
@@ -165,6 +169,20 @@ def test_resolved_dump_reloads_to_identical_resolution(tmp_path):
     assert "derived:" in text  # informational block, ignored on reload
     rc2 = load_config(path)
     assert resolved_dict(rc2) == resolved_dict(rc)
+
+
+def test_overrides_are_checked_like_file_values(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("seed: 3\nmeasure: {thin: 2}\n")
+    rc = load_config(path, {"seed": 4, "measure.thin": 5, "solver.mode": "picard"})
+    assert (rc.seed, rc.measure["thin"], rc.solver["mode"]) == (4, 5, "picard")
+    assert rc.measure["n_trajectories"] == 50   # untouched fields keep the file's
+    with pytest.raises(ConfigError, match="measure.thin = 0 must be >= 1"):
+        load_config(path, {"measure.thin": 0})
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        load_config(path, {"seed": -1})
+    with pytest.raises(ConfigError, match="unknown config key 'measure.thinn'"):
+        load_config(path, {"measure.thinn": 1})
 
 
 def test_load_config_rejects_bad_yaml(tmp_path):

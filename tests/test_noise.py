@@ -45,6 +45,9 @@ def test_stream_reproducible_and_independent():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
+    for seed, stream_id in ((-1, 0), (0, -1)):
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            RngStream(seed, stream_id)
 
 
 def test_block_draw_equals_row_draws():

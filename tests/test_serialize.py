@@ -91,9 +91,21 @@ def test_format_tags_are_enforced(tmp_path):
     with pytest.raises(ConfigError, match="unexpected row tag"):
         read_report_csv(tagged)
 
+    header = json.dumps({"format": MEASURE_FORMAT, "h": 0.05, "dt": 0.01,
+                         "n_modes": 3, "burn_in": 0.0, "thin": 1, "t_end": 1.0,
+                         "n_samples": 0}) + "\n"
     hollow = tmp_path / "hollow.jsonl"
-    hollow.write_text(json.dumps({"format": MEASURE_FORMAT, "h": 0.05,
-                                  "dt": 0.01, "n_modes": 3, "burn_in": 0.0,
-                                  "thin": 1, "t_end": 1.0, "n_samples": 0}) + "\n")
+    hollow.write_text(header)
     with pytest.raises(ConfigError, match="holds no samples"):
         read_measure_jsonl(hollow)
+
+    garbage = tmp_path / "garbage.jsonl"
+    garbage.write_text("not a measure file\n")
+    with pytest.raises(ConfigError, match="garbage.jsonl, line 1: not valid JSON"):
+        read_measure_jsonl(garbage)
+
+    valueless = tmp_path / "valueless.jsonl"
+    valueless.write_text(header + "\n" + json.dumps({"t": 0.1, "seed": 1,
+                                                     "stream": 0}) + "\n")
+    with pytest.raises(ConfigError, match="valueless.jsonl, line 3: missing values"):
+        read_measure_jsonl(valueless)

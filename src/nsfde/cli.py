@@ -117,8 +117,7 @@ def _cmd_invariance_test(args) -> int:
     op, qspec, cs, cfg, _ = _build(rc)
     if mu.n_modes != op.n_modes:
         raise ConfigError("measure and config disagree on the mode count")
-    seg0 = mu.segments[0]
-    if abs(seg0.h - rc.h) > 1e-12 * max(1.0, rc.h):
+    if abs(mu.h - rc.h) > 1e-12 * max(1.0, rc.h):
         raise ConfigError("measure and config disagree on the delay h")
     report = measure_mod.invariance_test(
         mu, args.t, cs, op, qspec, rc.dt,

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, DomainError, SingularModulusError
-from .segment import Segment, random_segment, sup_norm
+from .segment import random_segment, sup_norm
 from .spectral import SpectralOperator, fractional_norm
 
 E_MINUS_2 = math.exp(-2.0)
@@ -379,7 +379,7 @@ def lipschitz_probe_g(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
     for _ in range(n_samples):
         s1 = random_segment(op, h, dt, gen)
         s2 = random_segment(op, h, dt, gen)
-        denom = sup_norm(Segment(h=h, dt=dt, values=s1.values - s2.values))
+        denom = float(sup_norm(s1.values - s2.values))
         if denom < 1e-12:
             continue
         num = fractional_norm(op, maps.g_window(s1.values) - maps.g_window(s2.values), 0.5)
@@ -416,5 +416,5 @@ def growth_check(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
         f_norm = math.sqrt(float(grid.weights @ maps.f_field(delayed) ** 2))
         s_fld = maps.sigma(delayed)
         s_norm = math.sqrt(float(grid.weights @ (s_fld ** 2 * density)))
-        worst = max(worst, (f_norm + s_norm) / (1.0 + sup_norm(seg)))
+        worst = max(worst, (f_norm + s_norm) / (1.0 + float(sup_norm(seg.values))))
     return worst

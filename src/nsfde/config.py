@@ -131,6 +131,10 @@ def _need(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _is_finite(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
 def _as_real(data: dict, section: str, key: str, lo=None, hi=None,
              lo_open=True, hi_open=True, allow_none=False):
     val = data[section][key]
@@ -193,8 +197,9 @@ def parse_config(raw, overrides=None) -> RunConfig:
         _need(0.0 < float(a) < math.inf, "operator.a must be positive and finite")
         data["operator"]["a"] = float(a)
     elif isinstance(a, list):
-        _need(len(a) >= 2 and all(isinstance(r, list) and len(r) == 2 for r in a),
-              "operator.a must be a number or a list of [x, a(x)] pairs")
+        _need(len(a) >= 2 and all(isinstance(r, list) and len(r) == 2
+                                  and _is_finite(r[0]) and _is_finite(r[1]) for r in a),
+              "operator.a must be a number or a list of [x, a(x)] pairs of finite numbers")
     else:
         raise ConfigError("operator.a must be a number or a list of [x, a(x)] pairs")
 
@@ -245,8 +250,9 @@ def parse_config(raw, overrides=None) -> RunConfig:
     _need(isinstance(data["initial"]["ramp"], bool), "initial.ramp must be a boolean")
     if data["initial"]["kind"] == "coeffs":
         coeffs = data["initial"]["coeffs"]
-        _need(isinstance(coeffs, list) and len(coeffs) == data["operator"]["n_modes"],
-              "initial.coeffs must list one coefficient per mode")
+        _need(isinstance(coeffs, list) and len(coeffs) == data["operator"]["n_modes"]
+              and all(_is_finite(c) for c in coeffs),
+              "initial.coeffs must list one coefficient per mode, each a finite number")
 
     # cross-field: the window must hold an integer number of steps
     _window_steps(data["delay"]["h"], data["solver"]["dt"], "delay.h / solver.dt")

@@ -2,9 +2,10 @@
 
 The invariant-law estimator pools segment checkpoints from an ensemble of
 trajectories into an equal-weight empirical measure over the history space,
-after discarding a burn-in prefix.  Distribution comparisons go through a
-fixed family of scalar observables (segment sup norm, endpoint norm, low
-mode coefficients, plus user functionals) and an asymptotic two-sample
+after discarding a burn-in prefix, as one ``(S, m + 1, N)`` window array.
+Distribution comparisons go through a fixed family of scalar observables
+(segment sup norm, endpoint norm, low mode coefficients, plus user
+functionals), each mapping a stack to ``(S,)``, and an asymptotic two-sample
 Kolmogorov-Smirnov test at the 5 percent level.
 
 All reductions are order-independent: pooled samples are sorted by
@@ -49,14 +50,15 @@ def ks_critical(n: int, m: int) -> float:
     return KS_COEFF_5PCT * np.sqrt((n + m) / (n * m))
 
 
-def default_functionals(n_modes: int) -> dict[str, Callable[[Segment], float]]:
-    """Observable family: segment sup norm, endpoint norm, first few modes."""
-    fns: dict[str, Callable[[Segment], float]] = {
+def default_functionals(n_modes: int) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
+    """Observables of a ``(S, m + 1, N)`` stack, each ``(S,)``: sup norm, head norm, modes."""
+    fns: dict[str, Callable[[np.ndarray], np.ndarray]] = {
         "seg_norm": sup_norm,
-        "head_norm": lambda seg: float(np.linalg.norm(seg.head())),
+        # a BLAS dot per head, bit-identical to np.linalg.norm of that one vector
+        "head_norm": lambda w: np.sqrt(w[:, -1, None] @ w[:, -1, :, None])[:, 0, 0],
     }
     for k in range(1, min(3, n_modes) + 1):
-        fns[f"mode_{k}"] = lambda seg, _k=k: float(seg.head()[_k - 1])
+        fns[f"mode_{k}"] = lambda w, _k=k: w[:, -1, _k - 1]
     return fns
 
 
@@ -75,7 +77,9 @@ def run_ensemble(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
 class EmpiricalMeasure:
     """Equal-weight occupation measure over pooled segment checkpoints."""
 
-    segments: list
+    segments: np.ndarray  # (n, m + 1, n_modes): window i on (h, dt) ends at times[i]
+    h: float
+    dt: float
     times: np.ndarray
     sources: np.ndarray  # (n, 2) int: seed, stream_id per sample
     burn_in: float
@@ -88,17 +92,14 @@ class EmpiricalMeasure:
 
     @property
     def n_modes(self) -> int:
-        return self.segments[0].n_modes
+        return self.segments.shape[2]
 
     def norms(self) -> np.ndarray:
-        return self.functional_values(sup_norm)
+        return sup_norm(self.segments)
 
     def modes(self) -> np.ndarray:
         """Endpoint coefficient vectors, one row per sample."""
-        return np.array([s.head() for s in self.segments])
-
-    def functional_values(self, fn: Callable[[Segment], float]) -> np.ndarray:
-        return np.array([fn(s) for s in self.segments])
+        return self.segments[:, -1]
 
 
 def krylov_bogoliubov(trajs, burn_in: float, thin: int = 1) -> EmpiricalMeasure:
@@ -121,23 +122,25 @@ def krylov_bogoliubov(trajs, burn_in: float, thin: int = 1) -> EmpiricalMeasure:
     if burn_in >= t_end:
         raise ConfigError("burn_in must precede the end of the run")
 
-    entries = []
-    for traj in trajs:
-        if traj.segments is None or traj.segment_times is None:
-            raise ConfigError("trajectory carries no segment checkpoints; "
-                              "rerun with solver.segment_stride > 0")
-        keep = np.nonzero(traj.segment_times > burn_in)[0][::thin]
-        for j in keep:
-            entries.append((traj.seed, traj.stream_id,
-                            float(traj.segment_times[j]), traj.segments[j]))
-    if not entries:
+    if any(t.segments is None or t.segment_times is None for t in trajs):
+        raise ConfigError("trajectory carries no segment checkpoints; "
+                          "rerun with solver.segment_stride > 0")
+    keeps = [np.nonzero(t.segment_times > burn_in)[0][::thin] for t in trajs]
+    times = np.concatenate([t.segment_times[k] for t, k in zip(trajs, keeps)])
+    if not times.size:
         raise ConfigError("no segment checkpoints survive the burn-in window")
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return EmpiricalMeasure(
-        segments=[e[3] for e in entries],
-        times=np.array([e[2] for e in entries]),
-        sources=np.array([[e[0], e[1]] for e in entries], dtype=np.int64),
-        burn_in=burn_in, thin=thin, t_end=t_end)
+    sizes = [k.size for k in keeps]
+    sources = np.repeat(np.array([[t.seed, t.stream_id] for t in trajs], dtype=np.int64),
+                        sizes, axis=0)
+    order = np.lexsort((times, sources[:, 1], sources[:, 0]))  # stable
+    # each trajectory's windows go straight to their sorted rows: one copy
+    segments = np.empty((order.size,) + trajs[0].segments.shape[1:])
+    for t, k, rows in zip(trajs, keeps, np.split(np.argsort(order), np.cumsum(sizes))):
+        segments[rows] = t.segments[k]
+    return EmpiricalMeasure(segments=segments, h=trajs[0].final_segment.h,
+                            dt=trajs[0].dt, times=times[order],
+                            sources=sources[order], burn_in=burn_in, thin=thin,
+                            t_end=t_end)
 
 
 @dataclass(eq=False)
@@ -204,11 +207,11 @@ class ComparisonReport:
                    float(self.ks_stat[i]), self.ks_crit, bool(self.passed[i]))
 
 
-def _compare(functionals: dict, before: list, after: list) -> ComparisonReport:
-    """Compare the laws of each functional over two lists of windows."""
+def _compare(functionals: dict, before: np.ndarray, after: np.ndarray) -> ComparisonReport:
+    """Compare the laws of each functional over two window stacks."""
     names = list(functionals)
-    before = np.array([[fn(seg) for seg in before] for fn in functionals.values()])
-    after = np.array([[fn(seg) for seg in after] for fn in functionals.values()])
+    before = np.array([fn(before) for fn in functionals.values()])
+    after = np.array([fn(after) for fn in functionals.values()])
     nb, na = before.shape[1], after.shape[1]
     crit = ks_critical(nb, na)
     mean_b = before.mean(axis=1)
@@ -245,10 +248,12 @@ def invariance_test(mu: EmpiricalMeasure, t: float, cs: CoefficientSet,
     steps = _window_steps(t, dt, "t / dt")
     cfg = SolverConfig(dt=dt, t_end=steps * dt, store_stride=steps)
 
-    before = [mu.segments[i] for i in idx]
-    after = [simulate(seg, cs, op, qspec, cfg,
-                      replace(stream, stream_id=stream.stream_id + 1 + j)).final_segment
-             for j, seg in enumerate(before)]
+    before = mu.segments[idx]
+    after = np.empty_like(before)
+    for j, window in enumerate(before):
+        st = replace(stream, stream_id=stream.stream_id + 1 + j)
+        after[j] = simulate(Segment(h=mu.h, dt=mu.dt, values=window), cs, op, qspec,
+                            cfg, st).final_segment.values
     return _compare(functionals, before, after)
 
 
@@ -274,13 +279,13 @@ def homogeneity_test(phi: Segment, s: float, t: float, cs: CoefficientSet,
     skip = _window_steps(t, dt, "t / dt") - steps
     cfg = SolverConfig(dt=dt, t_end=steps * dt, store_stride=steps)
 
-    side_a, side_b = [], []
+    side_a, side_b = np.empty((2, n_samples) + phi.values.shape)
     for i in range(n_samples):
         st_a = replace(stream, stream_id=stream.stream_id + 1 + i)
         z = st_a.generator().standard_normal((skip + steps, op.n_modes))[skip:]
-        side_a.append(simulate(phi, cs, op, qspec, cfg, st_a, noise_z=z).final_segment)
+        side_a[i] = simulate(phi, cs, op, qspec, cfg, st_a, noise_z=z).final_segment.values
         st_b = replace(stream, stream_id=stream.stream_id + 1 + n_samples + i)
-        side_b.append(simulate(phi, cs, op, qspec, cfg, st_b).final_segment)
+        side_b[i] = simulate(phi, cs, op, qspec, cfg, st_b).final_segment.values
     return _compare(functionals, side_a, side_b)
 
 
@@ -313,9 +318,7 @@ def continuous_dependence_probe(phi: Segment, psi_list: Sequence[Segment],
         raise ConfigError("need at least one comparison segment")
     if p <= 0.0:
         raise DomainError("moment exponent must be positive")
-    offsets = np.array([sup_norm(Segment(h=phi.h, dt=phi.dt,
-                                         values=phi.values - psi.values))
-                        for psi in psi_list])
+    offsets = sup_norm(phi.values - np.array([psi.values for psi in psi_list]))
     if np.any(np.diff(offsets) > 1e-12 * max(1.0, offsets[0])):
         raise DomainError("comparison segments must be ordered with "
                           "nonincreasing distance from the base segment")

@@ -1,9 +1,9 @@
 """Trace-class Q-Wiener increments and exact stochastic-convolution sampling.
 
 The driving noise is W(t) = sum_k sqrt(lambda_k) beta_k(t) e_k with the
-covariance eigenbasis aligned with the operator eigenbasis, so both the
-plain increment and the stochastic-convolution (OU) increment are diagonal
-Gaussian draws.  Streams are keyed counter-style: Philox seeded through a
+covariance eigenbasis aligned with the operator eigenbasis, so the exact
+stochastic-convolution (OU) increment of a step is standard normals times
+``ou_std``.  Streams are keyed counter-style: Philox seeded through a
 ``SeedSequence(seed, spawn_key=(stream_id,))`` gives reproducible,
 statistically independent sequences, one stream per trajectory.
 """
@@ -82,13 +82,6 @@ def geometric_qwiener(n_modes: int, trace_target: float = 1.0) -> QWienerSpec:
     return QWienerSpec(lambdas=raw * (trace_target / raw.sum()))
 
 
-def sample_increment(spec: QWienerSpec, dt: float, gen: np.random.Generator) -> np.ndarray:
-    """One Q-Wiener increment: mode k ~ N(0, lambda_k dt), independent across modes."""
-    if dt <= 0.0:
-        raise DomainError("increment length dt must be positive")
-    return gen.standard_normal(spec.n_modes) * np.sqrt(spec.lambdas * dt)
-
-
 def ou_std(spec: QWienerSpec, op: SpectralOperator, dt: float) -> np.ndarray:
     """Per-mode standard deviation of the exact stochastic-convolution increment.
 
@@ -103,8 +96,3 @@ def ou_std(spec: QWienerSpec, op: SpectralOperator, dt: float) -> np.ndarray:
     mu = op.eigenvalues
     return np.sqrt(spec.lambdas * (-np.expm1(-2.0 * mu * dt)) / (2.0 * mu))
 
-
-def ou_convolution_increment(spec: QWienerSpec, op: SpectralOperator, dt: float,
-                             gen: np.random.Generator) -> np.ndarray:
-    """Exact-in-law OU increment of the stochastic convolution over one step."""
-    return gen.standard_normal(spec.n_modes) * ou_std(spec, op, dt)

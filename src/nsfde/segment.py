@@ -1,14 +1,15 @@
 """Delay-segment buffers: the discrete history window u_t on [-h, 0].
 
-A segment stores mode coefficients at the m + 1 grid offsets
+A window stores mode coefficients at the m + 1 grid offsets
 theta_j = -h + j dt (so values[0] is the oldest node and values[m] the
-current state).  The sup norm is taken over the stored nodes, and the
-coefficient functionals read nodes only: nothing interpolates between them.
+current state).  ``Segment`` is one validated window, the input of a run; a
+stack of S windows on one grid (checkpoints, a pooled measure) is a plain
+``(S, m + 1, N)`` array.  The sup norm is taken over the stored nodes, and
+the coefficient functionals read nodes only: nothing interpolates between them.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -71,9 +72,10 @@ class Segment:
         return self.values[-1]
 
 
-def sup_norm(seg: Segment) -> float:
-    """sup over the stored window nodes of the H-norm ||u(t + theta)||."""
-    return float(np.max(np.linalg.norm(seg.values, axis=1)))
+def sup_norm(values: np.ndarray) -> np.ndarray:
+    """sup over the stored window nodes of the H-norm ||u(t + theta)||, for one
+    window or a stack: ``values`` has shape ``(..., m + 1, N)``."""
+    return np.linalg.norm(values, axis=-1).max(axis=-1)
 
 
 def zero_segment(h: float, dt: float, n_modes: int) -> Segment:
@@ -159,11 +161,3 @@ def random_segment(op: SpectralOperator, h: float, dt: float,
     basis = np.stack([np.ones_like(thetas), thetas / h, np.sin(np.pi * thetas / h)])
     return Segment(h=h, dt=dt, values=basis.T @ weights)
 
-
-def segment_to_csv(seg: Segment, path) -> None:
-    """Dump the window as CSV with columns (theta, mode_1, ..., mode_N)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta"] + [f"mode_{k}" for k in range(1, seg.n_modes + 1)])
-        for theta, row in zip(seg.thetas, seg.values):
-            writer.writerow([repr(float(theta))] + [repr(float(v)) for v in row])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measure import EmpiricalMeasure
-from .segment import Segment
+from .segment import _window_steps
 from .solver import Trajectory
 
 TRAJECTORY_FORMAT = "nsfde-trajectory/1"
@@ -25,9 +25,10 @@ REPORT_FORMAT = "nsfde-report/1"
 REPORT_COLUMNS = ("statistic", "estimate", "stderr", "threshold", "verdict")
 
 
-def _read_jsonl(path, expected: str, header_keys, row_keys) -> tuple[dict, list]:
+def _read_jsonl(path, expected: str, header_keys, row_keys, convert=None) -> tuple[dict, list]:
     """Header and records of a JSONL file in format ``expected``; a line that is
-    not a JSON object with the keys its reader takes fails naming its number."""
+    not a JSON object with the keys its reader takes fails naming its number.
+    ``convert(header, record, where)`` runs on each record as it is read."""
     recs = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -46,6 +47,8 @@ def _read_jsonl(path, expected: str, header_keys, row_keys) -> tuple[dict, list]
             missing = [k for k in (row_keys if recs else header_keys) if k not in rec]
             if missing:
                 raise ConfigError(f"{where}: missing {', '.join(missing)}")
+            if recs and convert is not None:
+                convert(recs[0], rec, where)
             recs.append(rec)
     if not recs:
         raise ConfigError(f"{path}: empty file")
@@ -87,12 +90,11 @@ def read_trajectory_jsonl(path) -> dict:
 
 
 def write_measure_jsonl(mu: EmpiricalMeasure, path):
-    seg0 = mu.segments[0]
     header = {
         "format": MEASURE_FORMAT,
-        "h": seg0.h,
-        "dt": seg0.dt,
-        "n_modes": seg0.n_modes,
+        "h": mu.h,
+        "dt": mu.dt,
+        "n_modes": mu.n_modes,
         "burn_in": mu.burn_in,
         "thin": mu.thin,
         "t_end": mu.t_end,
@@ -100,26 +102,40 @@ def write_measure_jsonl(mu: EmpiricalMeasure, path):
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for i, seg in enumerate(mu.segments):
+        for i, window in enumerate(mu.segments):
             row = {
                 "t": float(mu.times[i]),
                 "seed": int(mu.sources[i, 0]),
                 "stream": int(mu.sources[i, 1]),
-                "values": seg.values.tolist(),
+                "values": window.tolist(),
             }
             fh.write(json.dumps(row) + "\n")
 
 
+def _window_values(header: dict, rec: dict, where: str):
+    """Replace a record's ``values`` by its window array, of the shape the header's h/dt
+    and n_modes fix; done as each line is read, so parsed lists do not pile up."""
+    shape = (_window_steps(header["h"], header["dt"], f"{where}: header h/dt") + 1,
+             header["n_modes"])
+    try:
+        values = np.array(rec["values"])
+    except ValueError:  # ragged
+        values = np.array(None)
+    if values.dtype.kind not in "iuf" or values.shape != shape \
+            or not np.isfinite(values).all():
+        raise ConfigError(f"{where}: values must be a {shape} array of finite numbers "
+                          "(h/dt + 1 nodes by n_modes)")
+    rec["values"] = values.astype(float, copy=False)
+
+
 def read_measure_jsonl(path) -> EmpiricalMeasure:
     header, recs = _read_jsonl(path, MEASURE_FORMAT,
-                               ("h", "dt", "burn_in", "thin", "t_end"),
-                               ("t", "seed", "stream", "values"))
+                               ("h", "dt", "n_modes", "burn_in", "thin", "t_end"),
+                               ("t", "seed", "stream", "values"), _window_values)
     if not recs:
         raise ConfigError(f"{path}: measure file holds no samples")
-    segments = [Segment(h=header["h"], dt=header["dt"],
-                        values=np.array(r["values"])) for r in recs]
     return EmpiricalMeasure(
-        segments=segments,
+        segments=np.array([r["values"] for r in recs]), h=header["h"], dt=header["dt"],
         times=np.array([r["t"] for r in recs]),
         sources=np.array([[r["seed"], r["stream"]] for r in recs], dtype=np.int64),
         burn_in=header["burn_in"], thin=header["thin"], t_end=header["t_end"])

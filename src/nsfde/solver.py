@@ -87,19 +87,13 @@ class Trajectory:
     dt: float
     store_stride: int
     final_segment: Segment
-    segments: Optional[list] = None
+    segments: Optional[np.ndarray] = None  # (C, m + 1, N): window c ends at segment_times[c]
     segment_times: Optional[np.ndarray] = None
     fp_residuals: Optional[list] = None
 
     @property
     def n_modes(self) -> int:
         return self.snapshots.shape[1]
-
-
-class StepResult(NamedTuple):
-    new_state: np.ndarray
-    fp_iters: int
-    residuals: list
 
 
 class _Stepper:
@@ -128,8 +122,9 @@ class _Stepper:
         grid = self.maps.grid
         return grid.project @ (self.maps.sigma(delayed_state) * (grid.synth @ ou))
 
-    def advance(self, hist: np.ndarray, z: np.ndarray, src: np.ndarray) -> StepResult:
-        """One step from the chronological window ``hist`` (rows: u(t-h)..u(t)).
+    def advance(self, hist: np.ndarray, z: np.ndarray, src: np.ndarray):
+        """One step from the chronological window ``hist`` (rows: u(t-h)..u(t));
+        returns (new state, fixed-point iterations, their residuals).
 
         ``src`` is the delayed state that feeds the drift and the diffusion
         multiplier: ``hist[0]`` for a direct run, the previous iterate's
@@ -146,7 +141,7 @@ class _Stepper:
             if maps.g_mode == "point":
                 # u(t + dt - h) is already history whenever h >= dt
                 rhs = rhs - maps.g(hist[1])
-            return StepResult(rhs, 0, [])
+            return rhs, 0, []
 
         # neutral term reads the unknown new state: contract to the fixed point
         u_k = u
@@ -157,7 +152,7 @@ class _Stepper:
             residuals.append(r)
             u_k = u_next
             if r < self.cfg.fp_tol:
-                return StepResult(u_k, len(residuals), residuals)
+                return u_k, len(residuals), residuals
         raise NonconvergenceError(
             f"implicit neutral step failed to reach fp_tol={self.cfg.fp_tol:g} "
             f"within {self.cfg.fp_max} iterations (last residual {residuals[-1]:.3e})",
@@ -210,8 +205,7 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
     segments = segment_times = None
     if cfg.segment_stride:
         checkpoints = np.arange(cfg.segment_stride, steps + 1, cfg.segment_stride)
-        segments = [Segment(h=initial.h, dt=cfg.dt, values=rows[k:k + m + 1].copy())
-                    for k in checkpoints]
+        segments = rows[checkpoints[:, None] + np.arange(m + 1)]
         segment_times = checkpoints * cfg.dt
     traj = Trajectory(
         times=stored * cfg.dt, snapshots=rows[m + stored],

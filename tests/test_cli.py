@@ -6,6 +6,7 @@ script itself from ``[project.scripts]`` in ``pyproject.toml``, as an installer
 would, so it needs no prior install, and also runs ``python -m nsfde``; the
 other runs an installed ``nsfde`` and is skipped where none is on PATH.
 """
+import json
 import os
 import shutil
 import subprocess
@@ -222,6 +223,18 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
         assert main(["estimate-measure", "--config", cfg, flag, value,
                      "--out", str(tmp_path / "bad.jsonl")]) == 1
         assert f"error: {field} = " in capsys.readouterr().err
+
+    # so does a measure record that is not a finite window
+    lines = mfile.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["values"][0][0] = float("nan")
+    lines[3] = json.dumps(rec)
+    poisoned = tmp_path / "poisoned.jsonl"
+    poisoned.write_text("\n".join(lines) + "\n")
+    assert main(["invariance-test", "--config", cfg, "--measure", str(poisoned),
+                 "--t", "0.3", "--out", str(report)]) == 1
+    assert "poisoned.jsonl, line 4: values must be a (6, 4) array of finite" in \
+        capsys.readouterr().err
 
 
 def test_tightness_reports_tail_fractions(tmp_path, capsys, monkeypatch):

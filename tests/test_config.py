@@ -69,6 +69,14 @@ def test_unknown_keys_report_dotted_paths():
     ({"delay": {"h": float("inf")}}, "delay.h = inf must be finite"),
     ({"solver": {"t_end": float("inf")}}, "solver.t_end = inf must be finite"),
     ({"initial": {"amplitude": float("nan")}}, "initial.amplitude = nan must be finite"),
+    ({"operator": {"a": [[0.0, float("inf")], [1.0, 1.0]]}}, "pairs of finite numbers"),
+    ({"operator": {"a": [[0.0, "x"], [1.0, 1.0]]}}, "operator.a must be a number"),
+    ({"operator": {"a": [[0.0, 1.0], [True, 1.0]]}}, "operator.a must be a number"),
+    ({"operator": {"n_modes": 2}, "initial": {"kind": "coeffs",
+                                              "coeffs": [float("nan"), 1.0]}},
+     "initial.coeffs must list one coefficient per mode, each a finite number"),
+    ({"operator": {"n_modes": 2}, "initial": {"kind": "coeffs", "coeffs": ["x", 1.0]}},
+     "initial.coeffs must list one coefficient per mode, each a finite number"),
 ])
 def test_out_of_range_values_name_the_field(patch, needle):
     with pytest.raises(ConfigError, match=re.escape(needle)):

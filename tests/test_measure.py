@@ -9,7 +9,7 @@ from nsfde import (ConfigError, DomainError, RngStream, Segment, ShapeError,
                    continuous_dependence_probe, default_functionals,
                    from_initial_condition, homogeneity_test, invariance_test,
                    krylov_bogoliubov, ks_critical, ks_statistic, power_qwiener,
-                   run_ensemble, simulate, sup_norm, tightness_diagnostic,
+                   run_ensemble, simulate, tightness_diagnostic,
                    zero_segment)
 
 OP = assemble_operator(n_modes=4)
@@ -55,8 +55,22 @@ def test_default_functionals_follow_truncation():
                                            "mode_1", "mode_2", "mode_3"}
     fns = default_functionals(2)
     seg = constant_segment(0.1, 0.05, np.array([3.0, 4.0]))
-    assert fns["seg_norm"](seg) == 5.0
-    assert fns["mode_2"](seg) == 4.0
+    assert np.array_equal(fns["seg_norm"](seg.values[None]), [5.0])
+    assert np.array_equal(fns["mode_2"](seg.values[None]), [4.0])
+
+    # a stack maps to one value per window, equal to the value computed
+    # window by window
+    gen = RngStream(49, 0).generator()
+    for n in (4, 9, 29, 32):
+        stack = gen.standard_normal((2000, 6, n)) * 10.0 ** gen.uniform(-3, 3, (2000, 1, 1))
+        fns = default_functionals(n)
+        per_window = {
+            "seg_norm": [float(np.max(np.linalg.norm(w, axis=1))) for w in stack],
+            "head_norm": [float(np.linalg.norm(w[-1])) for w in stack],
+            **{f"mode_{k}": [float(w[-1][k - 1]) for w in stack] for k in (1, 2, 3)},
+        }
+        for name, fn in fns.items():
+            assert np.array_equal(fn(stack), per_window[name])
 
 
 def test_run_ensemble_stream_layout():
@@ -97,6 +111,8 @@ def test_krylov_bogoliubov_pooling_and_thinning():
     mu_rev = krylov_bogoliubov(trajs[::-1], burn_in=0.35)
     assert np.array_equal(mu.norms(), mu_rev.norms())
     assert np.array_equal(mu.sources, mu_rev.sources)
+    assert np.array_equal(mu.segments, mu_rev.segments)
+    assert mu.segments.shape == (21, 6, 4) and (mu.h, mu.dt) == (0.05, 0.01)
 
     with pytest.raises(ConfigError):
         krylov_bogoliubov([], burn_in=0.1)
@@ -118,7 +134,7 @@ def test_point_mass_measure_from_zero_dynamics():
     mu = krylov_bogoliubov(traj, burn_in=0.1)
     assert not mu.norms().any()
     assert not mu.modes().any()
-    assert not mu.functional_values(sup_norm).any()
+    assert not mu.segments.any()
 
 
 def test_tightness_diagnostic_exact_counts():

@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 from nsfde import (DomainError, QWienerSpec, RngStream, ShapeError,
-                   assemble_operator, geometric_qwiener,
-                   ou_convolution_increment, ou_std, power_qwiener,
-                   sample_increment)
+                   assemble_operator, geometric_qwiener, ou_std,
+                   power_qwiener)
 
 
 def test_power_spectrum_shape_and_trace():
@@ -60,18 +59,6 @@ def test_block_draw_equals_row_draws():
     assert np.array_equal(block, rows)
 
 
-def test_sample_increment_law():
-    q = power_qwiener(4, trace_target=2.0)
-    gen = RngStream(5, 0).generator()
-    draws = np.vstack([sample_increment(q, 0.01, gen) for _ in range(20000)])
-    var = draws.var(axis=0)
-    # each mode is N(0, lambda_k dt); 20k draws pin the variance to a few %
-    assert np.allclose(var, q.lambdas * 0.01, rtol=0.06)
-    assert abs(draws.mean()) <= 4.0 * np.sqrt(q.lambdas.max() * 0.01 / 20000)
-    with pytest.raises(DomainError):
-        sample_increment(q, 0.0, gen)
-
-
 def test_ou_std_closed_form_and_limits():
     op = assemble_operator(n_modes=4)
     q = power_qwiener(4, trace_target=1.0)
@@ -92,6 +79,5 @@ def test_ou_convolution_increment_variance():
     op = assemble_operator(n_modes=3)
     q = power_qwiener(3, trace_target=1.0)
     gen = RngStream(6, 0).generator()
-    draws = np.vstack([ou_convolution_increment(q, op, 0.05, gen)
-                       for _ in range(20000)])
+    draws = gen.standard_normal((20000, 3)) * ou_std(q, op, 0.05)
     assert np.allclose(draws.var(axis=0), ou_std(q, op, 0.05) ** 2, rtol=0.06)

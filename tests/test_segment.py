@@ -1,13 +1,11 @@
 """History-window container: validation, norms, construction."""
-import csv
-
 import numpy as np
 import pytest
 
 from nsfde import (ConfigError, RngStream, Segment, ShapeError,
                    assemble_operator, constant_segment,
-                   from_initial_condition, random_segment, segment_to_csv,
-                   sup_norm, zero_segment)
+                   from_initial_condition, random_segment, sup_norm,
+                   zero_segment)
 
 
 def test_window_shape_validation():
@@ -24,8 +22,11 @@ def test_window_shape_validation():
 
 def test_sup_norm_is_max_node_norm():
     seg = Segment(h=0.2, dt=0.1, values=np.array([[3.0, 4.0], [0.0, 1.0], [1.0, 0.0]]))
-    assert sup_norm(seg) == 5.0
-    assert sup_norm(zero_segment(0.2, 0.1, 2)) == 0.0
+    assert sup_norm(seg.values) == 5.0
+    assert sup_norm(zero_segment(0.2, 0.1, 2).values) == 0.0
+    # a stack of windows gives one norm per window
+    stack = np.stack([seg.values, -2.0 * seg.values])
+    assert np.array_equal(sup_norm(stack), [5.0, 10.0])
 
 
 def test_constructors():
@@ -80,16 +81,3 @@ def test_random_segment_modes_decay():
     assert seg.values.shape == (5, 16)
     head = np.abs(seg.values).max(axis=0)
     assert head[0] > head[-1]  # n^{-2} amplitude envelope
-
-
-def test_segment_csv_round_trip(tmp_path):
-    op = assemble_operator(n_modes=3)
-    seg = random_segment(op, 0.2, 0.05, RngStream(4, 0).generator())
-    path = tmp_path / "seg.csv"
-    segment_to_csv(seg, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["theta", "mode_1", "mode_2", "mode_3"]
-    back = np.array([[float(c) for c in row] for row in rows[1:]])
-    assert np.array_equal(back[:, 0], seg.thetas)  # repr round-trips exactly
-    assert np.array_equal(back[:, 1:], seg.values)

@@ -1,5 +1,6 @@
 """File formats: exact round trips and format-tag enforcement."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,9 +50,8 @@ def test_measure_round_trip_is_bit_exact(tmp_path):
     assert back.t_end == mu.t_end
     assert np.array_equal(back.times, mu.times)
     assert np.array_equal(back.sources, mu.sources)
-    for sa, sb in zip(back.segments, mu.segments):
-        assert sa.h == sb.h and sa.dt == sb.dt
-        assert np.array_equal(sa.values, sb.values)
+    assert back.h == mu.h and back.dt == mu.dt
+    assert np.array_equal(back.segments, mu.segments)
 
 
 def test_report_round_trip_keeps_floats_exact(tmp_path):
@@ -109,3 +109,23 @@ def test_format_tags_are_enforced(tmp_path):
                                                      "stream": 0}) + "\n")
     with pytest.raises(ConfigError, match="valueless.jsonl, line 3: missing values"):
         read_measure_jsonl(valueless)
+
+    # h/dt = 5 and n_modes = 3 in the header: a record holds a 6 x 3 window
+    good = np.zeros((6, 3)).tolist()
+    with_nan = np.zeros((6, 3))
+    with_nan[2, 1] = np.nan
+    for values in (good[:5] + [[0.0, 0.0]],           # ragged
+                   np.full((6, 3), "x").tolist(),
+                   [[None] * 3] * 6,
+                   [[True] * 3] * 6,
+                   with_nan.tolist(),
+                   good[:5],                          # one node short
+                   np.zeros((6, 4)).tolist()):        # one mode too many
+        bad = tmp_path / "bad_values.jsonl"
+        bad.write_text(header + json.dumps({"t": 0.1, "seed": 1, "stream": 0,
+                                            "values": good}) + "\n"
+                       + json.dumps({"t": 0.2, "seed": 1, "stream": 0,
+                                     "values": values}) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "bad_values.jsonl, line 3: values must be a (6, 3) array of finite")):
+            read_measure_jsonl(bad)

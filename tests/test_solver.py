@@ -109,8 +109,9 @@ def test_store_stride_and_endpoint_bookkeeping():
     assert np.allclose(traj2.times, [0.0, 0.05])
     assert len(traj2.segments) == 1
     assert np.allclose(traj2.segment_times, [0.05])
-    assert np.array_equal(traj2.segments[0].head(), traj2.snapshots[-1])
-    assert np.array_equal(traj2.final_segment.values, traj2.segments[0].values)
+    assert traj2.segments.shape == (1, 6, 4)
+    assert np.array_equal(traj2.segments[0, -1], traj2.snapshots[-1])
+    assert np.array_equal(traj2.final_segment.values, traj2.segments[0])
 
 
 def test_single_step_helper_is_pure_decay_for_linear():

@@ -38,7 +38,6 @@ from .measure import (ComparisonReport, DependenceReport, EmpiricalMeasure,
                       run_ensemble, tightness_diagnostic)
 from .config import (RunConfig, load_config, make_coefficients,
                      make_initial_segment, make_noise, make_operator,
-                     make_solver_config, make_stream, parse_config,
-                     resolved_dict)
+                     make_solver_config, parse_config, resolved_dict)
 
 __version__ = "0.1.0"

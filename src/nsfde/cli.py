@@ -20,8 +20,7 @@ from . import config as config_mod
 from . import measure as measure_mod
 from . import serialize
 from .coefficients import (growth_check, lipschitz_probe_g,
-                           modulus_bound_check, modulus_shape_check,
-                           osgood_certificate)
+                           modulus_bound_check, osgood_certificate)
 from .errors import BlowupError, ConfigError, NonconvergenceError, NsfdeError
 from .noise import RngStream
 from .solver import find_horizon, picard_run, simulate
@@ -162,12 +161,11 @@ def _condition_rows(rc: config_mod.RunConfig, n_samples: int):
 
     add("operator_gap_delta", float(op.delta), float(op.eigenvalues[0]),
         op.delta < op.eigenvalues[0])
-    small = 2.0 * cs.lipschitz_Mg ** 2 * cs.meas_D ** 2
+    small = 2.0 * cs.lipschitz_Mg ** 2
     add("neutral_smallness", small, 1.0, small < 1.0)
     add("noise_trace", float(qspec.trace), float("inf"), np.isfinite(qspec.trace))
-    shape_ok = modulus_shape_check(cs)
-    add("modulus_shape", 1.0 if shape_ok else 0.0, 1.0, shape_ok)
     cert = osgood_certificate(cs)
+    add("modulus_shape", 1.0 if cert.shape_ok else 0.0, 1.0, cert.shape_ok)
     add("osgood_divergence", float(cert.integrals[-1]), float("inf"), cert.certified)
     violations, max_ratio = modulus_bound_check(cs, n_samples, gen)
     add("drift_modulus_bound", max_ratio, 1.0, violations == 0)

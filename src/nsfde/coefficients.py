@@ -42,11 +42,9 @@ def _pointwise(fn):
     return wrapped
 
 
-def osgood_drift(p: float) -> tuple[Callable, float]:
-    """Bounded non-Lipschitz drift with logarithmic modulus, capped at |x| = e^{-2}.
-
-    Returns the callable and its bound e^{-2} (2p)^{1/p}.
-    """
+def osgood_drift(p: float) -> Callable:
+    """Bounded non-Lipschitz drift with logarithmic modulus; from |x| = e^{-2} on
+    it holds its bound e^{-2} (2p)^{1/p}."""
     cap = E_MINUS_2 * (2.0 * p) ** (1.0 / p)
 
     def _impl(ax_signed):
@@ -58,7 +56,7 @@ def osgood_drift(p: float) -> tuple[Callable, float]:
         out[core] = a * (p * (-np.log(a))) ** (1.0 / p)
         return out
 
-    return _pointwise(_impl), cap
+    return _pointwise(_impl)
 
 
 @_pointwise
@@ -79,18 +77,6 @@ def linear_modulus(s):
     if np.any(s < 0.0):
         raise DomainError("modulus argument must be nonnegative")
     return s.copy()
-
-
-def _scalar_zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _scalar_one(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _scalar_identity(x):
-    return np.asarray(x, dtype=float)
 
 
 @dataclass(eq=False)
@@ -123,10 +109,10 @@ class Kernel:
 
 
 _SCALARS = {
-    "zero": lambda p: (_pointwise(_scalar_zero), 0.0),
-    "one": lambda p: (_pointwise(_scalar_one), 1.0),
-    "identity": lambda p: (_pointwise(_scalar_identity), None),
-    "bounded_tanh": lambda p: (_pointwise(lambda x: np.tanh(x)), 1.0),
+    "zero": lambda p: _pointwise(np.zeros_like),
+    "one": lambda p: _pointwise(np.ones_like),
+    "identity": lambda p: _pointwise(lambda x: x),
+    "bounded_tanh": lambda p: _pointwise(lambda x: np.tanh(x)),
     "osgood": osgood_drift,
 }
 
@@ -145,9 +131,10 @@ class CoefficientSet:
     ``lipschitz_Mg`` is the asserted bound on the neutral functional in the
     fractional graph norm; construction enforces 0 < Mg < 1 together with
     the smallness requirement 2 Mg^2 meas(D)^2 < 1 used by the separable
-    kernel class.  ``modulus_N`` only has its root pinned here (N(0) = 0);
-    monotonicity/concavity are sampled by the checkers so that deliberately
-    ill-shaped moduli can still be constructed and rejected by them.
+    kernel class, where D = (0, 1) has measure 1.  ``modulus_N`` only has its
+    root pinned here (N(0) = 0); monotonicity/concavity are sampled by the
+    checkers so that deliberately ill-shaped moduli can still be constructed
+    and rejected by them.
     """
 
     f: Callable
@@ -158,10 +145,6 @@ class CoefficientSet:
     lipschitz_Mg: float = 0.5
     p: float = 3.0
     grid_points: int = 128
-    meas_D: float = 1.0
-    f_name: str = "custom"
-    sigma_name: str = "custom"
-    modulus_name: str = "custom"
     sigma_const: Optional[float] = None
     f_is_zero: bool = False
 
@@ -170,7 +153,7 @@ class CoefficientSet:
             raise ConfigError("exponent p must exceed 2")
         if not 0.0 < self.lipschitz_Mg < 1.0:
             raise ConfigError("Mg must lie in (0, 1)")
-        if 2.0 * self.lipschitz_Mg ** 2 * self.meas_D ** 2 >= 1.0:
+        if 2.0 * self.lipschitz_Mg ** 2 >= 1.0:
             raise ConfigError("neutral smallness 2 Mg^2 meas(D)^2 < 1 violated")
         if self.growth_K <= 0.0:
             raise ConfigError("growth constant K must be positive")
@@ -187,11 +170,11 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
                          grid_points: int = 128) -> CoefficientSet:
     """Construct a coefficient set from built-in names (see module docstring)."""
     try:
-        f_fn, _ = _SCALARS[f](p)
+        f_fn = _SCALARS[f](p)
     except KeyError:
         raise ConfigError(f"unknown drift builtin {f!r}") from None
     try:
-        s_fn, _ = _SCALARS[sigma](p)
+        s_fn = _SCALARS[sigma](p)
     except KeyError:
         raise ConfigError(f"unknown diffusion builtin {sigma!r}") from None
     try:
@@ -205,7 +188,6 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
     return CoefficientSet(
         f=f_fn, sigma=s_fn, kernel_b=kern, modulus_N=mod,
         growth_K=growth_K, lipschitz_Mg=Mg, p=p, grid_points=grid_points,
-        f_name=f, sigma_name=sigma, modulus_name=modulus,
         sigma_const=_CONST_SCALARS.get(sigma), f_is_zero=(f == "zero"))
 
 
@@ -286,9 +268,9 @@ class OsgoodCertificate:
     certified: bool
 
 
-def modulus_shape_check(cs: CoefficientSet, n_points: int = 401) -> bool:
+def modulus_shape_check(cs: CoefficientSet) -> bool:
     """Sampled root/monotonicity/midpoint-concavity check of the modulus."""
-    s = np.geomspace(1e-10, 1.0, n_points)
+    s = np.geomspace(1e-10, 1.0, 401)
     vals = np.asarray(cs.modulus_N(s), dtype=float)
     scale = float(np.max(np.abs(vals)))
     if abs(float(cs.modulus_N(0.0))) > 1e-12 * max(1.0, scale):
@@ -300,15 +282,15 @@ def modulus_shape_check(cs: CoefficientSet, n_points: int = 401) -> bool:
     return bool(np.all(mid >= chords - 1e-12 * max(1.0, scale)))
 
 
-def osgood_certificate(cs: CoefficientSet, k_min: int = 1, k_max: int = 5) -> OsgoodCertificate:
+def osgood_certificate(cs: CoefficientSet) -> OsgoodCertificate:
     """Certify the divergence condition: shape checks plus unbounded growth of the integral.
 
     Growth alone is not enough (a convex modulus like s^2 also has a
     divergent integral but fails the concavity requirement), so the verdict
     is the conjunction of the sampled shape check and the monotone-growth
-    test along eps_k = e^{-e^k}.
+    test along eps_k = e^{-e^k}, k = 1, ..., 5.
     """
-    ks = np.arange(k_min, k_max + 1)
+    ks = np.arange(1, 6)
     eps = np.exp(-np.exp(ks.astype(float)))
     integrals = np.array([osgood_integral(cs, e) for e in eps])
     diffs = np.diff(integrals)
@@ -320,14 +302,14 @@ def osgood_certificate(cs: CoefficientSet, k_min: int = 1, k_max: int = 5) -> Os
 
 
 def modulus_bound_check(cs: CoefficientSet, n_samples: int, gen: np.random.Generator,
-                        log_low: float = 1e-12, log_high: float = E_MINUS_2,
                         mixture: float = 0.5) -> tuple[int, float]:
     """Count violations of |f(x) - f(y)|^p <= N(|x - y|^p) over sampled scalar pairs.
 
-    Pairs mix uniform draws on [-1, 1] with log-uniform magnitudes in
-    [log_low, log_high] (both signs), the regime where the built-in pair
-    approaches equality.  Returns (violations, max ratio LHS/RHS); rounding
-    guard 1e-12 keeps exact-equality corners from being miscounted.
+    A share ``mixture`` of the pairs has log-uniform magnitudes in
+    [1e-12, e^{-2}] (both signs), the regime where the built-in pair
+    approaches equality; the rest are uniform draws on [-1, 1].  Returns
+    (violations, max ratio LHS/RHS); rounding guard 1e-12 keeps
+    exact-equality corners from being miscounted.
     """
     if n_samples < 1:
         raise DomainError("need at least one sample pair")
@@ -341,7 +323,7 @@ def modulus_bound_check(cs: CoefficientSet, n_samples: int, gen: np.random.Gener
         xs.append(u[0])
         ys.append(u[1])
     if n_log:
-        mags = 10.0 ** gen.uniform(math.log10(log_low), math.log10(log_high), size=(2, n_log))
+        mags = 10.0 ** gen.uniform(-12.0, math.log10(E_MINUS_2), size=(2, n_log))
         signs = gen.choice([-1.0, 1.0], size=(2, n_log))
         xs.append(mags[0] * signs[0])
         ys.append(mags[1] * signs[1])

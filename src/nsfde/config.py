@@ -22,7 +22,6 @@ from . import coefficients as coeff_mod
 from . import noise as noise_mod
 from . import spectral
 from .errors import ConfigError
-from .noise import RngStream
 from .segment import PROFILES, _window_steps, from_initial_condition
 from .solver import SolverConfig
 
@@ -54,7 +53,7 @@ _DEFAULTS = {
         "Mg": 0.5,
         "K": 1.0,
         "alpha": 0.5,
-        "grid_points": None,       # resolved to 4 * n_modes
+        "grid_points": None,       # resolved to 4 * n_modes; must exceed 2 * n_modes
     },
     "solver": {
         "dt": 1.0e-3,
@@ -239,9 +238,8 @@ def parse_config(raw, overrides=None) -> RunConfig:
     _as_int(data, "measure", "n_trajectories", 1)
     r_grid = data["measure"]["r_grid"]
     _need(isinstance(r_grid, list) and len(r_grid) >= 1
-          and all(isinstance(r, (int, float)) and not isinstance(r, bool)
-                  and r >= 0.0 for r in r_grid),
-          "measure.r_grid must be a nonempty list of nonnegative radii")
+          and all(_is_finite(r) and r >= 0.0 for r in r_grid),
+          "measure.r_grid must be a nonempty list of finite nonnegative radii")
     data["measure"]["r_grid"] = [float(r) for r in r_grid]
 
     _choice(data, "initial", "kind", {"zero", "profile", "coeffs"})
@@ -254,8 +252,12 @@ def parse_config(raw, overrides=None) -> RunConfig:
               and all(_is_finite(c) for c in coeffs),
               "initial.coeffs must list one coefficient per mode, each a finite number")
 
-    # cross-field: the window must hold an integer number of steps
+    # cross-field: the window must hold an integer number of steps, and the
+    # quadrature grid must resolve products of the retained modes
     _window_steps(data["delay"]["h"], data["solver"]["dt"], "delay.h / solver.dt")
+    n_modes = data["operator"]["n_modes"]
+    _need(gp is None or gp > 2 * n_modes,
+          f"coefficients.grid_points = {gp} must exceed 2 * operator.n_modes = {2 * n_modes}")
 
     return RunConfig(**data)
 
@@ -299,10 +301,6 @@ def make_solver_config(rc: RunConfig) -> SolverConfig:
 
 def make_initial_segment(rc: RunConfig, op):
     return from_initial_condition(rc.initial, rc.h, rc.dt, op, n_grid=rc.grid_points())
-
-
-def make_stream(rc: RunConfig, stream_id: int = 0) -> RngStream:
-    return RngStream(seed=rc.seed, stream_id=stream_id)
 
 
 def resolved_dict(rc: RunConfig) -> dict:

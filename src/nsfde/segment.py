@@ -93,9 +93,10 @@ def from_initial_condition(phi, h: float, dt: float, op: SpectralOperator,
                            n_grid: int | None = None) -> Segment:
     """Sample and project an initial trajectory onto the discrete window.
 
-    ``phi`` may be a mode-coefficient vector (held constant in theta), a
-    callable ``phi(theta, x) -> field`` sampled at the window nodes, or a
-    descriptor dict: ``{"kind": "zero"}`` or
+    ``phi`` may be a callable ``phi(theta, x) -> field`` sampled at the window
+    nodes, or a descriptor dict: ``{"kind": "zero"}``,
+    ``{"kind": "coeffs", "coeffs": v}`` (mode coefficients held constant in
+    theta) or
     ``{"kind": "profile", "profile": name_or_callable, "amplitude": a, "ramp": bool}``
     where ``ramp`` scales the profile by (1 + theta / h), vanishing at -h.
     """
@@ -136,18 +137,12 @@ def from_initial_condition(phi, h: float, dt: float, op: SpectralOperator,
             rows[j] = grid.project @ field
         return Segment(h=h, dt=dt, values=rows)
 
-    coeffs = np.asarray(phi, dtype=float)
-    if coeffs.ndim == 1:
-        if coeffs.shape != (op.n_modes,):
-            raise ShapeError("initial coefficient vector length must equal n_modes")
-        return constant_segment(h, dt, coeffs)
     raise ConfigError("unsupported initial-condition descriptor")
 
 
 def random_segment(op: SpectralOperator, h: float, dt: float,
-                   gen: np.random.Generator, amplitude: float = 1.0,
-                   decay: float = 2.0) -> Segment:
-    """Smooth random window: per-mode amplitudes n^{-decay}, smooth in theta.
+                   gen: np.random.Generator, amplitude: float = 1.0) -> Segment:
+    """Smooth random window: per-mode amplitudes n^{-2}, smooth in theta.
 
     Used by the condition probes; the theta-dependence mixes a constant, a
     linear ramp and a half-period sine so sampled pairs exercise the whole
@@ -156,7 +151,7 @@ def random_segment(op: SpectralOperator, h: float, dt: float,
     m = _window_steps(h, dt)
     thetas = -h + dt * np.arange(m + 1)
     n = np.arange(1, op.n_modes + 1, dtype=float)
-    scales = amplitude * n ** (-decay)
+    scales = amplitude * n ** -2.0
     weights = gen.standard_normal((3, op.n_modes)) * scales
     basis = np.stack([np.ones_like(thetas), thetas / h, np.sin(np.pi * thetas / h)])
     return Segment(h=h, dt=dt, values=basis.T @ weights)

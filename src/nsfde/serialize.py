@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .config import _is_finite
 from .errors import ConfigError
 from .measure import EmpiricalMeasure
 from .segment import _window_steps
@@ -28,7 +29,8 @@ REPORT_COLUMNS = ("statistic", "estimate", "stderr", "threshold", "verdict")
 def _read_jsonl(path, expected: str, header_keys, row_keys, convert=None) -> tuple[dict, list]:
     """Header and records of a JSONL file in format ``expected``; a line that is
     not a JSON object with the keys its reader takes fails naming its number.
-    ``convert(header, record, where)`` runs on each record as it is read."""
+    ``convert(header, rec, where)`` runs on each line as it is read, the
+    header's included (then ``rec is header``)."""
     recs = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -47,8 +49,8 @@ def _read_jsonl(path, expected: str, header_keys, row_keys, convert=None) -> tup
             missing = [k for k in (row_keys if recs else header_keys) if k not in rec]
             if missing:
                 raise ConfigError(f"{where}: missing {', '.join(missing)}")
-            if recs and convert is not None:
-                convert(recs[0], rec, where)
+            if convert is not None:
+                convert(recs[0] if recs else rec, rec, where)
             recs.append(rec)
     if not recs:
         raise ConfigError(f"{path}: empty file")
@@ -112,9 +114,28 @@ def write_measure_jsonl(mu: EmpiricalMeasure, path):
             fh.write(json.dumps(row) + "\n")
 
 
-def _window_values(header: dict, rec: dict, where: str):
-    """Replace a record's ``values`` by its window array, of the shape the header's h/dt
-    and n_modes fix; done as each line is read, so parsed lists do not pile up."""
+def _is_int(val, lo: int) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= lo
+
+
+_FINITE = (_is_finite, "a finite number")
+_POSITIVE = (lambda v: _is_finite(v) and v > 0.0, "a positive finite number")
+_COUNT = (lambda v: _is_int(v, 1), "an integer >= 1")
+_INDEX = (lambda v: _is_int(v, 0), "an integer >= 0")
+_MEASURE_HEADER = {"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "burn_in": _FINITE,
+                   "thin": _COUNT, "t_end": _FINITE, "n_samples": _INDEX}
+_MEASURE_RECORD = {"t": _FINITE, "seed": _INDEX, "stream": _INDEX}
+
+
+def _measure_line(header: dict, rec: dict, where: str):
+    """Check the scalar fields of a measure file line, and replace a record's
+    ``values`` by its window array, of the shape the header's h/dt and n_modes
+    fix; done as each line is read, so parsed lists do not pile up."""
+    for key, (ok, what) in (_MEASURE_HEADER if rec is header else _MEASURE_RECORD).items():
+        if not ok(rec[key]):
+            raise ConfigError(f"{where}: {key} = {rec[key]!r} must be {what}")
+    if rec is header:
+        return
     shape = (_window_steps(header["h"], header["dt"], f"{where}: header h/dt") + 1,
              header["n_modes"])
     try:
@@ -129,11 +150,13 @@ def _window_values(header: dict, rec: dict, where: str):
 
 
 def read_measure_jsonl(path) -> EmpiricalMeasure:
-    header, recs = _read_jsonl(path, MEASURE_FORMAT,
-                               ("h", "dt", "n_modes", "burn_in", "thin", "t_end"),
-                               ("t", "seed", "stream", "values"), _window_values)
+    header, recs = _read_jsonl(path, MEASURE_FORMAT, tuple(_MEASURE_HEADER),
+                               ("t", "seed", "stream", "values"), _measure_line)
     if not recs:
         raise ConfigError(f"{path}: measure file holds no samples")
+    if len(recs) != header["n_samples"]:
+        raise ConfigError(f"{path}: header n_samples = {header['n_samples']} "
+                          f"but the file holds {len(recs)} samples")
     return EmpiricalMeasure(
         segments=np.array([r["values"] for r in recs]), h=header["h"], dt=header["dt"],
         times=np.array([r["t"] for r in recs]),
@@ -141,11 +164,11 @@ def read_measure_jsonl(path) -> EmpiricalMeasure:
         burn_in=header["burn_in"], thin=header["thin"], t_end=header["t_end"])
 
 
-def write_report_csv(path, rows, columns=REPORT_COLUMNS):
-    """Rectangular CSV: header ``format,<columns>``, then one tagged row each.
+def write_report_csv(path, rows):
+    """Rectangular CSV: header ``format,<REPORT_COLUMNS>``, then one tagged row each.
 
-    ``rows`` yields tuples matching ``columns``; floats are written via repr
-    so they reload exactly.
+    ``rows`` yields tuples matching ``REPORT_COLUMNS``; floats are written via
+    repr so they reload exactly.
     """
     def cell(x):
         if isinstance(x, float):
@@ -154,7 +177,7 @@ def write_report_csv(path, rows, columns=REPORT_COLUMNS):
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("format",) + tuple(columns))
+        writer.writerow(("format",) + REPORT_COLUMNS)
         for row in rows:
             writer.writerow((REPORT_FORMAT,) + tuple(cell(x) for x in row))
 

@@ -258,9 +258,7 @@ def picard_run(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
         raise ConfigError("picard_run requires solver.mode = 'picard'")
     _check_initial(initial, op, cfg)
     z_block = stream.generator().standard_normal((cfg.n_steps, op.n_modes))
-    cs0 = replace(cs, f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                  sigma=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                  f_name="zero", sigma_name="zero", sigma_const=0.0, f_is_zero=True)
+    cs0 = replace(cs, sigma_const=0.0, f_is_zero=True)
     stepper = _Stepper(cs, op, qspec, cfg)
 
     traj, rows_prev = _integrate(_Stepper(cs0, op, qspec, cfg), initial, cfg, stream,

@@ -24,14 +24,14 @@ from .errors import ConfigError, DomainError, EllipticityError, ShapeError
 _SYMMETRY_TOL = 1e-12
 
 
-def simpson_weights(n_intervals: int, length: float = 1.0) -> np.ndarray:
-    """Composite-Simpson weights on a uniform grid with an even interval count."""
+def simpson_weights(n_intervals: int) -> np.ndarray:
+    """Composite-Simpson weights on a uniform grid of [0, 1] with an even interval count."""
     if n_intervals < 2 or n_intervals % 2 != 0:
         raise DomainError("Simpson rule needs an even number of intervals >= 2")
     w = np.ones(n_intervals + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (length / (3.0 * n_intervals))
+    return w * (1.0 / (3.0 * n_intervals))
 
 
 @dataclass(eq=False)
@@ -42,7 +42,8 @@ class GridOps:
     ``project`` maps field values back to coefficients with the quadrature
     weights already folded in.  For the first ``n_modes`` eigenfunctions the
     round trip is exact to machine precision because composite Simpson on
-    4N intervals integrates products of the retained sine modes exactly.
+    more than 2N intervals integrates products of the retained sine modes
+    exactly; on 2N or fewer, sin(j pi x) sin(k pi x) aliases.
     """
 
     x: np.ndarray
@@ -57,7 +58,6 @@ class SpectralOperator:
 
     eigenvalues: np.ndarray
     delta: float
-    kind: str = "laplacian_1d"
     mix: np.ndarray | None = None  # sine-basis -> eigenbasis change, None when diagonal
     _grids: dict = field(default_factory=dict, repr=False)
 
@@ -77,12 +77,16 @@ class SpectralOperator:
         return int(self.eigenvalues.size)
 
     def grid(self, n_grid: int | None = None) -> GridOps:
-        """Return (cached) synthesis/projection matrices on ``n_grid`` Simpson intervals."""
+        """Return (cached) synthesis/projection matrices on ``n_grid`` Simpson intervals
+        (default 4N); 2N or fewer alias the retained modes and are refused."""
         if n_grid is None:
             n_grid = 4 * self.n_modes
         n_grid = int(n_grid)
         ops = self._grids.get(n_grid)
         if ops is None:
+            if n_grid <= 2 * self.n_modes:
+                raise DomainError(f"{n_grid} quadrature intervals alias {self.n_modes} "
+                                  "modes: need more than 2 * n_modes")
             x = np.linspace(0.0, 1.0, n_grid + 1)
             w = simpson_weights(n_grid)
             n = np.arange(1, self.n_modes + 1)
@@ -148,7 +152,7 @@ def assemble_operator(kind: str = "laplacian_1d", n_modes: int = 32, a=1.0,
             raise EllipticityError("constant diffusivity must be strictly positive")
         n = np.arange(1, n_modes + 1, dtype=float)
         mu = float(a) * (n * np.pi) ** 2
-        return SpectralOperator(eigenvalues=mu, delta=delta_fraction * mu[0], kind=kind)
+        return SpectralOperator(eigenvalues=mu, delta=delta_fraction * mu[0])
 
     a_fn = _as_diffusivity(a)
     n_grid = int(quad_factor) * n_modes
@@ -174,7 +178,7 @@ def assemble_operator(kind: str = "laplacian_1d", n_modes: int = 32, a=1.0,
     mu, vecs = np.linalg.eigh(stiff)
     if mu[0] <= 0.0:
         raise EllipticityError("assembled operator is not positive definite")
-    return SpectralOperator(eigenvalues=mu, delta=delta_fraction * mu[0], kind=kind, mix=vecs)
+    return SpectralOperator(eigenvalues=mu, delta=delta_fraction * mu[0], mix=vecs)
 
 
 def _check_modes(op: SpectralOperator, coeffs) -> np.ndarray:

@@ -236,6 +236,19 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
     assert "poisoned.jsonl, line 4: values must be a (6, 4) array of finite" in \
         capsys.readouterr().err
 
+    # and a measure file with a bad header scalar or a missing record
+    head, *recs = mfile.read_text().splitlines()
+    for name, text_lines, needle in (
+            ("wide.jsonl", [json.dumps(dict(json.loads(head), h="wide"))] + recs,
+             "wide.jsonl, line 1: h = 'wide' must be a positive finite number"),
+            ("truncated.jsonl", [head] + recs[:-1],
+             "header n_samples = 16 but the file holds 15 samples")):
+        broken = tmp_path / name
+        broken.write_text("\n".join(text_lines) + "\n")
+        assert main(["invariance-test", "--config", cfg, "--measure", str(broken),
+                     "--t", "0.3", "--out", str(report)]) == 1
+        assert needle in capsys.readouterr().err
+
 
 def test_tightness_reports_tail_fractions(tmp_path, capsys, monkeypatch):
     cfg = _cfg(tmp_path, ZERO_CFG)
@@ -261,6 +274,10 @@ def test_tightness_reports_tail_fractions(tmp_path, capsys, monkeypatch):
     assert main(["tightness", "--config", cfg, "--R=-1,2",
                  "--out", str(report)]) == 1
     assert "error: measure.r_grid must be" in capsys.readouterr().err
+    assert main(["tightness", "--config", cfg, "--R", "0.5,inf",
+                 "--out", str(report)]) == 1
+    assert "error: measure.r_grid must be a nonempty list of finite" in \
+        capsys.readouterr().err
 
 
 def test_check_conditions_writes_the_checklist(tmp_path, capsys):

@@ -180,6 +180,15 @@ def test_eval_g_separable_kernel():
     assert none.g_mode == "none"
     assert not none.g(coeffs).any() and not none.g_window(ramp).any()
 
+    # linear kernel: g is linear in u, and its mass is int_0^1 u dx, where
+    # int e_1 = sqrt2 * 2/pi and int e_2 = 0
+    lin = GridMaps(builtin_coefficients(kernel="linear", kernel_scale=c), op)
+    got_lin = lin.g(coeffs)
+    assert np.array_equal(lin.g(2.0 * coeffs), 2.0 * got_lin)
+    mass_lin = math.sqrt(2.0) * (2.0 / math.pi) * coeffs[0]
+    assert got_lin[0] == pytest.approx(c / math.sqrt(2.0) * mass_lin, abs=1e-9)
+    assert np.max(np.abs(got_lin[1:])) <= 1e-12
+
 
 def test_lipschitz_probe_scales_linearly_with_kernel():
     op = assemble_operator(n_modes=8)

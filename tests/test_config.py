@@ -1,13 +1,14 @@
 """Config schema: defaults, strict validation, builders, resolved round trips."""
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsfde import (ConfigError, RngStream, load_config, make_coefficients,
+from nsfde import (ConfigError, load_config, make_coefficients,
                    make_initial_segment, make_noise, make_operator,
-                   make_solver_config, make_stream, parse_config,
-                   resolved_dict)
+                   make_solver_config, parse_config, resolved_dict)
 from nsfde.config import dump_resolved
 
 
@@ -62,6 +63,9 @@ def test_unknown_keys_report_dotted_paths():
     ({"coefficients": {"alpha": 0.0}}, "coefficients.alpha"),
     ({"measure": {"r_grid": []}}, "measure.r_grid"),
     ({"measure": {"r_grid": [1.0, -2.0]}}, "measure.r_grid"),
+    ({"measure": {"r_grid": [float("inf")]}}, "measure.r_grid"),
+    ({"operator": {"n_modes": 32}, "coefficients": {"grid_points": 64}},
+     "coefficients.grid_points = 64 must exceed 2 * operator.n_modes = 64"),
     ({"operator": {"a": -1.0}}, "operator.a must be positive"),
     ({"operator": {"a": "piecewise"}}, "operator.a must be a number"),
     ({"operator": {"a": [[0.0, 1.0]]}}, "operator.a must be a number"),
@@ -125,7 +129,9 @@ def test_builders_reflect_the_parsed_values():
     assert np.allclose(q_pow.lambdas * np.arange(1, 5) ** 2.0, q_pow.lambdas[0])
 
     cs = make_coefficients(rc)
-    assert cs.f_name == "osgood" and cs.sigma_name == "osgood"
+    # the osgood drift saturates at its cap e^{-2} (2p)^{1/p}; sigma is state-dependent
+    assert cs.f(5.0) == math.exp(-2.0) * 6.0 ** (1.0 / 3.0)
+    assert cs.sigma_const is None and not cs.f_is_zero
     assert cs.kernel_b.scale == 0.2 and cs.kernel_b.delay_mode == "point"
     assert cs.p == 3.0 and cs.lipschitz_Mg == 0.5
     assert cs.grid_points == 256
@@ -149,10 +155,6 @@ def test_builders_reflect_the_parsed_values():
     coeffs_seg = make_initial_segment(coeffs_rc, op)
     assert coeffs_seg.values.shape == (6, 4)
     assert np.array_equal(coeffs_seg.values, np.tile([0.1, 0.2, 0.3, 0.4], (6, 1)))
-
-    sa = make_stream(rc, 3).generator().standard_normal(5)
-    sb = RngStream(rc.seed, 3).generator().standard_normal(5)
-    assert np.array_equal(sa, sb)
 
 
 def test_resolved_dict_reports_derived_quantities():
@@ -198,3 +200,9 @@ def test_load_config_rejects_bad_yaml(tmp_path):
     path.write_text("solver: {dt: [unclosed\n")
     with pytest.raises(ConfigError, match="config parse failure"):
         load_config(path)
+
+
+def test_readme_configuration_block_lists_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+    assert resolved_dict(parse_config(block)) == resolved_dict(parse_config({}))

@@ -28,8 +28,6 @@ def test_geometric_spectrum_halves_each_mode():
 def test_spec_validation():
     with pytest.raises(DomainError):
         QWienerSpec(lambdas=np.array([1.0, -0.1]))
-    with pytest.raises(DomainError):
-        QWienerSpec(lambdas=np.array([1.0, 1.0]), trace=3.0)
     with pytest.raises(ShapeError):
         QWienerSpec(lambdas=np.zeros((2, 2)))
     q = QWienerSpec(lambdas=np.array([0.5, 0.25]))

@@ -129,3 +129,27 @@ def test_format_tags_are_enforced(tmp_path):
         with pytest.raises(ConfigError, match=re.escape(
                 "bad_values.jsonl, line 3: values must be a (6, 3) array of finite")):
             read_measure_jsonl(bad)
+
+    # scalar fields: header h, dt (positive), burn_in, t_end finite numbers and
+    # n_modes, thin integers >= 1; record t finite, seed and stream integers >= 0
+    head = dict(json.loads(header), n_samples=1)
+    rec = {"t": 0.1, "seed": 1, "stream": 0, "values": good}
+    scalar = tmp_path / "bad_scalar.jsonl"
+    for line, key, val in ((1, "h", "wide"), (1, "h", float("inf")), (1, "dt", -0.01),
+                           (1, "burn_in", "soon"), (1, "t_end", None),
+                           (1, "n_modes", 0), (1, "thin", 1.5), (1, "thin", True),
+                           (2, "t", "late"), (2, "t", float("nan")), (2, "seed", "x"),
+                           (2, "seed", -1), (2, "stream", 2.0)):
+        bad_head = dict(head, **{key: val}) if line == 1 else head
+        bad_rec = dict(rec, **{key: val}) if line == 2 else rec
+        scalar.write_text(json.dumps(bad_head) + "\n" + json.dumps(bad_rec) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"bad_scalar.jsonl, line {line}: {key} = {val!r} must be")):
+            read_measure_jsonl(scalar)
+
+    # the header's n_samples counts the records, so a truncated file is refused
+    scalar.write_text(json.dumps(head) + "\n" + json.dumps(rec) + "\n")
+    assert read_measure_jsonl(scalar).n_samples == 1
+    scalar.write_text(json.dumps(dict(head, n_samples=3)) + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(ConfigError, match="header n_samples = 3 but the file holds 1"):
+        read_measure_jsonl(scalar)

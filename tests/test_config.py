@@ -63,9 +63,6 @@ def test_unknown_keys_report_dotted_paths():
     ({"coefficients": {"alpha": 0.0}}, "coefficients.alpha"),
     ({"measure": {"r_grid": []}}, "measure.r_grid"),
     ({"measure": {"r_grid": [1.0, -2.0]}}, "measure.r_grid"),
-    ({"measure": {"r_grid": [float("inf")]}}, "measure.r_grid"),
-    ({"operator": {"n_modes": 32}, "coefficients": {"grid_points": 64}},
-     "coefficients.grid_points = 64 must exceed 2 * operator.n_modes = 64"),
     ({"operator": {"a": -1.0}}, "operator.a must be positive"),
     ({"operator": {"a": "piecewise"}}, "operator.a must be a number"),
     ({"operator": {"a": [[0.0, 1.0]]}}, "operator.a must be a number"),
@@ -81,6 +78,9 @@ def test_unknown_keys_report_dotted_paths():
      "initial.coeffs must list one coefficient per mode, each a finite number"),
     ({"operator": {"n_modes": 2}, "initial": {"kind": "coeffs", "coeffs": ["x", 1.0]}},
      "initial.coeffs must list one coefficient per mode, each a finite number"),
+    ({"measure": {"r_grid": [float("inf")]}}, "measure.r_grid"),
+    ({"operator": {"n_modes": 32}, "coefficients": {"grid_points": 64}},
+     "coefficients.grid_points = 64 must exceed 2 * operator.n_modes = 64"),
 ])
 def test_out_of_range_values_name_the_field(patch, needle):
     with pytest.raises(ConfigError, match=re.escape(needle)):

@@ -194,12 +194,13 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
 class GridMaps:
     """f, sigma and g of one coefficient set on one operator's quadrature grid.
 
-    The single implementation of the three functionals: the integrator and
-    the condition probes both call it.  Each map takes the mode coefficients
-    of the one segment node it reads.  The neutral functional
-    g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a separable built-in
-    kernel factors as profile(x) times the grid integral of z_map(field), so
-    the projected profile is computed once here.
+    The single implementation of the three functionals, for the integrator
+    and the condition probes.  Each map takes the mode coefficients of the
+    segment node it reads; f, ``f_field`` and sigma also take a ``(k, N)``
+    stack of nodes (the integrator's delay-interval blocks), row by row.  The
+    neutral functional g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a
+    separable built-in kernel factors as profile(x) times the grid integral
+    of z_map(field), so the projected profile is computed once here.
     """
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator):
@@ -214,15 +215,15 @@ class GridMaps:
 
     def f_field(self, state: np.ndarray) -> np.ndarray:
         """Drift f applied pointwise to the field of ``state`` on the grid."""
-        return self.cs.f(self.grid.synth @ state)
+        return self.cs.f(state @ self.grid.synth.T)
 
     def f(self, state: np.ndarray) -> np.ndarray:
         """Drift functional as mode coefficients: the drift field projected back."""
-        return self.grid.project @ self.f_field(state)
+        return self.f_field(state) @ self.grid.project.T
 
     def sigma(self, state: np.ndarray) -> np.ndarray:
         """Diffusion multiplier field sigma(u(.)) on the grid."""
-        return np.asarray(self.cs.sigma(self.grid.synth @ state), dtype=float)
+        return np.asarray(self.cs.sigma(state @ self.grid.synth.T), dtype=float)
 
     def g(self, state: np.ndarray) -> np.ndarray:
         """Neutral functional as mode coefficients (zero without a kernel)."""

@@ -81,12 +81,14 @@ def write_trajectory_jsonl(traj: Trajectory, path):
 
 def read_trajectory_jsonl(path) -> dict:
     """Header fields plus times / snapshots / seg_norms / fp_iters arrays."""
-    header, recs = _read_jsonl(path, TRAJECTORY_FORMAT, (),
-                               ("t", "u", "seg_norm", "fp_iters"))
+    header, recs = _read_jsonl(path, TRAJECTORY_FORMAT, tuple(_TRAJECTORY_HEADER),
+                               ("t", "u", "seg_norm", "fp_iters"), _trajectory_line)
+    if not recs:
+        raise ConfigError(f"{path}: trajectory file holds no records")
     out = dict(header)
-    out["times"] = np.array([r["t"] for r in recs])
+    out["times"] = np.array([r["t"] for r in recs], dtype=float)
     out["snapshots"] = np.array([r["u"] for r in recs])
-    out["seg_norms"] = np.array([r["seg_norm"] for r in recs])
+    out["seg_norms"] = np.array([r["seg_norm"] for r in recs], dtype=float)
     out["fp_iters"] = np.array([r["fp_iters"] for r in recs], dtype=int)
     return out
 
@@ -122,31 +124,51 @@ _FINITE = (_is_finite, "a finite number")
 _POSITIVE = (lambda v: _is_finite(v) and v > 0.0, "a positive finite number")
 _COUNT = (lambda v: _is_int(v, 1), "an integer >= 1")
 _INDEX = (lambda v: _is_int(v, 0), "an integer >= 0")
+_NONNEGATIVE = (lambda v: _is_finite(v) and v >= 0.0, "a finite number >= 0")
 _MEASURE_HEADER = {"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "burn_in": _FINITE,
                    "thin": _COUNT, "t_end": _FINITE, "n_samples": _INDEX}
 _MEASURE_RECORD = {"t": _FINITE, "seed": _INDEX, "stream": _INDEX}
+_TRAJECTORY_HEADER = {"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "seed": _INDEX,
+                      "stream_id": _INDEX, "store_stride": _COUNT}
+_TRAJECTORY_RECORD = {"t": _FINITE, "seg_norm": _NONNEGATIVE, "fp_iters": _INDEX}
+
+
+def _check_fields(table: dict, rec: dict, where: str):
+    for key, (ok, what) in table.items():
+        if not ok(rec[key]):
+            raise ConfigError(f"{where}: {key} = {rec[key]!r} must be {what}")
+
+
+def _finite_array(rec: dict, key: str, shape: tuple, where: str, what: str):
+    """Replace ``rec[key]`` by a float array of ``shape``, or fail naming the line."""
+    try:
+        values = np.array(rec[key])
+    except ValueError:  # ragged
+        values = np.array(None)
+    if values.dtype.kind not in "iuf" or values.shape != shape \
+            or not np.isfinite(values).all():
+        raise ConfigError(f"{where}: {key} must be a {shape} array of finite numbers "
+                          f"({what})")
+    rec[key] = values.astype(float, copy=False)
 
 
 def _measure_line(header: dict, rec: dict, where: str):
     """Check the scalar fields of a measure file line, and replace a record's
     ``values`` by its window array, of the shape the header's h/dt and n_modes
     fix; done as each line is read, so parsed lists do not pile up."""
-    for key, (ok, what) in (_MEASURE_HEADER if rec is header else _MEASURE_RECORD).items():
-        if not ok(rec[key]):
-            raise ConfigError(f"{where}: {key} = {rec[key]!r} must be {what}")
-    if rec is header:
-        return
-    shape = (_window_steps(header["h"], header["dt"], f"{where}: header h/dt") + 1,
-             header["n_modes"])
-    try:
-        values = np.array(rec["values"])
-    except ValueError:  # ragged
-        values = np.array(None)
-    if values.dtype.kind not in "iuf" or values.shape != shape \
-            or not np.isfinite(values).all():
-        raise ConfigError(f"{where}: values must be a {shape} array of finite numbers "
-                          "(h/dt + 1 nodes by n_modes)")
-    rec["values"] = values.astype(float, copy=False)
+    _check_fields(_MEASURE_HEADER if rec is header else _MEASURE_RECORD, rec, where)
+    if rec is not header:
+        shape = (_window_steps(header["h"], header["dt"], f"{where}: header h/dt") + 1,
+                 header["n_modes"])
+        _finite_array(rec, "values", shape, where, "h/dt + 1 nodes by n_modes")
+
+
+def _trajectory_line(header: dict, rec: dict, where: str):
+    """The trajectory-file counterpart of ``_measure_line``: a record's ``u``
+    becomes an array of the header's n_modes finite numbers."""
+    _check_fields(_TRAJECTORY_HEADER if rec is header else _TRAJECTORY_RECORD, rec, where)
+    if rec is not header:
+        _finite_array(rec, "u", (header["n_modes"],), where, "one per mode")
 
 
 def read_measure_jsonl(path) -> EmpiricalMeasure:

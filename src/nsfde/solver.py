@@ -16,6 +16,16 @@ When g reads the segment only at theta = -h (and h >= dt) the new state is
 explicit; otherwise it is resolved by fixed-point iteration whose residuals
 contract at the rate of the neutral Lipschitz constant.
 
+Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
+ahead (Bellman's method of steps), so the loop advances in blocks of
+k = min(m, steps left): one call evaluates the forcing Phi1 f + xi of a block
+on its ``(k, N)`` stack of nodes, and a per-step loop runs the recurrence.
+g stays per step: the instant kernel reads the unknown new state, and the
+point kernel's two evaluations a step are pinned by the benchmark's traced
+reference (``bench/reference/ensemble_bounded.json``) until a benchmark
+change re-records them.  Blocked matrix products round differently from
+per-step ones: results match a per-step evaluation to about 1e-15.
+
 The successive-approximation driver (``picard_run``) replays the same noise
 stream across iterates: iterate 0 carries only the neutral-linear dynamics,
 and iterate n evaluates drift and diffusion along iterate n - 1 while the
@@ -97,66 +107,32 @@ class Trajectory:
 
 
 class _Stepper:
-    """Precomputed per-run machinery; ``advance`` performs one step on a raw window."""
+    """Precomputed per-run machinery; ``forcing`` evaluates one block of steps."""
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator, qspec: QWienerSpec,
                  cfg: SolverConfig):
         if qspec.n_modes != op.n_modes:
             raise ShapeError("covariance spectrum and operator truncation disagree")
         self.cs = cs
-        self.cfg = cfg
         mu = op.eigenvalues
         self.decay = np.exp(-mu * cfg.dt)
         self.phi1 = -np.expm1(-mu * cfg.dt) / mu
         self.ou_std = noise_mod.ou_std(qspec, op, cfg.dt)
         self.maps = GridMaps(cs, op)
 
-    def noise_of(self, delayed_state: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """OU increment composed with the multiplier frozen at the left endpoint."""
+    def forcing(self, src: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Phi1 f(src) plus the OU increment composed with the multiplier sigma(src),
+        for a ``(k, N)`` block of delayed states and standard-normal rows."""
         ou = self.ou_std * z
         sigma_const = self.cs.sigma_const
-        if sigma_const is not None:
-            if sigma_const == 1.0:
-                return ou
-            return sigma_const * ou
-        grid = self.maps.grid
-        return grid.project @ (self.maps.sigma(delayed_state) * (grid.synth @ ou))
-
-    def advance(self, hist: np.ndarray, z: np.ndarray, src: np.ndarray):
-        """One step from the chronological window ``hist`` (rows: u(t-h)..u(t));
-        returns (new state, fixed-point iterations, their residuals).
-
-        ``src`` is the delayed state that feeds the drift and the diffusion
-        multiplier: ``hist[0]`` for a direct run, the previous iterate's
-        delayed state in the successive-approximation driver.
-        """
-        maps = self.maps
-        u = hist[-1]
-        rhs = self.decay * u + maps.g_window(hist)
-        if not self.cs.f_is_zero:
-            rhs = rhs + self.phi1 * maps.f(src)
-        rhs = rhs + self.noise_of(src, z)
-
-        if maps.g_mode != "instant":
-            if maps.g_mode == "point":
-                # u(t + dt - h) is already history whenever h >= dt
-                rhs = rhs - maps.g(hist[1])
-            return rhs, 0, []
-
-        # neutral term reads the unknown new state: contract to the fixed point
-        u_k = u
-        residuals = []
-        for _ in range(self.cfg.fp_max):
-            u_next = rhs - maps.g(u_k)
-            r = float(np.linalg.norm(u_next - u_k))
-            residuals.append(r)
-            u_k = u_next
-            if r < self.cfg.fp_tol:
-                return u_k, len(residuals), residuals
-        raise NonconvergenceError(
-            f"implicit neutral step failed to reach fp_tol={self.cfg.fp_tol:g} "
-            f"within {self.cfg.fp_max} iterations (last residual {residuals[-1]:.3e})",
-            residual=residuals[-1], iterations=len(residuals))
+        if sigma_const is None:
+            grid = self.maps.grid
+            ou = (self.maps.sigma(src) * (ou @ grid.synth.T)) @ grid.project.T
+        elif sigma_const != 1.0:
+            ou = sigma_const * ou
+        if self.cs.f_is_zero:
+            return ou
+        return self.phi1 * self.maps.f(src) + ou
 
 
 def _check_initial(initial: Segment, op: SpectralOperator, cfg: SolverConfig):
@@ -185,19 +161,45 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
     fp_iters = np.zeros(steps + 1, dtype=int)
     src_rows = rows if src_rows is None else src_rows
     residual_log = [] if collect_fp_residuals else None
+    decay, g, g_mode = stepper.decay, stepper.maps.g, stepper.maps.g_mode
 
-    for i in range(steps):
-        u_new, iters, residuals = stepper.advance(rows[i:i + m + 1], z_block[i],
-                                                  src_rows[i])
-        nrm = float(np.linalg.norm(u_new))
-        if not math.isfinite(nrm) or nrm > cfg.blowup_threshold:
-            raise BlowupError(f"state norm {nrm:.3e} at t = {(i + 1) * cfg.dt:g} "
-                              f"exceeds blow-up guard {cfg.blowup_threshold:g}")
-        rows[m + 1 + i] = u_new
-        norms[m + 1 + i] = nrm
-        fp_iters[i + 1] = iters
-        if residual_log is not None:
-            residual_log.append(residuals)
+    for b0 in range(0, steps, m):
+        # one forcing call a block: src_rows[b0:b1] precede row m + b0, the block's start
+        b1 = min(b0 + m, steps)
+        forcing = stepper.forcing(src_rows[b0:b1], z_block[b0:b1])
+        for i, f_i in enumerate(forcing, b0):
+            u = rows[m + i]
+            if residual_log is not None:
+                residual_log.append([])
+            if g_mode == "none":
+                u_new = decay * u + f_i
+            elif g_mode == "point":
+                # u(t + dt - h) is already history whenever h >= dt
+                u_new = decay * u + g(rows[i]) + f_i - g(rows[i + 1])
+            else:
+                # the neutral term reads the unknown new state: contract to the fixed point
+                rhs = decay * u + g(u) + f_i
+                u_new = u
+                for iters in range(1, cfg.fp_max + 1):
+                    u_prev, u_new = u_new, rhs - g(u_new)
+                    d = u_new - u_prev
+                    r = math.sqrt(d @ d)
+                    if residual_log is not None:
+                        residual_log[-1].append(r)
+                    if r < cfg.fp_tol:
+                        break
+                else:
+                    raise NonconvergenceError(
+                        f"implicit neutral step failed to reach fp_tol={cfg.fp_tol:g} "
+                        f"within {cfg.fp_max} iterations (last residual {r:.3e})",
+                        residual=r, iterations=cfg.fp_max)
+                fp_iters[i + 1] = iters
+            nrm = math.sqrt(u_new @ u_new)
+            if not math.isfinite(nrm) or nrm > cfg.blowup_threshold:
+                raise BlowupError(f"state norm {nrm:.3e} at t = {(i + 1) * cfg.dt:g} "
+                                  f"exceeds blow-up guard {cfg.blowup_threshold:g}")
+            rows[m + 1 + i] = u_new
+            norms[m + 1 + i] = nrm
 
     # the window ending at step k is rows[k:k + m + 1]
     stored = np.arange(0, steps + 1, stride)
@@ -280,12 +282,12 @@ def picard_run(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
 def _check_window_args(mg: float, p: float, alpha: float, c_frac: float):
     if not 0.0 < mg < 1.0:
         raise DomainError("Mg must lie in (0, 1)")
-    if p <= 2.0:
-        raise DomainError("exponent p must exceed 2")
+    if not 2.0 < p < math.inf:
+        raise DomainError("exponent p must be a finite number above 2")
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
-    if c_frac <= 0.0:
-        raise DomainError("decay-envelope constant must be positive")
+    if not 0.0 < c_frac < math.inf:
+        raise DomainError("decay-envelope constant must be positive and finite")
 
 
 def _window_term(mg: float, p: float, alpha: float, c_frac: float, horizon: float,

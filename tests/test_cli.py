@@ -146,6 +146,14 @@ def test_t1_prints_the_library_answer(capsys):
     assert main(["t1", "--Mg", "1e-9", "--p", "2.5", "--alpha", "0.01"]) == 0
     assert "note: T1 capped" in capsys.readouterr().out
 
+    # non-finite window arguments are refused, not carried into Decimal
+    for flag, value in [("--C", "nan"), ("--C", "inf"), ("--p", "nan"), ("--p", "inf")]:
+        args = {"--Mg": "0.3", "--p": "3", "--alpha": "0.5", "--C": "1.0", flag: value}
+        assert main(["t1"] + [x for kv in args.items() for x in kv]) == 1
+        cap = capsys.readouterr()
+        assert cap.err.startswith("error:") and "Traceback" not in cap.err
+        assert cap.out == ""
+
 
 def _forbid_integration(monkeypatch):
     """Make any trajectory integration by the measure drivers fail the test."""

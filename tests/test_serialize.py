@@ -37,6 +37,56 @@ def test_trajectory_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back["fp_iters"], traj.fp_iters)
 
 
+# one case per check of the trajectory reader: (line, key, bad value, message tail)
+_TRAJECTORY_CASES = [
+    (1, "h", "wide", "must be a positive finite number"),
+    (1, "h", float("inf"), "must be a positive finite number"),
+    (1, "dt", -1, "must be a positive finite number"),
+    (1, "n_modes", 0, "must be an integer >= 1"),
+    (1, "store_stride", 1.5, "must be an integer >= 1"),
+    (1, "seed", -1, "must be an integer >= 0"),
+    (1, "stream_id", True, "must be an integer >= 0"),
+    (2, "t", "late", "must be a finite number"),
+    (2, "t", float("nan"), "must be a finite number"),
+    (2, "seg_norm", None, "must be a finite number >= 0"),
+    (2, "seg_norm", -0.5, "must be a finite number >= 0"),
+    (2, "fp_iters", 1.5, "must be an integer >= 0"),
+    (2, "fp_iters", -1, "must be an integer >= 0"),
+    (2, "u", [0.0, 0.0], "must be a (3,) array of finite numbers"),
+    (2, "u", [0.0, float("nan"), 0.0], "must be a (3,) array of finite numbers"),
+    (2, "u", ["x", "y", "z"], "must be a (3,) array of finite numbers"),
+    (2, "u", [[0.0], [0.0], [0.0]], "must be a (3,) array of finite numbers"),
+]
+
+
+@pytest.mark.parametrize("line, key, val, tail", _TRAJECTORY_CASES)
+def test_trajectory_reader_checks_each_field(tmp_path, line, key, val, tail):
+    path = tmp_path / "traj.jsonl"
+    write_trajectory_jsonl(_noisy_traj(), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[line - 1])
+    rec[key] = val
+    lines[line - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    where = f"traj.jsonl, line {line}: "
+    msg = f"{key} = {val!r} {tail}" if key != "u" else f"u {tail}"
+    with pytest.raises(ConfigError, match=re.escape(where + msg)):
+        read_trajectory_jsonl(path)
+
+
+def test_trajectory_reader_needs_a_full_header_and_a_record(tmp_path):
+    path = tmp_path / "traj.jsonl"
+    write_trajectory_jsonl(_noisy_traj(), path)
+    header = json.loads(path.read_text().splitlines()[0])
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ConfigError, match="traj.jsonl: trajectory file holds no records"):
+        read_trajectory_jsonl(path)
+    del header["store_stride"]
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ConfigError, match="traj.jsonl, line 1: missing store_stride"):
+        read_trajectory_jsonl(path)
+
+
 def test_measure_round_trip_is_bit_exact(tmp_path):
     cfg = SolverConfig(dt=0.01, t_end=0.2, segment_stride=5)
     trajs = run_ensemble(zero_segment(0.05, 0.01, 3), CS, OP, Q, cfg,

@@ -1,12 +1,13 @@
 """Time stepper, successive approximations and contraction-window arithmetic."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfde import (BlowupError, ConfigError, DomainError, HorizonResult,
+from nsfde import (BlowupError, ConfigError, DomainError, GridMaps, HorizonResult,
                    NonconvergenceError, RngStream, Segment, ShapeError,
                    SolverConfig, assemble_operator, builtin_coefficients,
                    constant_segment, contraction_factor, find_horizon,
@@ -233,18 +234,113 @@ def test_linear_dynamics_scale_equivariance(scale):
                        rtol=1e-12, atol=1e-250)
 
 
+def _per_step_reference(ini, cs, op, qspec, dt, z, src_rows=None):
+    """The scheme one step at a time through the 1-D maps: returns the rows
+    u(-h), ..., u(t_end) and the fixed-point iterations of each step."""
+    maps, mu = GridMaps(cs, op), op.eigenvalues
+    grid = maps.grid
+    decay, phi1, std = np.exp(-mu * dt), -np.expm1(-mu * dt) / mu, ou_std(qspec, op, dt)
+    m = ini.m
+    rows, iters = list(ini.values), [0]
+    for i in range(z.shape[0]):
+        hist = np.array(rows[i:i + m + 1])
+        src = hist[0] if src_rows is None else src_rows[i]
+        rhs = decay * hist[-1] + maps.g_window(hist)
+        if not cs.f_is_zero:
+            rhs = rhs + phi1 * maps.f(src)
+        ou = std * z[i]
+        if cs.sigma_const is None:
+            ou = grid.project @ (maps.sigma(src) * (grid.synth @ ou))
+        rhs = rhs + (ou if cs.sigma_const is None else cs.sigma_const * ou)
+        n_it = 0
+        if maps.g_mode == "point":
+            rhs = rhs - maps.g(hist[1])
+        elif maps.g_mode == "instant":
+            u_k = hist[-1]
+            while True:
+                u_next = rhs - maps.g(u_k)
+                n_it += 1
+                done = np.linalg.norm(u_next - u_k) < 1e-12   # the default fp_tol
+                u_k = u_next
+                if done:
+                    break
+            rhs = u_k
+        rows.append(rhs)
+        iters.append(n_it)
+    return np.array(rows), np.array(iters)
+
+
+OP8 = assemble_operator(n_modes=8)
+Q8 = power_qwiener(8, trace_target=0.5)
+
+
+@pytest.mark.parametrize("kernel, delay, sigma, h", [
+    ("separable", "point", "osgood", 0.05),
+    ("separable", "instant", "osgood", 0.05),
+    ("zero", "point", "osgood", 0.05),
+    ("separable", "point", "one", 0.05),
+    ("linear", "instant", "one", 0.05),
+    ("separable", "point", "osgood", 0.01),     # m = 1: one step a block
+])
+def test_block_loop_matches_the_per_step_scheme(kernel, delay, sigma, h):
+    cs = builtin_coefficients(kernel=kernel, kernel_delay=delay, sigma=sigma,
+                              kernel_scale=0.2)
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.5}, h, 0.01, OP8)
+    cfg = SolverConfig(dt=0.01, t_end=0.53)     # 53 steps: not a multiple of m = 5
+    traj = simulate(ini, cs, OP8, Q8, cfg, RngStream(21, 3))
+    z = RngStream(21, 3).generator().standard_normal((53, 8))
+    rows, iters = _per_step_reference(ini, cs, OP8, Q8, 0.01, z)
+    assert np.allclose(traj.snapshots, rows[ini.m:], rtol=0.0, atol=1e-13)
+    assert np.array_equal(traj.fp_iters, iters)
+    assert (traj.fp_iters.max() > 0) == (delay == "instant" and kernel != "zero")
+
+
+def test_block_loop_matches_the_per_step_scheme_for_picard():
+    cs = builtin_coefficients(kernel_scale=0.2)
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
+    cfg = SolverConfig(dt=0.01, t_end=0.53, mode="picard", picard_iters=3)
+    out = picard_run(ini, cs, OP8, Q8, cfg, RngStream(22, 0))
+    z = RngStream(22, 0).generator().standard_normal((53, 8))
+    off = builtin_coefficients(kernel_scale=0.2, f="zero", sigma="zero")
+    rows, _ = _per_step_reference(ini, off, OP8, Q8, 0.01, z)
+    for traj, _ in out:
+        assert np.allclose(traj.snapshots, rows[ini.m:], rtol=0.0, atol=1e-13)
+        rows, _ = _per_step_reference(ini, cs, OP8, Q8, 0.01, z, src_rows=rows)
+
+
+def test_blowup_guard_fires_mid_block_at_the_first_crossing():
+    cs = builtin_coefficients(f="zero", sigma="one", kernel_scale=0.2)
+    ini = zero_segment(0.05, 0.01, 8)
+    cfg = SolverConfig(dt=0.01, t_end=0.5)
+    norms = np.linalg.norm(simulate(ini, cs, OP8, Q8, cfg, RngStream(23, 0)).snapshots,
+                           axis=1)
+    # the first step past the first block whose norm is a new maximum and
+    # which is not the first step of a block (m = 5)
+    step = next(k for k in range(7, 51)
+                if norms[k] > norms[1:k].max() and (k - 1) % 5)
+    guard = 0.5 * (norms[1:step].max() + norms[step])
+    with pytest.raises(BlowupError, match=re.escape(f"at t = {step * 0.01:g} exceeds")):
+        simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.5, blowup_threshold=guard),
+                 RngStream(23, 0))
+
+
 # ---------------------------------------------------- window arithmetic
 
 def test_window_bounds_at_zero_and_validation():
     assert contraction_factor(0.3, 3.0, 0.5, 1.0, 0.0) == 0.3
     assert stability_bound(0.3, 3.0, 0.5, 1.0, 0.0) == 0.3
     for bad in [dict(mg=0.0), dict(mg=1.0), dict(p=2.0), dict(alpha=0.0),
-                dict(alpha=1.5), dict(c_frac=0.0)]:
+                dict(alpha=1.5), dict(c_frac=0.0), dict(p=math.nan), dict(p=math.inf),
+                dict(c_frac=math.nan), dict(c_frac=math.inf)]:
         args = dict(mg=0.3, p=3.0, alpha=0.5, c_frac=1.0)
         args.update(bad)
         with pytest.raises(DomainError):
             contraction_factor(args["mg"], args["p"], args["alpha"],
                                args["c_frac"], 1.0)
+        with pytest.raises(DomainError):
+            find_horizon(args["mg"], args["p"], args["alpha"], args["c_frac"])
     with pytest.raises(DomainError):
         stability_bound(0.3, 3.0, 0.5, 1.0, -1.0)
     # beyond the double range the bounds are infinite, not an OverflowError

@@ -250,8 +250,9 @@ def _per_step_reference(ini, cs, op, qspec, dt, z, src_rows=None):
             rhs = rhs + phi1 * maps.f(src)
         ou = std * z[i]
         if cs.sigma_const is None:
-            ou = grid.project @ (maps.sigma(src) * (grid.synth @ ou))
-        rhs = rhs + (ou if cs.sigma_const is None else cs.sigma_const * ou)
+            rhs = rhs + grid.project @ (maps.sigma(src) * (grid.synth @ ou))
+        else:
+            rhs = rhs + cs.sigma_const * ou
         n_it = 0
         if maps.g_mode == "point":
             rhs = rhs - maps.g(hist[1])

@@ -186,6 +186,7 @@ def parse_config(raw, overrides=None) -> RunConfig:
     if isinstance(data["seed"], bool) or not isinstance(data["seed"], int):
         raise ConfigError("seed must be an integer")
     _need(data["seed"] >= 0, "seed must be nonnegative")
+    _need(data["seed"] < noise_mod.SOURCE_LIMIT, f"seed = {data['seed']} must be < 2**63")
 
     _choice(data, "operator", "kind", {"laplacian_1d"})
     _as_int(data, "operator", "n_modes", 1)

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .spectral import SpectralOperator
 
+SOURCE_LIMIT = 1 << 63  # seeds and stream ids are int64 in arrays and files
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -26,9 +28,9 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream_id < 0:
+        if not (0 <= self.seed < SOURCE_LIMIT and 0 <= self.stream_id < SOURCE_LIMIT):
             raise DomainError(f"noise stream ({self.seed}, {self.stream_id}): "
-                              "seed and stream_id must be nonnegative")
+                              "seed and stream_id must be nonnegative and < 2**63")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; same (seed, stream_id) -> identical draws."""

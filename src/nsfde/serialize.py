@@ -3,19 +3,23 @@
 Every file is schema-versioned: JSONL files open with a header object whose
 ``format`` field names the schema; CSV reports carry the schema tag in a
 ``format`` column on every row (keeping the file strictly rectangular).
-Floats pass through repr-exact JSON, so a write/read cycle is bit-identical.
+Floats are written as orjson's shortest round-trip numbers, so a write/read
+cycle is bit-identical. The files are strict JSON (RFC 8259): a ``NaN`` or
+``Infinity`` token, or a number that overflows a double, fails as invalid
+JSON. Seeds and stream ids are integers in [0, 2**63).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 
 import numpy as np
+import orjson
 
 from .config import _is_finite
 from .errors import ConfigError
 from .measure import EmpiricalMeasure
+from .noise import SOURCE_LIMIT
 from .segment import _window_steps
 from .solver import Trajectory
 
@@ -38,8 +42,8 @@ def _read_jsonl(path, expected: str, header_keys, row_keys, convert=None) -> tup
                 continue
             where = f"{path}, line {lineno}"
             try:
-                rec = json.loads(line)
-            except ValueError as exc:   # bad JSON or bad UTF-8
+                rec = orjson.loads(line)
+            except ValueError as exc:   # bad JSON, non-finite number or bad UTF-8
                 raise ConfigError(f"{where}: not valid JSON: {exc}") from None
             if not isinstance(rec, dict):
                 raise ConfigError(f"{where}: expected a JSON object")
@@ -57,6 +61,11 @@ def _read_jsonl(path, expected: str, header_keys, row_keys, convert=None) -> tup
     return recs[0], recs[1:]
 
 
+def _dumps(obj) -> bytes:
+    """One JSONL line; numpy arrays (C-contiguous float64) go in as they are."""
+    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+
+
 def write_trajectory_jsonl(traj: Trajectory, path):
     header = {
         "format": TRAJECTORY_FORMAT,
@@ -67,16 +76,17 @@ def write_trajectory_jsonl(traj: Trajectory, path):
         "stream_id": traj.stream_id,
         "store_stride": traj.store_stride,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
+    snapshots = np.ascontiguousarray(traj.snapshots, dtype=float)
+    with open(path, "wb") as fh:
+        fh.write(_dumps(header))
         for i in range(traj.times.size):
             row = {
                 "t": float(traj.times[i]),
-                "u": traj.snapshots[i].tolist(),
+                "u": snapshots[i],
                 "seg_norm": float(traj.seg_norms[i]),
                 "fp_iters": int(traj.fp_iters[i]),
             }
-            fh.write(json.dumps(row) + "\n")
+            fh.write(_dumps(row))
 
 
 def read_trajectory_jsonl(path) -> dict:
@@ -104,16 +114,17 @@ def write_measure_jsonl(mu: EmpiricalMeasure, path):
         "t_end": mu.t_end,
         "n_samples": mu.n_samples,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for i, window in enumerate(mu.segments):
+    segments = np.ascontiguousarray(mu.segments, dtype=float)
+    with open(path, "wb") as fh:
+        fh.write(_dumps(header))
+        for i, window in enumerate(segments):
             row = {
                 "t": float(mu.times[i]),
                 "seed": int(mu.sources[i, 0]),
                 "stream": int(mu.sources[i, 1]),
-                "values": window.tolist(),
+                "values": window,
             }
-            fh.write(json.dumps(row) + "\n")
+            fh.write(_dumps(row))
 
 
 def _is_int(val, lo: int) -> bool:
@@ -124,12 +135,13 @@ _FINITE = (_is_finite, "a finite number")
 _POSITIVE = (lambda v: _is_finite(v) and v > 0.0, "a positive finite number")
 _COUNT = (lambda v: _is_int(v, 1), "an integer >= 1")
 _INDEX = (lambda v: _is_int(v, 0), "an integer >= 0")
+_SOURCE = (lambda v: _is_int(v, 0) and v < SOURCE_LIMIT, "an integer >= 0 and < 2**63")
 _NONNEGATIVE = (lambda v: _is_finite(v) and v >= 0.0, "a finite number >= 0")
 _MEASURE_HEADER = {"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "burn_in": _FINITE,
                    "thin": _COUNT, "t_end": _FINITE, "n_samples": _INDEX}
-_MEASURE_RECORD = {"t": _FINITE, "seed": _INDEX, "stream": _INDEX}
-_TRAJECTORY_HEADER = {"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "seed": _INDEX,
-                      "stream_id": _INDEX, "store_stride": _COUNT}
+_MEASURE_RECORD = {"t": _FINITE, "seed": _SOURCE, "stream": _SOURCE}
+_TRAJECTORY_HEADER = {"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "seed": _SOURCE,
+                      "stream_id": _SOURCE, "store_stride": _COUNT}
 _TRAJECTORY_RECORD = {"t": _FINITE, "seg_norm": _NONNEGATIVE, "fp_iters": _INDEX}
 
 

@@ -68,8 +68,8 @@ class SolverConfig:
         if self.t_end < self.dt:
             raise ConfigError("solver.t_end must be at least one step")
         _window_steps(self.t_end, self.dt, "solver.t_end / solver.dt")
-        if self.fp_tol <= 0.0:
-            raise ConfigError("solver.fp_tol must be positive")
+        if not 0.0 < self.fp_tol < math.inf:
+            raise ConfigError(f"solver.fp_tol = {self.fp_tol!r} must be positive and finite")
         if self.fp_max < 1:
             raise ConfigError("solver.fp_max must be at least 1")
         if self.mode not in ("direct", "picard"):
@@ -78,6 +78,9 @@ class SolverConfig:
             raise ConfigError("solver.picard_iters must be at least 1")
         if self.store_stride < 1 or self.segment_stride < 0:
             raise ConfigError("solver strides must be positive (segment stride may be 0)")
+        if not 0.0 < self.blowup_threshold < math.inf:
+            raise ConfigError(f"solver.blowup_threshold = {self.blowup_threshold!r} "
+                              "must be positive and finite")
 
     @property
     def n_steps(self) -> int:

@@ -117,6 +117,19 @@ def test_simulate_is_reproducible_and_seed_overridable(tmp_path, capsys):
     assert "stream_id must be nonnegative" in capsys.readouterr().err
 
 
+def test_seeds_and_streams_past_int64_exit_1(tmp_path, capsys):
+    cfg = _cfg(tmp_path, ZERO_CFG)
+    out = tmp_path / "out.jsonl"
+    for argv in (["estimate-measure", "--seed", str(2**63)],
+                 ["simulate", "--seed", str(2**64)],
+                 ["simulate", "--stream", str(2**63)]):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "< 2**63" in err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_blowup_exits_2(tmp_path, capsys):
     text = NOISY_CFG.replace(
         "solver: {dt: 0.01, t_end: 0.2, store_stride: 2}",
@@ -241,8 +254,7 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
     poisoned.write_text("\n".join(lines) + "\n")
     assert main(["invariance-test", "--config", cfg, "--measure", str(poisoned),
                  "--t", "0.3", "--out", str(report)]) == 1
-    assert "poisoned.jsonl, line 4: values must be a (6, 4) array of finite" in \
-        capsys.readouterr().err
+    assert "poisoned.jsonl, line 4: not valid JSON" in capsys.readouterr().err  # NaN token
 
     # and a measure file with a bad header scalar or a missing record
     head, *recs = mfile.read_text().splitlines()

@@ -87,6 +87,13 @@ def test_out_of_range_values_name_the_field(patch, needle):
         parse_config(patch)
 
 
+def test_seed_must_fit_int64():
+    assert parse_config({"seed": 2**63 - 1}).seed == 2**63 - 1
+    for seed in (2**63, 2**64):
+        with pytest.raises(ConfigError, match=re.escape(f"seed = {seed} must be < 2**63")):
+            parse_config({"seed": seed})
+
+
 def test_alpha_one_is_allowed():
     assert parse_config({"coefficients": {"alpha": 1.0}}).coefficients["alpha"] == 1.0
 

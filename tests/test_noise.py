@@ -1,4 +1,6 @@
 """Covariance spectra, stream reproducibility and the exact OU increment."""
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,13 @@ def test_stream_reproducible_and_independent():
     assert not np.array_equal(a1, c)
     for seed, stream_id in ((-1, 0), (0, -1)):
         with pytest.raises(DomainError, match="must be nonnegative"):
+            RngStream(seed, stream_id)
+
+
+def test_seed_and_stream_id_must_fit_int64():
+    assert RngStream(2**63 - 1, 2**63 - 1).generator() is not None
+    for seed, stream_id in ((2**63, 0), (0, 2**63), (2**64, 0)):
+        with pytest.raises(DomainError, match=re.escape("nonnegative and < 2**63")):
             RngStream(seed, stream_id)
 
 

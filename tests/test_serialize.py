@@ -1,6 +1,7 @@
 """File formats: exact round trips and format-tag enforcement."""
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,36 @@ Q = power_qwiener(3, trace_target=0.5)
 CS = builtin_coefficients(f="zero", sigma="one", kernel="zero")
 
 
+def _refusal(line_text: str, check_msg: str) -> str:
+    """What the reader says about a bad line: its field check's message, or the
+    parser's when stdlib ``json`` wrote a NaN/Infinity token, which is not JSON."""
+    if "NaN" in line_text or "Infinity" in line_text:
+        return "not valid JSON"
+    return check_msg
+
+
 def _noisy_traj(segment_stride=0):
     cfg = SolverConfig(dt=0.01, t_end=0.1, segment_stride=segment_stride)
     return simulate(zero_segment(0.05, 0.01, 3), CS, OP, Q, cfg, RngStream(9, 1))
+
+
+def _adversarial(size):
+    """``size`` finite doubles: signed zeros, the smallest subnormal, the smallest
+    normal, the extremes and numbers near the exponent switch of a shortest
+    repr, then random finite bit patterns."""
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1e-05, 1e-06, 1e16, 1e15, 1e17, 1.7976931348623157e308,
+                        -1.7976931348623157e308, 0.1 + 0.2, 1e-300, 1e300])
+    bits = np.random.default_rng(2024).integers(0, 1 << 64, size=3 * size, dtype=np.uint64)
+    rand = bits.view(float)
+    out = np.concatenate([special, rand[np.isfinite(rand)]])[:size]
+    assert out.size == size
+    return out
+
+
+def _assert_bits_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == float
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_trajectory_round_trip_is_bit_exact(tmp_path):
@@ -35,6 +63,17 @@ def test_trajectory_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back["snapshots"], traj.snapshots)
     assert np.array_equal(back["seg_norms"], traj.seg_norms)
     assert np.array_equal(back["fp_iters"], traj.fp_iters)
+
+    # every bit of every finite double survives, the sign of zero included
+    rows = 1000
+    adv = _adversarial(3 * rows)
+    odd = replace(traj, times=adv[:rows], snapshots=adv.reshape(rows, 3),
+                  seg_norms=np.abs(adv[-rows:]), fp_iters=np.zeros(rows, dtype=int))
+    write_trajectory_jsonl(odd, path)
+    back = read_trajectory_jsonl(path)
+    _assert_bits_equal(back["times"], odd.times)
+    _assert_bits_equal(back["snapshots"], odd.snapshots)
+    _assert_bits_equal(back["seg_norms"], odd.seg_norms)
 
 
 # one case per check of the trajectory reader: (line, key, bad value, message tail)
@@ -69,7 +108,7 @@ def test_trajectory_reader_checks_each_field(tmp_path, line, key, val, tail):
     lines[line - 1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     where = f"traj.jsonl, line {line}: "
-    msg = f"{key} = {val!r} {tail}" if key != "u" else f"u {tail}"
+    msg = _refusal(lines[line - 1], f"{key} = {val!r} {tail}" if key != "u" else f"u {tail}")
     with pytest.raises(ConfigError, match=re.escape(where + msg)):
         read_trajectory_jsonl(path)
 
@@ -87,11 +126,14 @@ def test_trajectory_reader_needs_a_full_header_and_a_record(tmp_path):
         read_trajectory_jsonl(path)
 
 
-def test_measure_round_trip_is_bit_exact(tmp_path):
+def _small_measure():
     cfg = SolverConfig(dt=0.01, t_end=0.2, segment_stride=5)
-    trajs = run_ensemble(zero_segment(0.05, 0.01, 3), CS, OP, Q, cfg,
-                         seed=10, n_traj=2)
-    mu = krylov_bogoliubov(trajs, burn_in=0.0)
+    trajs = run_ensemble(zero_segment(0.05, 0.01, 3), CS, OP, Q, cfg, seed=10, n_traj=2)
+    return krylov_bogoliubov(trajs, burn_in=0.0)
+
+
+def test_measure_round_trip_is_bit_exact(tmp_path):
+    mu = _small_measure()
     path = tmp_path / "measure.jsonl"
     write_measure_jsonl(mu, path)
     back = read_measure_jsonl(path)
@@ -102,6 +144,107 @@ def test_measure_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.sources, mu.sources)
     assert back.h == mu.h and back.dt == mu.dt
     assert np.array_equal(back.segments, mu.segments)
+
+    # every bit of every finite double survives, the sign of zero included
+    size = mu.segments.size * (4000 // mu.segments.size + 1)
+    odd_segments = _adversarial(size).reshape((-1,) + mu.segments.shape[1:])
+    count = len(odd_segments)
+    odd = replace(mu, segments=odd_segments, times=_adversarial(count),
+                  sources=np.repeat(mu.sources[:1], count, axis=0))
+    write_measure_jsonl(odd, path)
+    back = read_measure_jsonl(path)
+    _assert_bits_equal(back.segments, odd.segments)
+    _assert_bits_equal(back.times, odd.times)
+
+
+def test_measure_writer_takes_any_strided_or_typed_stack(tmp_path):
+    mu = _small_measure()
+    wide = np.concatenate([mu.segments, -mu.segments], axis=2)
+    path = tmp_path / "measure.jsonl"
+    for segments in (np.asfortranarray(mu.segments),        # column-major copy
+                     wide[:, :, :3],                        # strided view
+                     mu.segments[:, ::-1],                  # negative strides
+                     (mu.segments * 1e6).astype(np.float32)):
+        write_measure_jsonl(replace(mu, segments=segments), path)
+        back = read_measure_jsonl(path)
+        _assert_bits_equal(back.segments, np.array(segments, dtype=float))
+
+
+def test_files_from_the_stdlib_json_writer_read_back_identically(tmp_path):
+    # the bytes earlier releases wrote: json.dumps with ", " separators and
+    # exponents such as 1e-05 and 1e+16; the /1 schemas still load them exactly
+    mu = _small_measure()
+    values = mu.segments.copy()
+    values[0, 0, :] = (1e-05, 1e16, -0.0)
+    header = {"format": MEASURE_FORMAT, "h": mu.h, "dt": mu.dt, "n_modes": mu.n_modes,
+              "burn_in": mu.burn_in, "thin": mu.thin, "t_end": mu.t_end,
+              "n_samples": mu.n_samples}
+    lines = [json.dumps(header)] + [
+        json.dumps({"t": float(mu.times[i]), "seed": int(mu.sources[i, 0]),
+                    "stream": int(mu.sources[i, 1]), "values": values[i].tolist()})
+        for i in range(mu.n_samples)]
+    path = tmp_path / "old_measure.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert '[1e-05, 1e+16, -0.0]' in lines[1]
+    back = read_measure_jsonl(path)
+    _assert_bits_equal(back.segments, values)
+    _assert_bits_equal(back.times, mu.times)
+    assert np.array_equal(back.sources, mu.sources)
+
+    traj = _noisy_traj()
+    head = {"format": "nsfde-trajectory/1", "h": traj.final_segment.h, "dt": traj.dt,
+            "n_modes": traj.n_modes, "seed": traj.seed, "stream_id": traj.stream_id,
+            "store_stride": traj.store_stride}
+    lines = [json.dumps(head)] + [
+        json.dumps({"t": float(traj.times[i]), "u": traj.snapshots[i].tolist(),
+                    "seg_norm": float(traj.seg_norms[i]), "fp_iters": int(traj.fp_iters[i])})
+        for i in range(traj.times.size)]
+    path = tmp_path / "old_traj.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    back = read_trajectory_jsonl(path)
+    _assert_bits_equal(back["snapshots"], traj.snapshots)
+    _assert_bits_equal(back["times"], traj.times)
+    _assert_bits_equal(back["seg_norms"], traj.seg_norms)
+
+
+def test_seeds_and_stream_ids_must_fit_int64(tmp_path):
+    mu = _small_measure()
+    path = tmp_path / "measure.jsonl"
+    write_measure_jsonl(mu, path)
+    head, first, *rest = path.read_text().splitlines()
+    for key in ("seed", "stream"):
+        for val, ok in ((2**63 - 1, True), (2**63, False), (2**64, False)):
+            rec = dict(json.loads(first), **{key: val})
+            path.write_text("\n".join([head, json.dumps(rec)] + rest) + "\n")
+            if ok:
+                assert read_measure_jsonl(path).sources[0].max() == 2**63 - 1
+                continue
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"measure.jsonl, line 2: {key} = ") + r".* must be an integer >= 0 "
+                    r"and < 2\*\*63"):
+                read_measure_jsonl(path)
+
+    path = tmp_path / "traj.jsonl"
+    write_trajectory_jsonl(_noisy_traj(), path)
+    head, *recs = path.read_text().splitlines()
+    for key in ("seed", "stream_id"):
+        rec = dict(json.loads(head), **{key: 2**63})
+        path.write_text("\n".join([json.dumps(rec)] + recs) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"traj.jsonl, line 1: {key} = {2**63} must be an integer >= 0 and < 2**63")):
+            read_trajectory_jsonl(path)
+
+
+def test_numbers_that_overflow_a_double_are_not_json(tmp_path):
+    mu = _small_measure()
+    path = tmp_path / "measure.jsonl"
+    write_measure_jsonl(mu, path)
+    lines = path.read_text().splitlines()
+    lines[2] = re.sub(r'"t":[^,]*', '"t":1e999', lines[2], count=1)
+    assert '"t":1e999,' in lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="measure.jsonl, line 3: not valid JSON"):
+        read_measure_jsonl(path)
 
 
 def test_report_round_trip_keeps_floats_exact(tmp_path):
@@ -168,16 +311,15 @@ def test_format_tags_are_enforced(tmp_path):
                    np.full((6, 3), "x").tolist(),
                    [[None] * 3] * 6,
                    [[True] * 3] * 6,
-                   with_nan.tolist(),
+                   with_nan.tolist(),                 # a NaN token
                    good[:5],                          # one node short
                    np.zeros((6, 4)).tolist()):        # one mode too many
         bad = tmp_path / "bad_values.jsonl"
+        line3 = json.dumps({"t": 0.2, "seed": 1, "stream": 0, "values": values})
         bad.write_text(header + json.dumps({"t": 0.1, "seed": 1, "stream": 0,
-                                            "values": good}) + "\n"
-                       + json.dumps({"t": 0.2, "seed": 1, "stream": 0,
-                                     "values": values}) + "\n")
-        with pytest.raises(ConfigError, match=re.escape(
-                "bad_values.jsonl, line 3: values must be a (6, 3) array of finite")):
+                                            "values": good}) + "\n" + line3 + "\n")
+        msg = _refusal(line3, "values must be a (6, 3) array of finite")
+        with pytest.raises(ConfigError, match=re.escape(f"bad_values.jsonl, line 3: {msg}")):
             read_measure_jsonl(bad)
 
     # scalar fields: header h, dt (positive), burn_in, t_end finite numbers and
@@ -192,9 +334,10 @@ def test_format_tags_are_enforced(tmp_path):
                            (2, "seed", -1), (2, "stream", 2.0)):
         bad_head = dict(head, **{key: val}) if line == 1 else head
         bad_rec = dict(rec, **{key: val}) if line == 2 else rec
-        scalar.write_text(json.dumps(bad_head) + "\n" + json.dumps(bad_rec) + "\n")
-        with pytest.raises(ConfigError, match=re.escape(
-                f"bad_scalar.jsonl, line {line}: {key} = {val!r} must be")):
+        lines = [json.dumps(bad_head), json.dumps(bad_rec)]
+        scalar.write_text("\n".join(lines) + "\n")
+        msg = _refusal(lines[line - 1], f"{key} = {val!r} must be")
+        with pytest.raises(ConfigError, match=re.escape(f"bad_scalar.jsonl, line {line}: {msg}")):
             read_measure_jsonl(scalar)
 
     # the header's n_samples counts the records, so a truncated file is refused

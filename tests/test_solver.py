@@ -30,6 +30,10 @@ def test_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, fp_tol=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(dt=0.1, t_end=1.0, store_stride=0)
+    for key, val in (("fp_tol", float("nan")), ("blowup_threshold", float("nan")),
+                     ("blowup_threshold", -1.0)):
+        with pytest.raises(ConfigError, match=f"solver.{key} = {val!r} must be positive"):
+            SolverConfig(dt=0.1, t_end=1.0, **{key: val})
     with pytest.raises(ConfigError, match="solver.t_end"):
         SolverConfig(dt=0.3, t_end=1.0)  # 3.33 steps: would stop at 0.9
     with pytest.raises(ConfigError, match="solver.t_end"):

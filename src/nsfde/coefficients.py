@@ -374,22 +374,18 @@ def lipschitz_probe_g(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
 
 
 def growth_check(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
-                 gen: np.random.Generator, qspec=None, h: float = 0.1) -> float:
+                 gen: np.random.Generator, qspec, h: float = 0.1) -> float:
     """Sampled linear-growth constant: max of (||f(phi)|| + ||sigma(phi)||) / (1 + ||phi||_C).
 
     The diffusion term is measured in the Hilbert-Schmidt norm against the
-    covariance when ``qspec`` is given (sum_k lambda_k ||sigma e_k||^2 via the
-    kernel density sum_k lambda_k e_k(x)^2); otherwise the plain L2 norm of
-    the multiplier field is used.
+    covariance ``qspec`` (sum_k lambda_k ||sigma e_k||^2 via the kernel
+    density sum_k lambda_k e_k(x)^2).
     """
     if n_samples < 1:
         raise DomainError("need at least one sample segment")
     maps = GridMaps(cs, op)
     grid = maps.grid
-    if qspec is not None:
-        density = np.einsum("k,jk->j", qspec.lambdas, grid.synth ** 2)
-    else:
-        density = np.ones_like(grid.x)
+    density = np.einsum("k,jk->j", qspec.lambdas, grid.synth ** 2)
     dt = h / 4.0
     worst = 0.0
     amps = 10.0 ** gen.uniform(-3.0, 2.0, size=n_samples)

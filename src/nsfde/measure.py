@@ -4,9 +4,9 @@ The invariant-law estimator pools segment checkpoints from an ensemble of
 trajectories into an equal-weight empirical measure over the history space,
 after discarding a burn-in prefix, as one ``(S, m + 1, N)`` window array.
 Distribution comparisons go through a fixed family of scalar observables
-(segment sup norm, endpoint norm, low mode coefficients, plus user
-functionals), each mapping a stack to ``(S,)``, and an asymptotic two-sample
-Kolmogorov-Smirnov test at the 5 percent level.
+(segment sup norm, endpoint norm, low mode coefficients), each mapping a
+stack to ``(S,)``, and an asymptotic two-sample Kolmogorov-Smirnov test at the
+5 percent level.
 
 All reductions are order-independent: pooled samples are sorted by
 (seed, stream_id, time) before anything is computed, so permuting the
@@ -16,7 +16,7 @@ trajectory list changes nothing, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,13 +63,12 @@ def default_functionals(n_modes: int) -> dict[str, Callable[[np.ndarray], np.nda
 
 
 def run_ensemble(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
-                 qspec: QWienerSpec, cfg: SolverConfig, seed: int, n_traj: int,
-                 first_stream: int = 0) -> list[Trajectory]:
-    """Integrate ``n_traj`` independent trajectories on streams first_stream..+n-1."""
+                 qspec: QWienerSpec, cfg: SolverConfig, seed: int,
+                 n_traj: int) -> list[Trajectory]:
+    """Integrate ``n_traj`` independent trajectories on streams 0..n_traj-1 of ``seed``."""
     if n_traj < 1:
         raise ConfigError("ensemble needs at least one trajectory")
-    return [simulate(initial, cs, op, qspec, cfg,
-                     RngStream(seed=seed, stream_id=first_stream + i))
+    return [simulate(initial, cs, op, qspec, cfg, RngStream(seed=seed, stream_id=i))
             for i in range(n_traj)]
 
 
@@ -111,8 +110,6 @@ def krylov_bogoliubov(trajs, burn_in: float, thin: int = 1) -> EmpiricalMeasure:
     by (seed, stream_id, time), making the estimate invariant under
     reordering of the ensemble.
     """
-    if isinstance(trajs, Trajectory):
-        trajs = [trajs]
     trajs = list(trajs)
     if not trajs:
         raise ConfigError("empty trajectory ensemble")
@@ -225,8 +222,7 @@ def _compare(functionals: dict, before: np.ndarray, after: np.ndarray) -> Compar
 
 def invariance_test(mu: EmpiricalMeasure, t: float, cs: CoefficientSet,
                     op: SpectralOperator, qspec: QWienerSpec, dt: float,
-                    stream: RngStream, n_draws: int = 500,
-                    functionals: Optional[dict] = None) -> ComparisonReport:
+                    stream: RngStream, n_draws: int = 500) -> ComparisonReport:
     """Push ``n_draws`` segments drawn from the measure forward by time ``t``
     (a whole multiple of ``dt``, else ``ConfigError``) with fresh noise and
     compare observable laws before vs. after.
@@ -240,8 +236,6 @@ def invariance_test(mu: EmpiricalMeasure, t: float, cs: CoefficientSet,
         raise ConfigError("invariance test needs at least two draws")
     if mu.n_samples < 1:
         raise ConfigError("empirical measure holds no stored segments")
-    if functionals is None:
-        functionals = default_functionals(mu.n_modes)
 
     gen = stream.generator()
     idx = gen.integers(0, mu.n_samples, size=n_draws)
@@ -254,13 +248,12 @@ def invariance_test(mu: EmpiricalMeasure, t: float, cs: CoefficientSet,
         st = replace(stream, stream_id=stream.stream_id + 1 + j)
         after[j] = simulate(Segment(h=mu.h, dt=mu.dt, values=window), cs, op, qspec,
                             cfg, st).final_segment.values
-    return _compare(functionals, before, after)
+    return _compare(default_functionals(mu.n_modes), before, after)
 
 
 def homogeneity_test(phi: Segment, s: float, t: float, cs: CoefficientSet,
                      op: SpectralOperator, qspec: QWienerSpec, dt: float,
-                     stream: RngStream, n_samples: int = 1000,
-                     functionals: Optional[dict] = None) -> ComparisonReport:
+                     stream: RngStream, n_samples: int = 1000) -> ComparisonReport:
     """Consistency check that starting at time s and at time 0 give one law.
 
     Side A imposes phi at time s and runs to t, consuming the noise rows a
@@ -273,8 +266,6 @@ def homogeneity_test(phi: Segment, s: float, t: float, cs: CoefficientSet,
         raise DomainError("need t > s >= 0")
     if n_samples < 2:
         raise ConfigError("homogeneity test needs at least two samples per side")
-    if functionals is None:
-        functionals = default_functionals(phi.n_modes)
     steps = _window_steps(t - s, dt, "(t - s) / dt")
     skip = _window_steps(t, dt, "t / dt") - steps
     cfg = SolverConfig(dt=dt, t_end=steps * dt, store_stride=steps)
@@ -286,7 +277,7 @@ def homogeneity_test(phi: Segment, s: float, t: float, cs: CoefficientSet,
         side_a[i] = simulate(phi, cs, op, qspec, cfg, st_a, noise_z=z).final_segment.values
         st_b = replace(stream, stream_id=stream.stream_id + 1 + n_samples + i)
         side_b[i] = simulate(phi, cs, op, qspec, cfg, st_b).final_segment.values
-    return _compare(functionals, side_a, side_b)
+    return _compare(default_functionals(phi.n_modes), side_a, side_b)
 
 
 @dataclass(eq=False)

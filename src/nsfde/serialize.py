@@ -6,12 +6,14 @@ Every file is schema-versioned: JSONL files open with a header object whose
 Floats are written as orjson's shortest round-trip numbers, so a write/read
 cycle is bit-identical. The files are strict JSON (RFC 8259): a ``NaN`` or
 ``Infinity`` token, or a number that overflows a double, fails as invalid
-JSON. Seeds and stream ids are integers in [0, 2**63).
+JSON. Seeds and stream ids are integers in [0, 2**63). Each JSONL format is one
+schema: a writer refuses, before it opens the file, any value its reader would.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 
 import numpy as np
 import orjson
@@ -30,12 +32,64 @@ REPORT_FORMAT = "nsfde-report/1"
 REPORT_COLUMNS = ("statistic", "estimate", "stderr", "threshold", "verdict")
 
 
-def _read_jsonl(path, expected: str, header_keys, row_keys, convert=None) -> tuple[dict, list]:
-    """Header and records of a JSONL file in format ``expected``; a line that is
-    not a JSON object with the keys its reader takes fails naming its number.
-    ``convert(header, rec, where)`` runs on each line as it is read, the
-    header's included (then ``rec is header``)."""
-    recs = []
+def _is_int(val, lo: int) -> bool:
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool) and val >= lo
+
+
+# field checks: (dtype of the field's column in a reader's result, predicate, description)
+_FINITE = (float, _is_finite, "a finite number")
+_POSITIVE = (float, lambda v: _is_finite(v) and v > 0.0, "a positive finite number")
+_COUNT = (int, lambda v: _is_int(v, 1), "an integer >= 1")
+_INDEX = (int, lambda v: _is_int(v, 0), "an integer >= 0")
+_SOURCE = (np.int64, lambda v: _is_int(v, 0) and v < SOURCE_LIMIT, "an integer >= 0 and < 2**63")
+_NONNEGATIVE = (float, lambda v: _is_finite(v) and v >= 0.0, "a finite number >= 0")
+_ARRAY = (float, None, None)  # checked against the schema's shape instead
+
+
+# A JSONL format: a header object tagged ``format``, then one object a record.
+# ``header`` and ``record`` map fields, in file order, to checks; the record's
+# ``_ARRAY`` field ``array`` has the shape ``shape(header, where)`` (``shape_what``).
+_Schema = namedtuple("_Schema", "tag header record array shape shape_what empty")
+_TRAJECTORY = _Schema(
+    TRAJECTORY_FORMAT,
+    header={"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "seed": _SOURCE,
+            "stream_id": _SOURCE, "store_stride": _COUNT},
+    record={"t": _FINITE, "u": _ARRAY, "seg_norm": _NONNEGATIVE, "fp_iters": _INDEX},
+    array="u", shape=lambda header, where: (header["n_modes"],),
+    shape_what="one per mode", empty="trajectory file holds no records")
+
+_MEASURE = _Schema(
+    MEASURE_FORMAT,
+    header={"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "burn_in": _FINITE,
+            "thin": _COUNT, "t_end": _FINITE, "n_samples": _INDEX},
+    record={"t": _FINITE, "seed": _SOURCE, "stream": _SOURCE, "values": _ARRAY},
+    array="values",
+    shape=lambda header, where: (
+        _window_steps(header["h"], header["dt"], f"{where}: header h/dt") + 1,
+        header["n_modes"]),
+    shape_what="h/dt + 1 nodes by n_modes", empty="measure file holds no samples")
+
+
+def _refusal(where: str, key: str, val, what: str) -> ConfigError:
+    return ConfigError(f"{where}: {key} = {val!r} must be {what}")
+
+
+def _check(where: str, fields: dict, rec: dict):
+    """Fail naming the first field of ``rec`` its check refuses."""
+    for key, (_, ok, what) in fields.items():
+        if ok is not None and not ok(rec[key]):
+            raise _refusal(where, key, rec[key], what)
+
+
+def _array_error(where: str, schema: _Schema, shape: tuple) -> ConfigError:
+    return ConfigError(f"{where}: {schema.array} must be a {shape} array of finite "
+                       f"numbers ({schema.shape_what})")
+
+
+def _read_jsonl(path, schema: _Schema) -> tuple[dict, dict]:
+    """Header and record columns (arrays of each field's dtype) of a file in
+    ``schema``; a line the schema does not take fails naming its number."""
+    header, recs = None, []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -47,154 +101,92 @@ def _read_jsonl(path, expected: str, header_keys, row_keys, convert=None) -> tup
                 raise ConfigError(f"{where}: not valid JSON: {exc}") from None
             if not isinstance(rec, dict):
                 raise ConfigError(f"{where}: expected a JSON object")
-            if not recs and rec.get("format") != expected:
-                raise ConfigError(f"{path}: expected format {expected!r}, "
+            if header is None and rec.get("format") != schema.tag:
+                raise ConfigError(f"{path}: expected format {schema.tag!r}, "
                                   f"found {rec.get('format')!r}")
-            missing = [k for k in (row_keys if recs else header_keys) if k not in rec]
+            fields = schema.header if header is None else schema.record
+            missing = [k for k in fields if k not in rec]
             if missing:
                 raise ConfigError(f"{where}: missing {', '.join(missing)}")
-            if convert is not None:
-                convert(recs[0] if recs else rec, rec, where)
+            _check(where, fields, rec)
+            if header is None:
+                header = rec
+                continue
+            shape = schema.shape(header, where)
+            try:
+                values = np.array(rec[schema.array])
+            except ValueError:  # ragged
+                values = np.array(None)
+            if values.dtype.kind not in "iuf" or values.shape != shape \
+                    or not np.isfinite(values).all():
+                raise _array_error(where, schema, shape)
+            rec[schema.array] = values
             recs.append(rec)
-    if not recs:
+    if header is None:
         raise ConfigError(f"{path}: empty file")
-    return recs[0], recs[1:]
+    if not recs:
+        raise ConfigError(f"{path}: {schema.empty}")
+    return header, {key: np.array([r[key] for r in recs], dtype=dtype)
+                    for key, (dtype, _, _) in schema.record.items()}
 
 
-def _dumps(obj) -> bytes:
-    """One JSONL line; numpy arrays (C-contiguous float64) go in as they are."""
-    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+def _write_jsonl(path, schema: _Schema, fields: dict):
+    """Check ``fields`` (each header field's value, each record field's column)
+    as the reader checks a file, then write it."""
+    header = {"format": schema.tag} | {k: fields[k] for k in schema.header}
+    _check(path, schema.header, header)
+    shape = schema.shape(header, path)
+    # scalars as Python numbers; orjson takes each row of the float64 stack as it is
+    rows = {key: np.asarray(fields[key], dtype=dtype).tolist() if ok
+            else np.ascontiguousarray(fields[key], dtype=dtype)
+            for key, (dtype, ok, _) in schema.record.items()}
+    stack = rows[schema.array]
+    if stack.shape[1:] != shape or not np.isfinite(stack).all():
+        raise _array_error(path, schema, shape)
+    for key, (_, ok, what) in schema.record.items():
+        for val in rows[key] if ok else ():
+            if not ok(val):
+                raise _refusal(path, key, val, what)
+    if len({len(col) for col in rows.values()}) > 1:
+        raise ConfigError(f"{path}: columns {', '.join(rows)} differ in length")
+    if not len(stack):
+        raise ConfigError(f"{path}: {schema.empty}")
+    opt = orjson.OPT_SERIALIZE_NUMPY
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(header, option=opt) + b"\n")
+        for row in zip(*rows.values()):
+            fh.write(orjson.dumps(dict(zip(rows, row)), option=opt) + b"\n")
 
 
 def write_trajectory_jsonl(traj: Trajectory, path):
-    header = {
-        "format": TRAJECTORY_FORMAT,
-        "h": traj.final_segment.h,
-        "dt": traj.dt,
-        "n_modes": traj.n_modes,
-        "seed": traj.seed,
-        "stream_id": traj.stream_id,
-        "store_stride": traj.store_stride,
-    }
-    snapshots = np.ascontiguousarray(traj.snapshots, dtype=float)
-    with open(path, "wb") as fh:
-        fh.write(_dumps(header))
-        for i in range(traj.times.size):
-            row = {
-                "t": float(traj.times[i]),
-                "u": snapshots[i],
-                "seg_norm": float(traj.seg_norms[i]),
-                "fp_iters": int(traj.fp_iters[i]),
-            }
-            fh.write(_dumps(row))
+    _write_jsonl(path, _TRAJECTORY, {
+        "h": traj.final_segment.h, "dt": traj.dt, "n_modes": traj.n_modes, "seed": traj.seed,
+        "stream_id": traj.stream_id, "store_stride": traj.store_stride, "t": traj.times,
+        "u": traj.snapshots, "seg_norm": traj.seg_norms, "fp_iters": traj.fp_iters})
 
 
 def read_trajectory_jsonl(path) -> dict:
     """Header fields plus times / snapshots / seg_norms / fp_iters arrays."""
-    header, recs = _read_jsonl(path, TRAJECTORY_FORMAT, tuple(_TRAJECTORY_HEADER),
-                               ("t", "u", "seg_norm", "fp_iters"), _trajectory_line)
-    if not recs:
-        raise ConfigError(f"{path}: trajectory file holds no records")
-    out = dict(header)
-    out["times"] = np.array([r["t"] for r in recs], dtype=float)
-    out["snapshots"] = np.array([r["u"] for r in recs])
-    out["seg_norms"] = np.array([r["seg_norm"] for r in recs], dtype=float)
-    out["fp_iters"] = np.array([r["fp_iters"] for r in recs], dtype=int)
-    return out
+    header, cols = _read_jsonl(path, _TRAJECTORY)
+    return dict(header, times=cols["t"], snapshots=cols["u"], seg_norms=cols["seg_norm"],
+                fp_iters=cols["fp_iters"])
 
 
 def write_measure_jsonl(mu: EmpiricalMeasure, path):
-    header = {
-        "format": MEASURE_FORMAT,
-        "h": mu.h,
-        "dt": mu.dt,
-        "n_modes": mu.n_modes,
-        "burn_in": mu.burn_in,
-        "thin": mu.thin,
-        "t_end": mu.t_end,
-        "n_samples": mu.n_samples,
-    }
-    segments = np.ascontiguousarray(mu.segments, dtype=float)
-    with open(path, "wb") as fh:
-        fh.write(_dumps(header))
-        for i, window in enumerate(segments):
-            row = {
-                "t": float(mu.times[i]),
-                "seed": int(mu.sources[i, 0]),
-                "stream": int(mu.sources[i, 1]),
-                "values": window,
-            }
-            fh.write(_dumps(row))
-
-
-def _is_int(val, lo: int) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool) and val >= lo
-
-
-_FINITE = (_is_finite, "a finite number")
-_POSITIVE = (lambda v: _is_finite(v) and v > 0.0, "a positive finite number")
-_COUNT = (lambda v: _is_int(v, 1), "an integer >= 1")
-_INDEX = (lambda v: _is_int(v, 0), "an integer >= 0")
-_SOURCE = (lambda v: _is_int(v, 0) and v < SOURCE_LIMIT, "an integer >= 0 and < 2**63")
-_NONNEGATIVE = (lambda v: _is_finite(v) and v >= 0.0, "a finite number >= 0")
-_MEASURE_HEADER = {"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "burn_in": _FINITE,
-                   "thin": _COUNT, "t_end": _FINITE, "n_samples": _INDEX}
-_MEASURE_RECORD = {"t": _FINITE, "seed": _SOURCE, "stream": _SOURCE}
-_TRAJECTORY_HEADER = {"h": _POSITIVE, "dt": _POSITIVE, "n_modes": _COUNT, "seed": _SOURCE,
-                      "stream_id": _SOURCE, "store_stride": _COUNT}
-_TRAJECTORY_RECORD = {"t": _FINITE, "seg_norm": _NONNEGATIVE, "fp_iters": _INDEX}
-
-
-def _check_fields(table: dict, rec: dict, where: str):
-    for key, (ok, what) in table.items():
-        if not ok(rec[key]):
-            raise ConfigError(f"{where}: {key} = {rec[key]!r} must be {what}")
-
-
-def _finite_array(rec: dict, key: str, shape: tuple, where: str, what: str):
-    """Replace ``rec[key]`` by a float array of ``shape``, or fail naming the line."""
-    try:
-        values = np.array(rec[key])
-    except ValueError:  # ragged
-        values = np.array(None)
-    if values.dtype.kind not in "iuf" or values.shape != shape \
-            or not np.isfinite(values).all():
-        raise ConfigError(f"{where}: {key} must be a {shape} array of finite numbers "
-                          f"({what})")
-    rec[key] = values.astype(float, copy=False)
-
-
-def _measure_line(header: dict, rec: dict, where: str):
-    """Check the scalar fields of a measure file line, and replace a record's
-    ``values`` by its window array, of the shape the header's h/dt and n_modes
-    fix; done as each line is read, so parsed lists do not pile up."""
-    _check_fields(_MEASURE_HEADER if rec is header else _MEASURE_RECORD, rec, where)
-    if rec is not header:
-        shape = (_window_steps(header["h"], header["dt"], f"{where}: header h/dt") + 1,
-                 header["n_modes"])
-        _finite_array(rec, "values", shape, where, "h/dt + 1 nodes by n_modes")
-
-
-def _trajectory_line(header: dict, rec: dict, where: str):
-    """The trajectory-file counterpart of ``_measure_line``: a record's ``u``
-    becomes an array of the header's n_modes finite numbers."""
-    _check_fields(_TRAJECTORY_HEADER if rec is header else _TRAJECTORY_RECORD, rec, where)
-    if rec is not header:
-        _finite_array(rec, "u", (header["n_modes"],), where, "one per mode")
+    _write_jsonl(path, _MEASURE, {
+        "h": mu.h, "dt": mu.dt, "n_modes": mu.n_modes, "burn_in": mu.burn_in, "thin": mu.thin,
+        "t_end": mu.t_end, "n_samples": mu.n_samples, "t": mu.times, "seed": mu.sources[:, 0],
+        "stream": mu.sources[:, 1], "values": mu.segments})
 
 
 def read_measure_jsonl(path) -> EmpiricalMeasure:
-    header, recs = _read_jsonl(path, MEASURE_FORMAT, tuple(_MEASURE_HEADER),
-                               ("t", "seed", "stream", "values"), _measure_line)
-    if not recs:
-        raise ConfigError(f"{path}: measure file holds no samples")
-    if len(recs) != header["n_samples"]:
+    header, cols = _read_jsonl(path, _MEASURE)
+    if len(cols["t"]) != header["n_samples"]:
         raise ConfigError(f"{path}: header n_samples = {header['n_samples']} "
-                          f"but the file holds {len(recs)} samples")
+                          f"but the file holds {len(cols['t'])} samples")
     return EmpiricalMeasure(
-        segments=np.array([r["values"] for r in recs]), h=header["h"], dt=header["dt"],
-        times=np.array([r["t"] for r in recs]),
-        sources=np.array([[r["seed"], r["stream"]] for r in recs], dtype=np.int64),
+        segments=cols["values"], h=header["h"], dt=header["dt"], times=cols["t"],
+        sources=np.stack([cols["seed"], cols["stream"]], axis=1),
         burn_in=header["burn_in"], thin=header["thin"], t_end=header["t_end"])
 
 

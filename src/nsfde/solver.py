@@ -114,8 +114,6 @@ class _Stepper:
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator, qspec: QWienerSpec,
                  cfg: SolverConfig):
-        if qspec.n_modes != op.n_modes:
-            raise ShapeError("covariance spectrum and operator truncation disagree")
         self.cs = cs
         mu = op.eigenvalues
         self.decay = np.exp(-mu * cfg.dt)
@@ -330,6 +328,10 @@ def stability_bound(mg: float, p: float, alpha: float, c_frac: float,
     return mg + _window_term(mg, p, alpha, c_frac, horizon, (p - 1.0) * math.log(5.0))
 
 
+#: window length returned (``capped``) when even it satisfies both smallness bounds
+HORIZON_CAP = 1e12
+
+
 class HorizonResult(NamedTuple):
     horizon: float
     contraction: float
@@ -337,8 +339,7 @@ class HorizonResult(NamedTuple):
     capped: bool
 
 
-def find_horizon(mg: float, p: float, alpha: float, c_frac: float,
-                 cap: float = 1e12) -> HorizonResult:
+def find_horizon(mg: float, p: float, alpha: float, c_frac: float) -> HorizonResult:
     """Largest window length with both smallness bounds strictly below 1 (closed form).
 
     With a = Mg^p c^p / ((1 - Mg)^{p-1} alpha^p) the contraction factor is
@@ -348,8 +349,8 @@ def find_horizon(mg: float, p: float, alpha: float, c_frac: float,
     T1 is evaluated to 40 digits and rounded down, so the window lies at or
     below the exact root (double precision lands a few ulps above it on
     about one tuple in eight), then stepped down ulp by ulp until the
-    computed stability bound is below 1.  If even ``cap`` satisfies both
-    bounds the cap is returned with ``capped=True``.
+    computed stability bound is below 1.  If even ``HORIZON_CAP`` satisfies
+    both bounds the cap is returned with ``capped=True``.
     """
     _check_window_args(mg, p, alpha, c_frac)
 
@@ -357,8 +358,8 @@ def find_horizon(mg: float, p: float, alpha: float, c_frac: float,
         return HorizonResult(t, contraction_factor(mg, p, alpha, c_frac, t),
                              stability_bound(mg, p, alpha, c_frac, t), capped)
 
-    if stability_bound(mg, p, alpha, c_frac, cap) < 1.0:
-        return result(cap, True)
+    if stability_bound(mg, p, alpha, c_frac, HORIZON_CAP) < 1.0:
+        return result(HORIZON_CAP, True)
     with localcontext() as ctx:
         ctx.prec = 40
         d_mg, d_p, d_alpha, d_c = map(Decimal, (mg, p, alpha, c_frac))

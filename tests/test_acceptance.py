@@ -38,7 +38,7 @@ def test_criterion_01_ou_stationary_variance():
     cs = builtin_coefficients(f="zero", sigma="one", kernel="zero")
     cfg = SolverConfig(dt=1e-3, t_end=200.0, store_stride=100, segment_stride=100)
     traj = simulate(zero_segment(0.1, 1e-3, n), cs, op, q, cfg, RngStream(2024, 0))
-    mu = krylov_bogoliubov(traj, burn_in=50.0)
+    mu = krylov_bogoliubov([traj], burn_in=50.0)
     modes = mu.modes()
     assert mu.n_samples >= 1000
 

@@ -211,4 +211,3 @@ def test_growth_check_bounded_pair_stays_under_one():
     q = power_qwiener(8, trace_target=1.0)
     gen = RngStream(31, 0).generator()
     assert growth_check(cs, op, 200, gen, qspec=q) <= 1.0
-    assert growth_check(cs, op, 200, gen) <= 1.0

@@ -77,8 +77,8 @@ def test_run_ensemble_stream_layout():
     cs = builtin_coefficients(f="zero", sigma="one", kernel="zero")
     cfg = SolverConfig(dt=0.01, t_end=0.05)
     ini = zero_segment(0.05, 0.01, 4)
-    trajs = run_ensemble(ini, cs, OP, Q, cfg, seed=31, n_traj=3, first_stream=5)
-    assert [t.stream_id for t in trajs] == [5, 6, 7]
+    trajs = run_ensemble(ini, cs, OP, Q, cfg, seed=31, n_traj=3)
+    assert [t.stream_id for t in trajs] == [0, 1, 2]
     assert all(t.seed == 31 for t in trajs)
     # distinct streams, distinct paths
     assert not np.array_equal(trajs[0].snapshots, trajs[1].snapshots)
@@ -124,14 +124,14 @@ def test_krylov_bogoliubov_pooling_and_thinning():
                        builtin_coefficients(f="zero", sigma="one", kernel="zero"),
                        OP, Q, SolverConfig(dt=0.01, t_end=0.5), RngStream(1, 0))
     with pytest.raises(ConfigError):
-        krylov_bogoliubov(no_segs, burn_in=0.1)
+        krylov_bogoliubov([no_segs], burn_in=0.1)
 
 
 def test_point_mass_measure_from_zero_dynamics():
     cs = builtin_coefficients(f="zero", sigma="zero", kernel="zero")
     cfg = SolverConfig(dt=0.01, t_end=0.5, segment_stride=10)
     traj = simulate(zero_segment(0.05, 0.01, 4), cs, OP, Q, cfg, RngStream(2, 0))
-    mu = krylov_bogoliubov(traj, burn_in=0.1)
+    mu = krylov_bogoliubov([traj], burn_in=0.1)
     assert not mu.norms().any()
     assert not mu.modes().any()
     assert not mu.segments.any()
@@ -168,7 +168,7 @@ def test_invariance_test_exact_fixed_point():
     cs = builtin_coefficients(f="zero", sigma="zero", kernel="zero")
     cfg = SolverConfig(dt=0.01, t_end=0.5, segment_stride=10)
     traj = simulate(zero_segment(0.05, 0.01, 4), cs, OP, Q, cfg, RngStream(3, 0))
-    mu = krylov_bogoliubov(traj, burn_in=0.1)
+    mu = krylov_bogoliubov([traj], burn_in=0.1)
     rep = invariance_test(mu, 0.2, cs, OP, Q, 0.01, RngStream(60, 0), n_draws=8)
     assert rep.all_passed
     assert not np.asarray(rep.ks_stat).any()

@@ -247,6 +247,45 @@ def test_numbers_that_overflow_a_double_are_not_json(tmp_path):
         read_measure_jsonl(path)
 
 
+def _with(obj, attr: str, val):
+    """``obj`` with ``attr`` set to ``val``, or with ``val`` in one entry of an array."""
+    arr = getattr(obj, attr)
+    if isinstance(arr, np.ndarray):
+        arr = arr.astype(float)  # a copy
+        arr.flat[1] = val
+        val = arr
+    return replace(obj, **{attr: val})
+
+
+# format: (writer, a sample it writes, the attribute behind each field)
+_WRITERS = {
+    "trajectory": (write_trajectory_jsonl, _noisy_traj,
+                   {"u": "snapshots", "t": "times", "seg_norm": "seg_norms", "seed": "seed"}),
+    "measure": (write_measure_jsonl, _small_measure, {"values": "segments", "t": "times"}),
+}
+
+
+@pytest.mark.parametrize("fmt, key, val", [
+    *[("trajectory", key, val) for key in ("u", "t", "seg_norm")
+      for val in (float("nan"), float("inf"))],
+    *[("measure", key, val) for key in ("values", "t") for val in (float("nan"), -float("inf"))],
+    ("trajectory", "seed", 2**63),
+])
+def test_writers_refuse_what_their_reader_refuses(tmp_path, fmt, key, val):
+    write, sample, attrs = _WRITERS[fmt]
+    bad = _with(sample(), attrs[key], val)
+    path = tmp_path / f"{fmt}.jsonl"
+    refusal = rf"{fmt}\.jsonl: {key} (= \S+ )?must be"
+    with pytest.raises(ConfigError, match=refusal):
+        write(bad, path)
+    assert not path.exists()
+    write(sample(), path)
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match=refusal):
+        write(bad, path)
+    assert path.read_bytes() == before
+
+
 def test_report_round_trip_keeps_floats_exact(tmp_path):
     path = tmp_path / "report.csv"
     rows = [("alpha_stat", 0.1 + 0.2, 0.25, None, "pass"),

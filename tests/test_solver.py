@@ -52,6 +52,9 @@ def test_initial_segment_checks():
     with pytest.raises(ShapeError):
         simulate(zero_segment(0.05, 0.01, 4), LINEAR, OP4, Q4, cfg, RngStream(0, 0),
                  noise_z=np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match="covariance spectrum and operator truncation"):
+        simulate(zero_segment(0.05, 0.01, 4), LINEAR, OP4, power_qwiener(3), cfg,
+                 RngStream(0, 0))
 
 
 def test_zero_dynamics_stays_zero():

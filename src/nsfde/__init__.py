@@ -15,8 +15,8 @@ from .errors import (BlowupError, ConfigError, DomainError, EllipticityError,
                      NonconvergenceError, NsfdeError, ShapeError,
                      SingularModulusError)
 from .spectral import (SpectralOperator, assemble_operator, decay_constants,
-                       frac_semigroup_norm, fractional_apply, fractional_norm,
-                       semigroup_apply, simpson_weights)
+                       frac_semigroup_norm, fractional_norm, semigroup_apply,
+                       simpson_weights)
 from .noise import (QWienerSpec, RngStream, geometric_qwiener, ou_std,
                     power_qwiener)
 from .segment import (PROFILES, Segment, constant_segment,

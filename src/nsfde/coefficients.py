@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigError, DomainError, SingularModulusError
+from .errors import ConfigError, DomainError, SingularModulusError, check_choice
 from .segment import random_segment, sup_norm
 from .spectral import SpectralOperator, fractional_norm
 
@@ -150,15 +150,19 @@ class CoefficientSet:
 
     def __post_init__(self):
         if self.p <= 2.0:
-            raise ConfigError("exponent p must exceed 2")
-        if not 0.0 < self.lipschitz_Mg < 1.0:
-            raise ConfigError("Mg must lie in (0, 1)")
-        if 2.0 * self.lipschitz_Mg ** 2 >= 1.0:
-            raise ConfigError("neutral smallness 2 Mg^2 meas(D)^2 < 1 violated")
+            raise ConfigError(f"coefficients.p = {self.p!r} must exceed 2")
+        mg = self.lipschitz_Mg
+        if not 0.0 < mg < 1.0:
+            raise ConfigError(f"coefficients.Mg = {mg!r} must lie in (0, 1)")
+        if 2.0 * mg ** 2 >= 1.0:
+            raise ConfigError(f"coefficients.Mg = {mg!r} violates the neutral smallness "
+                              "2 Mg^2 meas(D)^2 < 1")
         if self.growth_K <= 0.0:
-            raise ConfigError("growth constant K must be positive")
-        if self.grid_points < 4 or self.grid_points % 2 != 0:
-            raise ConfigError("grid_points must be an even integer >= 4")
+            raise ConfigError(f"coefficients.K = {self.growth_K!r} must be positive")
+        if self.grid_points < 4:
+            raise ConfigError(f"coefficients.grid_points = {self.grid_points!r} must be >= 4")
+        if self.grid_points % 2 != 0:
+            raise ConfigError(f"coefficients.grid_points = {self.grid_points!r} must be even")
         if abs(float(self.modulus_N(0.0))) > 1e-15:
             raise ConfigError("modulus must vanish at 0")
 
@@ -169,26 +173,19 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
                          p: float = 3.0, Mg: float = 0.5, growth_K: float = 1.0,
                          grid_points: int = 128) -> CoefficientSet:
     """Construct a coefficient set from built-in names (see module docstring)."""
-    try:
-        f_fn = _SCALARS[f](p)
-    except KeyError:
-        raise ConfigError(f"unknown drift builtin {f!r}") from None
-    try:
-        s_fn = _SCALARS[sigma](p)
-    except KeyError:
-        raise ConfigError(f"unknown diffusion builtin {sigma!r}") from None
-    try:
-        mod = _MODULI[modulus]
-    except KeyError:
-        raise ConfigError(f"unknown modulus builtin {modulus!r}") from None
-    if kernel == "zero":
-        kern = None
-    else:
-        kern = Kernel(kind=kernel, scale=kernel_scale, delay_mode=kernel_delay)
-    return CoefficientSet(
-        f=f_fn, sigma=s_fn, kernel_b=kern, modulus_N=mod,
+    check_choice("coefficients.f", f, _SCALARS)
+    check_choice("coefficients.sigma", sigma, _SCALARS)
+    check_choice("coefficients.modulus", modulus, _MODULI)
+    check_choice("coefficients.kernel", kernel, ("separable", "linear", "zero"))
+    kern = None if kernel == "zero" else Kernel(kind=kernel, scale=kernel_scale,
+                                                delay_mode=kernel_delay)
+    cs = CoefficientSet(
+        f=None, sigma=None, kernel_b=kern, modulus_N=_MODULI[modulus],
         growth_K=growth_K, lipschitz_Mg=Mg, p=p, grid_points=grid_points,
         sigma_const=_CONST_SCALARS.get(sigma), f_is_zero=(f == "zero"))
+    # built once the set has checked p: the osgood cap (2p)^{1/p} needs p > 0
+    cs.f, cs.sigma = _SCALARS[f](p), _SCALARS[sigma](p)
+    return cs
 
 
 class GridMaps:

@@ -2,9 +2,15 @@
 
 A config file is a nested mapping with the sections below; every omitted
 field takes the documented default and every unknown key is rejected with
-its dotted path.  The ``operator`` and ``solver`` sections are the keyword
-arguments of ``assemble_operator`` and ``SolverConfig``, and ``initial`` is
-the descriptor ``from_initial_condition`` reads; the builders pass them whole.
+its dotted path.  ``_FIELDS`` declares each field once, with its default and
+check.  Each range is checked in one place: by the constructor where one
+checks it on every path (``parse_config`` builds ``SolverConfig`` and the
+coefficient set, so a library caller is still refused at once, and the table
+checks those fields' types only), otherwise by the table.  Every refusal
+names the dotted path.  The ``operator`` and ``solver`` sections are the
+keyword arguments of ``assemble_operator`` and ``SolverConfig``, and
+``initial`` is the descriptor ``from_initial_condition`` reads; the builders
+pass them whole.
 ``resolved_dict`` echoes the fully defaulted config (plus a ``derived``
 block of computed quantities, ignored on reload) so that a dumped resolved
 config reloads to bit-identical behaviour.
@@ -21,65 +27,9 @@ import yaml
 from . import coefficients as coeff_mod
 from . import noise as noise_mod
 from . import spectral
-from .errors import ConfigError
+from .errors import ConfigError, check_choice
 from .segment import PROFILES, _window_steps, from_initial_condition
 from .solver import SolverConfig
-
-_DEFAULTS = {
-    "seed": 12345,
-    "operator": {
-        "kind": "laplacian_1d",
-        "n_modes": 32,
-        "a": 1.0,
-        "delta_fraction": 0.5,
-        "quad_factor": 16,
-    },
-    "noise": {
-        "spectrum": "power",   # power | geometric
-        "exponent": 2.0,
-        "trace": 1.0,
-    },
-    "delay": {
-        "h": 0.1,
-    },
-    "coefficients": {
-        "f": "osgood",
-        "sigma": "osgood",
-        "kernel": "separable",     # separable | linear | zero
-        "kernel_scale": 0.1,
-        "kernel_delay": "point",   # point | instant
-        "modulus": "osgood",
-        "p": 3.0,
-        "Mg": 0.5,
-        "K": 1.0,
-        "alpha": 0.5,
-        "grid_points": None,       # resolved to 4 * n_modes; must exceed 2 * n_modes
-    },
-    "solver": {
-        "dt": 1.0e-3,
-        "t_end": 1.0,
-        "fp_tol": 1.0e-12,
-        "fp_max": 200,
-        "mode": "direct",
-        "picard_iters": 8,
-        "store_stride": 1,
-        "segment_stride": 0,
-        "blowup_threshold": 1.0e8,
-    },
-    "measure": {
-        "burn_in": None,           # resolved to 2 h
-        "thin": 1,
-        "n_trajectories": 50,
-        "r_grid": [0.5, 1.0, 2.0, 4.0, 8.0],
-    },
-    "initial": {
-        "kind": "zero",            # zero | profile | coeffs
-        "profile": "sin_pi",
-        "amplitude": 1.0,
-        "ramp": False,
-        "coeffs": None,
-    },
-}
 
 
 @dataclass(eq=False)
@@ -110,6 +60,151 @@ class RunConfig:
         return float(b) if b is not None else 2.0 * self.h
 
 
+def _need(cond: bool, msg: str):
+    if not cond:
+        raise ConfigError(msg)
+
+
+def _is_finite(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
+# Field checks: each takes the dotted path and the value, raises ConfigError
+# naming the path, and returns the value as stored (numbers as floats).
+
+def _number(lo=None, hi=None, lo_open=True, hi_open=True):
+    def check(where, val):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"{where} must be a number")
+        val = float(val)
+        _need(math.isfinite(val), f"{where} = {val!r} must be finite")
+        _need((lo is None or (val > lo if lo_open else val >= lo))
+              and (hi is None or (val < hi if hi_open else val <= hi)),
+              f"{where} = {val!r} out of range")
+        return val
+    return check
+
+
+def _integer(lo=None):
+    def check(where, val):
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"{where} must be an integer")
+        _need(lo is None or val >= lo, f"{where} = {val} must be >= {lo}")
+        return val
+    return check
+
+
+def _optional(check):
+    return lambda where, val: None if val is None else check(where, val)
+
+
+def _one_of(*allowed):
+    return lambda where, val: check_choice(where, val, allowed)
+
+
+def _seed(where, val):
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError("seed must be an integer")
+    _need(val >= 0, "seed must be nonnegative")
+    _need(val < noise_mod.SOURCE_LIMIT, f"seed = {val} must be < 2**63")
+    return val
+
+
+def _diffusivity(where, a):
+    if isinstance(a, (int, float)) and not isinstance(a, bool):
+        _need(0.0 < float(a) < math.inf, "operator.a must be positive and finite")
+        return float(a)
+    if not isinstance(a, list):
+        raise ConfigError("operator.a must be a number or a list of [x, a(x)] pairs")
+    _need(len(a) >= 2 and all(isinstance(r, list) and len(r) == 2
+                              and _is_finite(r[0]) and _is_finite(r[1]) for r in a),
+          "operator.a must be a number or a list of [x, a(x)] pairs of finite numbers")
+    return a
+
+
+def _radii(where, r_grid):
+    _need(isinstance(r_grid, list) and len(r_grid) >= 1
+          and all(_is_finite(r) and r >= 0.0 for r in r_grid),
+          "measure.r_grid must be a nonempty list of finite nonnegative radii")
+    return [float(r) for r in r_grid]
+
+
+def _flag(where, val):
+    _need(isinstance(val, bool), f"{where} must be a boolean")
+    return val
+
+
+_COEFFS_MSG = "initial.coeffs must list one coefficient per mode, each a finite number"
+
+
+def _coeffs(where, val):
+    _need(val is None or isinstance(val, list) and all(_is_finite(c) for c in val),
+          _COEFFS_MSG)
+    return val
+
+
+# Every config field: dotted path -> (default, check).  The constructors that
+# ``parse_config`` calls check the rest: ``SolverConfig`` the ranges of
+# ``solver.*`` and ``solver.mode``, ``builtin_coefficients``/``CoefficientSet``
+# the coefficient names and the ranges of p, Mg, K and grid_points, so here
+# those fields have their type checked, or nothing.  Ranges stay here for
+# ``noise.*`` (its builders raise DomainError), ``operator.*`` (building it
+# runs an eigensolver) and ``coefficients.kernel_delay`` (no kernel reads it
+# when ``kernel: zero``).
+_FIELDS = {
+    "seed": (12345, _seed),
+    "operator.kind": ("laplacian_1d", _one_of("laplacian_1d")),
+    "operator.n_modes": (32, _integer(1)),
+    "operator.a": (1.0, _diffusivity),
+    "operator.delta_fraction": (0.5, _number(0.0, 1.0)),
+    "operator.quad_factor": (16, _integer(2)),
+    "noise.spectrum": ("power", _one_of("power", "geometric")),
+    "noise.exponent": (2.0, _number(1.0)),
+    "noise.trace": (1.0, _number(0.0)),
+    "delay.h": (0.1, _number(0.0)),
+    "coefficients.f": ("osgood", None),
+    "coefficients.sigma": ("osgood", None),
+    "coefficients.kernel": ("separable", None),
+    "coefficients.kernel_scale": (0.1, _number(0.0, lo_open=False)),
+    "coefficients.kernel_delay": ("point", _one_of("point", "instant")),
+    "coefficients.modulus": ("osgood", None),
+    "coefficients.p": (3.0, _number()),
+    "coefficients.Mg": (0.5, _number()),
+    "coefficients.K": (1.0, _number()),
+    "coefficients.alpha": (0.5, _number(0.0, 1.0, hi_open=False)),
+    "coefficients.grid_points": (None, _optional(_integer())),  # None: 4 * n_modes
+    "solver.dt": (1.0e-3, _number()),
+    "solver.t_end": (1.0, _number()),
+    "solver.fp_tol": (1.0e-12, _number()),
+    "solver.fp_max": (200, _integer()),
+    "solver.mode": ("direct", None),
+    "solver.picard_iters": (8, _integer()),
+    "solver.store_stride": (1, _integer()),
+    "solver.segment_stride": (0, _integer()),
+    "solver.blowup_threshold": (1.0e8, _number()),
+    "measure.burn_in": (None, _optional(_number(0.0, lo_open=False))),  # None: 2 h
+    "measure.thin": (1, _integer(1)),
+    "measure.n_trajectories": (50, _integer(1)),
+    "measure.r_grid": ([0.5, 1.0, 2.0, 4.0, 8.0], _radii),
+    "initial.kind": ("zero", _one_of("zero", "profile", "coeffs")),
+    "initial.profile": ("sin_pi", _one_of(*PROFILES)),
+    "initial.amplitude": (1.0, _number()),
+    "initial.ramp": (False, _flag),
+    "initial.coeffs": (None, _coeffs),
+}
+
+
+def _nest(fields: dict) -> dict:
+    out: dict = {}
+    for path, (default, _) in fields.items():
+        section, _, key = path.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[key] = default
+    return out
+
+
+_DEFAULTS = _nest(_FIELDS)
+
+
 def _merge(defaults: dict, user: dict, path: str) -> dict:
     out = copy.deepcopy(defaults)
     for key, val in user.items():
@@ -123,48 +218,6 @@ def _merge(defaults: dict, user: dict, path: str) -> dict:
         else:
             out[key] = val
     return out
-
-
-def _need(cond: bool, msg: str):
-    if not cond:
-        raise ConfigError(msg)
-
-
-def _is_finite(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
-
-
-def _as_real(data: dict, section: str, key: str, lo=None, hi=None,
-             lo_open=True, hi_open=True, allow_none=False):
-    val = data[section][key]
-    if val is None and allow_none:
-        return
-    where = f"{section}.{key}"
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    val = float(val)
-    _need(math.isfinite(val), f"{where} = {val!r} must be finite")
-    if lo is not None:
-        _need(val > lo if lo_open else val >= lo,
-              f"{where} = {val!r} out of range")
-    if hi is not None:
-        _need(val < hi if hi_open else val <= hi,
-              f"{where} = {val!r} out of range")
-    data[section][key] = val
-
-
-def _as_int(data: dict, section: str, key: str, lo: int):
-    val = data[section][key]
-    where = f"{section}.{key}"
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where} must be an integer")
-    _need(val >= lo, f"{where} = {val} must be >= {lo}")
-
-
-def _choice(data: dict, section: str, key: str, allowed):
-    val = data[section][key]
-    _need(val in allowed,
-          f"{section}.{key} = {val!r} not one of {sorted(allowed)}")
 
 
 def parse_config(raw, overrides=None) -> RunConfig:
@@ -183,84 +236,26 @@ def parse_config(raw, overrides=None) -> RunConfig:
         section, _, key = name.rpartition(".")
         data = _merge(data, {section: {key: val}} if section else {key: val}, "")
 
-    if isinstance(data["seed"], bool) or not isinstance(data["seed"], int):
-        raise ConfigError("seed must be an integer")
-    _need(data["seed"] >= 0, "seed must be nonnegative")
-    _need(data["seed"] < noise_mod.SOURCE_LIMIT, f"seed = {data['seed']} must be < 2**63")
+    for path, (_, check) in _FIELDS.items():
+        if check is not None:
+            section, _, key = path.rpartition(".")
+            fields = data[section] if section else data
+            fields[key] = check(path, fields[key])
 
-    _choice(data, "operator", "kind", {"laplacian_1d"})
-    _as_int(data, "operator", "n_modes", 1)
-    _as_real(data, "operator", "delta_fraction", lo=0.0, hi=1.0)
-    _as_int(data, "operator", "quad_factor", 2)
-    a = data["operator"]["a"]
-    if isinstance(a, (int, float)) and not isinstance(a, bool):
-        _need(0.0 < float(a) < math.inf, "operator.a must be positive and finite")
-        data["operator"]["a"] = float(a)
-    elif isinstance(a, list):
-        _need(len(a) >= 2 and all(isinstance(r, list) and len(r) == 2
-                                  and _is_finite(r[0]) and _is_finite(r[1]) for r in a),
-              "operator.a must be a number or a list of [x, a(x)] pairs of finite numbers")
-    else:
-        raise ConfigError("operator.a must be a number or a list of [x, a(x)] pairs")
-
-    _choice(data, "noise", "spectrum", {"power", "geometric"})
-    _as_real(data, "noise", "exponent", lo=1.0)
-    _as_real(data, "noise", "trace", lo=0.0)
-
-    _as_real(data, "delay", "h", lo=0.0)
-
-    _choice(data, "coefficients", "f", set(coeff_mod._SCALARS))
-    _choice(data, "coefficients", "sigma", set(coeff_mod._SCALARS))
-    _choice(data, "coefficients", "kernel", {"separable", "linear", "zero"})
-    _as_real(data, "coefficients", "kernel_scale", lo=0.0, lo_open=False)
-    _choice(data, "coefficients", "kernel_delay", {"point", "instant"})
-    _choice(data, "coefficients", "modulus", set(coeff_mod._MODULI))
-    _as_real(data, "coefficients", "p", lo=2.0)
-    _as_real(data, "coefficients", "Mg", lo=0.0, hi=1.0)
-    _as_real(data, "coefficients", "K", lo=0.0)
-    _as_real(data, "coefficients", "alpha", lo=0.0, hi=1.0, hi_open=False)
-    gp = data["coefficients"]["grid_points"]
-    if gp is not None:
-        _as_int(data, "coefficients", "grid_points", 4)
-        _need(gp % 2 == 0, "coefficients.grid_points must be even")
-
-    _as_real(data, "solver", "dt", lo=0.0)
-    _as_real(data, "solver", "t_end", lo=0.0)
-    _as_real(data, "solver", "fp_tol", lo=0.0)
-    _as_int(data, "solver", "fp_max", 1)
-    _choice(data, "solver", "mode", {"direct", "picard"})
-    _as_int(data, "solver", "picard_iters", 1)
-    _as_int(data, "solver", "store_stride", 1)
-    _as_int(data, "solver", "segment_stride", 0)
-    _as_real(data, "solver", "blowup_threshold", lo=0.0)
-
-    _as_real(data, "measure", "burn_in", lo=0.0, lo_open=False, allow_none=True)
-    _as_int(data, "measure", "thin", 1)
-    _as_int(data, "measure", "n_trajectories", 1)
-    r_grid = data["measure"]["r_grid"]
-    _need(isinstance(r_grid, list) and len(r_grid) >= 1
-          and all(_is_finite(r) and r >= 0.0 for r in r_grid),
-          "measure.r_grid must be a nonempty list of finite nonnegative radii")
-    data["measure"]["r_grid"] = [float(r) for r in r_grid]
-
-    _choice(data, "initial", "kind", {"zero", "profile", "coeffs"})
-    _choice(data, "initial", "profile", set(PROFILES))
-    _as_real(data, "initial", "amplitude")
-    _need(isinstance(data["initial"]["ramp"], bool), "initial.ramp must be a boolean")
-    if data["initial"]["kind"] == "coeffs":
-        coeffs = data["initial"]["coeffs"]
-        _need(isinstance(coeffs, list) and len(coeffs) == data["operator"]["n_modes"]
-              and all(_is_finite(c) for c in coeffs),
-              "initial.coeffs must list one coefficient per mode, each a finite number")
-
-    # cross-field: the window must hold an integer number of steps, and the
-    # quadrature grid must resolve products of the retained modes
+    # cross-field: the window must hold an integer number of steps, the
+    # constructors check their ranges, and the quadrature grid must resolve
+    # products of the retained modes
     _window_steps(data["delay"]["h"], data["solver"]["dt"], "delay.h / solver.dt")
-    n_modes = data["operator"]["n_modes"]
+    rc = RunConfig(**data)
+    make_solver_config(rc)
+    make_coefficients(rc)
+    n_modes = rc.operator["n_modes"]
+    gp = rc.coefficients["grid_points"]
     _need(gp is None or gp > 2 * n_modes,
           f"coefficients.grid_points = {gp} must exceed 2 * operator.n_modes = {2 * n_modes}")
-
-    return RunConfig(**data)
+    _need(rc.initial["kind"] != "coeffs" or rc.initial["coeffs"] is not None
+          and len(rc.initial["coeffs"]) == n_modes, _COEFFS_MSG)
+    return rc
 
 
 def load_config(path, overrides=None) -> RunConfig:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the refusal of a named choice."""
 
 
 class NsfdeError(Exception):
@@ -36,3 +36,11 @@ class NonconvergenceError(NsfdeError, RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+def check_choice(where: str, val, allowed):
+    """``val`` if it is one of the names ``allowed``; otherwise ConfigError
+    naming the dotted config path ``where``."""
+    if not (isinstance(val, str) and val in allowed):
+        raise ConfigError(f"{where} = {val!r} not one of {sorted(allowed)}")
+    return val

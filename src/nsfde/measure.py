@@ -149,9 +149,6 @@ class TightnessReport:
     n_trajectories: int
     checkpoints: np.ndarray
 
-    def largest_radius_estimate(self) -> float:
-        return float(self.estimates[-1])
-
 
 def tightness_diagnostic(trajs: Sequence[Trajectory], r_grid) -> TightnessReport:
     """For each radius R, the max over checkpoint times of the fraction of

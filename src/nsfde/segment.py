@@ -30,7 +30,7 @@ PROFILES = {
 def _window_steps(h: float, dt: float, name: str = "delay/step ratio h/dt") -> int:
     """The whole number of steps dt in the span h; ``name`` labels the ratio in errors."""
     if not (h > 0.0 and dt > 0.0 and math.isfinite(h / dt)):
-        raise ConfigError(f"{name}: span and step dt must be positive and finite")
+        raise ConfigError(f"{name}: span {h!r} and step {dt!r} must be positive and finite")
     ratio = h / dt
     m = int(round(ratio))
     if m < 1 or abs(ratio - m) > _RATIO_TOL * max(1.0, ratio):
@@ -62,10 +62,6 @@ class Segment:
     @property
     def n_modes(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return -self.h + self.dt * np.arange(self.m + 1)
 
     def head(self) -> np.ndarray:
         """Current state u(t) (the newest node)."""

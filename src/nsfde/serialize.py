@@ -136,17 +136,23 @@ def _write_jsonl(path, schema: _Schema, fields: dict):
     header = {"format": schema.tag} | {k: fields[k] for k in schema.header}
     _check(path, schema.header, header)
     shape = schema.shape(header, path)
-    # scalars as Python numbers; orjson takes each row of the float64 stack as it is
-    rows = {key: np.asarray(fields[key], dtype=dtype).tolist() if ok
-            else np.ascontiguousarray(fields[key], dtype=dtype)
-            for key, (dtype, ok, _) in schema.record.items()}
-    stack = rows[schema.array]
+    stack = np.ascontiguousarray(fields[schema.array], dtype=float)
     if stack.shape[1:] != shape or not np.isfinite(stack).all():
         raise _array_error(path, schema, shape)
-    for key, (_, ok, what) in schema.record.items():
-        for val in rows[key] if ok else ():
+    # scalars as Python numbers, checked before the cast to the reader's dtype
+    # (which would wrap a uint64 2**63 to -2**63); orjson takes each row of the
+    # float64 stack as it is
+    rows = {}
+    for key, (dtype, ok, what) in schema.record.items():
+        if ok is None:
+            rows[key] = stack
+            continue
+        col = np.asarray(fields[key])
+        vals = col.tolist()
+        for val in vals:
             if not ok(val):
                 raise _refusal(path, key, val, what)
+        rows[key] = vals if col.dtype == dtype else col.astype(dtype).tolist()
     if len({len(col) for col in rows.values()}) > 1:
         raise ConfigError(f"{path}: columns {', '.join(rows)} differ in length")
     if not len(stack):

@@ -44,7 +44,7 @@ import numpy as np
 from . import noise as noise_mod
 from .coefficients import CoefficientSet, GridMaps
 from .errors import (BlowupError, ConfigError, DomainError,
-                     NonconvergenceError, ShapeError)
+                     NonconvergenceError, ShapeError, check_choice)
 from .noise import QWienerSpec, RngStream
 from .segment import Segment, _window_steps
 from .spectral import SpectralOperator
@@ -64,20 +64,18 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.dt <= 0.0:
-            raise ConfigError("solver.dt must be positive")
+            raise ConfigError(f"solver.dt = {self.dt!r} must be positive")
         if self.t_end < self.dt:
-            raise ConfigError("solver.t_end must be at least one step")
+            raise ConfigError(f"solver.t_end = {self.t_end!r} must be at least "
+                              f"solver.dt = {self.dt!r}")
         _window_steps(self.t_end, self.dt, "solver.t_end / solver.dt")
         if not 0.0 < self.fp_tol < math.inf:
             raise ConfigError(f"solver.fp_tol = {self.fp_tol!r} must be positive and finite")
-        if self.fp_max < 1:
-            raise ConfigError("solver.fp_max must be at least 1")
-        if self.mode not in ("direct", "picard"):
-            raise ConfigError(f"unknown solver.mode {self.mode!r}")
-        if self.picard_iters < 1:
-            raise ConfigError("solver.picard_iters must be at least 1")
-        if self.store_stride < 1 or self.segment_stride < 0:
-            raise ConfigError("solver strides must be positive (segment stride may be 0)")
+        check_choice("solver.mode", self.mode, ("direct", "picard"))
+        for key, lo in (("fp_max", 1), ("picard_iters", 1), ("store_stride", 1),
+                        ("segment_stride", 0)):
+            if getattr(self, key) < lo:
+                raise ConfigError(f"solver.{key} = {getattr(self, key)!r} must be >= {lo}")
         if not 0.0 < self.blowup_threshold < math.inf:
             raise ConfigError(f"solver.blowup_threshold = {self.blowup_threshold!r} "
                               "must be positive and finite")

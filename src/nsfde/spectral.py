@@ -199,15 +199,9 @@ def semigroup_apply(op: SpectralOperator, t: float, coeffs) -> np.ndarray:
     return coeffs * np.exp(-op.eigenvalues * t)
 
 
-def fractional_apply(op: SpectralOperator, alpha: float, coeffs) -> np.ndarray:
-    """Apply (-A)^alpha: multiply mode k by mu_k^alpha (alpha in [-1, 1] intended)."""
-    coeffs = _check_modes(op, coeffs)
-    return coeffs * op.eigenvalues ** alpha
-
-
 def fractional_norm(op: SpectralOperator, coeffs, alpha: float = 0.5) -> float:
-    """Graph norm ||(-A)^alpha v|| of a mode vector."""
-    return float(np.linalg.norm(fractional_apply(op, alpha, coeffs)))
+    """Graph norm ||(-A)^alpha v|| of a mode vector: mode k scaled by mu_k^alpha."""
+    return float(np.linalg.norm(_check_modes(op, coeffs) * op.eigenvalues ** alpha))
 
 
 def frac_semigroup_norm(op: SpectralOperator, alpha: float, t: float) -> float:

@@ -283,7 +283,7 @@ def test_criterion_08_tightness_profile(bounded_ensemble):
     assert rep.n_trajectories == 200
     assert np.allclose(np.diff(rep.checkpoints), 1.0)
     assert np.all(np.diff(rep.estimates) <= 0.0)
-    assert rep.largest_radius_estimate() < 0.05
+    assert rep.estimates[-1] < 0.05
 
 
 def test_criterion_09_invariance_of_pooled_measure(bounded_ensemble):

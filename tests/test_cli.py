@@ -130,6 +130,14 @@ def test_seeds_and_streams_past_int64_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_refused_config_writes_no_resolved_dump(tmp_path, capsys):
+    resolved = tmp_path / "r.yaml"
+    assert main(["simulate", "--config", _cfg(tmp_path, "coefficients: {Mg: 0.8}\n", "bad.yaml"),
+                 "--resolved", str(resolved), "--out", str(tmp_path / "t.jsonl")]) == 1
+    assert "coefficients.Mg" in capsys.readouterr().err
+    assert not resolved.exists()
+
+
 def test_simulate_blowup_exits_2(tmp_path, capsys):
     text = NOISY_CFG.replace(
         "solver: {dt: 0.01, t_end: 0.2, store_stride: 2}",

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from nsfde import (ConfigError, load_config, make_coefficients,
                    make_initial_segment, make_noise, make_operator,
                    make_solver_config, parse_config, resolved_dict)
-from nsfde.config import dump_resolved
+from nsfde.config import _FIELDS, dump_resolved
 
 
 def test_empty_config_takes_documented_defaults():
@@ -81,9 +82,34 @@ def test_unknown_keys_report_dotted_paths():
     ({"measure": {"r_grid": [float("inf")]}}, "measure.r_grid"),
     ({"operator": {"n_modes": 32}, "coefficients": {"grid_points": 64}},
      "coefficients.grid_points = 64 must exceed 2 * operator.n_modes = 64"),
+    ({"coefficients": {"Mg": 0.8}}, "coefficients.Mg = 0.8"),
+    ({"delay": {"h": 0.3}, "solver": {"dt": 0.3, "t_end": 1.0}}, "solver.t_end / solver.dt"),
+    ({"solver": {"t_end": 0.0005}}, "solver.t_end = 0.0005"),
+    ({"noise": {"spectrum": ["power"]}}, "noise.spectrum = ['power'] not one of"),
 ])
 def test_out_of_range_values_name_the_field(patch, needle):
     with pytest.raises(ConfigError, match=re.escape(needle)):
+        parse_config(patch)
+
+
+def _patch(path, val):
+    section, _, key = path.rpartition(".")
+    return {section: {key: val}} if section else {key: val}
+
+
+def _wrong_kind(default):
+    """A value of the wrong kind for a field with this default."""
+    if isinstance(default, bool):
+        return 1
+    return "nope" if isinstance(default, str) else "wide"
+
+
+@pytest.mark.parametrize("patch, path", [
+    *[(_patch(path, _wrong_kind(default)), path) for path, (default, _) in _FIELDS.items()],
+    ({"coefficients": {"kernel": "zero", "kernel_delay": "mid"}}, "coefficients.kernel_delay"),
+], ids=[*_FIELDS, "kernel_delay_without_kernel"])
+def test_every_field_refuses_a_value_of_the_wrong_kind(patch, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
         parse_config(patch)
 
 
@@ -213,3 +239,7 @@ def test_readme_configuration_block_lists_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
     assert resolved_dict(parse_config(block)) == resolved_dict(parse_config({}))
+    listed = set()
+    for section, fields in yaml.safe_load(block).items():
+        listed |= {f"{section}.{key}" for key in fields} if isinstance(fields, dict) else {section}
+    assert listed == set(_FIELDS)

@@ -17,7 +17,6 @@ def test_window_shape_validation():
         Segment(h=0.1, dt=0.03, values=np.zeros((4, 3)))  # h/dt not an integer
     seg = Segment(h=0.1, dt=0.01, values=np.zeros((11, 3)))
     assert seg.m == 10 and seg.n_modes == 3
-    assert seg.thetas[0] == pytest.approx(-0.1) and seg.thetas[-1] == 0.0
 
 
 def test_sup_norm_is_max_node_norm():
@@ -61,7 +60,8 @@ def test_from_initial_condition_other_kinds():
 
     fn = from_initial_condition(lambda theta, x: (1.0 + theta) * np.sin(np.pi * x),
                                 0.1, 0.05, op)
-    assert np.allclose(fn.values[:, 0], (1.0 + fn.thetas) / np.sqrt(2.0), rtol=1e-12)
+    thetas = -0.1 + 0.05 * np.arange(3)
+    assert np.allclose(fn.values[:, 0], (1.0 + thetas) / np.sqrt(2.0), rtol=1e-12)
 
     with pytest.raises(ConfigError):
         from_initial_condition({"kind": "profile", "profile": "nope"}, 0.1, 0.05, op)

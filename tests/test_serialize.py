@@ -251,7 +251,7 @@ def _with(obj, attr: str, val):
     """``obj`` with ``attr`` set to ``val``, or with ``val`` in one entry of an array."""
     arr = getattr(obj, attr)
     if isinstance(arr, np.ndarray):
-        arr = arr.astype(float)  # a copy
+        arr = arr.astype(val.dtype if isinstance(val, np.integer) else float)  # a copy
         arr.flat[1] = val
         val = arr
     return replace(obj, **{attr: val})
@@ -261,7 +261,8 @@ def _with(obj, attr: str, val):
 _WRITERS = {
     "trajectory": (write_trajectory_jsonl, _noisy_traj,
                    {"u": "snapshots", "t": "times", "seg_norm": "seg_norms", "seed": "seed"}),
-    "measure": (write_measure_jsonl, _small_measure, {"values": "segments", "t": "times"}),
+    "measure": (write_measure_jsonl, _small_measure,
+                {"values": "segments", "t": "times", "stream": "sources"}),
 }
 
 
@@ -270,14 +271,16 @@ _WRITERS = {
       for val in (float("nan"), float("inf"))],
     *[("measure", key, val) for key in ("values", "t") for val in (float("nan"), -float("inf"))],
     ("trajectory", "seed", 2**63),
+    ("measure", "stream", np.uint64(2**63)),  # flat[1] of sources: the first stream
 ])
 def test_writers_refuse_what_their_reader_refuses(tmp_path, fmt, key, val):
     write, sample, attrs = _WRITERS[fmt]
     bad = _with(sample(), attrs[key], val)
     path = tmp_path / f"{fmt}.jsonl"
     refusal = rf"{fmt}\.jsonl: {key} (= \S+ )?must be"
-    with pytest.raises(ConfigError, match=refusal):
+    with pytest.raises(ConfigError, match=refusal) as refused:
         write(bad, path)
+    assert f"{key} = {val} must" in str(refused.value) or key in ("u", "values")
     assert not path.exists()
     write(sample(), path)
     before = path.read_bytes()

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from nsfde import (DomainError, EllipticityError, RngStream, SolverConfig,
                    assemble_operator, builtin_coefficients, constant_segment,
-                   decay_constants, frac_semigroup_norm, fractional_apply,
-                   fractional_norm, power_qwiener, semigroup_apply,
-                   simpson_weights, simulate)
+                   decay_constants, frac_semigroup_norm, fractional_norm,
+                   power_qwiener, semigroup_apply, simpson_weights, simulate)
 
 
 def test_constant_coefficient_spectrum_is_analytic():
@@ -41,23 +40,14 @@ def test_semigroup_apply_matches_per_mode_exponentials(t, scale):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
 
 
-def test_fractional_apply_examples():
+def test_fractional_norm_examples():
     op = assemble_operator(n_modes=2)
     # alpha = 1/2 on the first mode: mu_1^{1/2} = pi
-    assert fractional_apply(op, 0.5, np.array([1.0, 0.0]))[0] == pytest.approx(np.pi, rel=1e-15)
+    assert fractional_norm(op, np.array([1.0, 0.0]), 0.5) == pytest.approx(np.pi, rel=1e-15)
     # alpha = -1 inverts the spectrum
-    inv = fractional_apply(op, -1.0, np.array([1.0, 1.0]))
-    assert np.allclose(inv, [1.0 / np.pi ** 2, 1.0 / (4.0 * np.pi ** 2)], rtol=1e-15)
-
-
-def test_fractional_apply_commutes_with_semigroup():
-    op = assemble_operator(n_modes=8)
-    coeffs = np.linspace(0.3, -1.1, 8)
-    a = fractional_apply(op, 0.5, semigroup_apply(op, 0.7, coeffs))
-    b = semigroup_apply(op, 0.7, fractional_apply(op, 0.5, coeffs))
-    # both are diagonal scalings, so the results agree mode by mode up to
-    # the rounding of the reordered products
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+    inv = fractional_norm(op, np.array([1.0, 1.0]), -1.0)
+    assert inv == pytest.approx(math.hypot(1.0 / np.pi ** 2, 1.0 / (4.0 * np.pi ** 2)),
+                                rel=1e-15)
 
 
 def test_frac_semigroup_norm_examples():

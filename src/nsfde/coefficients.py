@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, DomainError, SingularModulusError, check_choice
 from .segment import random_segment, sup_norm
@@ -236,7 +235,13 @@ class GridMaps:
 
 
 def osgood_integral(cs: CoefficientSet, eps: float) -> float:
-    """Adaptive quadrature of int_eps^1 ds / N(s) (log substitution s = e^{-w})."""
+    """Adaptive quadrature of int_eps^1 ds / N(s) (log substitution s = e^{-w}).
+
+    scipy is loaded only on the first call (from ``check-conditions`` and
+    ``validate``); ``import nsfde`` and the run subcommands never load it.
+    """
+    from scipy.integrate import quad
+
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     n_fn = cs.modulus_N

@@ -243,12 +243,15 @@ def parse_config(raw, overrides=None) -> RunConfig:
             fields[key] = check(path, fields[key])
 
     # cross-field: the window must hold an integer number of steps, the
-    # constructors check their ranges, and the quadrature grid must resolve
-    # products of the retained modes
+    # constructors check their ranges, a set burn-in must end before the run,
+    # and the quadrature grid must resolve products of the retained modes
     _window_steps(data["delay"]["h"], data["solver"]["dt"], "delay.h / solver.dt")
     rc = RunConfig(**data)
     make_solver_config(rc)
     make_coefficients(rc)
+    burn_in, t_end = rc.measure["burn_in"], rc.solver["t_end"]
+    _need(burn_in is None or burn_in < t_end,
+          f"measure.burn_in = {burn_in} must be < solver.t_end = {t_end}")
     n_modes = rc.operator["n_modes"]
     gp = rc.coefficients["grid_points"]
     _need(gp is None or gp > 2 * n_modes,

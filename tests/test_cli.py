@@ -1,7 +1,9 @@
 """End-to-end command-line checks.
 
-All but the console-script checks run in process through main(argv).  The
-console script is run by name as a separate process: one check generates the
+All but the console-script and scipy-import checks run in process through
+main(argv).  The scipy-import check runs main(argv) in a fresh interpreter,
+where no earlier import has loaded scipy.  The console script is run by name
+as a separate process: one check generates the
 script itself from ``[project.scripts]`` in ``pyproject.toml``, as an installer
 would, so it needs no prior install, and also runs ``python -m nsfde``; the
 other runs an installed ``nsfde`` and is skipped where none is on PATH.
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 import nsfde
-from nsfde import find_horizon, load_config
+from nsfde import (find_horizon, load_config, make_coefficients,
+                   osgood_certificate)
 from nsfde.cli import main
 from nsfde.serialize import (read_measure_jsonl, read_report_csv,
                              read_trajectory_jsonl)
@@ -135,6 +138,12 @@ def test_refused_config_writes_no_resolved_dump(tmp_path, capsys):
     assert main(["simulate", "--config", _cfg(tmp_path, "coefficients: {Mg: 0.8}\n", "bad.yaml"),
                  "--resolved", str(resolved), "--out", str(tmp_path / "t.jsonl")]) == 1
     assert "coefficients.Mg" in capsys.readouterr().err
+    assert not resolved.exists()
+    late = ZERO_CFG + "measure: {burn_in: 5.0}\n"
+    assert main(["estimate-measure", "--config", _cfg(tmp_path, late, "late.yaml"),
+                 "--trajectories", "2", "--resolved", str(resolved),
+                 "--out", str(tmp_path / "m.jsonl")]) == 1
+    assert "measure.burn_in" in capsys.readouterr().err
     assert not resolved.exists()
 
 
@@ -348,6 +357,48 @@ def test_picard_prints_contracting_iterates(tmp_path, capsys):
     vals = [float(r["estimate"]) for r in rows]
     assert all(v > 0.0 for v in vals)
     assert vals[1] > vals[2] > vals[3]      # successive sweeps contract
+
+
+# runs each subcommand in turn and prints [command, exit code, scipy loaded]
+_SCIPY_PROBE = """\
+import json, sys
+import nsfde
+from nsfde.cli import main
+
+zero, noisy, out = sys.argv[1:]
+seen = [["import", 0, "scipy" in sys.modules]]
+for argv in (["simulate", "--config", zero, "--out", out + "/traj.jsonl"],
+             ["picard", "--config", zero, "--out", out + "/picard.csv"],
+             ["estimate-measure", "--config", zero, "--trajectories", "2",
+              "--out", out + "/mu.jsonl"],
+             ["invariance-test", "--config", zero, "--measure", out + "/mu.jsonl",
+              "--t", "0.1", "--draws", "20", "--out", out + "/inv.csv"],
+             ["tightness", "--config", zero, "--trajectories", "2",
+              "--out", out + "/tight.csv"],
+             ["t1", "--Mg", "0.2", "--p", "3.0", "--alpha", "0.5"],
+             ["check-conditions", "--config", noisy, "--samples", "500"]):
+    seen.append([argv[0], main(argv), "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_osgood_integral_loads_scipy(tmp_path):
+    zero, noisy = _cfg(tmp_path, ZERO_CFG), _cfg(tmp_path, NOISY_CFG, "noisy.yaml")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(nsfde.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, zero, noisy,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["import", 0, False], ["simulate", 0, False], ["picard", 0, False],
+        ["estimate-measure", 0, False], ["invariance-test", 0, False],
+        ["tightness", 0, False], ["t1", 0, False], ["check-conditions", 0, True]]
+    cert = osgood_certificate(make_coefficients(load_config(noisy)))
+    assert (f"[ok ] osgood_divergence: estimate {cert.integrals[-1]:.6g}, "
+            "threshold inf") in proc.stdout
 
 
 # the wrapper an installer writes for a ``module:attr`` console-script entry

@@ -29,7 +29,7 @@ def test_empty_config_takes_documented_defaults():
 
 def test_yaml_text_and_explicit_values_override():
     rc = parse_config("operator: {n_modes: 8}\ncoefficients: {grid_points: 64}\n"
-                      "measure: {burn_in: 1.5}\ndelay: {h: 1}\n")
+                      "measure: {burn_in: 1.5}\ndelay: {h: 1}\nsolver: {t_end: 2}\n")
     assert rc.operator["n_modes"] == 8
     assert rc.grid_points() == 64
     assert rc.burn_in() == 1.5
@@ -86,6 +86,8 @@ def test_unknown_keys_report_dotted_paths():
     ({"delay": {"h": 0.3}, "solver": {"dt": 0.3, "t_end": 1.0}}, "solver.t_end / solver.dt"),
     ({"solver": {"t_end": 0.0005}}, "solver.t_end = 0.0005"),
     ({"noise": {"spectrum": ["power"]}}, "noise.spectrum = ['power'] not one of"),
+    ({"solver": {"t_end": 0.2}, "measure": {"burn_in": 0.2}},
+     "measure.burn_in = 0.2 must be < solver.t_end = 0.2"),
 ])
 def test_out_of_range_values_name_the_field(patch, needle):
     with pytest.raises(ConfigError, match=re.escape(needle)):

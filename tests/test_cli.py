@@ -382,15 +382,21 @@ print(json.dumps(seen))
 """
 
 
+def _child_env():
+    """This environment, with the package this process imported first on
+    PYTHONPATH, so that a child imports it from any cwd."""
+    env = dict(os.environ)
+    pkg_root = str(Path(nsfde.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_only_the_osgood_integral_loads_scipy(tmp_path):
     zero, noisy = _cfg(tmp_path, ZERO_CFG), _cfg(tmp_path, NOISY_CFG, "noisy.yaml")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(nsfde.__file__).resolve().parents[1]),
-                    env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, zero, noisy,
                            str(tmp_path)], capture_output=True, text=True,
-                          env=env, cwd=tmp_path, timeout=300)
+                          env=_child_env(), cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         ["import", 0, False], ["simulate", 0, False], ["picard", 0, False],
@@ -454,12 +460,8 @@ def test_console_script_is_installed(tmp_path):
                                      attr=attr))
     script.chmod(0o755)
 
-    # the child imports the package this process imported, from any cwd
-    pkg_root = str(Path(nsfde.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = _child_env()
     env["PATH"] = os.pathsep.join([str(bindir), env.get("PATH", "")])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     _check_t1_script(env=env, cwd=tmp_path)
     # ``python -m nsfde`` reaches the same entry through ``__main__.py``
     _check_t1_script((sys.executable, "-m", "nsfde"), env=env, cwd=tmp_path)

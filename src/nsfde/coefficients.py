@@ -195,18 +195,23 @@ class GridMaps:
     segment node it reads; f, ``f_field`` and sigma also take a ``(k, N)``
     stack of nodes (the integrator's delay-interval blocks), row by row.  The
     neutral functional g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a
-    separable built-in kernel factors as profile(x) times the grid integral
-    of z_map(field), so the projected profile is computed once here.
+    separable built-in kernel factors as ``profile`` (the projected x-factor,
+    computed once here) times the scalar ``mass``, the grid integral of
+    z_map(field).  ``mass`` (through ``field_mass`` for a field already on
+    the grid) is the one place the kernel is evaluated; ``profile_field``
+    and ``profile_norm`` let the integrator run g's fixed point on the mass.
     """
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator):
         self.cs = cs
         self.grid = op.grid(cs.grid_points)
-        self._zero = np.zeros(op.n_modes)
         kern = cs.kernel_b
         self.g_mode = "none" if kern is None else kern.delay_mode
+        self.profile = np.zeros(op.n_modes)
         if kern is not None:
-            self._g_profile = self.grid.project @ kern.profile(self.grid.x)
+            self.profile = self.grid.project @ kern.profile(self.grid.x)
+            self.profile_field = self.grid.synth @ self.profile
+            self.profile_norm = math.sqrt(self.profile @ self.profile)
             self._z_map = kern.z_map
 
     def f_field(self, state: np.ndarray) -> np.ndarray:
@@ -221,12 +226,19 @@ class GridMaps:
         """Diffusion multiplier field sigma(u(.)) on the grid."""
         return np.asarray(self.cs.sigma(state @ self.grid.synth.T), dtype=float)
 
+    def field_mass(self, field: np.ndarray) -> float:
+        """Grid integral of z_map(field) for a field on the grid (0 without a kernel)."""
+        if self.g_mode == "none":
+            return 0.0
+        return float(self.grid.weights @ self._z_map(field))
+
+    def mass(self, state: np.ndarray) -> float:
+        """The scalar factor of g(state): the kernel integrated against its field."""
+        return self.field_mass(self.grid.synth @ state)
+
     def g(self, state: np.ndarray) -> np.ndarray:
         """Neutral functional as mode coefficients (zero without a kernel)."""
-        if self.g_mode == "none":
-            return self._zero
-        mass = float(self.grid.weights @ self._z_map(self.grid.synth @ state))
-        return self._g_profile * mass
+        return self.profile * self.mass(state)
 
     def g_window(self, window: np.ndarray) -> np.ndarray:
         """g at the node the kernel reads: window[0] (theta = -h) for a point

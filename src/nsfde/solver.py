@@ -14,17 +14,25 @@ v(t+dt) = S(dt) v(t) + (I - S(dt)) g(u_t) + Phi1 f(u_t) + xi exactly.
 
 When g reads the segment only at theta = -h (and h >= dt) the new state is
 explicit; otherwise it is resolved by fixed-point iteration whose residuals
-contract at the rate of the neutral Lipschitz constant.
+contract at the rate of the neutral Lipschitz constant.  Every built-in
+kernel makes g rank one, g(v) = profile * mass(v) with a scalar mass (see
+``GridMaps``), so the Picard iteration u <- rhs - g(u) runs on that scalar:
+c <- mass(rhs - profile c), with the field of rhs formed once a step and
+the new state once at the end.  Its k-th residual ||u_k - u_{k-1}|| is
+|c_{k-1} - c_{k-2}| ||profile|| for k >= 2, so iteration counts and
+residuals are those of the vector iteration up to rounding, and step k
+evaluates the kernel exactly fp_iters[k] times.
 
 Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
 k = min(m, steps left): one call evaluates the forcing Phi1 f + xi of a block
 on its ``(k, N)`` stack of nodes, and a per-step loop runs the recurrence.
 g stays per step: the instant kernel reads the unknown new state, and the
-point kernel's two evaluations a step are pinned by the benchmark's traced
-reference (``bench/reference/ensemble_bounded.json``) until a benchmark
-change re-records them.  Blocked matrix products round differently from
-per-step ones: results match a per-step evaluation to about 1e-15.
+point kernel's two mass evaluations a step are pinned by the benchmark's
+traced reference (``bench/reference/ensemble_bounded.json``) until a
+benchmark change re-records them.  Blocked matrix products round
+differently from per-step ones: results match a per-step evaluation of the
+vector maps to about 1e-15.
 
 The successive-approximation driver (``picard_run``) replays the same noise
 stream across iterates: iterate 0 carries only the neutral-linear dynamics,
@@ -160,7 +168,8 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
     fp_iters = np.zeros(steps + 1, dtype=int)
     src_rows = rows if src_rows is None else src_rows
     residual_log = [] if collect_fp_residuals else None
-    decay, g, g_mode = stepper.decay, stepper.maps.g, stepper.maps.g_mode
+    maps, decay = stepper.maps, stepper.decay
+    g_mode, profile, mass = maps.g_mode, maps.profile, maps.mass
 
     for b0 in range(0, steps, m):
         # one forcing call a block: src_rows[b0:b1] precede row m + b0, the block's start
@@ -174,24 +183,30 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                 u_new = decay * u + f_i
             elif g_mode == "point":
                 # u(t + dt - h) is already history whenever h >= dt
-                u_new = decay * u + g(rows[i]) + f_i - g(rows[i + 1])
+                u_new = decay * u + f_i + profile * (mass(rows[i]) - mass(rows[i + 1]))
             else:
-                # the neutral term reads the unknown new state: contract to the fixed point
-                rhs = decay * u + g(u) + f_i
-                u_new = u
-                for iters in range(1, cfg.fp_max + 1):
-                    u_prev, u_new = u_new, rhs - g(u_new)
-                    d = u_new - u_prev
-                    r = math.sqrt(d @ d)
+                # the neutral term reads the unknown new state: contract to the fixed
+                # point of u = rhs - profile * mass(u) on its one scalar, the mass c
+                c = mass(u)
+                rhs = decay * u + profile * c + f_i
+                d = rhs - profile * c - u
+                r = math.sqrt(d @ d)
+                field = maps.grid.synth @ rhs
+                iters = 1
+                while True:
                     if residual_log is not None:
                         residual_log[-1].append(r)
                     if r < cfg.fp_tol:
                         break
-                else:
-                    raise NonconvergenceError(
-                        f"implicit neutral step failed to reach fp_tol={cfg.fp_tol:g} "
-                        f"within {cfg.fp_max} iterations (last residual {r:.3e})",
-                        residual=r, iterations=cfg.fp_max)
+                    if iters == cfg.fp_max:
+                        raise NonconvergenceError(
+                            f"implicit neutral step failed to reach fp_tol={cfg.fp_tol:g} "
+                            f"within {cfg.fp_max} iterations (last residual {r:.3e})",
+                            residual=r, iterations=cfg.fp_max)
+                    c_prev, c = c, maps.field_mass(field - c * maps.profile_field)
+                    r = abs(c - c_prev) * maps.profile_norm
+                    iters += 1
+                u_new = rhs - profile * c
                 fp_iters[i + 1] = iters
             nrm = math.sqrt(u_new @ u_new)
             if not math.isfinite(nrm) or nrm > cfg.blowup_threshold:

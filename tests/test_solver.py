@@ -144,8 +144,14 @@ def test_fixed_point_nonconvergence_raises():
     cfg = SolverConfig(dt=0.01, t_end=0.1, fp_tol=1e-12, fp_max=2)
     ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
                                   "amplitude": 0.2}, 0.05, 0.01, OP4)
-    with pytest.raises(NonconvergenceError):
+    with pytest.raises(NonconvergenceError) as err:
         simulate(ini, cs, OP4, Q4, cfg, RngStream(5, 0))
+    assert err.value.iterations == 2 and err.value.residual > cfg.fp_tol
+    # a single iteration: the first residual alone decides
+    cfg = SolverConfig(dt=0.01, t_end=0.1, fp_tol=1e-12, fp_max=1)
+    with pytest.raises(NonconvergenceError) as err:
+        simulate(ini, cs, OP4, Q4, cfg, RngStream(5, 0))
+    assert err.value.iterations == 1 and err.value.residual > cfg.fp_tol
 
 
 def test_point_and_instant_kernels_differ_but_stay_close_for_small_dt():
@@ -243,12 +249,13 @@ def test_linear_dynamics_scale_equivariance(scale):
 
 def _per_step_reference(ini, cs, op, qspec, dt, z, src_rows=None):
     """The scheme one step at a time through the 1-D maps: returns the rows
-    u(-h), ..., u(t_end) and the fixed-point iterations of each step."""
+    u(-h), ..., u(t_end), the fixed-point iterations of each step and each
+    step's residuals ||u_k - u_{k-1}|| of the vector iteration."""
     maps, mu = GridMaps(cs, op), op.eigenvalues
     grid = maps.grid
     decay, phi1, std = np.exp(-mu * dt), -np.expm1(-mu * dt) / mu, ou_std(qspec, op, dt)
     m = ini.m
-    rows, iters = list(ini.values), [0]
+    rows, iters, residuals = list(ini.values), [0], []
     for i in range(z.shape[0]):
         hist = np.array(rows[i:i + m + 1])
         src = hist[0] if src_rows is None else src_rows[i]
@@ -260,7 +267,7 @@ def _per_step_reference(ini, cs, op, qspec, dt, z, src_rows=None):
             rhs = rhs + grid.project @ (maps.sigma(src) * (grid.synth @ ou))
         else:
             rhs = rhs + cs.sigma_const * ou
-        n_it = 0
+        n_it, res = 0, []
         if maps.g_mode == "point":
             rhs = rhs - maps.g(hist[1])
         elif maps.g_mode == "instant":
@@ -268,14 +275,15 @@ def _per_step_reference(ini, cs, op, qspec, dt, z, src_rows=None):
             while True:
                 u_next = rhs - maps.g(u_k)
                 n_it += 1
-                done = np.linalg.norm(u_next - u_k) < 1e-12   # the default fp_tol
+                res.append(np.linalg.norm(u_next - u_k))
                 u_k = u_next
-                if done:
+                if res[-1] < 1e-12:   # the default fp_tol
                     break
             rhs = u_k
         rows.append(rhs)
         iters.append(n_it)
-    return np.array(rows), np.array(iters)
+        residuals.append(res)
+    return np.array(rows), np.array(iters), residuals
 
 
 OP8 = assemble_operator(n_modes=8)
@@ -296,11 +304,16 @@ def test_block_loop_matches_the_per_step_scheme(kernel, delay, sigma, h):
     ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
                                   "amplitude": 0.5}, h, 0.01, OP8)
     cfg = SolverConfig(dt=0.01, t_end=0.53)     # 53 steps: not a multiple of m = 5
-    traj = simulate(ini, cs, OP8, Q8, cfg, RngStream(21, 3))
+    traj = simulate(ini, cs, OP8, Q8, cfg, RngStream(21, 3), collect_fp_residuals=True)
     z = RngStream(21, 3).generator().standard_normal((53, 8))
-    rows, iters = _per_step_reference(ini, cs, OP8, Q8, 0.01, z)
+    rows, iters, residuals = _per_step_reference(ini, cs, OP8, Q8, 0.01, z)
     assert np.allclose(traj.snapshots, rows[ini.m:], rtol=0.0, atol=1e-13)
     assert np.array_equal(traj.fp_iters, iters)
+    # the scalar-mass iteration logs the residuals of the vector one
+    assert len(traj.fp_residuals) == len(residuals) == 53
+    for got, want in zip(traj.fp_residuals, residuals):
+        assert len(got) == len(want)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
     assert (traj.fp_iters.max() > 0) == (delay == "instant" and kernel != "zero")
 
 
@@ -312,10 +325,31 @@ def test_block_loop_matches_the_per_step_scheme_for_picard():
     out = picard_run(ini, cs, OP8, Q8, cfg, RngStream(22, 0))
     z = RngStream(22, 0).generator().standard_normal((53, 8))
     off = builtin_coefficients(kernel_scale=0.2, f="zero", sigma="zero")
-    rows, _ = _per_step_reference(ini, off, OP8, Q8, 0.01, z)
+    rows, _, _ = _per_step_reference(ini, off, OP8, Q8, 0.01, z)
     for traj, _ in out:
         assert np.allclose(traj.snapshots, rows[ini.m:], rtol=0.0, atol=1e-13)
-        rows, _ = _per_step_reference(ini, cs, OP8, Q8, 0.01, z, src_rows=rows)
+        rows, _, _ = _per_step_reference(ini, cs, OP8, Q8, 0.01, z, src_rows=rows)
+
+
+@pytest.mark.parametrize("delay", ["point", "instant"])
+def test_kernel_evaluations_per_step(delay):
+    # g is evaluated through the kernel's z_map: twice a point-delay step (the
+    # delayed node and its successor), fp_iters[k] times on instant step k
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
+    for t_end, seed in ((0.53, 0), (0.01, 1), (0.01, 2), (0.01, 3)):
+        cs = builtin_coefficients(kernel_delay=delay, kernel_scale=0.2)
+        z_map, calls = cs.kernel_b.z_map, []
+        cs.kernel_b.z_map = lambda z: calls.append(1) or z_map(z)
+        traj = simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=t_end),
+                        RngStream(24, seed))
+        steps = len(traj.fp_iters) - 1
+        if delay == "point":
+            assert len(calls) == 2 * steps
+        else:
+            assert traj.fp_iters[1:].min() >= 2
+            assert len(calls) == traj.fp_iters.sum()
+        ini = traj.final_segment   # the one-step runs pin the count of one step each
 
 
 def test_blowup_guard_fires_mid_block_at_the_first_crossing():

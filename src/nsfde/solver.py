@@ -26,13 +26,15 @@ evaluates the kernel exactly fp_iters[k] times.
 Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
 k = min(m, steps left): one call evaluates the forcing Phi1 f + xi of a block
-on its ``(k, N)`` stack of nodes, and a per-step loop runs the recurrence.
-g stays per step: the instant kernel reads the unknown new state, and the
-point kernel's two mass evaluations a step are pinned by the benchmark's
+on its ``(k, N)`` stack of nodes.  Without a kernel or with the point kernel,
+g reads only history too, so the block's increments w_j are all known and a
+doubling scan runs u_{j+1} = decay u_j + w_j in ceil(log2 k) whole-block
+operations; the instant kernel reads the unknown new state, so it steps.
+The point kernel's two mass evaluations a step are pinned by the benchmark's
 traced reference (``bench/reference/ensemble_bounded.json``) until a
-benchmark change re-records them.  Blocked matrix products round
-differently from per-step ones: results match a per-step evaluation of the
-vector maps to about 1e-15.
+benchmark change re-records them.  Blocked products and the scan round
+differently from per-step evaluation: results match a per-step evaluation
+of the vector maps to about 1e-15.
 
 The successive-approximation driver (``picard_run``) replays the same noise
 stream across iterates: iterate 0 carries only the neutral-linear dynamics,
@@ -116,13 +118,17 @@ class Trajectory:
 
 
 class _Stepper:
-    """Precomputed per-run machinery; ``forcing`` evaluates one block of steps."""
+    """Precomputed machinery for blocks of at most ``m`` steps; ``forcing`` evaluates one."""
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator, qspec: QWienerSpec,
-                 cfg: SolverConfig):
+                 cfg: SolverConfig, m: int):
         self.cs = cs
         mu = op.eigenvalues
         self.decay = np.exp(-mu * cfg.dt)
+        # decay^s for the block scan's shifts s = 1, 2, 4, ... < m, by repeated squaring
+        self.decay_powers = [self.decay]
+        while 2 ** len(self.decay_powers) < m:
+            self.decay_powers.append(self.decay_powers[-1] ** 2)
         self.phi1 = -np.expm1(-mu * cfg.dt) / mu
         self.ou_std = noise_mod.ou_std(qspec, op, cfg.dt)
         self.maps = GridMaps(cs, op)
@@ -167,26 +173,30 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
     norms[:m + 1] = np.linalg.norm(initial.values, axis=1)
     fp_iters = np.zeros(steps + 1, dtype=int)
     src_rows = rows if src_rows is None else src_rows
-    residual_log = [] if collect_fp_residuals else None
+    residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
     maps, decay = stepper.maps, stepper.decay
     g_mode, profile, mass = maps.g_mode, maps.profile, maps.mass
 
     for b0 in range(0, steps, m):
         # one forcing call a block: src_rows[b0:b1] precede row m + b0, the block's start
         b1 = min(b0 + m, steps)
-        forcing = stepper.forcing(src_rows[b0:b1], z_block[b0:b1])
-        for i, f_i in enumerate(forcing, b0):
-            u = rows[m + i]
-            if residual_log is not None:
-                residual_log.append([])
-            if g_mode == "none":
-                u_new = decay * u + f_i
-            elif g_mode == "point":
-                # u(t + dt - h) is already history whenever h >= dt
-                u_new = decay * u + f_i + profile * (mass(rows[i]) - mass(rows[i + 1]))
-            else:
+        w = stepper.forcing(src_rows[b0:b1], z_block[b0:b1])
+        if g_mode != "instant":
+            # every node g reads in the block, rows[b0:b1 + 1], is history: all the
+            # increments are known, and a doubling scan runs u_{j+1} = decay u_j + w_j
+            if g_mode == "point":
+                w += profile * np.array([[mass(rows[i]) - mass(rows[i + 1])]
+                                         for i in range(b0, b1)])
+            w[0] += decay * rows[m + b0]
+            for level, decay_s in enumerate(stepper.decay_powers[:(b1 - b0 - 1).bit_length()]):
+                w[1 << level:] += decay_s * w[:-(1 << level)]
+            rows[m + 1 + b0:m + 1 + b1] = w
+            norms[m + 1 + b0:m + 1 + b1] = np.linalg.norm(w, axis=1)
+        else:
+            for i, f_i in enumerate(w, b0):
                 # the neutral term reads the unknown new state: contract to the fixed
                 # point of u = rhs - profile * mass(u) on its one scalar, the mass c
+                u = rows[m + i]
                 c = mass(u)
                 rhs = decay * u + profile * c + f_i
                 d = rhs - profile * c - u
@@ -195,9 +205,9 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                 iters = 1
                 while True:
                     if residual_log is not None:
-                        residual_log[-1].append(r)
-                    if r < cfg.fp_tol:
-                        break
+                        residual_log[i].append(r)
+                    if not r >= cfg.fp_tol:
+                        break   # converged, or NaN: the blow-up guard takes a NaN state
                     if iters == cfg.fp_max:
                         raise NonconvergenceError(
                             f"implicit neutral step failed to reach fp_tol={cfg.fp_tol:g} "
@@ -206,14 +216,18 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                     c_prev, c = c, maps.field_mass(field - c * maps.profile_field)
                     r = abs(c - c_prev) * maps.profile_norm
                     iters += 1
-                u_new = rhs - profile * c
+                u_new = rows[m + 1 + i] = rhs - profile * c
                 fp_iters[i + 1] = iters
-            nrm = math.sqrt(u_new @ u_new)
-            if not math.isfinite(nrm) or nrm > cfg.blowup_threshold:
-                raise BlowupError(f"state norm {nrm:.3e} at t = {(i + 1) * cfg.dt:g} "
-                                  f"exceeds blow-up guard {cfg.blowup_threshold:g}")
-            rows[m + 1 + i] = u_new
-            norms[m + 1 + i] = nrm
+                norms[m + 1 + i] = nrm = math.sqrt(u_new @ u_new)
+                if not nrm <= cfg.blowup_threshold:
+                    break   # raised below, before the next step reads this state
+        # the block's first norm above the guard or not finite; the instant loop
+        # stops there, so the unset norms after it are never reached
+        over = ~(norms[m + 1 + b0:m + 1 + b1] <= cfg.blowup_threshold)
+        if over.any():
+            i = b0 + int(over.argmax())
+            raise BlowupError(f"state norm {norms[m + 1 + i]:.3e} at t = {(i + 1) * cfg.dt:g} "
+                              f"exceeds blow-up guard {cfg.blowup_threshold:g}")
 
     # the window ending at step k is rows[k:k + m + 1]
     stored = np.arange(0, steps + 1, stride)
@@ -245,7 +259,7 @@ def simulate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     overrides the block, e.g. for shared-refinement convergence studies.
     """
     _check_initial(initial, op, cfg)
-    stepper = _Stepper(cs, op, qspec, cfg)
+    stepper = _Stepper(cs, op, qspec, cfg, initial.m)
     shape = (cfg.n_steps, op.n_modes)
     if noise_z is None:
         z_block = stream.generator().standard_normal(shape)
@@ -275,10 +289,10 @@ def picard_run(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     _check_initial(initial, op, cfg)
     z_block = stream.generator().standard_normal((cfg.n_steps, op.n_modes))
     cs0 = replace(cs, sigma_const=0.0, f_is_zero=True)
-    stepper = _Stepper(cs, op, qspec, cfg)
+    stepper = _Stepper(cs, op, qspec, cfg, initial.m)
 
-    traj, rows_prev = _integrate(_Stepper(cs0, op, qspec, cfg), initial, cfg, stream,
-                                 z_block)
+    traj, rows_prev = _integrate(_Stepper(cs0, op, qspec, cfg, initial.m), initial, cfg,
+                                 stream, z_block)
     out = [(traj, math.nan)]
     m = initial.m
     for _ in range(cfg.picard_iters):

@@ -290,6 +290,12 @@ OP8 = assemble_operator(n_modes=8)
 Q8 = power_qwiener(8, trace_target=0.5)
 
 
+def _block_test_steps(h):
+    # 53 steps is not a multiple of m = 5; at m = 37 (six scan levels, not a
+    # power of two) 75 = 2m + 1 steps end on a one-step tail block
+    return 75 if h == 0.37 else 53
+
+
 @pytest.mark.parametrize("kernel, delay, sigma, h", [
     ("separable", "point", "osgood", 0.05),
     ("separable", "instant", "osgood", 0.05),
@@ -297,38 +303,51 @@ Q8 = power_qwiener(8, trace_target=0.5)
     ("separable", "point", "one", 0.05),
     ("linear", "instant", "one", 0.05),
     ("separable", "point", "osgood", 0.01),     # m = 1: one step a block
+    ("separable", "point", "osgood", 0.37),
+    ("zero", "point", "osgood", 0.37),
+    ("separable", "instant", "osgood", 0.37),
 ])
 def test_block_loop_matches_the_per_step_scheme(kernel, delay, sigma, h):
     cs = builtin_coefficients(kernel=kernel, kernel_delay=delay, sigma=sigma,
                               kernel_scale=0.2)
     ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
                                   "amplitude": 0.5}, h, 0.01, OP8)
-    cfg = SolverConfig(dt=0.01, t_end=0.53)     # 53 steps: not a multiple of m = 5
+    steps = _block_test_steps(h)
+    cfg = SolverConfig(dt=0.01, t_end=steps * 0.01)
     traj = simulate(ini, cs, OP8, Q8, cfg, RngStream(21, 3), collect_fp_residuals=True)
-    z = RngStream(21, 3).generator().standard_normal((53, 8))
+    z = RngStream(21, 3).generator().standard_normal((steps, 8))
     rows, iters, residuals = _per_step_reference(ini, cs, OP8, Q8, 0.01, z)
     assert np.allclose(traj.snapshots, rows[ini.m:], rtol=0.0, atol=1e-13)
     assert np.array_equal(traj.fp_iters, iters)
     # the scalar-mass iteration logs the residuals of the vector one
-    assert len(traj.fp_residuals) == len(residuals) == 53
+    assert len(traj.fp_residuals) == len(residuals) == steps
     for got, want in zip(traj.fp_residuals, residuals):
         assert len(got) == len(want)
         assert np.allclose(got, want, rtol=0.0, atol=1e-14)
     assert (traj.fp_iters.max() > 0) == (delay == "instant" and kernel != "zero")
 
 
-def test_block_loop_matches_the_per_step_scheme_for_picard():
+def _check_picard_against_the_per_step_scheme(h):
     cs = builtin_coefficients(kernel_scale=0.2)
     ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
-    cfg = SolverConfig(dt=0.01, t_end=0.53, mode="picard", picard_iters=3)
+                                  "amplitude": 0.5}, h, 0.01, OP8)
+    steps = _block_test_steps(h)
+    cfg = SolverConfig(dt=0.01, t_end=steps * 0.01, mode="picard", picard_iters=3)
     out = picard_run(ini, cs, OP8, Q8, cfg, RngStream(22, 0))
-    z = RngStream(22, 0).generator().standard_normal((53, 8))
+    z = RngStream(22, 0).generator().standard_normal((steps, 8))
     off = builtin_coefficients(kernel_scale=0.2, f="zero", sigma="zero")
     rows, _, _ = _per_step_reference(ini, off, OP8, Q8, 0.01, z)
     for traj, _ in out:
         assert np.allclose(traj.snapshots, rows[ini.m:], rtol=0.0, atol=1e-13)
         rows, _, _ = _per_step_reference(ini, cs, OP8, Q8, 0.01, z, src_rows=rows)
+
+
+def test_block_loop_matches_the_per_step_scheme_for_picard():
+    _check_picard_against_the_per_step_scheme(0.05)
+
+
+def test_block_loop_matches_the_per_step_scheme_for_picard_on_long_blocks():
+    _check_picard_against_the_per_step_scheme(0.37)
 
 
 @pytest.mark.parametrize("delay", ["point", "instant"])
@@ -366,6 +385,36 @@ def test_blowup_guard_fires_mid_block_at_the_first_crossing():
     with pytest.raises(BlowupError, match=re.escape(f"at t = {step * 0.01:g} exceeds")):
         simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.5, blowup_threshold=guard),
                  RngStream(23, 0))
+
+
+@pytest.mark.parametrize("kernel, delay", [("separable", "point"), ("zero", "point"),
+                                           ("separable", "instant")])
+def test_blowup_guard_fires_at_a_non_finite_state_mid_block(kernel, delay):
+    # step 13 is the third of the block of steps 11-15 (m = 5); its NaN noise row
+    # must stop the run there, not at the block's end or in the fixed point
+    cs = builtin_coefficients(kernel=kernel, kernel_delay=delay, kernel_scale=0.2)
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
+    z = RngStream(25, 0).generator().standard_normal((53, 8))
+    z[12, 3] = np.nan
+    with pytest.raises(BlowupError, match=re.escape("state norm nan at t = 0.13 exceeds")):
+        simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.53), RngStream(25, 0),
+                 noise_z=z)
+
+
+@pytest.mark.parametrize("f", ["osgood", "zero"])
+@pytest.mark.parametrize("sigma", ["one", "osgood", "zero"])
+def test_simulate_leaves_the_callers_noise_unchanged(f, sigma):
+    # the block scan runs in place in the forcing, which must never be the caller's
+    # noise: the drivers replay one noise block across several runs
+    cs = builtin_coefficients(f=f, sigma=sigma, kernel_scale=0.2)
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
+    z = RngStream(26, 0).generator().standard_normal((53, 8))
+    kept = z.copy()
+    simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.53), RngStream(26, 0),
+             noise_z=z)
+    assert z.tobytes() == kept.tobytes()
 
 
 # ---------------------------------------------------- window arithmetic

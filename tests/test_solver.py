@@ -406,7 +406,7 @@ def test_blowup_guard_fires_at_a_non_finite_state_mid_block(kernel, delay):
 @pytest.mark.parametrize("sigma", ["one", "osgood", "zero"])
 def test_simulate_leaves_the_callers_noise_unchanged(f, sigma):
     # the block scan runs in place in the forcing, which must never be the caller's
-    # noise: the drivers replay one noise block across several runs
+    # noise: continuous_dependence_probe replays one noise block across several runs
     cs = builtin_coefficients(f=f, sigma=sigma, kernel_scale=0.2)
     ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
                                   "amplitude": 0.5}, 0.05, 0.01, OP8)

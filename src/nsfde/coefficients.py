@@ -192,8 +192,9 @@ class GridMaps:
 
     The single implementation of the three functionals, for the integrator
     and the condition probes.  Each map takes the mode coefficients of the
-    segment node it reads; f, ``f_field`` and sigma also take a ``(k, N)``
-    stack of nodes (the integrator's delay-interval blocks), row by row.  The
+    segment node it reads; ``f_field`` and sigma also take a ``(k, N)`` stack
+    of nodes, row by row.  The integrator instead applies the set's pointwise
+    f and sigma, and ``field_mass``, to one grid field a delay block.  The
     neutral functional g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a
     separable built-in kernel factors as ``profile`` (the projected x-factor,
     computed once here) times the scalar ``mass``, the grid integral of
@@ -217,10 +218,6 @@ class GridMaps:
     def f_field(self, state: np.ndarray) -> np.ndarray:
         """Drift f applied pointwise to the field of ``state`` on the grid."""
         return self.cs.f(state @ self.grid.synth.T)
-
-    def f(self, state: np.ndarray) -> np.ndarray:
-        """Drift functional as mode coefficients: the drift field projected back."""
-        return self.f_field(state) @ self.grid.project.T
 
     def sigma(self, state: np.ndarray) -> np.ndarray:
         """Diffusion multiplier field sigma(u(.)) on the grid."""

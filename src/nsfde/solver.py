@@ -25,16 +25,17 @@ evaluates the kernel exactly fp_iters[k] times.
 
 Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
-k = min(m, steps left): one call evaluates the forcing Phi1 f + xi of a block
-on its ``(k, N)`` stack of nodes.  Without a kernel or with the point kernel,
-g reads only history too, so the block's increments w_j are all known and a
-doubling scan runs u_{j+1} = decay u_j + w_j in ceil(log2 k) whole-block
-operations; the instant kernel reads the unknown new state, so it steps.
-The point kernel's two mass evaluations a step are pinned by the benchmark's
-traced reference (``bench/reference/ensemble_bounded.json``) until a
-benchmark change re-records them.  Blocked products and the scan round
-differently from per-step evaluation: results match a per-step evaluation
-of the vector maps to about 1e-15.
+k = min(m, steps left) and carries a block's delayed nodes rows[b0:b1 + 1] to
+the grid in one product: one forcing call evaluates Phi1 f + xi on the first
+k rows of that field (in a Picard iterate, on the previous iterate's nodes),
+and the point kernel's two masses a step read its rows j and j + 1, as the
+benchmark's traced reference (``bench/reference/ensemble_bounded.json``)
+pins until a benchmark change re-records it.  Without a kernel or with the
+point kernel, g reads only history too, so the block's increments w_j are
+all known and a doubling scan runs u_{j+1} = decay u_j + w_j in ceil(log2 k)
+whole-block operations; the instant kernel reads the new state, so it steps.
+Blocked products and the scan round differently from per-step evaluation:
+results match a per-step evaluation of the vector maps to about 1e-15.
 
 The successive-approximation driver (``picard_run``) replays the same noise
 stream across iterates: iterate 0 carries only the neutral-linear dynamics,
@@ -133,19 +134,19 @@ class _Stepper:
         self.ou_std = noise_mod.ou_std(qspec, op, cfg.dt)
         self.maps = GridMaps(cs, op)
 
-    def forcing(self, src: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Phi1 f(src) plus the OU increment composed with the multiplier sigma(src),
-        for a ``(k, N)`` block of delayed states and standard-normal rows."""
+    def forcing(self, field: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Phi1 f plus the OU increment composed with the multiplier sigma, both read on
+        ``field``, the ``(k, G)`` grid field of a block's delayed states, with its z rows."""
         ou = self.ou_std * z
         sigma_const = self.cs.sigma_const
+        grid = self.maps.grid
         if sigma_const is None:
-            grid = self.maps.grid
-            ou = (self.maps.sigma(src) * (ou @ grid.synth.T)) @ grid.project.T
+            ou = (self.cs.sigma(field) * (ou @ grid.synth.T)) @ grid.project.T
         elif sigma_const != 1.0:
             ou = sigma_const * ou
         if self.cs.f_is_zero:
             return ou
-        return self.phi1 * self.maps.f(src) + ou
+        return self.phi1 * (self.cs.f(field) @ grid.project.T) + ou
 
 
 def _check_initial(initial: Segment, op: SpectralOperator, cfg: SolverConfig):
@@ -172,21 +173,22 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
     norms = np.empty(m + 1 + steps)
     norms[:m + 1] = np.linalg.norm(initial.values, axis=1)
     fp_iters = np.zeros(steps + 1, dtype=int)
-    src_rows = rows if src_rows is None else src_rows
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
     maps, decay = stepper.maps, stepper.decay
-    g_mode, profile, mass = maps.g_mode, maps.profile, maps.mass
+    g_mode, profile, mass, field_mass = maps.g_mode, maps.profile, maps.mass, maps.field_mass
 
     for b0 in range(0, steps, m):
-        # one forcing call a block: src_rows[b0:b1] precede row m + b0, the block's start
+        # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
         b1 = min(b0 + m, steps)
-        w = stepper.forcing(src_rows[b0:b1], z_block[b0:b1])
+        fields = rows[b0:b1 + 1] @ maps.grid.synth.T
+        src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ maps.grid.synth.T
+        w = stepper.forcing(src, z_block[b0:b1])
         if g_mode != "instant":
-            # every node g reads in the block, rows[b0:b1 + 1], is history: all the
-            # increments are known, and a doubling scan runs u_{j+1} = decay u_j + w_j
+            # every node g reads in the block is history: all the increments are
+            # known, and a doubling scan runs u_{j+1} = decay u_j + w_j
             if g_mode == "point":
-                w += profile * np.array([[mass(rows[i]) - mass(rows[i + 1])]
-                                         for i in range(b0, b1)])
+                w += profile * np.array([[field_mass(fields[j]) - field_mass(fields[j + 1])]
+                                         for j in range(b1 - b0)])
             w[0] += decay * rows[m + b0]
             for level, decay_s in enumerate(stepper.decay_powers[:(b1 - b0 - 1).bit_length()]):
                 w[1 << level:] += decay_s * w[:-(1 << level)]
@@ -213,7 +215,7 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                             f"implicit neutral step failed to reach fp_tol={cfg.fp_tol:g} "
                             f"within {cfg.fp_max} iterations (last residual {r:.3e})",
                             residual=r, iterations=cfg.fp_max)
-                    c_prev, c = c, maps.field_mass(field - c * maps.profile_field)
+                    c_prev, c = c, field_mass(field - c * maps.profile_field)
                     r = abs(c - c_prev) * maps.profile_norm
                     iters += 1
                 u_new = rows[m + 1 + i] = rhs - profile * c

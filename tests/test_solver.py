@@ -261,7 +261,7 @@ def _per_step_reference(ini, cs, op, qspec, dt, z, src_rows=None):
         src = hist[0] if src_rows is None else src_rows[i]
         rhs = decay * hist[-1] + maps.g_window(hist)
         if not cs.f_is_zero:
-            rhs = rhs + phi1 * maps.f(src)
+            rhs = rhs + phi1 * (grid.project @ cs.f(grid.synth @ src))
         ou = std * z[i]
         if cs.sigma_const is None:
             rhs = rhs + grid.project @ (maps.sigma(src) * (grid.synth @ ou))
@@ -348,6 +348,45 @@ def test_block_loop_matches_the_per_step_scheme_for_picard():
 
 def test_block_loop_matches_the_per_step_scheme_for_picard_on_long_blocks():
     _check_picard_against_the_per_step_scheme(0.37)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.37])
+def test_drift_and_diffusion_read_one_synthesized_field_a_block(h):
+    # f and sigma are evaluated once a block, on one array: the grid field of the
+    # block's delayed nodes rows[b0:b1], which in Picard iterate n >= 1 are those
+    # of iterate n - 1.  At h = 0.37 (m = 37) the last block is one step long
+    cs = builtin_coefficients(sigma="osgood", kernel_delay="point", kernel_scale=0.2)
+    f, sigma, f_args, sigma_args = cs.f, cs.sigma, [], []
+    cs.f = lambda x: f_args.append(x) or f(x)
+    cs.sigma = lambda x: sigma_args.append(x) or sigma(x)
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.5}, h, 0.01, OP8)
+    steps, m = _block_test_steps(h), ini.m
+    blocks = [(b0, min(b0 + m, steps)) for b0 in range(0, steps, m)]
+    assert len(blocks) == math.ceil(steps / m)
+    synth = GridMaps(cs, OP8).grid.synth
+
+    def check_reads(args, traj):
+        # one (f, sigma) argument pair a block, read from the nodes of ``traj``
+        rows = np.vstack([ini.values, traj.snapshots[1:]])
+        assert len(args) == len(blocks)
+        for (b0, b1), (f_arg, sigma_arg) in zip(blocks, args):
+            assert sigma_arg is f_arg
+            assert np.allclose(f_arg, rows[b0:b1] @ synth.T, rtol=0.0, atol=1e-15)
+
+    cfg = SolverConfig(dt=0.01, t_end=steps * 0.01)
+    traj = simulate(ini, cs, OP8, Q8, cfg, RngStream(27, 0))
+    check_reads(list(zip(f_args, sigma_args)), traj)
+
+    # iterate 0 runs with drift and diffusion off: the calls are iterate 1's, then 2's
+    f_args.clear()
+    sigma_args.clear()
+    cfg = SolverConfig(dt=0.01, t_end=steps * 0.01, mode="picard", picard_iters=2)
+    out = picard_run(ini, cs, OP8, Q8, cfg, RngStream(27, 1))
+    args = list(zip(f_args, sigma_args))
+    assert len(args) == 2 * len(blocks)
+    for n in (1, 2):
+        check_reads(args[(n - 1) * len(blocks):n * len(blocks)], out[n - 1][0])
 
 
 @pytest.mark.parametrize("delay", ["point", "instant"])

@@ -366,27 +366,26 @@ def test_drift_and_diffusion_read_one_synthesized_field_a_block(h):
     assert len(blocks) == math.ceil(steps / m)
     synth = GridMaps(cs, OP8).grid.synth
 
-    def check_reads(args, traj):
-        # one (f, sigma) argument pair a block, read from the nodes of ``traj``
+    def check_reads(f_seen, sigma_seen, traj):
+        # one f and one sigma argument a block, read from the nodes of ``traj``
         rows = np.vstack([ini.values, traj.snapshots[1:]])
-        assert len(args) == len(blocks)
-        for (b0, b1), (f_arg, sigma_arg) in zip(blocks, args):
+        assert len(f_seen) == len(sigma_seen) == len(blocks)
+        for (b0, b1), f_arg, sigma_arg in zip(blocks, f_seen, sigma_seen):
             assert sigma_arg is f_arg
             assert np.allclose(f_arg, rows[b0:b1] @ synth.T, rtol=0.0, atol=1e-15)
 
     cfg = SolverConfig(dt=0.01, t_end=steps * 0.01)
-    traj = simulate(ini, cs, OP8, Q8, cfg, RngStream(27, 0))
-    check_reads(list(zip(f_args, sigma_args)), traj)
+    check_reads(f_args, sigma_args, simulate(ini, cs, OP8, Q8, cfg, RngStream(27, 0)))
 
     # iterate 0 runs with drift and diffusion off: the calls are iterate 1's, then 2's
     f_args.clear()
     sigma_args.clear()
     cfg = SolverConfig(dt=0.01, t_end=steps * 0.01, mode="picard", picard_iters=2)
     out = picard_run(ini, cs, OP8, Q8, cfg, RngStream(27, 1))
-    args = list(zip(f_args, sigma_args))
-    assert len(args) == 2 * len(blocks)
+    k = len(blocks)
+    assert len(f_args) == 2 * k
     for n in (1, 2):
-        check_reads(args[(n - 1) * len(blocks):n * len(blocks)], out[n - 1][0])
+        check_reads(f_args[(n - 1) * k:n * k], sigma_args[(n - 1) * k:n * k], out[n - 1][0])
 
 
 @pytest.mark.parametrize("delay", ["point", "instant"])

@@ -98,14 +98,20 @@ def _cmd_picard(args) -> int:
 def _cmd_estimate_measure(args) -> int:
     rc = _load(args)
     op, qspec, cs, cfg, initial = _build(rc)
-    cfg = replace(cfg, segment_stride=rc.measure["thin"])   # checkpoint every thin steps
+    thin, burn_in = rc.measure["thin"], rc.burn_in()
+    last = cfg.n_steps // thin * thin * cfg.dt   # the last checkpoint time, 0 if none
+    if not last > burn_in:
+        unset = " (unset: 2 * delay.h)" if rc.measure["burn_in"] is None else ""
+        raise ConfigError(f"no segment checkpoint survives the burn-in: measure.thin = {thin} "
+                          f"with solver.t_end = {rc.solver['t_end']:g} puts the last checkpoint "
+                          f"at t = {last:g}, not after measure.burn_in = {burn_in:g}{unset}")
+    cfg = replace(cfg, segment_stride=thin)   # checkpoint every thin steps
     trajs = measure_mod.run_ensemble(initial, cs, op, qspec, cfg, rc.seed,
                                      rc.measure["n_trajectories"])
-    mu = measure_mod.krylov_bogoliubov(trajs, rc.burn_in(), thin=1)
+    mu = measure_mod.krylov_bogoliubov(trajs, burn_in, thin=1)
     serialize.write_measure_jsonl(mu, args.out)
-    print(f"pooled {mu.n_samples} segment checkpoints from "
-          f"{rc.measure['n_trajectories']} trajectories "
-          f"(burn-in {rc.burn_in():g}, every {rc.measure['thin']} steps)")
+    print(f"pooled {mu.n_samples} segment checkpoints from {rc.measure['n_trajectories']} "
+          f"trajectories (burn-in {burn_in:g}, every {thin} steps)")
     print(f"wrote {args.out}")
     return 0
 

@@ -190,17 +190,17 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
 class GridMaps:
     """f, sigma and g of one coefficient set on one operator's quadrature grid.
 
-    The single implementation of the three functionals, for the integrator
-    and the condition probes.  Each map takes the mode coefficients of the
-    segment node it reads; ``f_field`` and sigma also take a ``(k, N)`` stack
-    of nodes, row by row.  The integrator instead applies the set's pointwise
-    f and sigma, and ``field_mass``, to one grid field a delay block.  The
-    neutral functional g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a
-    separable built-in kernel factors as ``profile`` (the projected x-factor,
-    computed once here) times the scalar ``mass``, the grid integral of
-    z_map(field).  ``mass`` (through ``field_mass`` for a field already on
-    the grid) is the one place the kernel is evaluated; ``profile_field``
-    and ``profile_norm`` let the integrator run g's fixed point on the mass.
+    The single implementation of the three functionals for the condition
+    probes, and the grid, profile and kernel the integrator reads.  Each map
+    takes the mode coefficients of the segment node it reads; ``f_field`` and
+    sigma also take a ``(k, N)`` stack of nodes, row by row.  The neutral
+    functional g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a separable
+    built-in kernel factors as ``profile`` (the projected x-factor, computed
+    once here) times the scalar ``mass``, ``grid.weights @ z_map(field)``.
+    The integrator applies the set's pointwise f and sigma to one grid field
+    a delay block and evaluates the kernel itself: ``z_map`` twice a point
+    step with one ``grid.weights`` product a block, and once an instant
+    iterate, where ``profile_field`` and ``profile_norm`` run g's fixed point.
     """
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator):
@@ -213,7 +213,7 @@ class GridMaps:
             self.profile = self.grid.project @ kern.profile(self.grid.x)
             self.profile_field = self.grid.synth @ self.profile
             self.profile_norm = math.sqrt(self.profile @ self.profile)
-            self._z_map = kern.z_map
+            self.z_map = kern.z_map
 
     def f_field(self, state: np.ndarray) -> np.ndarray:
         """Drift f applied pointwise to the field of ``state`` on the grid."""
@@ -223,15 +223,11 @@ class GridMaps:
         """Diffusion multiplier field sigma(u(.)) on the grid."""
         return np.asarray(self.cs.sigma(state @ self.grid.synth.T), dtype=float)
 
-    def field_mass(self, field: np.ndarray) -> float:
-        """Grid integral of z_map(field) for a field on the grid (0 without a kernel)."""
+    def mass(self, state: np.ndarray) -> float:
+        """Scalar factor of g(state): grid integral of z_map on its field (0 without a kernel)."""
         if self.g_mode == "none":
             return 0.0
-        return float(self.grid.weights @ self._z_map(field))
-
-    def mass(self, state: np.ndarray) -> float:
-        """The scalar factor of g(state): the kernel integrated against its field."""
-        return self.field_mass(self.grid.synth @ state)
+        return float(self.grid.weights @ self.z_map(self.grid.synth @ state))
 
     def g(self, state: np.ndarray) -> np.ndarray:
         """Neutral functional as mode coefficients (zero without a kernel)."""

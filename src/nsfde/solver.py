@@ -27,10 +27,10 @@ Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
 k = min(m, steps left) and carries a block's delayed nodes rows[b0:b1 + 1] to
 the grid in one product: one forcing call evaluates Phi1 f + xi on the first
-k rows of that field (in a Picard iterate, on the previous iterate's nodes),
-and the point kernel's two masses a step read its rows j and j + 1, as the
-benchmark's traced reference (``bench/reference/ensemble_bounded.json``)
-pins until a benchmark change re-records it.  Without a kernel or with the
+k rows of that field (in a Picard iterate, on the previous iterate's nodes).
+The point kernel makes two z_map calls a step, on rows j and j + 1, as the
+benchmark pins (``bench/reference/ensemble_bounded.json``), and one
+quadrature with the grid weights a block.  Without a kernel or with the
 point kernel, g reads only history too, so the block's increments w_j are
 all known and a doubling scan runs u_{j+1} = decay u_j + w_j in ceil(log2 k)
 whole-block operations; the instant kernel reads the new state, so it steps.
@@ -156,6 +156,15 @@ def _check_initial(initial: Segment, op: SpectralOperator, cfg: SolverConfig):
         raise ConfigError("initial segment step must equal solver.dt")
 
 
+def _window_max(x: np.ndarray, w: int) -> np.ndarray:
+    """max(x[i:i + w]) for every i, in ceil(log2 w) passes of windows doubling in span."""
+    span = 1
+    while span < w:
+        step = min(span, w - span)
+        x, span = np.maximum(x[:-step], x[step:]), span + step
+    return x
+
+
 def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                stream: RngStream, z_block: np.ndarray,
                src_rows: Optional[np.ndarray] = None,
@@ -174,8 +183,11 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
     norms[:m + 1] = np.linalg.norm(initial.values, axis=1)
     fp_iters = np.zeros(steps + 1, dtype=int)
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
-    maps, decay = stepper.maps, stepper.decay
-    g_mode, profile, mass, field_mass = maps.g_mode, maps.profile, maps.mass, maps.field_mass
+    maps, decay, weights = stepper.maps, stepper.decay, stepper.maps.grid.weights
+    g_mode, profile = maps.g_mode, maps.profile
+    if g_mode != "none":
+        z_map, profile_field, profile_norm = maps.z_map, maps.profile_field, maps.profile_norm
+        zs = np.empty((2 * m, weights.size))   # a point block's z_map of rows j, j + 1
 
     for b0 in range(0, steps, m):
         # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
@@ -187,8 +199,10 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
             # every node g reads in the block is history: all the increments are
             # known, and a doubling scan runs u_{j+1} = decay u_j + w_j
             if g_mode == "point":
-                w += profile * np.array([[field_mass(fields[j]) - field_mass(fields[j + 1])]
-                                         for j in range(b1 - b0)])
+                for j in range(b1 - b0):
+                    zs[2 * j], zs[2 * j + 1] = z_map(fields[j]), z_map(fields[j + 1])
+                masses = zs[:2 * (b1 - b0)] @ weights
+                w += profile * (masses[0::2] - masses[1::2])[:, None]
             w[0] += decay * rows[m + b0]
             for level, decay_s in enumerate(stepper.decay_powers[:(b1 - b0 - 1).bit_length()]):
                 w[1 << level:] += decay_s * w[:-(1 << level)]
@@ -199,7 +213,7 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                 # the neutral term reads the unknown new state: contract to the fixed
                 # point of u = rhs - profile * mass(u) on its one scalar, the mass c
                 u = rows[m + i]
-                c = mass(u)
+                c = maps.mass(u)
                 rhs = decay * u + profile * c + f_i
                 d = rhs - profile * c - u
                 r = math.sqrt(d @ d)
@@ -215,8 +229,8 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                             f"implicit neutral step failed to reach fp_tol={cfg.fp_tol:g} "
                             f"within {cfg.fp_max} iterations (last residual {r:.3e})",
                             residual=r, iterations=cfg.fp_max)
-                    c_prev, c = c, field_mass(field - c * maps.profile_field)
-                    r = abs(c - c_prev) * maps.profile_norm
+                    c_prev, c = c, float(weights @ z_map(field - c * profile_field))
+                    r = abs(c - c_prev) * profile_norm
                     iters += 1
                 u_new = rows[m + 1 + i] = rhs - profile * c
                 fp_iters[i + 1] = iters
@@ -233,7 +247,6 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
 
     # the window ending at step k is rows[k:k + m + 1]
     stored = np.arange(0, steps + 1, stride)
-    window_norms = np.lib.stride_tricks.sliding_window_view(norms, m + 1)
     segments = segment_times = None
     if cfg.segment_stride:
         checkpoints = np.arange(cfg.segment_stride, steps + 1, cfg.segment_stride)
@@ -241,7 +254,7 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
         segment_times = checkpoints * cfg.dt
     traj = Trajectory(
         times=stored * cfg.dt, snapshots=rows[m + stored],
-        seg_norms=window_norms[stored].max(axis=1), fp_iters=fp_iters[stored],
+        seg_norms=_window_max(norms, m + 1)[stored], fp_iters=fp_iters[stored],
         seed=stream.seed, stream_id=stream.stream_id,
         dt=cfg.dt, store_stride=stride,
         final_segment=Segment(h=initial.h, dt=cfg.dt, values=rows[steps:].copy()),

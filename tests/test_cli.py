@@ -287,6 +287,30 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
         assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, flags, needle", [
+    ("solver: {t_end: 0.3}\n", ["--thin", "1000"],
+     "measure.thin = 1000 with solver.t_end = 0.3 puts the last checkpoint at t = 0, "
+     "not after measure.burn_in = 0.2 (unset: 2 * delay.h)"),
+    ("solver: {t_end: 0.15}\n", [],
+     "measure.thin = 1 with solver.t_end = 0.15 puts the last checkpoint at t = 0.15, "
+     "not after measure.burn_in = 0.2 (unset: 2 * delay.h)"),
+    (ZERO_CFG, ["--thin", "15", "--burn-in", "0.15"],   # one checkpoint, at the burn-in
+     "measure.thin = 15 with solver.t_end = 0.2 puts the last checkpoint at t = 0.15, "
+     "not after measure.burn_in = 0.15"),
+], ids=["thin", "default-burn-in", "at-the-burn-in"])
+def test_estimate_measure_refuses_a_run_with_no_checkpoint_after_the_burn_in(
+        tmp_path, capsys, monkeypatch, text, flags, needle):
+    # refused before any integration, naming the fields; the config still loads
+    cfg, out = _cfg(tmp_path, text), tmp_path / "m.jsonl"
+    _forbid_integration(monkeypatch)
+    assert main(["estimate-measure", "--config", cfg, "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err == \
+        f"error: no segment checkpoint survives the burn-in: {needle}\n"
+    assert not out.exists()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.jsonl")]) == 0
+    capsys.readouterr()
+
+
 def test_tightness_reports_tail_fractions(tmp_path, capsys, monkeypatch):
     cfg = _cfg(tmp_path, ZERO_CFG)
     report, rerun = tmp_path / "tight.csv", tmp_path / "rerun.csv"

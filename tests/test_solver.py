@@ -13,6 +13,8 @@ from nsfde import (BlowupError, ConfigError, DomainError, GridMaps, HorizonResul
                    constant_segment, contraction_factor, find_horizon,
                    from_initial_condition, ou_std, picard_run, power_qwiener,
                    simulate, stability_bound, zero_segment)
+from nsfde import solver as solver_mod
+from nsfde.solver import _window_max
 
 OP4 = assemble_operator(n_modes=4)
 Q4 = power_qwiener(4, trace_target=0.5)
@@ -407,6 +409,59 @@ def test_kernel_evaluations_per_step(delay):
             assert traj.fp_iters[1:].min() >= 2
             assert len(calls) == traj.fp_iters.sum()
         ini = traj.final_segment   # the one-step runs pin the count of one step each
+
+
+@pytest.mark.parametrize("h", [0.05, 0.37])
+def test_point_kernel_increments_integrate_each_row(h, monkeypatch):
+    # a point block of k steps makes 2k z_map calls, on rows j and j + 1 of its
+    # field, and adds profile * (mass_j - mass_{j+1}) for step j.  Without decay,
+    # drift or noise the scan adds exact zeros, so each new row is its increment.
+    # At h = 0.37 (m = 37) the last block is one step long
+    log = []
+
+    class HistoryOnly(solver_mod._Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.decay = np.zeros_like(self.decay)
+            self.decay_powers = [self.decay] * len(self.decay_powers)
+
+        def forcing(self, field, z):
+            log.append(len(field))
+            return super().forcing(field, z)
+
+    monkeypatch.setattr(solver_mod, "_Stepper", HistoryOnly)
+    cs = builtin_coefficients(f="zero", sigma="zero", kernel_scale=0.2)
+    z_map = cs.kernel_b.z_map
+    cs.kernel_b.z_map = lambda z: log.append(z.copy()) or z_map(z)
+    m, steps = round(h / 0.01), _block_test_steps(h)
+    ini = Segment(h=h, dt=0.01, values=np.random.default_rng(5).normal(size=(m + 1, 8)))
+    traj = simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=steps * 0.01),
+                    RngStream(28, 0), noise_z=np.zeros((steps, 8)))
+    rows = np.vstack([ini.values, traj.snapshots[1:]])
+    maps = GridMaps(cs, OP8)
+    fields = rows @ maps.grid.synth.T
+    masses = np.array([maps.grid.weights @ z_map(fld) for fld in fields])
+    increments = maps.profile * (masses[:steps] - masses[1:steps + 1])[:, None]
+    assert np.allclose(traj.snapshots[1:], increments, rtol=0.0, atol=1e-15)
+
+    blocks = [(b0, min(b0 + m, steps)) for b0 in range(0, steps, m)]
+    assert blocks[-1][1] - blocks[-1][0] == (1 if h == 0.37 else 3)
+    for b0, b1 in blocks:
+        k, calls = log[0], log[1:2 * (b1 - b0) + 1]
+        assert k == b1 - b0 and all(isinstance(z, np.ndarray) for z in calls)
+        for j in range(k):
+            assert np.allclose(calls[2 * j], fields[b0 + j], rtol=0.0, atol=1e-15)
+            assert np.allclose(calls[2 * j + 1], fields[b0 + j + 1], rtol=0.0, atol=1e-15)
+        log = log[2 * k + 1:]
+    assert not log
+
+
+@pytest.mark.parametrize("n, w", [(101, w) for w in (1, 2, 3, 4, 11, 16, 101)] + [(37, 37)])
+def test_window_max_equals_the_sliding_window_max(n, w):
+    x = np.random.default_rng(n + w).normal(size=n)
+    x[::7] = x[3]   # ties
+    assert np.array_equal(_window_max(x, w),
+                          np.lib.stride_tricks.sliding_window_view(x, w).max(axis=1))
 
 
 def test_blowup_guard_fires_mid_block_at_the_first_crossing():

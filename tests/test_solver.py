@@ -447,12 +447,13 @@ def test_point_kernel_increments_integrate_each_row(h, monkeypatch):
     blocks = [(b0, min(b0 + m, steps)) for b0 in range(0, steps, m)]
     assert blocks[-1][1] - blocks[-1][0] == (1 if h == 0.37 else 3)
     for b0, b1 in blocks:
-        k, calls = log[0], log[1:2 * (b1 - b0) + 1]
-        assert k == b1 - b0 and all(isinstance(z, np.ndarray) for z in calls)
+        k = b1 - b0
+        assert log[0] == k   # the block's forcing call, then its z_map calls
+        calls, log = log[1:2 * k + 1], log[2 * k + 1:]
+        assert len(calls) == 2 * k and all(isinstance(z, np.ndarray) for z in calls)
         for j in range(k):
             assert np.allclose(calls[2 * j], fields[b0 + j], rtol=0.0, atol=1e-15)
             assert np.allclose(calls[2 * j + 1], fields[b0 + j + 1], rtol=0.0, atol=1e-15)
-        log = log[2 * k + 1:]
     assert not log
 
 

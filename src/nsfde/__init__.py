@@ -20,7 +20,7 @@ from .spectral import (SpectralOperator, assemble_operator, decay_constants,
 from .noise import (QWienerSpec, RngStream, geometric_qwiener, ou_std,
                     power_qwiener)
 from .segment import (PROFILES, Segment, constant_segment,
-                      from_initial_condition, random_segment, sup_norm,
+                      from_initial_condition, random_segments, sup_norm,
                       zero_segment)
 from .coefficients import (CoefficientSet, GridMaps, Kernel, OsgoodCertificate,
                            ProbeReport, builtin_coefficients, growth_check,

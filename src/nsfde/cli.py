@@ -54,9 +54,22 @@ def _load(args) -> config_mod.RunConfig:
     overrides = {k: v for k, v in vars(args).items()
                  if (k == "seed" or "." in k) and v is not None}
     rc = config_mod.load_config(args.config, overrides)
+    if args.command == "estimate-measure":
+        _check_a_checkpoint_survives(rc)   # before the dump: a refused config leaves none
     if args.resolved:
         config_mod.dump_resolved(rc, args.resolved)
     return rc
+
+
+def _check_a_checkpoint_survives(rc: config_mod.RunConfig):
+    thin, burn_in = rc.measure["thin"], rc.burn_in()
+    cfg = config_mod.make_solver_config(rc)
+    last = cfg.n_steps // thin * thin * cfg.dt   # the last checkpoint time, 0 if none
+    if not last > burn_in:
+        unset = " (unset: 2 * delay.h)" if rc.measure["burn_in"] is None else ""
+        raise ConfigError(f"no segment checkpoint survives the burn-in: measure.thin = {thin} "
+                          f"with solver.t_end = {rc.solver['t_end']:g} puts the last checkpoint "
+                          f"at t = {last:g}, not after measure.burn_in = {burn_in:g}{unset}")
 
 
 def _build(rc: config_mod.RunConfig):
@@ -99,12 +112,6 @@ def _cmd_estimate_measure(args) -> int:
     rc = _load(args)
     op, qspec, cs, cfg, initial = _build(rc)
     thin, burn_in = rc.measure["thin"], rc.burn_in()
-    last = cfg.n_steps // thin * thin * cfg.dt   # the last checkpoint time, 0 if none
-    if not last > burn_in:
-        unset = " (unset: 2 * delay.h)" if rc.measure["burn_in"] is None else ""
-        raise ConfigError(f"no segment checkpoint survives the burn-in: measure.thin = {thin} "
-                          f"with solver.t_end = {rc.solver['t_end']:g} puts the last checkpoint "
-                          f"at t = {last:g}, not after measure.burn_in = {burn_in:g}{unset}")
     cfg = replace(cfg, segment_stride=thin)   # checkpoint every thin steps
     trajs = measure_mod.run_ensemble(initial, cs, op, qspec, cfg, rc.seed,
                                      rc.measure["n_trajectories"])

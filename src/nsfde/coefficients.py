@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, SingularModulusError, check_choice
-from .segment import random_segment, sup_norm
+from .segment import random_segments, sup_norm
 from .spectral import SpectralOperator, fractional_norm
 
 E_MINUS_2 = math.exp(-2.0)
@@ -188,55 +188,31 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
 
 
 class GridMaps:
-    """f, sigma and g of one coefficient set on one operator's quadrature grid.
+    """The neutral kernel of one coefficient set on one operator's quadrature grid.
 
-    The single implementation of the three functionals for the condition
-    probes, and the grid, profile and kernel the integrator reads.  Each map
-    takes the mode coefficients of the segment node it reads; ``f_field`` and
-    sigma also take a ``(k, N)`` stack of nodes, row by row.  The neutral
-    functional g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a separable
-    built-in kernel factors as ``profile`` (the projected x-factor, computed
-    once here) times the scalar ``mass``, ``grid.weights @ z_map(field)``.
-    The integrator applies the set's pointwise f and sigma to one grid field
-    a delay block and evaluates the kernel itself: ``z_map`` twice a point
-    step with one ``grid.weights`` product a block, and once an instant
-    iterate, where ``profile_field`` and ``profile_norm`` run g's fixed point.
+    g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a built-in kernel factors
+    as ``profile`` (the projected x-factor) times the scalar ``mass`` of the
+    node g reads, theta_g = -h for ``g_mode`` "point" and 0 for "instant";
+    without a kernel ("none") both vanish.  The integrator calls ``z_map``
+    twice a point step with one ``grid.weights`` product a block, and once an
+    instant iterate, where ``profile_field`` and ``profile_norm`` run g's
+    fixed point; the Lipschitz probe takes ``mass`` of a stack of nodes.
     """
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator):
-        self.cs = cs
         self.grid = op.grid(cs.grid_points)
         kern = cs.kernel_b
         self.g_mode = "none" if kern is None else kern.delay_mode
-        self.profile = np.zeros(op.n_modes)
+        self.profile, self.z_map = np.zeros(op.n_modes), np.zeros_like
         if kern is not None:
             self.profile = self.grid.project @ kern.profile(self.grid.x)
-            self.profile_field = self.grid.synth @ self.profile
-            self.profile_norm = math.sqrt(self.profile @ self.profile)
             self.z_map = kern.z_map
+        self.profile_field = self.grid.synth @ self.profile
+        self.profile_norm = math.sqrt(self.profile @ self.profile)
 
-    def f_field(self, state: np.ndarray) -> np.ndarray:
-        """Drift f applied pointwise to the field of ``state`` on the grid."""
-        return self.cs.f(state @ self.grid.synth.T)
-
-    def sigma(self, state: np.ndarray) -> np.ndarray:
-        """Diffusion multiplier field sigma(u(.)) on the grid."""
-        return np.asarray(self.cs.sigma(state @ self.grid.synth.T), dtype=float)
-
-    def mass(self, state: np.ndarray) -> float:
-        """Scalar factor of g(state): grid integral of z_map on its field (0 without a kernel)."""
-        if self.g_mode == "none":
-            return 0.0
-        return float(self.grid.weights @ self.z_map(self.grid.synth @ state))
-
-    def g(self, state: np.ndarray) -> np.ndarray:
-        """Neutral functional as mode coefficients (zero without a kernel)."""
-        return self.profile * self.mass(state)
-
-    def g_window(self, window: np.ndarray) -> np.ndarray:
-        """g at the node the kernel reads: window[0] (theta = -h) for a point
-        delay, window[-1] (theta = 0) for an instant one."""
-        return self.g(window[0] if self.g_mode == "point" else window[-1])
+    def mass(self, states: np.ndarray):
+        """Scalar factor of g: grid integral of z_map on the field, (S,) for an (S, N) stack."""
+        return self.grid.weights @ self.z_map(self.grid.synth @ states.T)
 
 
 def osgood_integral(cs: CoefficientSet, eps: float) -> float:
@@ -359,25 +335,24 @@ class ProbeReport:
 
 def lipschitz_probe_g(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
                       gen: np.random.Generator, h: float = 0.1) -> ProbeReport:
-    """Max over random segment pairs of ||g(phi1) - g(phi2)||_{1/2} / ||phi1 - phi2||_C."""
+    """Max over random segment pairs of ||g(phi1) - g(phi2)||_{1/2} / ||phi1 - phi2||_C.
+
+    g is rank one, profile * mass, so the numerator is
+    |mass(phi1) - mass(phi2)| ||profile||_{1/2}; pairs closer than 1e-12 are skipped.
+    """
     if n_samples < 1:
         raise DomainError("need at least one probe pair")
     maps = GridMaps(cs, op)
-    dt = h / 4.0
-    best = 0.0
-    used = 0
-    for _ in range(n_samples):
-        s1 = random_segment(op, h, dt, gen)
-        s2 = random_segment(op, h, dt, gen)
-        denom = float(sup_norm(s1.values - s2.values))
-        if denom < 1e-12:
-            continue
-        num = fractional_norm(op, maps.g_window(s1.values) - maps.g_window(s2.values), 0.5)
-        best = max(best, num / denom)
-        used += 1
+    pairs = random_segments(op, h, h / 4.0, gen, np.ones((n_samples, 2)))
+    denom = sup_norm(pairs[:, 0] - pairs[:, 1])
+    keep = denom >= 1e-12
+    nodes = pairs[keep, :, -1 if maps.g_mode == "instant" else 0]   # the node g reads
+    masses = maps.mass(nodes.reshape(-1, op.n_modes)).reshape(-1, 2)
+    num = np.abs(masses[:, 0] - masses[:, 1]) * fractional_norm(op, maps.profile, 0.5)
+    best = float(np.max(num / denom[keep], initial=0.0))
     return ProbeReport(estimate=best, bound=cs.lipschitz_Mg,
                        passed=best <= cs.lipschitz_Mg, margin=cs.lipschitz_Mg - best,
-                       n_used=used)
+                       n_used=int(keep.sum()))
 
 
 def growth_check(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
@@ -390,17 +365,11 @@ def growth_check(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
     """
     if n_samples < 1:
         raise DomainError("need at least one sample segment")
-    maps = GridMaps(cs, op)
-    grid = maps.grid
+    grid = op.grid(cs.grid_points)
     density = np.einsum("k,jk->j", qspec.lambdas, grid.synth ** 2)
-    dt = h / 4.0
-    worst = 0.0
     amps = 10.0 ** gen.uniform(-3.0, 2.0, size=n_samples)
-    for amp in amps:
-        seg = random_segment(op, h, dt, gen, amplitude=float(amp))
-        delayed = seg.values[0]  # theta = -h
-        f_norm = math.sqrt(float(grid.weights @ maps.f_field(delayed) ** 2))
-        s_fld = maps.sigma(delayed)
-        s_norm = math.sqrt(float(grid.weights @ (s_fld ** 2 * density)))
-        worst = max(worst, (f_norm + s_norm) / (1.0 + float(sup_norm(seg.values))))
-    return worst
+    segs = random_segments(op, h, h / 4.0, gen, amps)
+    delayed = segs[:, 0] @ grid.synth.T   # the fields at theta = -h, one row a sample
+    f_norm = np.sqrt(cs.f(delayed) ** 2 @ grid.weights)
+    s_norm = np.sqrt((cs.sigma(delayed) ** 2 * density) @ grid.weights)
+    return float(np.max((f_norm + s_norm) / (1.0 + sup_norm(segs))))

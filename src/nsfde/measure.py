@@ -93,13 +93,6 @@ class EmpiricalMeasure:
     def n_modes(self) -> int:
         return self.segments.shape[2]
 
-    def norms(self) -> np.ndarray:
-        return sup_norm(self.segments)
-
-    def modes(self) -> np.ndarray:
-        """Endpoint coefficient vectors, one row per sample."""
-        return self.segments[:, -1]
-
 
 def krylov_bogoliubov(trajs, burn_in: float, thin: int = 1) -> EmpiricalMeasure:
     """Pool post-burn-in segment checkpoints into an empirical measure.
@@ -115,13 +108,13 @@ def krylov_bogoliubov(trajs, burn_in: float, thin: int = 1) -> EmpiricalMeasure:
         raise ConfigError("empty trajectory ensemble")
     if thin < 1:
         raise ConfigError("thin must be a positive integer")
-    t_end = max(float(t.times[-1]) for t in trajs)
-    if burn_in >= t_end:
-        raise ConfigError("burn_in must precede the end of the run")
-
     if any(t.segments is None or t.segment_times is None for t in trajs):
         raise ConfigError("trajectory carries no segment checkpoints; "
                           "rerun with solver.segment_stride > 0")
+    # the run ends at its last snapshot or its last checkpoint, whichever is later
+    t_end = max(float(max(t.times[-1], *t.segment_times[-1:])) for t in trajs)
+    if burn_in >= t_end:
+        raise ConfigError("burn_in must precede the end of the run")
     keeps = [np.nonzero(t.segment_times > burn_in)[0][::thin] for t in trajs]
     times = np.concatenate([t.segment_times[k] for t, k in zip(trajs, keeps)])
     if not times.size:

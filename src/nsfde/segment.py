@@ -136,19 +136,21 @@ def from_initial_condition(phi, h: float, dt: float, op: SpectralOperator,
     raise ConfigError("unsupported initial-condition descriptor")
 
 
-def random_segment(op: SpectralOperator, h: float, dt: float,
-                   gen: np.random.Generator, amplitude: float = 1.0) -> Segment:
-    """Smooth random window: per-mode amplitudes n^{-2}, smooth in theta.
+def random_segments(op: SpectralOperator, h: float, dt: float,
+                    gen: np.random.Generator, amplitudes) -> np.ndarray:
+    """Smooth random windows, a ``(..., m + 1, N)`` stack with one window per entry
+    of ``amplitudes``: per-mode amplitudes n^{-2}, smooth in theta.
 
     Used by the condition probes; the theta-dependence mixes a constant, a
     linear ramp and a half-period sine so sampled pairs exercise the whole
-    window, not just the endpoints.
+    window, not just the endpoints.  One draw of shape ``amplitudes.shape +
+    (3, N)`` equals drawing the windows one at a time in C order, bit for bit.
     """
     m = _window_steps(h, dt)
     thetas = -h + dt * np.arange(m + 1)
+    amplitudes = np.asarray(amplitudes, dtype=float)
     n = np.arange(1, op.n_modes + 1, dtype=float)
-    scales = amplitude * n ** -2.0
-    weights = gen.standard_normal((3, op.n_modes)) * scales
+    scales = amplitudes[..., None, None] * n ** -2.0
+    weights = gen.standard_normal(amplitudes.shape + (3, op.n_modes)) * scales
     basis = np.stack([np.ones_like(thetas), thetas / h, np.sin(np.pi * thetas / h)])
-    return Segment(h=h, dt=dt, values=basis.T @ weights)
-
+    return basis.T @ weights

@@ -184,10 +184,9 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
     fp_iters = np.zeros(steps + 1, dtype=int)
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
     maps, decay, weights = stepper.maps, stepper.decay, stepper.maps.grid.weights
-    g_mode, profile = maps.g_mode, maps.profile
-    if g_mode != "none":
-        z_map, profile_field, profile_norm = maps.z_map, maps.profile_field, maps.profile_norm
-        zs = np.empty((2 * m, weights.size))   # a point block's z_map of rows j, j + 1
+    g_mode, profile, z_map = maps.g_mode, maps.profile, maps.z_map
+    profile_field, profile_norm = maps.profile_field, maps.profile_norm
+    zs = np.empty((2 * m, weights.size))   # a point block's z_map of rows j, j + 1
 
     for b0 in range(0, steps, m):
         # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start

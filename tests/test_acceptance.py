@@ -39,7 +39,7 @@ def test_criterion_01_ou_stationary_variance():
     cfg = SolverConfig(dt=1e-3, t_end=200.0, store_stride=100, segment_stride=100)
     traj = simulate(zero_segment(0.1, 1e-3, n), cs, op, q, cfg, RngStream(2024, 0))
     mu = krylov_bogoliubov([traj], burn_in=50.0)
-    modes = mu.modes()
+    modes = mu.segments[:, -1]
     assert mu.n_samples >= 1000
 
     nb = 8

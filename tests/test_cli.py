@@ -20,7 +20,7 @@ import pytest
 
 import nsfde
 from nsfde import (find_horizon, load_config, make_coefficients,
-                   osgood_certificate)
+                   osgood_certificate, sup_norm)
 from nsfde.cli import main
 from nsfde.serialize import (read_measure_jsonl, read_report_csv,
                              read_trajectory_jsonl)
@@ -145,6 +145,11 @@ def test_refused_config_writes_no_resolved_dump(tmp_path, capsys):
                  "--out", str(tmp_path / "m.jsonl")]) == 1
     assert "measure.burn_in" in capsys.readouterr().err
     assert not resolved.exists()
+    # refused by estimate-measure itself: no checkpoint after the default burn-in 0.2
+    assert main(["estimate-measure", "--config", _cfg(tmp_path, "solver: {t_end: 0.15}\n"),
+                 "--resolved", str(resolved), "--out", str(tmp_path / "m.jsonl")]) == 1
+    assert "no segment checkpoint survives the burn-in" in capsys.readouterr().err
+    assert not resolved.exists()
 
 
 def test_simulate_blowup_exits_2(tmp_path, capsys):
@@ -204,7 +209,7 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
     mu = read_measure_jsonl(mfile)
     assert mu.n_samples == 16               # 8 post-burn-in checkpoints x 2
     assert mu.n_modes == 4
-    assert not mu.norms().any()             # zero dynamics: point mass at 0
+    assert not sup_norm(mu.segments).any()  # zero dynamics: point mass at 0
     assert np.all(mu.times > 0.1)
 
     late, rerun = tmp_path / "late.jsonl", tmp_path / "rerun.jsonl"

@@ -10,8 +10,8 @@ from nsfde import (CoefficientSet, ConfigError, DomainError, GridMaps, Kernel,
                    assemble_operator, builtin_coefficients,
                    growth_check, linear_modulus, lipschitz_probe_g,
                    modulus_bound_check, modulus_shape_check,
-                   osgood_certificate, osgood_integral, osgood_modulus,
-                   power_qwiener)
+                   fractional_norm, osgood_certificate, osgood_integral,
+                   osgood_modulus, power_qwiener, random_segments, sup_norm)
 
 E2 = math.exp(-2.0)
 
@@ -132,8 +132,8 @@ def test_eval_f_matches_adaptive_quadrature():
         n = np.arange(1, 5)
         return np.sqrt(2.0) * np.sin(np.pi * np.outer(np.atleast_1d(x), n)) @ coeffs
 
-    maps = GridMaps(cs, op)
-    got = maps.grid.project @ maps.f_field(coeffs)
+    grid = GridMaps(cs, op).grid
+    got = grid.project @ cs.f(coeffs @ grid.synth.T)
     for k in range(1, 5):
         want = quad(lambda x: math.tanh(field(x)[0]) * math.sqrt(2.0) * math.sin(k * np.pi * x),
                     0.0, 1.0, epsabs=1e-12, epsrel=1e-12)[0]
@@ -143,7 +143,7 @@ def test_eval_f_matches_adaptive_quadrature():
 def test_eval_sigma_is_grid_field():
     op = assemble_operator(n_modes=4)
     cs = builtin_coefficients(sigma="one")
-    out = GridMaps(cs, op).sigma(np.zeros(4))
+    out = cs.sigma(np.zeros(4) @ GridMaps(cs, op).grid.synth.T)
     assert np.array_equal(out, np.ones_like(out))
     assert out.size == cs.grid_points + 1
 
@@ -160,32 +160,20 @@ def test_eval_g_separable_kernel():
         return np.sqrt(2.0) * np.sin(np.pi * np.outer(np.atleast_1d(x), n)) @ coeffs
 
     mass = quad(lambda x: math.tanh(field(x)[0]), 0.0, 1.0, epsabs=1e-12)[0]
-    got = maps.g(coeffs)
+    got = maps.profile * maps.mass(coeffs)
     # c sin(pi x) = (c/sqrt2) e_1: only the first mode is hit
     assert got[0] == pytest.approx(c / math.sqrt(2.0) * mass, abs=1e-9)
     assert np.max(np.abs(got[1:])) <= 1e-12
 
-    # constant-in-theta window: point and instant reads agree
-    inst = GridMaps(builtin_coefficients(kernel_scale=c, kernel_delay="instant"), op)
-    window = np.tile(coeffs, (3, 1))
-    assert np.array_equal(maps.g_window(window), got)
-    assert np.array_equal(inst.g_window(window), got)
-
-    # theta-dependent window separates the two reads: the point kernel sees
-    # the (zero) oldest node, the instant kernel sees the current one
-    ramp = np.outer([0.0, 0.5, 1.0], coeffs)
-    assert not maps.g_window(ramp).any()
-    assert abs(inst.g_window(ramp)[0]) > 0.01
-
     none = GridMaps(builtin_coefficients(kernel="zero"), op)
     assert none.g_mode == "none"
-    assert not none.g(coeffs).any() and not none.g_window(ramp).any()
+    assert not (none.profile * none.mass(coeffs)).any()
 
     # linear kernel: g is linear in u, and its mass is int_0^1 u dx, where
     # int e_1 = sqrt2 * 2/pi and int e_2 = 0
     lin = GridMaps(builtin_coefficients(kernel="linear", kernel_scale=c), op)
-    got_lin = lin.g(coeffs)
-    assert np.array_equal(lin.g(2.0 * coeffs), 2.0 * got_lin)
+    got_lin = lin.profile * lin.mass(coeffs)
+    assert np.array_equal(lin.profile * lin.mass(2.0 * coeffs), 2.0 * got_lin)
     mass_lin = math.sqrt(2.0) * (2.0 / math.pi) * coeffs[0]
     assert got_lin[0] == pytest.approx(c / math.sqrt(2.0) * mass_lin, abs=1e-9)
     assert np.max(np.abs(got_lin[1:])) <= 1e-12
@@ -212,3 +200,77 @@ def test_growth_check_bounded_pair_stays_under_one():
     q = power_qwiener(8, trace_target=1.0)
     gen = RngStream(31, 0).generator()
     assert growth_check(cs, op, 200, gen, qspec=q) <= 1.0
+
+
+def _lipschitz_reference(cs, op, n_samples, gen, h):
+    """lipschitz_probe_g one random pair at a time: (estimate, pairs used)."""
+    maps = GridMaps(cs, op)
+    node = -1 if maps.g_mode == "instant" else 0   # the node g reads
+    best, used = 0.0, 0
+    for _ in range(n_samples):
+        s1 = random_segments(op, h, h / 4.0, gen, 1.0)
+        s2 = random_segments(op, h, h / 4.0, gen, 1.0)
+        denom = float(sup_norm(s1 - s2))
+        if denom < 1e-12:
+            continue
+        g1, g2 = (maps.profile * maps.mass(s[node]) for s in (s1, s2))
+        best = max(best, fractional_norm(op, g1 - g2, 0.5) / denom)
+        used += 1
+    return best, used
+
+
+def _growth_reference(cs, op, n_samples, gen, qspec, h):
+    """growth_check one random window at a time."""
+    grid = GridMaps(cs, op).grid
+    density = np.einsum("k,jk->j", qspec.lambdas, grid.synth ** 2)
+    worst = 0.0
+    for amp in 10.0 ** gen.uniform(-3.0, 2.0, size=n_samples):
+        seg = random_segments(op, h, h / 4.0, gen, amp)
+        field = seg[0] @ grid.synth.T   # theta = -h
+        f_norm = math.sqrt(float(grid.weights @ cs.f(field) ** 2))
+        s_norm = math.sqrt(float(grid.weights @ (cs.sigma(field) ** 2 * density)))
+        worst = max(worst, (f_norm + s_norm) / (1.0 + float(sup_norm(seg))))
+    return worst
+
+
+class _Replay:
+    """Generator stand-in handing out a fixed sequence of normals in order."""
+
+    def __init__(self, values):
+        self.values, self.pos = values.ravel(), 0
+
+    def standard_normal(self, shape):
+        k = math.prod(shape)
+        self.pos += k
+        return self.values[self.pos - k:self.pos].reshape(shape)
+
+
+@pytest.mark.parametrize("kernel, delay, f, sigma", [
+    ("separable", "point", "osgood", "osgood"),
+    ("separable", "instant", "bounded_tanh", "one"),
+    ("linear", "point", "identity", "bounded_tanh"),
+    ("zero", "point", "zero", "osgood"),
+])
+def test_probes_equal_a_per_segment_loop(kernel, delay, f, sigma):
+    op = assemble_operator(n_modes=8)
+    q = power_qwiener(8, trace_target=0.5)
+    cs = builtin_coefficients(f=f, sigma=sigma, kernel=kernel, kernel_delay=delay,
+                              kernel_scale=0.2)
+    for n, h in ((1, 0.1), (60, 0.05)):
+        gen, ref = RngStream(77, n).generator(), RngStream(77, n).generator()
+        rep = lipschitz_probe_g(cs, op, n, gen, h=h)
+        best, used = _lipschitz_reference(cs, op, n, ref, h)
+        assert rep.n_used == used == n
+        assert abs(rep.estimate - best) <= 1e-15
+        assert np.array_equal(gen.random(4), ref.random(4))   # the same next draw
+        growth = growth_check(cs, op, n, gen, qspec=q, h=h)
+        assert abs(growth - _growth_reference(cs, op, n, ref, q, h)) <= 1e-15
+        assert np.array_equal(gen.random(4), ref.random(4))   # the same next draw
+
+    # pairs that coincide are skipped, as in the loop
+    z = np.random.default_rng(8).standard_normal((30, 2, 3, 8))
+    z[::3, 1] = z[::3, 0]
+    rep = lipschitz_probe_g(cs, op, 30, _Replay(z), h=0.05)
+    best, used = _lipschitz_reference(cs, op, 30, _Replay(z), 0.05)
+    assert rep.n_used == used == 20
+    assert abs(rep.estimate - best) <= 1e-15

@@ -9,7 +9,7 @@ from nsfde import (ConfigError, DomainError, RngStream, Segment, ShapeError,
                    continuous_dependence_probe, default_functionals,
                    from_initial_condition, homogeneity_test, invariance_test,
                    krylov_bogoliubov, ks_critical, ks_statistic, power_qwiener,
-                   run_ensemble, simulate, tightness_diagnostic,
+                   run_ensemble, simulate, sup_norm, tightness_diagnostic,
                    zero_segment)
 
 OP = assemble_operator(n_modes=4)
@@ -101,15 +101,15 @@ def test_krylov_bogoliubov_pooling_and_thinning():
     assert mu.n_samples == 3 * 7
     assert np.all(mu.times > 0.35)
     assert mu.n_modes == 4
-    assert mu.norms().shape == (21,)
-    assert mu.modes().shape == (21, 4)
+    assert sup_norm(mu.segments).shape == (21,)
+    assert mu.segments[:, -1].shape == (21, 4)
 
     mu2 = krylov_bogoliubov(trajs, burn_in=0.35, thin=2)
     assert mu2.n_samples == 3 * 4
 
     # pooling is sorted by provenance: shuffling the ensemble changes nothing
     mu_rev = krylov_bogoliubov(trajs[::-1], burn_in=0.35)
-    assert np.array_equal(mu.norms(), mu_rev.norms())
+    assert np.array_equal(sup_norm(mu.segments), sup_norm(mu_rev.segments))
     assert np.array_equal(mu.sources, mu_rev.sources)
     assert np.array_equal(mu.segments, mu_rev.segments)
     assert mu.segments.shape == (21, 6, 4) and (mu.h, mu.dt) == (0.05, 0.01)
@@ -126,14 +126,25 @@ def test_krylov_bogoliubov_pooling_and_thinning():
     with pytest.raises(ConfigError):
         krylov_bogoliubov([no_segs], burn_in=0.1)
 
+    # a store stride past the run keeps only the snapshot at t = 0: the run
+    # still ends at its last checkpoint, 0.3, after the burn-in 0.15
+    cfg = SolverConfig(dt=0.01, t_end=0.3, store_stride=1000, segment_stride=10)
+    sparse = simulate(zero_segment(0.05, 0.01, 4), builtin_coefficients(kernel="zero"),
+                      OP, Q, cfg, RngStream(3, 0))
+    assert sparse.times.tolist() == [0.0]
+    mu = krylov_bogoliubov([sparse], burn_in=0.15)
+    assert mu.times.tolist() == pytest.approx([0.2, 0.3]) and mu.t_end == pytest.approx(0.3)
+    with pytest.raises(ConfigError, match="burn_in must precede the end of the run"):
+        krylov_bogoliubov([sparse], burn_in=0.3)
+
 
 def test_point_mass_measure_from_zero_dynamics():
     cs = builtin_coefficients(f="zero", sigma="zero", kernel="zero")
     cfg = SolverConfig(dt=0.01, t_end=0.5, segment_stride=10)
     traj = simulate(zero_segment(0.05, 0.01, 4), cs, OP, Q, cfg, RngStream(2, 0))
     mu = krylov_bogoliubov([traj], burn_in=0.1)
-    assert not mu.norms().any()
-    assert not mu.modes().any()
+    assert not sup_norm(mu.segments).any()
+    assert not mu.segments[:, -1].any()
     assert not mu.segments.any()
 
 

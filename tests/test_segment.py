@@ -4,7 +4,7 @@ import pytest
 
 from nsfde import (ConfigError, RngStream, Segment, ShapeError,
                    assemble_operator, constant_segment,
-                   from_initial_condition, random_segment, sup_norm,
+                   from_initial_condition, random_segments, sup_norm,
                    zero_segment)
 
 
@@ -74,7 +74,17 @@ def test_from_initial_condition_other_kinds():
 def test_random_segment_modes_decay():
     op = assemble_operator(n_modes=16)
     gen = RngStream(3, 0).generator()
-    seg = random_segment(op, 0.1, 0.025, gen, amplitude=1.0)
-    assert seg.values.shape == (5, 16)
-    head = np.abs(seg.values).max(axis=0)
+    seg = random_segments(op, 0.1, 0.025, gen, 1.0)
+    assert seg.shape == (5, 16)
+    head = np.abs(seg).max(axis=0)
     assert head[0] > head[-1]  # n^{-2} amplitude envelope
+
+    # a stack from one draw equals the windows drawn one at a time in C order,
+    # bit for bit, and leaves the generator where they leave it
+    amps = 10.0 ** np.linspace(-3.0, 2.0, 6).reshape(3, 2)
+    gen, ref = RngStream(4, 0).generator(), RngStream(4, 0).generator()
+    stack = random_segments(op, 0.1, 0.025, gen, amps)
+    assert stack.shape == (3, 2, 5, 16)
+    for idx in np.ndindex(amps.shape):
+        assert np.array_equal(stack[idx], random_segments(op, 0.1, 0.025, ref, amps[idx]))
+    assert np.array_equal(gen.random(4), ref.random(4))   # the same next draw

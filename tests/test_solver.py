@@ -261,21 +261,22 @@ def _per_step_reference(ini, cs, op, qspec, dt, z, src_rows=None):
     for i in range(z.shape[0]):
         hist = np.array(rows[i:i + m + 1])
         src = hist[0] if src_rows is None else src_rows[i]
-        rhs = decay * hist[-1] + maps.g_window(hist)
+        node = hist[-1] if maps.g_mode == "instant" else hist[0]   # the node g reads
+        rhs = decay * hist[-1] + maps.profile * maps.mass(node)
         if not cs.f_is_zero:
             rhs = rhs + phi1 * (grid.project @ cs.f(grid.synth @ src))
         ou = std * z[i]
         if cs.sigma_const is None:
-            rhs = rhs + grid.project @ (maps.sigma(src) * (grid.synth @ ou))
+            rhs = rhs + grid.project @ (cs.sigma(grid.synth @ src) * (grid.synth @ ou))
         else:
             rhs = rhs + cs.sigma_const * ou
         n_it, res = 0, []
         if maps.g_mode == "point":
-            rhs = rhs - maps.g(hist[1])
+            rhs = rhs - maps.profile * maps.mass(hist[1])
         elif maps.g_mode == "instant":
             u_k = hist[-1]
             while True:
-                u_next = rhs - maps.g(u_k)
+                u_next = rhs - maps.profile * maps.mass(u_k)
                 n_it += 1
                 res.append(np.linalg.norm(u_next - u_k))
                 u_k = u_next

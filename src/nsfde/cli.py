@@ -115,7 +115,7 @@ def _cmd_estimate_measure(args) -> int:
     cfg = replace(cfg, segment_stride=thin)   # checkpoint every thin steps
     trajs = measure_mod.run_ensemble(initial, cs, op, qspec, cfg, rc.seed,
                                      rc.measure["n_trajectories"])
-    mu = measure_mod.krylov_bogoliubov(trajs, burn_in, thin=1)
+    mu = measure_mod.krylov_bogoliubov(trajs, burn_in)
     serialize.write_measure_jsonl(mu, args.out)
     print(f"pooled {mu.n_samples} segment checkpoints from {rc.measure['n_trajectories']} "
           f"trajectories (burn-in {burn_in:g}, every {thin} steps)")

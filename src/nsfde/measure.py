@@ -82,8 +82,8 @@ class EmpiricalMeasure:
     times: np.ndarray
     sources: np.ndarray  # (n, 2) int: seed, stream_id per sample
     burn_in: float
-    thin: int
-    t_end: float
+    thin: int       # checkpoint stride of the runs, in steps
+    t_end: float    # end of the longest pooled run
 
     @property
     def n_samples(self) -> int:
@@ -94,28 +94,32 @@ class EmpiricalMeasure:
         return self.segments.shape[2]
 
 
-def krylov_bogoliubov(trajs, burn_in: float, thin: int = 1) -> EmpiricalMeasure:
+def krylov_bogoliubov(trajs, burn_in: float) -> EmpiricalMeasure:
     """Pool post-burn-in segment checkpoints into an empirical measure.
 
     Each trajectory must carry recorded segments (``segment_stride`` > 0 in
-    the solver config); ``thin`` keeps every thin-th checkpoint of each
-    trajectory after dropping times <= burn_in.  Pooled samples are sorted
-    by (seed, stream_id, time), making the estimate invariant under
-    reordering of the ensemble.
+    its ``cfg``), and all must share the step, the checkpoint stride and the
+    window length; times <= burn_in are dropped.  The measure records the
+    runs' checkpoint stride as ``thin`` and the end of the longest run as
+    ``t_end``.  Pooled samples are sorted by (seed, stream_id, time), making
+    the estimate invariant under reordering of the ensemble.
     """
     trajs = list(trajs)
     if not trajs:
         raise ConfigError("empty trajectory ensemble")
-    if thin < 1:
-        raise ConfigError("thin must be a positive integer")
     if any(t.segments is None or t.segment_times is None for t in trajs):
         raise ConfigError("trajectory carries no segment checkpoints; "
                           "rerun with solver.segment_stride > 0")
-    # the run ends at its last snapshot or its last checkpoint, whichever is later
-    t_end = max(float(max(t.times[-1], *t.segment_times[-1:])) for t in trajs)
+    for name, values in (("solver.dt", {t.cfg.dt for t in trajs}),
+                         ("solver.segment_stride", {t.cfg.segment_stride for t in trajs}),
+                         ("delay.h / solver.dt", {t.final_segment.m for t in trajs})):
+        if len(values) > 1:
+            raise ConfigError(f"ensemble trajectories disagree on {name}: {sorted(values)}")
+    cfg = trajs[0].cfg
+    t_end = max(t.cfg.n_steps for t in trajs) * cfg.dt
     if burn_in >= t_end:
         raise ConfigError("burn_in must precede the end of the run")
-    keeps = [np.nonzero(t.segment_times > burn_in)[0][::thin] for t in trajs]
+    keeps = [np.nonzero(t.segment_times > burn_in)[0] for t in trajs]
     times = np.concatenate([t.segment_times[k] for t, k in zip(trajs, keeps)])
     if not times.size:
         raise ConfigError("no segment checkpoints survive the burn-in window")
@@ -127,10 +131,9 @@ def krylov_bogoliubov(trajs, burn_in: float, thin: int = 1) -> EmpiricalMeasure:
     segments = np.empty((order.size,) + trajs[0].segments.shape[1:])
     for t, k, rows in zip(trajs, keeps, np.split(np.argsort(order), np.cumsum(sizes))):
         segments[rows] = t.segments[k]
-    return EmpiricalMeasure(segments=segments, h=trajs[0].final_segment.h,
-                            dt=trajs[0].dt, times=times[order],
-                            sources=sources[order], burn_in=burn_in, thin=thin,
-                            t_end=t_end)
+    return EmpiricalMeasure(segments=segments, h=trajs[0].final_segment.h, dt=cfg.dt,
+                            times=times[order], sources=sources[order], burn_in=burn_in,
+                            thin=cfg.segment_stride, t_end=t_end)
 
 
 @dataclass(eq=False)

@@ -166,9 +166,10 @@ def _write_jsonl(path, schema: _Schema, fields: dict):
 
 def write_trajectory_jsonl(traj: Trajectory, path):
     _write_jsonl(path, _TRAJECTORY, {
-        "h": traj.final_segment.h, "dt": traj.dt, "n_modes": traj.n_modes, "seed": traj.seed,
-        "stream_id": traj.stream_id, "store_stride": traj.store_stride, "t": traj.times,
-        "u": traj.snapshots, "seg_norm": traj.seg_norms, "fp_iters": traj.fp_iters})
+        "h": traj.final_segment.h, "dt": traj.cfg.dt, "n_modes": traj.n_modes,
+        "seed": traj.seed, "stream_id": traj.stream_id, "store_stride": traj.cfg.store_stride,
+        "t": traj.times, "u": traj.snapshots, "seg_norm": traj.seg_norms,
+        "fp_iters": traj.fp_iters})
 
 
 def read_trajectory_jsonl(path) -> dict:

@@ -26,8 +26,8 @@ evaluates the kernel exactly fp_iters[k] times.
 Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
 k = min(m, steps left) and carries a block's delayed nodes rows[b0:b1 + 1] to
-the grid in one product: one forcing call evaluates Phi1 f + xi on the first
-k rows of that field (in a Picard iterate, on the previous iterate's nodes).
+the grid in one product; one f and one sigma call on its first k rows form
+Phi1 f + xi (in a Picard iterate, on the previous iterate's nodes).
 The point kernel makes two z_map calls a step, on rows j and j + 1, as the
 benchmark pins (``bench/reference/ensemble_bounded.json``), and one
 quadrature with the grid weights a block.  Without a kernel or with the
@@ -98,7 +98,7 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Recorded path: snapshots every ``store_stride`` steps plus provenance."""
+    """A path run under ``cfg``: snapshots every ``cfg.store_stride`` steps, plus provenance."""
 
     times: np.ndarray
     snapshots: np.ndarray
@@ -106,8 +106,7 @@ class Trajectory:
     fp_iters: np.ndarray
     seed: int
     stream_id: int
-    dt: float
-    store_stride: int
+    cfg: SolverConfig
     final_segment: Segment
     segments: Optional[np.ndarray] = None  # (C, m + 1, N): window c ends at segment_times[c]
     segment_times: Optional[np.ndarray] = None
@@ -116,44 +115,6 @@ class Trajectory:
     @property
     def n_modes(self) -> int:
         return self.snapshots.shape[1]
-
-
-class _Stepper:
-    """Precomputed machinery for blocks of at most ``m`` steps; ``forcing`` evaluates one."""
-
-    def __init__(self, cs: CoefficientSet, op: SpectralOperator, qspec: QWienerSpec,
-                 cfg: SolverConfig, m: int):
-        self.cs = cs
-        mu = op.eigenvalues
-        self.decay = np.exp(-mu * cfg.dt)
-        # decay^s for the block scan's shifts s = 1, 2, 4, ... < m, by repeated squaring
-        self.decay_powers = [self.decay]
-        while 2 ** len(self.decay_powers) < m:
-            self.decay_powers.append(self.decay_powers[-1] ** 2)
-        self.phi1 = -np.expm1(-mu * cfg.dt) / mu
-        self.ou_std = noise_mod.ou_std(qspec, op, cfg.dt)
-        self.maps = GridMaps(cs, op)
-
-    def forcing(self, field: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Phi1 f plus the OU increment composed with the multiplier sigma, both read on
-        ``field``, the ``(k, G)`` grid field of a block's delayed states, with its z rows."""
-        ou = self.ou_std * z
-        sigma_const = self.cs.sigma_const
-        grid = self.maps.grid
-        if sigma_const is None:
-            ou = (self.cs.sigma(field) * (ou @ grid.synth.T)) @ grid.project.T
-        elif sigma_const != 1.0:
-            ou = sigma_const * ou
-        if self.cs.f_is_zero:
-            return ou
-        return self.phi1 * (self.cs.f(field) @ grid.project.T) + ou
-
-
-def _check_initial(initial: Segment, op: SpectralOperator, cfg: SolverConfig):
-    if initial.n_modes != op.n_modes:
-        raise ShapeError("initial segment and operator truncation dimensions disagree")
-    if abs(initial.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
-        raise ConfigError("initial segment step must equal solver.dt")
 
 
 def _window_max(x: np.ndarray, w: int) -> np.ndarray:
@@ -165,35 +126,61 @@ def _window_max(x: np.ndarray, w: int) -> np.ndarray:
     return x
 
 
-def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
-               stream: RngStream, z_block: np.ndarray,
-               src_rows: Optional[np.ndarray] = None,
+def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
+               qspec: QWienerSpec, cfg: SolverConfig, stream: RngStream,
+               z_block: Optional[np.ndarray] = None, src_rows: Optional[np.ndarray] = None,
                collect_fp_residuals: bool = False) -> tuple[Trajectory, np.ndarray]:
-    """The stepping loop of ``simulate`` and ``picard_run``.
+    """The stepping loop of ``simulate`` and ``picard_run``, on the maps ``cs`` holds now.
 
-    Returns the trajectory and the rows u(-h), ..., u(t_end) of the whole
-    path, every grid time once.  Step i reads the window ``rows[i:i + m + 1]``
-    and takes the state feeding drift and diffusion from ``src_rows[i]``,
-    by default this path's own delayed node ``rows[i]``.
+    Checks the initial window, draws the run's standard-normal block from
+    ``stream`` unless ``z_block`` gives it, and returns the trajectory and
+    the rows u(-h), ..., u(t_end) of the whole path, every grid time once.
+    Step i reads the window ``rows[i:i + m + 1]`` and takes the state feeding
+    drift and diffusion from ``src_rows[i]``, by default ``rows[i]``.
     """
-    m, steps, stride = initial.m, cfg.n_steps, cfg.store_stride
+    if initial.n_modes != op.n_modes:
+        raise ShapeError("initial segment and operator truncation dimensions disagree")
+    if abs(initial.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
+        raise ConfigError("initial segment step must equal solver.dt")
+    m, steps = initial.m, cfg.n_steps
+    shape = (steps, op.n_modes)
+    z_block = (stream.generator().standard_normal(shape) if z_block is None
+               else np.asarray(z_block, dtype=float))
+    if z_block.shape != shape:
+        raise ShapeError(f"noise block must have shape {shape}")
+    mu = op.eigenvalues
+    decay = np.exp(-mu * cfg.dt)
+    # decay^s for the block scan's shifts s = 1, 2, 4, ... < m, by repeated squaring
+    decay_powers = [decay]
+    while 2 ** len(decay_powers) < m:
+        decay_powers.append(decay_powers[-1] ** 2)
+    phi1 = -np.expm1(-mu * cfg.dt) / mu
+    ou_std = noise_mod.ou_std(qspec, op, cfg.dt)
+    maps = GridMaps(cs, op)
+    g_mode, profile, z_map, grid = maps.g_mode, maps.profile, maps.z_map, maps.grid
+    weights, profile_field, profile_norm = grid.weights, maps.profile_field, maps.profile_norm
+
     rows = np.empty((m + 1 + steps, initial.n_modes))
     rows[:m + 1] = initial.values
     norms = np.empty(m + 1 + steps)
     norms[:m + 1] = np.linalg.norm(initial.values, axis=1)
     fp_iters = np.zeros(steps + 1, dtype=int)
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
-    maps, decay, weights = stepper.maps, stepper.decay, stepper.maps.grid.weights
-    g_mode, profile, z_map = maps.g_mode, maps.profile, maps.z_map
-    profile_field, profile_norm = maps.profile_field, maps.profile_norm
     zs = np.empty((2 * m, weights.size))   # a point block's z_map of rows j, j + 1
 
     for b0 in range(0, steps, m):
         # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
         b1 = min(b0 + m, steps)
-        fields = rows[b0:b1 + 1] @ maps.grid.synth.T
-        src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ maps.grid.synth.T
-        w = stepper.forcing(src, z_block[b0:b1])
+        fields = rows[b0:b1 + 1] @ grid.synth.T
+        src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ grid.synth.T
+        # the forcing Phi1 f + xi, with sigma composed on the OU increment, reads ``src``
+        w = ou_std * z_block[b0:b1]
+        if cs.sigma_const is None:
+            w = (cs.sigma(src) * (w @ grid.synth.T)) @ grid.project.T
+        elif cs.sigma_const != 1.0:
+            w = cs.sigma_const * w
+        if not cs.f_is_zero:
+            w = phi1 * (cs.f(src) @ grid.project.T) + w
         if g_mode != "instant":
             # every node g reads in the block is history: all the increments are
             # known, and a doubling scan runs u_{j+1} = decay u_j + w_j
@@ -203,7 +190,7 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                 masses = zs[:2 * (b1 - b0)] @ weights
                 w += profile * (masses[0::2] - masses[1::2])[:, None]
             w[0] += decay * rows[m + b0]
-            for level, decay_s in enumerate(stepper.decay_powers[:(b1 - b0 - 1).bit_length()]):
+            for level, decay_s in enumerate(decay_powers[:(b1 - b0 - 1).bit_length()]):
                 w[1 << level:] += decay_s * w[:-(1 << level)]
             rows[m + 1 + b0:m + 1 + b1] = w
             norms[m + 1 + b0:m + 1 + b1] = np.linalg.norm(w, axis=1)
@@ -216,7 +203,7 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                 rhs = decay * u + profile * c + f_i
                 d = rhs - profile * c - u
                 r = math.sqrt(d @ d)
-                field = maps.grid.synth @ rhs
+                field = grid.synth @ rhs
                 iters = 1
                 while True:
                     if residual_log is not None:
@@ -245,7 +232,7 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
                               f"exceeds blow-up guard {cfg.blowup_threshold:g}")
 
     # the window ending at step k is rows[k:k + m + 1]
-    stored = np.arange(0, steps + 1, stride)
+    stored = np.arange(0, steps + 1, cfg.store_stride)
     segments = segment_times = None
     if cfg.segment_stride:
         checkpoints = np.arange(cfg.segment_stride, steps + 1, cfg.segment_stride)
@@ -254,8 +241,7 @@ def _integrate(stepper: _Stepper, initial: Segment, cfg: SolverConfig,
     traj = Trajectory(
         times=stored * cfg.dt, snapshots=rows[m + stored],
         seg_norms=_window_max(norms, m + 1)[stored], fp_iters=fp_iters[stored],
-        seed=stream.seed, stream_id=stream.stream_id,
-        dt=cfg.dt, store_stride=stride,
+        seed=stream.seed, stream_id=stream.stream_id, cfg=cfg,
         final_segment=Segment(h=initial.h, dt=cfg.dt, values=rows[steps:].copy()),
         segments=segments, segment_times=segment_times, fp_residuals=residual_log)
     return traj, rows
@@ -272,16 +258,7 @@ def simulate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     what makes picard replays and coupled-noise probes exact.  ``noise_z``
     overrides the block, e.g. for shared-refinement convergence studies.
     """
-    _check_initial(initial, op, cfg)
-    stepper = _Stepper(cs, op, qspec, cfg, initial.m)
-    shape = (cfg.n_steps, op.n_modes)
-    if noise_z is None:
-        z_block = stream.generator().standard_normal(shape)
-    else:
-        z_block = np.asarray(noise_z, dtype=float)
-        if z_block.shape != shape:
-            raise ShapeError(f"noise block must have shape {shape}")
-    return _integrate(stepper, initial, cfg, stream, z_block,
+    return _integrate(initial, cs, op, qspec, cfg, stream, noise_z,
                       collect_fp_residuals=collect_fp_residuals)[0]
 
 
@@ -300,17 +277,14 @@ def picard_run(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     """
     if cfg.mode != "picard":
         raise ConfigError("picard_run requires solver.mode = 'picard'")
-    _check_initial(initial, op, cfg)
     z_block = stream.generator().standard_normal((cfg.n_steps, op.n_modes))
-    cs0 = replace(cs, sigma_const=0.0, f_is_zero=True)
-    stepper = _Stepper(cs, op, qspec, cfg, initial.m)
-
-    traj, rows_prev = _integrate(_Stepper(cs0, op, qspec, cfg, initial.m), initial, cfg,
-                                 stream, z_block)
+    traj, rows_prev = _integrate(initial, replace(cs, sigma_const=0.0, f_is_zero=True),
+                                 op, qspec, cfg, stream, z_block)
     out = [(traj, math.nan)]
     m = initial.m
     for _ in range(cfg.picard_iters):
-        traj, rows = _integrate(stepper, initial, cfg, stream, z_block, src_rows=rows_prev)
+        traj, rows = _integrate(initial, cs, op, qspec, cfg, stream, z_block,
+                                src_rows=rows_prev)
         sup_diff = float(np.max(np.linalg.norm(rows[m:] - rows_prev[m:], axis=1)))
         out.append((traj, sup_diff))
         rows_prev = rows

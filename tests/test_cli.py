@@ -208,6 +208,7 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
 
     mu = read_measure_jsonl(mfile)
     assert mu.n_samples == 16               # 8 post-burn-in checkpoints x 2
+    assert mu.thin == 5                     # the checkpoint stride --thin set
     assert mu.n_modes == 4
     assert not sup_norm(mu.segments).any()  # zero dynamics: point mass at 0
     assert np.all(mu.times > 0.1)

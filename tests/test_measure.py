@@ -1,4 +1,6 @@
 """Occupation measures, KS machinery and the distributional consistency tests."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -23,7 +25,7 @@ def _toy_traj(seg_norms, stream_id=0):
                       snapshots=np.zeros((k, 2)),
                       seg_norms=np.asarray(seg_norms, dtype=float),
                       fp_iters=np.zeros(k, dtype=int), seed=0,
-                      stream_id=stream_id, dt=1.0, store_stride=1,
+                      stream_id=stream_id, cfg=SolverConfig(dt=1.0, t_end=float(k)),
                       final_segment=zero_segment(1.0, 0.5, 2))
 
 
@@ -104,8 +106,11 @@ def test_krylov_bogoliubov_pooling_and_thinning():
     assert sup_norm(mu.segments).shape == (21,)
     assert mu.segments[:, -1].shape == (21, 4)
 
-    mu2 = krylov_bogoliubov(trajs, burn_in=0.35, thin=2)
-    assert mu2.n_samples == 3 * 4
+    assert mu.thin == 10 and mu.t_end == 1.0
+    # a checkpoint every 20 steps keeps 0.4, 0.6, 0.8 and 1.0 of each trajectory
+    mu2 = krylov_bogoliubov(_small_ensemble(stride=20), burn_in=0.35)
+    assert mu2.n_samples == 3 * 4 and mu2.thin == 20
+    assert mu2.times.tolist() == pytest.approx([0.4, 0.6, 0.8, 1.0] * 3)
 
     # pooling is sorted by provenance: shuffling the ensemble changes nothing
     mu_rev = krylov_bogoliubov(trajs[::-1], burn_in=0.35)
@@ -118,8 +123,6 @@ def test_krylov_bogoliubov_pooling_and_thinning():
         krylov_bogoliubov([], burn_in=0.1)
     with pytest.raises(ConfigError):
         krylov_bogoliubov(trajs, burn_in=2.0)  # past the end of the runs
-    with pytest.raises(ConfigError):
-        krylov_bogoliubov(trajs, burn_in=0.1, thin=0)
     no_segs = simulate(zero_segment(0.05, 0.01, 4),
                        builtin_coefficients(f="zero", sigma="one", kernel="zero"),
                        OP, Q, SolverConfig(dt=0.01, t_end=0.5), RngStream(1, 0))
@@ -127,7 +130,7 @@ def test_krylov_bogoliubov_pooling_and_thinning():
         krylov_bogoliubov([no_segs], burn_in=0.1)
 
     # a store stride past the run keeps only the snapshot at t = 0: the run
-    # still ends at its last checkpoint, 0.3, after the burn-in 0.15
+    # still ends at 0.3, after the burn-in 0.15
     cfg = SolverConfig(dt=0.01, t_end=0.3, store_stride=1000, segment_stride=10)
     sparse = simulate(zero_segment(0.05, 0.01, 4), builtin_coefficients(kernel="zero"),
                       OP, Q, cfg, RngStream(3, 0))
@@ -136,6 +139,31 @@ def test_krylov_bogoliubov_pooling_and_thinning():
     assert mu.times.tolist() == pytest.approx([0.2, 0.3]) and mu.t_end == pytest.approx(0.3)
     with pytest.raises(ConfigError, match="burn_in must precede the end of the run"):
         krylov_bogoliubov([sparse], burn_in=0.3)
+    # a checkpoint stride of 7 does not divide the 30 steps: the last checkpoint
+    # is at 0.28, and the measure still records the run's end and its stride
+    sparse = simulate(zero_segment(0.05, 0.01, 4), builtin_coefficients(kernel="zero"),
+                      OP, Q, replace(cfg, segment_stride=7), RngStream(3, 0))
+    mu = krylov_bogoliubov([sparse], burn_in=0.15)
+    assert mu.times.tolist() == pytest.approx([0.21, 0.28])
+    assert mu.t_end == 0.3 and mu.thin == 7
+
+
+def test_krylov_bogoliubov_refuses_a_mixed_ensemble():
+    # h = 0.05 on dt = 0.01 and h = 0.1 on dt = 0.02 both give 6-node windows
+    cs = builtin_coefficients(f="zero", sigma="one", kernel="zero")
+    runs = [simulate(zero_segment(5 * dt, dt, 4), cs, OP, Q,
+                     SolverConfig(dt=dt, t_end=0.2, segment_stride=5), RngStream(4, i))
+            for i, dt in enumerate((0.01, 0.02))]
+    with pytest.raises(ConfigError, match=r"disagree on solver.dt: \[0.01, 0.02\]"):
+        krylov_bogoliubov(runs, burn_in=0.1)
+    runs[1] = simulate(zero_segment(0.05, 0.01, 4), cs, OP, Q,
+                       SolverConfig(dt=0.01, t_end=0.2, segment_stride=4), RngStream(4, 1))
+    with pytest.raises(ConfigError, match=r"disagree on solver.segment_stride: \[4, 5\]"):
+        krylov_bogoliubov(runs, burn_in=0.1)
+    runs[1] = simulate(zero_segment(0.1, 0.01, 4), cs, OP, Q,
+                       SolverConfig(dt=0.01, t_end=0.2, segment_stride=5), RngStream(4, 1))
+    with pytest.raises(ConfigError, match=r"disagree on delay.h / solver.dt: \[5, 10\]"):
+        krylov_bogoliubov(runs, burn_in=0.1)
 
 
 def test_point_mass_measure_from_zero_dynamics():

@@ -192,9 +192,9 @@ def test_files_from_the_stdlib_json_writer_read_back_identically(tmp_path):
     assert np.array_equal(back.sources, mu.sources)
 
     traj = _noisy_traj()
-    head = {"format": "nsfde-trajectory/1", "h": traj.final_segment.h, "dt": traj.dt,
+    head = {"format": "nsfde-trajectory/1", "h": traj.final_segment.h, "dt": traj.cfg.dt,
             "n_modes": traj.n_modes, "seed": traj.seed, "stream_id": traj.stream_id,
-            "store_stride": traj.store_stride}
+            "store_stride": traj.cfg.store_stride}
     lines = [json.dumps(head)] + [
         json.dumps({"t": float(traj.times[i]), "u": traj.snapshots[i].tolist(),
                     "seg_norm": float(traj.seg_norms[i]), "fp_iters": int(traj.fp_iters[i])})

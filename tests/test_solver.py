@@ -13,7 +13,6 @@ from nsfde import (BlowupError, ConfigError, DomainError, GridMaps, HorizonResul
                    constant_segment, contraction_factor, find_horizon,
                    from_initial_condition, ou_std, picard_run, power_qwiener,
                    simulate, stability_bound, zero_segment)
-from nsfde import solver as solver_mod
 from nsfde.solver import _window_max
 
 OP4 = assemble_operator(n_modes=4)
@@ -413,33 +412,25 @@ def test_kernel_evaluations_per_step(delay):
 
 
 @pytest.mark.parametrize("h", [0.05, 0.37])
-def test_point_kernel_increments_integrate_each_row(h, monkeypatch):
+def test_point_kernel_increments_integrate_each_row(h):
     # a point block of k steps makes 2k z_map calls, on rows j and j + 1 of its
-    # field, and adds profile * (mass_j - mass_{j+1}) for step j.  Without decay,
-    # drift or noise the scan adds exact zeros, so each new row is its increment.
-    # At h = 0.37 (m = 37) the last block is one step long
+    # field, and adds profile * (mass_j - mass_{j+1}) for step j.  At a = 1e6,
+    # exp(-mu dt) is exactly 0, and with zero drift and noise the scan adds exact
+    # zeros, so each new row is its increment.  A recording f that returns zeros
+    # marks each block's start.  At h = 0.37 (m = 37) the last block is one step long
+    op = assemble_operator(n_modes=8, a=1e6)
+    assert not np.exp(-op.eigenvalues * 0.01).any()
     log = []
-
-    class HistoryOnly(solver_mod._Stepper):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.decay = np.zeros_like(self.decay)
-            self.decay_powers = [self.decay] * len(self.decay_powers)
-
-        def forcing(self, field, z):
-            log.append(len(field))
-            return super().forcing(field, z)
-
-    monkeypatch.setattr(solver_mod, "_Stepper", HistoryOnly)
-    cs = builtin_coefficients(f="zero", sigma="zero", kernel_scale=0.2)
+    cs = builtin_coefficients(f="identity", sigma="zero", kernel_scale=0.2)
+    cs.f = lambda x: log.append(len(x)) or np.zeros_like(x)
     z_map = cs.kernel_b.z_map
     cs.kernel_b.z_map = lambda z: log.append(z.copy()) or z_map(z)
     m, steps = round(h / 0.01), _block_test_steps(h)
     ini = Segment(h=h, dt=0.01, values=np.random.default_rng(5).normal(size=(m + 1, 8)))
-    traj = simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=steps * 0.01),
+    traj = simulate(ini, cs, op, Q8, SolverConfig(dt=0.01, t_end=steps * 0.01),
                     RngStream(28, 0), noise_z=np.zeros((steps, 8)))
     rows = np.vstack([ini.values, traj.snapshots[1:]])
-    maps = GridMaps(cs, OP8)
+    maps = GridMaps(cs, op)
     fields = rows @ maps.grid.synth.T
     masses = np.array([maps.grid.weights @ z_map(fld) for fld in fields])
     increments = maps.profile * (masses[:steps] - masses[1:steps + 1])[:, None]
@@ -449,7 +440,7 @@ def test_point_kernel_increments_integrate_each_row(h, monkeypatch):
     assert blocks[-1][1] - blocks[-1][0] == (1 if h == 0.37 else 3)
     for b0, b1 in blocks:
         k = b1 - b0
-        assert log[0] == k   # the block's forcing call, then its z_map calls
+        assert log[0] == k   # the block's f call, then its z_map calls
         calls, log = log[1:2 * k + 1], log[2 * k + 1:]
         assert len(calls) == 2 * k and all(isinstance(z, np.ndarray) for z in calls)
         for j in range(k):

@@ -4,15 +4,16 @@ Exit codes: 0 success, 1 validation/configuration failure (including failed
 condition checks and failed statistical verdicts), 2 numerical failure
 (blow-up or fixed-point nonconvergence).  Nothing is read from environment
 variables.  A flag that sets a config field has its dotted path as dest
-(``--thin`` sets ``measure.thin``; ``picard`` sets ``solver.mode``) and is
-validated with the file's values, so a ``--resolved`` dump reruns bit for bit.
+(``--thin`` sets ``solver.segment_stride``; ``picard`` sets ``solver.mode``) and
+is validated with the file's values, so a ``--resolved`` dump reruns bit for bit.
+``estimate-measure`` pools the windows checkpointed every ``solver.segment_stride``
+steps and refuses a stride of 0 before it integrates anything.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -62,14 +63,18 @@ def _load(args) -> config_mod.RunConfig:
 
 
 def _check_a_checkpoint_survives(rc: config_mod.RunConfig):
-    thin, burn_in = rc.measure["thin"], rc.burn_in()
-    cfg = config_mod.make_solver_config(rc)
-    last = cfg.n_steps // thin * thin * cfg.dt   # the last checkpoint time, 0 if none
+    cfg, burn_in = config_mod.make_solver_config(rc), rc.burn_in()
+    stride = cfg.segment_stride
+    if not stride:   # no default: pooling every step costs a window per step
+        raise ConfigError("solver.segment_stride = 0 checkpoints no segment to pool: "
+                          "set it in the config or pass --thin")
+    last = cfg.n_steps // stride * stride * cfg.dt   # the last checkpoint time, 0 if none
     if not last > burn_in:
         unset = " (unset: 2 * delay.h)" if rc.measure["burn_in"] is None else ""
-        raise ConfigError(f"no segment checkpoint survives the burn-in: measure.thin = {thin} "
-                          f"with solver.t_end = {rc.solver['t_end']:g} puts the last checkpoint "
-                          f"at t = {last:g}, not after measure.burn_in = {burn_in:g}{unset}")
+        raise ConfigError(f"no segment checkpoint survives the burn-in: solver.segment_stride "
+                          f"= {stride} with solver.t_end = {rc.solver['t_end']:g} puts the last "
+                          f"checkpoint at t = {last:g}, not after measure.burn_in = {burn_in:g}"
+                          f"{unset}")
 
 
 def _build(rc: config_mod.RunConfig):
@@ -111,14 +116,13 @@ def _cmd_picard(args) -> int:
 def _cmd_estimate_measure(args) -> int:
     rc = _load(args)
     op, qspec, cs, cfg, initial = _build(rc)
-    thin, burn_in = rc.measure["thin"], rc.burn_in()
-    cfg = replace(cfg, segment_stride=thin)   # checkpoint every thin steps
+    burn_in = rc.burn_in()
     trajs = measure_mod.run_ensemble(initial, cs, op, qspec, cfg, rc.seed,
                                      rc.measure["n_trajectories"])
     mu = measure_mod.krylov_bogoliubov(trajs, burn_in)
     serialize.write_measure_jsonl(mu, args.out)
     print(f"pooled {mu.n_samples} segment checkpoints from {rc.measure['n_trajectories']} "
-          f"trajectories (burn-in {burn_in:g}, every {thin} steps)")
+          f"trajectories (burn-in {burn_in:g}, every {cfg.segment_stride} steps)")
     print(f"wrote {args.out}")
     return 0
 
@@ -129,8 +133,11 @@ def _cmd_invariance_test(args) -> int:
     op, qspec, cs, cfg, _ = _build(rc)
     if mu.n_modes != op.n_modes:
         raise ConfigError("measure and config disagree on the mode count")
-    if abs(mu.h - rc.h) > 1e-12 * max(1.0, rc.h):
-        raise ConfigError("measure and config disagree on the delay h")
+    for name, got, want in (("the delay h (delay.h)", mu.h, rc.h),
+                            ("the step (solver.dt)", mu.dt, rc.dt)):
+        if abs(got - want) > 1e-12 * max(1.0, want):
+            raise ConfigError(f"measure and config disagree on {name}: "
+                              f"the measure has {got!r}, the config {want!r}")
     report = measure_mod.invariance_test(
         mu, args.t, cs, op, qspec, rc.dt,
         RngStream(rc.seed, _TEST_STREAM), n_draws=args.draws)
@@ -236,7 +243,7 @@ def build_parser() -> _Parser:
     _add_config_args(sp)
     sp.add_argument("--trajectories", dest="measure.n_trajectories", type=int)
     sp.add_argument("--burn-in", dest="measure.burn_in", type=float)
-    sp.add_argument("--thin", dest="measure.thin", type=int)
+    sp.add_argument("--thin", dest="solver.segment_stride", type=int)
     sp.add_argument("--out", default="measure.jsonl")
     sp.set_defaults(func=_cmd_estimate_measure)
 

@@ -334,7 +334,7 @@ class ProbeReport:
 
 
 def lipschitz_probe_g(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
-                      gen: np.random.Generator, h: float = 0.1) -> ProbeReport:
+                      gen: np.random.Generator, h: float) -> ProbeReport:
     """Max over random segment pairs of ||g(phi1) - g(phi2)||_{1/2} / ||phi1 - phi2||_C.
 
     g is rank one, profile * mass, so the numerator is
@@ -356,7 +356,7 @@ def lipschitz_probe_g(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
 
 
 def growth_check(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
-                 gen: np.random.Generator, qspec, h: float = 0.1) -> float:
+                 gen: np.random.Generator, qspec, h: float) -> float:
     """Sampled linear-growth constant: max of (||f(phi)|| + ||sigma(phi)||) / (1 + ||phi||_C).
 
     The diffusion term is measured in the Hilbert-Schmidt norm against the

@@ -10,7 +10,9 @@ checks those fields' types only), otherwise by the table.  Every refusal
 names the dotted path.  The ``operator`` and ``solver`` sections are the
 keyword arguments of ``assemble_operator`` and ``SolverConfig``, and
 ``initial`` is the descriptor ``from_initial_condition`` reads; the builders
-pass them whole.
+pass them whole.  Each run setting has one field: ``solver.segment_stride``
+is the checkpoint stride the solver records at and ``estimate-measure``
+pools at.
 ``resolved_dict`` echoes the fully defaulted config (plus a ``derived``
 block of computed quantities, ignored on reload) so that a dumped resolved
 config reloads to bit-identical behaviour.
@@ -153,11 +155,9 @@ def _coeffs(where, val):
 # when ``kernel: zero``).
 _FIELDS = {
     "seed": (12345, _seed),
-    "operator.kind": ("laplacian_1d", _one_of("laplacian_1d")),
     "operator.n_modes": (32, _integer(1)),
     "operator.a": (1.0, _diffusivity),
     "operator.delta_fraction": (0.5, _number(0.0, 1.0)),
-    "operator.quad_factor": (16, _integer(2)),
     "noise.spectrum": ("power", _one_of("power", "geometric")),
     "noise.exponent": (2.0, _number(1.0)),
     "noise.trace": (1.0, _number(0.0)),
@@ -183,7 +183,6 @@ _FIELDS = {
     "solver.segment_stride": (0, _integer()),
     "solver.blowup_threshold": (1.0e8, _number()),
     "measure.burn_in": (None, _optional(_number(0.0, lo_open=False))),  # None: 2 h
-    "measure.thin": (1, _integer(1)),
     "measure.n_trajectories": (50, _integer(1)),
     "measure.r_grid": ([0.5, 1.0, 2.0, 4.0, 8.0], _radii),
     "initial.kind": ("zero", _one_of("zero", "profile", "coeffs")),

@@ -114,23 +114,20 @@ def _as_diffusivity(a):
     return lambda x: np.interp(x, xs, vals)
 
 
-def assemble_operator(kind: str = "laplacian_1d", n_modes: int = 32, a=1.0,
-                      delta_fraction: float = 0.5, quad_factor: int = 16) -> SpectralOperator:
-    """Assemble and diagonalize the truncated elliptic operator.
+def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> SpectralOperator:
+    """Assemble and diagonalize the truncated operator -(a u')' on (0, 1), Dirichlet.
 
     Parameters
     ----------
-    kind : str
-        Only ``"laplacian_1d"`` (Dirichlet on (0, 1)) is supported.
     n_modes : int
         Truncation dimension N.
     a : float, callable or (K, 2) samples
         Diffusivity; a constant triggers the analytic spectrum, otherwise a
         sine-basis Galerkin stiffness matrix is assembled with composite
-        Simpson on ``quad_factor * n_modes`` intervals and diagonalized.
-        The default 16N intervals keeps the quadrature error on the
-        eigenvalues below 1e-7 relative for smooth diffusivities (4N is
-        exact only for constant a, where no assembly happens at all).
+        Simpson on 16N intervals and diagonalized.  16N keeps the quadrature
+        error on the eigenvalues below 1e-7 relative for smooth
+        diffusivities (4N is exact only for constant a, where no assembly
+        happens at all).
     delta_fraction : float
         Spectral-gap constant as a fraction of mu_1, default mu_1 / 2.
 
@@ -139,8 +136,6 @@ def assemble_operator(kind: str = "laplacian_1d", n_modes: int = 32, a=1.0,
     EllipticityError
         If the diffusivity is not strictly positive on the sampling grid.
     """
-    if kind != "laplacian_1d":
-        raise ConfigError(f"unknown operator kind: {kind!r}")
     n_modes = int(n_modes)
     if n_modes < 1:
         raise ConfigError("n_modes must be a positive integer")
@@ -155,9 +150,7 @@ def assemble_operator(kind: str = "laplacian_1d", n_modes: int = 32, a=1.0,
         return SpectralOperator(eigenvalues=mu, delta=delta_fraction * mu[0])
 
     a_fn = _as_diffusivity(a)
-    n_grid = int(quad_factor) * n_modes
-    if n_grid % 2 != 0:
-        n_grid += 1
+    n_grid = 16 * n_modes
     x = np.linspace(0.0, 1.0, n_grid + 1)
     a_vals = np.asarray(a_fn(x), dtype=float)
     if a_vals.shape != x.shape:

@@ -10,6 +10,7 @@ other runs an installed ``nsfde`` and is skipped where none is on PATH.
 """
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,8 @@ import pytest
 import nsfde
 from nsfde import (find_horizon, load_config, make_coefficients,
                    osgood_certificate, sup_norm)
-from nsfde.cli import main
+from nsfde.cli import build_parser, main
+from nsfde.config import _FIELDS
 from nsfde.serialize import (read_measure_jsonl, read_report_csv,
                              read_trajectory_jsonl)
 
@@ -68,6 +70,24 @@ def test_validate_passes_on_default_style_config(tmp_path, capsys):
 def test_validate_rejects_bad_configs(tmp_path, capsys, text, needle):
     assert main(["validate", "--config", _cfg(tmp_path, text)]) == 1
     assert needle in capsys.readouterr().err
+
+
+def test_config_flags_name_a_field_and_match_the_readme_table():
+    """Each flag that sets a config field names a real field, the one README
+    lists for it, and README lists no flag the parser lacks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = dict(re.findall(r"^\| `(--[\w-]+)` \|[^|\n]*\| `([\w.]+)` \|$", readme, re.M))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+    flags = {}
+    for name, sp in subparsers.choices.items():
+        for action in sp._actions:
+            if action.dest == "seed" or "." in action.dest:
+                assert action.dest in _FIELDS, (name, action.dest)
+                flag = action.option_strings[0]
+                assert flags.setdefault(flag, action.dest) == action.dest, (name, flag)
+        assert all(key in _FIELDS for key in sp._defaults if "." in key), name
+    assert flags == listed
+    assert flags["--thin"] == "solver.segment_stride"
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -133,7 +153,8 @@ def test_seeds_and_streams_past_int64_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_refused_config_writes_no_resolved_dump(tmp_path, capsys):
+def test_refused_config_writes_no_resolved_dump(tmp_path, capsys, monkeypatch):
+    _forbid_integration(monkeypatch)
     resolved = tmp_path / "r.yaml"
     assert main(["simulate", "--config", _cfg(tmp_path, "coefficients: {Mg: 0.8}\n", "bad.yaml"),
                  "--resolved", str(resolved), "--out", str(tmp_path / "t.jsonl")]) == 1
@@ -147,9 +168,16 @@ def test_refused_config_writes_no_resolved_dump(tmp_path, capsys):
     assert not resolved.exists()
     # refused by estimate-measure itself: no checkpoint after the default burn-in 0.2
     assert main(["estimate-measure", "--config", _cfg(tmp_path, "solver: {t_end: 0.15}\n"),
-                 "--resolved", str(resolved), "--out", str(tmp_path / "m.jsonl")]) == 1
+                 "--thin", "1", "--resolved", str(resolved),
+                 "--out", str(tmp_path / "m.jsonl")]) == 1
     assert "no segment checkpoint survives the burn-in" in capsys.readouterr().err
     assert not resolved.exists()
+    # and a run with no checkpoint stride at all: none in the file, no --thin
+    assert main(["estimate-measure", "--config", _cfg(tmp_path, ZERO_CFG),
+                 "--resolved", str(resolved), "--out", str(tmp_path / "m.jsonl")]) == 1
+    assert capsys.readouterr().err == ("error: solver.segment_stride = 0 checkpoints no "
+                                       "segment to pool: set it in the config or pass --thin\n")
+    assert not resolved.exists() and not (tmp_path / "m.jsonl").exists()
 
 
 def test_simulate_blowup_exits_2(tmp_path, capsys):
@@ -212,6 +240,15 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
     assert mu.n_modes == 4
     assert not sup_norm(mu.segments).any()  # zero dynamics: point mass at 0
     assert np.all(mu.times > 0.1)
+    # a config stride is the same knob: no flag, the same measure
+    stride_cfg = _cfg(tmp_path, text.replace("store_stride: 2}", "store_stride: 2, "
+                                             "segment_stride: 5}"), name="stride.yaml")
+    from_yaml = tmp_path / "from_yaml.jsonl"
+    assert main(["estimate-measure", "--config", stride_cfg, "--trajectories", "2",
+                 "--out", str(from_yaml)]) == 0
+    capsys.readouterr()
+    assert read_measure_jsonl(from_yaml).thin == 5
+    assert from_yaml.read_bytes() == mfile.read_bytes()
 
     late, rerun = tmp_path / "late.jsonl", tmp_path / "rerun.jsonl"
     resolved = tmp_path / "late.yaml"
@@ -253,6 +290,11 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
     assert main(["invariance-test", "--config", wrong_h, "--measure",
                  str(mfile), "--t", "0.3", "--out", str(report)]) == 1
     assert "delay h" in capsys.readouterr().err
+    wrong_dt = _cfg(tmp_path, text.replace("dt: 0.01", "dt: 0.005"), name="mdt.yaml")
+    assert main(["invariance-test", "--config", wrong_dt, "--measure",
+                 str(mfile), "--t", "0.3", "--out", str(report)]) == 1
+    assert "disagree on the step (solver.dt): the measure has 0.01, the config 0.005" in \
+        capsys.readouterr().err
     garbage = tmp_path / "garbage.jsonl"
     garbage.write_text("not a measure\n")
     assert main(["invariance-test", "--config", cfg, "--measure", str(garbage),
@@ -262,7 +304,8 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
     # bad flags fail as the config fields they set, before any integration
     _forbid_integration(monkeypatch)
     for flag, value, field in (("--burn-in", "-1", "measure.burn_in"),
-                               ("--thin", "0", "measure.thin"),
+                               ("--thin", "0", "solver.segment_stride"),
+                               ("--thin", "-1", "solver.segment_stride"),
                                ("--trajectories", "0", "measure.n_trajectories")):
         assert main(["estimate-measure", "--config", cfg, flag, value,
                      "--out", str(tmp_path / "bad.jsonl")]) == 1
@@ -295,13 +338,13 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("text, flags, needle", [
     ("solver: {t_end: 0.3}\n", ["--thin", "1000"],
-     "measure.thin = 1000 with solver.t_end = 0.3 puts the last checkpoint at t = 0, "
+     "solver.segment_stride = 1000 with solver.t_end = 0.3 puts the last checkpoint at t = 0, "
      "not after measure.burn_in = 0.2 (unset: 2 * delay.h)"),
-    ("solver: {t_end: 0.15}\n", [],
-     "measure.thin = 1 with solver.t_end = 0.15 puts the last checkpoint at t = 0.15, "
+    ("solver: {t_end: 0.15, segment_stride: 1}\n", [],
+     "solver.segment_stride = 1 with solver.t_end = 0.15 puts the last checkpoint at t = 0.15, "
      "not after measure.burn_in = 0.2 (unset: 2 * delay.h)"),
     (ZERO_CFG, ["--thin", "15", "--burn-in", "0.15"],   # one checkpoint, at the burn-in
-     "measure.thin = 15 with solver.t_end = 0.2 puts the last checkpoint at t = 0.15, "
+     "solver.segment_stride = 15 with solver.t_end = 0.2 puts the last checkpoint at t = 0.15, "
      "not after measure.burn_in = 0.15"),
 ], ids=["thin", "default-burn-in", "at-the-burn-in"])
 def test_estimate_measure_refuses_a_run_with_no_checkpoint_after_the_burn_in(
@@ -400,7 +443,7 @@ seen = [["import", 0, "scipy" in sys.modules]]
 for argv in (["simulate", "--config", zero, "--out", out + "/traj.jsonl"],
              ["picard", "--config", zero, "--out", out + "/picard.csv"],
              ["estimate-measure", "--config", zero, "--trajectories", "2",
-              "--out", out + "/mu.jsonl"],
+              "--thin", "1", "--out", out + "/mu.jsonl"],
              ["invariance-test", "--config", zero, "--measure", out + "/mu.jsonl",
               "--t", "0.1", "--draws", "20", "--out", out + "/inv.csv"],
              ["tightness", "--config", zero, "--trajectories", "2",

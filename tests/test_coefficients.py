@@ -199,7 +199,7 @@ def test_growth_check_bounded_pair_stays_under_one():
     cs = builtin_coefficients()  # f and sigma both bounded by ~0.246
     q = power_qwiener(8, trace_target=1.0)
     gen = RngStream(31, 0).generator()
-    assert growth_check(cs, op, 200, gen, qspec=q) <= 1.0
+    assert growth_check(cs, op, 200, gen, qspec=q, h=0.1) <= 1.0
 
 
 def _lipschitz_reference(cs, op, n_samples, gen, h):

@@ -218,16 +218,20 @@ def test_resolved_dump_reloads_to_identical_resolution(tmp_path):
 
 def test_overrides_are_checked_like_file_values(tmp_path):
     path = tmp_path / "run.yaml"
-    path.write_text("seed: 3\nmeasure: {thin: 2}\n")
-    rc = load_config(path, {"seed": 4, "measure.thin": 5, "solver.mode": "picard"})
-    assert (rc.seed, rc.measure["thin"], rc.solver["mode"]) == (4, 5, "picard")
+    path.write_text("seed: 3\nsolver: {segment_stride: 2}\n")
+    rc = load_config(path, {"seed": 4, "solver.segment_stride": 5, "solver.mode": "picard"})
+    assert (rc.seed, rc.solver["segment_stride"], rc.solver["mode"]) == (4, 5, "picard")
     assert rc.measure["n_trajectories"] == 50   # untouched fields keep the file's
-    with pytest.raises(ConfigError, match="measure.thin = 0 must be >= 1"):
-        load_config(path, {"measure.thin": 0})
+    with pytest.raises(ConfigError, match="solver.segment_stride = -1 must be >= 0"):
+        load_config(path, {"solver.segment_stride": -1})
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
         load_config(path, {"seed": -1})
-    with pytest.raises(ConfigError, match="unknown config key 'measure.thinn'"):
-        load_config(path, {"measure.thinn": 1})
+    with pytest.raises(ConfigError, match="unknown config key 'measure.thin'"):
+        load_config(path, {"measure.thin": 1})
+    # the checkpoint stride has one field: the old pooling stride is refused
+    path.write_text("measure: {thin: 2}\n")
+    with pytest.raises(ConfigError, match="unknown config key 'measure.thin'"):
+        load_config(path)
 
 
 def test_load_config_rejects_bad_yaml(tmp_path):

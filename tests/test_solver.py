@@ -123,7 +123,7 @@ def test_store_stride_and_endpoint_bookkeeping():
     assert np.array_equal(traj2.final_segment.values, traj2.segments[0])
 
 
-def test_single_step_helper_is_pure_decay_for_linear():
+def test_one_linear_step_is_pure_decay():
     seg = constant_segment(0.05, 0.01, np.array([1.0, 0.0, -1.0, 0.5]))
     cfg = SolverConfig(dt=0.01, t_end=0.01)
     traj = simulate(seg, LINEAR, OP4, Q4, cfg, RngStream(8, 0),
@@ -131,6 +131,21 @@ def test_single_step_helper_is_pure_decay_for_linear():
     assert traj.fp_iters[-1] == 0 and traj.fp_residuals == [[]]
     assert np.allclose(traj.snapshots[-1], np.exp(-OP4.eigenvalues * 0.01) * seg.head(),
                        rtol=1e-14)
+
+
+@pytest.mark.parametrize("kernel_delay", ["point", "instant"])
+@pytest.mark.parametrize("t_end", [0.5, 0.55])   # ends on a block boundary; on a 5-step tail
+def test_a_run_is_the_first_part_of_a_longer_run_on_its_stream(kernel_delay, t_end):
+    # results are independent of chunking: how long a run is changes none of its steps
+    cs = builtin_coefficients(kernel_scale=0.2, kernel_delay=kernel_delay)
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.5}, 0.1, 0.01, OP4)
+    short, full = (simulate(ini, cs, OP4, Q4, SolverConfig(dt=0.01, t_end=t), RngStream(21, 3))
+                   for t in (t_end, 1.0))
+    k = short.times.size
+    assert k == round(t_end / 0.01) + 1
+    for name in ("snapshots", "seg_norms", "fp_iters"):
+        assert np.array_equal(getattr(short, name), getattr(full, name)[:k]), name
 
 
 def test_blowup_guard_raises():

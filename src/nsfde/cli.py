@@ -7,13 +7,15 @@ variables.  A flag that sets a config field has its dotted path as dest
 (``--thin`` sets ``solver.segment_stride``; ``picard`` sets ``solver.mode``) and
 is validated with the file's values, so a ``--resolved`` dump reruns bit for bit.
 ``estimate-measure`` pools the windows checkpointed every ``solver.segment_stride``
-steps and refuses a stride of 0 before it integrates anything.
+steps and refuses a stride of 0 before it integrates anything; the other
+commands read no window, so ``_build`` gives them a stride of 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -81,7 +83,7 @@ def _build(rc: config_mod.RunConfig):
     op = config_mod.make_operator(rc)
     qspec = config_mod.make_noise(rc, op)
     cs = config_mod.make_coefficients(rc)
-    cfg = config_mod.make_solver_config(rc)
+    cfg = replace(config_mod.make_solver_config(rc), segment_stride=0)
     initial = config_mod.make_initial_segment(rc, op)
     return op, qspec, cs, cfg, initial
 
@@ -115,8 +117,8 @@ def _cmd_picard(args) -> int:
 
 def _cmd_estimate_measure(args) -> int:
     rc = _load(args)
-    op, qspec, cs, cfg, initial = _build(rc)
-    burn_in = rc.burn_in()
+    op, qspec, cs, _, initial = _build(rc)
+    cfg, burn_in = config_mod.make_solver_config(rc), rc.burn_in()
     trajs = measure_mod.run_ensemble(initial, cs, op, qspec, cfg, rc.seed,
                                      rc.measure["n_trajectories"])
     mu = measure_mod.krylov_bogoliubov(trajs, burn_in)

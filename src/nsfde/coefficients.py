@@ -44,15 +44,14 @@ def _pointwise(fn):
 def osgood_drift(p: float) -> Callable:
     """Bounded non-Lipschitz drift with logarithmic modulus; from |x| = e^{-2} on
     it holds its bound e^{-2} (2p)^{1/p}."""
-    cap = E_MINUS_2 * (2.0 * p) ** (1.0 / p)
 
-    def _impl(ax_signed):
-        ax = np.abs(ax_signed)
-        out = np.full(ax.shape, cap)
-        out[ax == 0.0] = 0.0
-        core = (ax > 0.0) & (ax <= E_MINUS_2)
-        a = ax[core]
-        out[core] = a * (p * (-np.log(a))) ** (1.0 / p)
+    def _impl(x):
+        # clipped at e^{-2}, where -ln a = 2 exactly gives the cap; fmin sends NaN there too
+        a = np.fmin(np.abs(x), E_MINUS_2)
+        out = np.log(a, out=np.zeros(a.shape), where=a > 0.0)
+        out *= -p
+        out **= 1.0 / p
+        out *= a
         return out
 
     return _pointwise(_impl)
@@ -86,6 +85,8 @@ class Kernel:
     the pure point delay theta_g = -h (makes the implicit step explicit on
     the grid), ``"instant"`` reads theta_g = 0 and therefore couples the
     step to the unknown new state, exercising the fixed-point path.
+    ``z_map(z, out)`` is b's pointwise map of a field (tanh, or the identity
+    for ``linear``), written into ``out`` when it is given.
     """
 
     kind: str = "separable"  # separable | linear
@@ -101,10 +102,13 @@ class Kernel:
     def profile(self, x) -> np.ndarray:
         return self.scale * np.sin(np.pi * np.asarray(x, dtype=float))
 
-    def z_map(self, z) -> np.ndarray:
+    def z_map(self, z, out=None) -> np.ndarray:
         if self.kind == "separable":
-            return np.tanh(z)
-        return np.asarray(z, dtype=float)
+            return np.tanh(z, out=out)
+        if out is None:
+            return np.asarray(z, dtype=float)
+        out[...] = z
+        return out
 
 
 _SCALARS = {
@@ -178,13 +182,10 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
     check_choice("coefficients.kernel", kernel, ("separable", "linear", "zero"))
     kern = None if kernel == "zero" else Kernel(kind=kernel, scale=kernel_scale,
                                                 delay_mode=kernel_delay)
-    cs = CoefficientSet(
-        f=None, sigma=None, kernel_b=kern, modulus_N=_MODULI[modulus],
+    return CoefficientSet(
+        f=_SCALARS[f](p), sigma=_SCALARS[sigma](p), kernel_b=kern, modulus_N=_MODULI[modulus],
         growth_K=growth_K, lipschitz_Mg=Mg, p=p, grid_points=grid_points,
         sigma_const=_CONST_SCALARS.get(sigma), f_is_zero=(f == "zero"))
-    # built once the set has checked p: the osgood cap (2p)^{1/p} needs p > 0
-    cs.f, cs.sigma = _SCALARS[f](p), _SCALARS[sigma](p)
-    return cs
 
 
 class GridMaps:
@@ -193,9 +194,10 @@ class GridMaps:
     g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a built-in kernel factors
     as ``profile`` (the projected x-factor) times the scalar ``mass`` of the
     node g reads, theta_g = -h for ``g_mode`` "point" and 0 for "instant";
-    without a kernel ("none") both vanish.  The integrator calls ``z_map``
-    twice a point step with one ``grid.weights`` product a block, and once an
-    instant iterate, where ``profile_field`` and ``profile_norm`` run g's
+    without a kernel ("none") both vanish.  The integrator calls ``z_map(z,
+    out)`` twice a point step, each writing its row of one block array in place,
+    with one ``grid.weights`` product a block, and once an instant iterate, in
+    place on one buffer, where ``profile_field`` and ``profile_norm`` run g's
     fixed point; the Lipschitz probe takes ``mass`` of a stack of nodes.
     """
 

@@ -28,8 +28,9 @@ ahead (Bellman's method of steps), so the loop advances in blocks of
 k = min(m, steps left) and carries a block's delayed nodes rows[b0:b1 + 1] to
 the grid in one product; one f and one sigma call on its first k rows form
 Phi1 f + xi (in a Picard iterate, on the previous iterate's nodes).
-The point kernel makes two z_map calls a step, on rows j and j + 1, as the
-benchmark pins (``bench/reference/ensemble_bounded.json``), and one
+The point kernel makes two z_map(z, out) calls a step, on rows j and j + 1,
+as the benchmark pins (``bench/reference/ensemble_bounded.json``), each
+writing its row of one preallocated block array in place, and one
 quadrature with the grid weights a block.  Without a kernel or with the
 point kernel, g reads only history too, so the block's increments w_j are
 all known and a doubling scan runs u_{j+1} = decay u_j + w_j in ceil(log2 k)
@@ -163,10 +164,11 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     rows = np.empty((m + 1 + steps, initial.n_modes))
     rows[:m + 1] = initial.values
     norms = np.empty(m + 1 + steps)
-    norms[:m + 1] = np.linalg.norm(initial.values, axis=1)
+    norms[:m + 1] = np.sqrt((initial.values * initial.values).sum(axis=1))
     fp_iters = np.zeros(steps + 1, dtype=int)
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
     zs = np.empty((2 * m, weights.size))   # a point block's z_map of rows j, j + 1
+    scan, diff = np.empty((m, initial.n_modes)), np.empty(weights.size)
 
     for b0 in range(0, steps, m):
         # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
@@ -180,20 +182,22 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
         elif cs.sigma_const != 1.0:
             w = cs.sigma_const * w
         if not cs.f_is_zero:
-            w = phi1 * (cs.f(src) @ grid.project.T) + w
+            w += phi1 * (cs.f(src) @ grid.project.T)
         if g_mode != "instant":
             # every node g reads in the block is history: all the increments are
             # known, and a doubling scan runs u_{j+1} = decay u_j + w_j
             if g_mode == "point":
                 for j in range(b1 - b0):
-                    zs[2 * j], zs[2 * j + 1] = z_map(fields[j]), z_map(fields[j + 1])
+                    z_map(fields[j], zs[2 * j])
+                    z_map(fields[j + 1], zs[2 * j + 1])
                 masses = zs[:2 * (b1 - b0)] @ weights
                 w += profile * (masses[0::2] - masses[1::2])[:, None]
             w[0] += decay * rows[m + b0]
             for level, decay_s in enumerate(decay_powers[:(b1 - b0 - 1).bit_length()]):
-                w[1 << level:] += decay_s * w[:-(1 << level)]
+                s = 1 << level
+                w[s:] += np.multiply(decay_s, w[:-s], out=scan[:b1 - b0 - s])
             rows[m + 1 + b0:m + 1 + b1] = w
-            norms[m + 1 + b0:m + 1 + b1] = np.linalg.norm(w, axis=1)
+            np.sqrt((w * w).sum(axis=1), out=norms[m + 1 + b0:m + 1 + b1])
         else:
             for i, f_i in enumerate(w, b0):
                 # the neutral term reads the unknown new state: contract to the fixed
@@ -215,7 +219,8 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                             f"implicit neutral step failed to reach fp_tol={cfg.fp_tol:g} "
                             f"within {cfg.fp_max} iterations (last residual {r:.3e})",
                             residual=r, iterations=cfg.fp_max)
-                    c_prev, c = c, float(weights @ z_map(field - c * profile_field))
+                    np.subtract(field, np.multiply(c, profile_field, out=diff), out=diff)
+                    c_prev, c = c, float(weights @ z_map(diff, diff))
                     r = abs(c - c_prev) * profile_norm
                     iters += 1
                 u_new = rows[m + 1 + i] = rhs - profile * c
@@ -225,9 +230,9 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                     break   # raised below, before the next step reads this state
         # the block's first norm above the guard or not finite; the instant loop
         # stops there, so the unset norms after it are never reached
-        over = ~(norms[m + 1 + b0:m + 1 + b1] <= cfg.blowup_threshold)
-        if over.any():
-            i = b0 + int(over.argmax())
+        under = norms[m + 1 + b0:m + 1 + b1] <= cfg.blowup_threshold
+        if not under.all():
+            i = b0 + int(under.argmin())
             raise BlowupError(f"state norm {norms[m + 1 + i]:.3e} at t = {(i + 1) * cfg.dt:g} "
                               f"exceeds blow-up guard {cfg.blowup_threshold:g}")
 

@@ -390,6 +390,40 @@ def test_tightness_reports_tail_fractions(tmp_path, capsys, monkeypatch):
         capsys.readouterr().err
 
 
+def test_commands_that_read_no_window_checkpoint_none(tmp_path, capsys, monkeypatch):
+    # a config's segment_stride is the stride estimate-measure pools at; simulate,
+    # picard and tightness read no window, so they keep none and write the same bytes
+    plain = _cfg(tmp_path, NOISY_CFG)
+    strided = _cfg(tmp_path, NOISY_CFG.replace("store_stride: 2}",
+                                               "store_stride: 2, segment_stride: 1}"),
+                   "strided.yaml")
+    seen = {}
+
+    def record(name, fn):
+        def run(*args):
+            seen.setdefault(name, []).append(fn(*args))
+            return seen[name][-1]
+        return run
+
+    monkeypatch.setattr("nsfde.cli.simulate", record("simulate", nsfde.cli.simulate))
+    monkeypatch.setattr("nsfde.cli.picard_run", record("picard", nsfde.cli.picard_run))
+    monkeypatch.setattr("nsfde.measure.run_ensemble",
+                        record("tightness", nsfde.measure.run_ensemble))
+    for cmd, flags in (("simulate", []), ("picard", []), ("tightness", ["--trajectories", "3"])):
+        written = []
+        for cfg in (plain, strided):
+            out = tmp_path / f"{cmd}-{len(written)}.out"
+            assert main([cmd, "--config", cfg, *flags, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+    capsys.readouterr()
+    trajs = (seen["simulate"] + [t for run in seen["picard"] for t, _ in run]
+             + [t for run in seen["tightness"] for t in run])
+    assert len(trajs) == 2 + 2 * 9 + 2 * 3
+    assert all(t.segments is None and t.cfg.segment_stride == 0 for t in trajs)
+    assert load_config(strided).solver["segment_stride"] == 1
+
+
 def test_check_conditions_writes_the_checklist(tmp_path, capsys):
     cfg = _cfg(tmp_path, NOISY_CFG)
     report = tmp_path / "cond.csv"

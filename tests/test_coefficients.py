@@ -1,17 +1,18 @@
 """Coefficient functionals and the sampled condition checkers."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from nsfde import (CoefficientSet, ConfigError, DomainError, GridMaps, Kernel,
-                   RngStream, SingularModulusError,
+                   RngStream, Segment, SingularModulusError, SolverConfig,
                    assemble_operator, builtin_coefficients,
                    growth_check, linear_modulus, lipschitz_probe_g,
                    modulus_bound_check, modulus_shape_check,
                    fractional_norm, osgood_certificate, osgood_integral,
-                   osgood_modulus, power_qwiener, random_segments, sup_norm)
+                   osgood_modulus, power_qwiener, random_segments, simulate, sup_norm)
 
 E2 = math.exp(-2.0)
 
@@ -62,6 +63,63 @@ def test_drift_cap_and_modulus_identity():
 
     # the corner value itself
     assert abs(float(cs.f(E2)) ** 3 - 6.0 * math.exp(-6.0)) <= 1e-14 * 6.0 * math.exp(-6.0)
+
+
+def _masked_osgood_drift(p):
+    """The drift evaluated on masks: 0 at 0, the cap set apart, the core on its own."""
+    cap = E2 * (2.0 * p) ** (1.0 / p)
+
+    def impl(x):
+        ax = np.abs(x)
+        out = np.full(ax.shape, cap)
+        out[ax == 0.0] = 0.0
+        core = (ax > 0.0) & (ax <= E2)
+        a = ax[core]
+        out[core] = a * (p * (-np.log(a))) ** (1.0 / p)
+        return out
+
+    return impl
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 7.3])
+def test_osgood_drift_equals_its_masked_form_bit_for_bit(p):
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, E2, -E2,
+                      math.nextafter(E2, 0.0), math.nextafter(E2, 1.0), 1e300,
+                      math.inf, -math.inf, math.nan])
+    rng = np.random.default_rng(round(10 * p))
+    decades = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-12.0, 1.0, 4000)
+    f, ref = builtin_coefficients(f="osgood", p=p).f, _masked_osgood_drift(p)
+    for x in (edges, decades.reshape(40, 100)):
+        got = f(x)
+        assert got.shape == x.shape and got.tobytes() == ref(x).tobytes()
+    assert f(math.nan) == f(1.0) == ref(np.array([1.0]))[0]   # NaN maps to the cap
+    for x in edges:   # the scalar path through _pointwise
+        got = f(float(x))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == ref(np.array([x])).tobytes()
+
+
+def test_simulate_from_a_zero_history_warns_nothing():
+    # the osgood f and sigma read an all-zero field, where ln|x| is never taken
+    op = assemble_operator(n_modes=8)
+    ini = Segment(h=0.05, dt=0.01, values=np.zeros((6, 8)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(ini, builtin_coefficients(), op, power_qwiener(8, trace_target=1.0),
+                        SolverConfig(dt=0.01, t_end=0.2), RngStream(3, 0),
+                        noise_z=np.zeros((20, 8)))
+    assert not traj.snapshots.any()
+
+
+@pytest.mark.parametrize("kind", ["separable", "linear"])
+def test_z_map_writes_into_out(kind):
+    kern = Kernel(kind=kind)
+    z = np.random.default_rng(4).normal(scale=3.0, size=129)
+    out = np.full(129, np.nan)
+    assert kern.z_map(z, out) is out
+    assert out.tobytes() == kern.z_map(z).tobytes()
+    own = z.copy()   # in place on its own input, as the instant fixed point calls it
+    assert kern.z_map(own, own) is own and own.tobytes() == out.tobytes()
 
 
 def test_moduli_shapes():

@@ -414,7 +414,7 @@ def test_kernel_evaluations_per_step(delay):
     for t_end, seed in ((0.53, 0), (0.01, 1), (0.01, 2), (0.01, 3)):
         cs = builtin_coefficients(kernel_delay=delay, kernel_scale=0.2)
         z_map, calls = cs.kernel_b.z_map, []
-        cs.kernel_b.z_map = lambda z: calls.append(1) or z_map(z)
+        cs.kernel_b.z_map = lambda z, out=None: calls.append(1) or z_map(z, out)
         traj = simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=t_end),
                         RngStream(24, seed))
         steps = len(traj.fp_iters) - 1
@@ -424,6 +424,25 @@ def test_kernel_evaluations_per_step(delay):
             assert traj.fp_iters[1:].min() >= 2
             assert len(calls) == traj.fp_iters.sum()
         ini = traj.final_segment   # the one-step runs pin the count of one step each
+
+
+def test_a_z_map_swapped_between_runs_is_the_one_the_next_run_calls():
+    # the benchmark's tracer wraps cs.kernel_b.z_map between rounds and counts
+    # two calls a point step: each run must look the map up afresh
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
+    cs = builtin_coefficients(kernel_scale=0.2)
+    cfg = SolverConfig(dt=0.01, t_end=0.23)
+    first = simulate(ini, cs, OP8, Q8, cfg, RngStream(29, 0))
+    z_map, calls = cs.kernel_b.z_map, []
+    cs.kernel_b.z_map = lambda z, out=None: calls.append(1) or z_map(z, out)
+    second = simulate(ini, cs, OP8, Q8, cfg, RngStream(29, 0))
+    assert len(calls) == 2 * cfg.n_steps
+    del cs.kernel_b.z_map   # the class's map again, as the tracer restores it
+    third = simulate(ini, cs, OP8, Q8, cfg, RngStream(29, 0))
+    assert len(calls) == 2 * cfg.n_steps
+    assert np.array_equal(first.snapshots, second.snapshots)
+    assert np.array_equal(first.snapshots, third.snapshots)
 
 
 @pytest.mark.parametrize("h", [0.05, 0.37])
@@ -439,7 +458,7 @@ def test_point_kernel_increments_integrate_each_row(h):
     cs = builtin_coefficients(f="identity", sigma="zero", kernel_scale=0.2)
     cs.f = lambda x: log.append(len(x)) or np.zeros_like(x)
     z_map = cs.kernel_b.z_map
-    cs.kernel_b.z_map = lambda z: log.append(z.copy()) or z_map(z)
+    cs.kernel_b.z_map = lambda z, out=None: log.append(z.copy()) or z_map(z, out)
     m, steps = round(h / 0.01), _block_test_steps(h)
     ini = Segment(h=h, dt=0.01, values=np.random.default_rng(5).normal(size=(m + 1, 8)))
     traj = simulate(ini, cs, op, Q8, SolverConfig(dt=0.01, t_end=steps * 0.01),

@@ -300,6 +300,8 @@ def continuous_dependence_probe(phi: Segment, psi_list: Sequence[Segment],
     psi_list = list(psi_list)
     if not psi_list:
         raise ConfigError("need at least one comparison segment")
+    if n_paths < 2:
+        raise ConfigError("dependence probe needs at least two noise paths")
     if p <= 0.0:
         raise DomainError("moment exponent must be positive")
     offsets = sup_norm(phi.values - np.array([psi.values for psi in psi_list]))

@@ -1,8 +1,8 @@
 """End-to-end command-line checks.
 
-All but the console-script and scipy-import checks run in process through
-main(argv).  The scipy-import check runs main(argv) in a fresh interpreter,
-where no earlier import has loaded scipy.  The console script is run by name
+All but the console-script and import checks run in process through
+main(argv).  The import check runs main(argv) in a fresh interpreter, where
+no earlier import has loaded scipy or numpy.polynomial.  The console script is run by name
 as a separate process: one check generates the
 script itself from ``[project.scripts]`` in ``pyproject.toml``, as an installer
 would, so it needs no prior install, and also runs ``python -m nsfde``; the
@@ -466,14 +466,18 @@ def test_picard_prints_contracting_iterates(tmp_path, capsys):
     assert vals[1] > vals[2] > vals[3]      # successive sweeps contract
 
 
-# runs each subcommand in turn and prints [command, exit code, scipy loaded]
-_SCIPY_PROBE = """\
+# runs each subcommand in turn and prints
+# [command, exit code, scipy loaded, numpy.polynomial loaded]
+_IMPORT_PROBE = """\
 import json, sys
 import nsfde
 from nsfde.cli import main
 
+def loaded():
+    return ["scipy" in sys.modules, "numpy.polynomial" in sys.modules]
+
 zero, noisy, out = sys.argv[1:]
-seen = [["import", 0, "scipy" in sys.modules]]
+seen = [["import", 0, *loaded()]]
 for argv in (["simulate", "--config", zero, "--out", out + "/traj.jsonl"],
              ["picard", "--config", zero, "--out", out + "/picard.csv"],
              ["estimate-measure", "--config", zero, "--trajectories", "2",
@@ -483,8 +487,9 @@ for argv in (["simulate", "--config", zero, "--out", out + "/traj.jsonl"],
              ["tightness", "--config", zero, "--trajectories", "2",
               "--out", out + "/tight.csv"],
              ["t1", "--Mg", "0.2", "--p", "3.0", "--alpha", "0.5"],
-             ["check-conditions", "--config", noisy, "--samples", "500"]):
-    seen.append([argv[0], main(argv), "scipy" in sys.modules])
+             ["check-conditions", "--config", noisy, "--samples", "500"],
+             ["validate", "--config", noisy]):
+    seen.append([argv[0], main(argv), *loaded()])
 print(json.dumps(seen))
 """
 
@@ -499,16 +504,20 @@ def _child_env():
     return env
 
 
-def test_only_the_osgood_integral_loads_scipy(tmp_path):
+def test_no_subcommand_loads_scipy(tmp_path):
+    # the Osgood certificate's rule loads numpy.polynomial on first use, so the
+    # run subcommands never do
     zero, noisy = _cfg(tmp_path, ZERO_CFG), _cfg(tmp_path, NOISY_CFG, "noisy.yaml")
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, zero, noisy,
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, zero, noisy,
                            str(tmp_path)], capture_output=True, text=True,
                           env=_child_env(), cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [
-        ["import", 0, False], ["simulate", 0, False], ["picard", 0, False],
-        ["estimate-measure", 0, False], ["invariance-test", 0, False],
-        ["tightness", 0, False], ["t1", 0, False], ["check-conditions", 0, True]]
+        ["import", 0, False, False], ["simulate", 0, False, False],
+        ["picard", 0, False, False], ["estimate-measure", 0, False, False],
+        ["invariance-test", 0, False, False], ["tightness", 0, False, False],
+        ["t1", 0, False, False], ["check-conditions", 0, False, True],
+        ["validate", 0, False, True]]
     cert = osgood_certificate(make_coefficients(load_config(noisy)))
     assert (f"[ok ] osgood_divergence: estimate {cert.integrals[-1]:.6g}, "
             "threshold inf") in proc.stdout

@@ -1,5 +1,6 @@
 """Coefficient functionals and the sampled condition checkers."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -179,6 +180,65 @@ def test_osgood_integral_and_certificate():
                           modulus_N=lambda s: np.maximum(np.asarray(s) - 0.5, 0.0))
     with pytest.raises(SingularModulusError):
         osgood_integral(flat, 1e-3)  # vanishes inside the range
+
+
+def _vanishing_at_zero(core):
+    """The modulus that is core(s) for s > 0 and 0 at 0."""
+
+    def modulus(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s > 0.0, core(np.where(s > 0.0, s, 1.0)), 0.0)
+
+    return modulus
+
+
+def _log_log(s):   # smooth in w = ln(1/s), no closed form
+    lg = np.log(1.0 / s + math.e)
+    return s * lg * np.log(lg + math.e)
+
+
+_OSGOOD_TAIL = 2.0 - math.log(2.0) + math.log1p(E2)   # int_{e^-2}^1 ds / (s + e^-2)
+
+# name: (modulus, int_eps^1 ds / N(s) in closed form, or None)
+_SMOOTH_MODULI = {
+    "osgood": (osgood_modulus, lambda e: math.log(math.log(1.0 / e)) - math.log(2.0) + _OSGOOD_TAIL
+               if e < E2 else math.log1p(E2) - math.log(e + E2)),
+    "linear": (linear_modulus, lambda e: math.log(1.0 / e)),
+    "square": (lambda s: np.asarray(s, dtype=float) ** 2, lambda e: 1.0 / e - 1.0),
+    "sqrt": (lambda s: np.sqrt(np.asarray(s, dtype=float)), lambda e: 2.0 * (1.0 - math.sqrt(e))),
+    "log_squared": (_vanishing_at_zero(lambda s: s * np.log(math.e / s) ** 2),
+                    lambda e: 1.0 - 1.0 / (1.0 + math.log(1.0 / e))),
+    "log_log": (_vanishing_at_zero(_log_log), None),
+}
+
+# the certificate's eps_k = e^{-e^k}, k = 1..5, and one eps above e^{-2}, where
+# ln(1/eps) < 2 and no panel lies past the junction
+_RULE_EPS = [math.exp(-math.exp(k)) for k in range(1, 6)] + [0.3]
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH_MODULI))
+def test_osgood_integral_matches_quad_and_closed_forms(name):
+    modulus, exact = _SMOOTH_MODULI[name]
+    cs = CoefficientSet(f=np.tanh, sigma=np.tanh, kernel_b=None, modulus_N=modulus)
+    for eps in _RULE_EPS:
+        got = osgood_integral(cs, eps)
+        w_max = math.log(1.0 / eps)
+        want, _ = quad(lambda w: math.exp(-w) / float(modulus(math.exp(-w))), 0.0, w_max,
+                       points=[2.0] if w_max > 2.0 else None, limit=400)
+        assert abs(got - want) <= 1e-13 * want, (eps, got, want)
+        if exact is not None:
+            assert abs(got - exact(eps)) <= 1e-13 * exact(eps), (eps, got, exact(eps))
+
+
+def test_osgood_integral_refuses_a_modulus_it_cannot_resolve():
+    # kinked at s = 0.3, inside a panel: halving the panels moves the sum by 1e-7 to 4e-6
+    kinked = CoefficientSet(f=np.tanh, sigma=np.tanh, kernel_b=None,
+                            modulus_N=lambda s: np.minimum(s, 0.3 + 0.1 * (np.asarray(s) - 0.3)))
+    for eps in _RULE_EPS[:5]:
+        with pytest.raises(DomainError, match=f"eps = {re.escape(repr(eps))} is unresolved"):
+            osgood_integral(kinked, eps)
+    # from the kink on the modulus is 0.27 + 0.1 s, and the rule resolves it
+    assert osgood_integral(kinked, 0.3) == pytest.approx(10.0 * math.log(0.37 / 0.3), rel=1e-13)
 
 
 def test_eval_f_matches_adaptive_quadrature():

@@ -278,6 +278,10 @@ def test_dependence_probe_validation():
     with pytest.raises(ConfigError, match="horizon / dt"):
         continuous_dependence_probe(base, [nearer], 3.0, 0.205, cs, OP, Q, 0.01,
                                     RngStream(63, 0), n_paths=2)
+    for n_paths in (0, 1):   # no mean, or no standard error, from fewer than two paths
+        with pytest.raises(ConfigError, match="two noise paths"):
+            continuous_dependence_probe(base, [nearer], 3.0, 0.2, cs, OP, Q, 0.01,
+                                        RngStream(63, 0), n_paths=n_paths)
 
 
 def test_dependence_probe_coupled_paths_order():

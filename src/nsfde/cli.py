@@ -53,20 +53,29 @@ def _radii(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expects comma-separated radii, got {text!r}") from None
 
 
-def _load(args) -> config_mod.RunConfig:
+def _build(args):
+    """Everything a config-taking command runs on, built in one place: the
+    config with the flags applied, the run objects, the pooling rule, and
+    last the ``--resolved`` dump, so a refused config leaves none."""
     overrides = {k: v for k, v in vars(args).items()
                  if (k == "seed" or "." in k) and v is not None}
     rc = config_mod.load_config(args.config, overrides)
+    op = config_mod.make_operator(rc)
+    qspec = config_mod.make_noise(rc, op)
+    cs = config_mod.make_coefficients(rc)
+    cfg = config_mod.make_solver_config(rc)
+    initial = config_mod.make_initial_segment(rc, op)
     if args.command == "estimate-measure":
-        _check_a_checkpoint_survives(rc)   # before the dump: a refused config leaves none
+        _check_a_checkpoint_survives(rc, cfg)
+    else:
+        cfg = replace(cfg, segment_stride=0)
     if args.resolved:
         config_mod.dump_resolved(rc, args.resolved)
-    return rc
+    return rc, op, qspec, cs, cfg, initial
 
 
-def _check_a_checkpoint_survives(rc: config_mod.RunConfig):
-    cfg, burn_in = config_mod.make_solver_config(rc), rc.burn_in()
-    stride = cfg.segment_stride
+def _check_a_checkpoint_survives(rc: config_mod.RunConfig, cfg):
+    stride, burn_in = cfg.segment_stride, rc.burn_in()
     if not stride:   # no default: pooling every step costs a window per step
         raise ConfigError("solver.segment_stride = 0 checkpoints no segment to pool: "
                           "set it in the config or pass --thin")
@@ -79,18 +88,14 @@ def _check_a_checkpoint_survives(rc: config_mod.RunConfig):
                           f"{unset}")
 
 
-def _build(rc: config_mod.RunConfig):
-    op = config_mod.make_operator(rc)
-    qspec = config_mod.make_noise(rc, op)
-    cs = config_mod.make_coefficients(rc)
-    cfg = replace(config_mod.make_solver_config(rc), segment_stride=0)
-    initial = config_mod.make_initial_segment(rc, op)
-    return op, qspec, cs, cfg, initial
+def _report(path, rows):
+    if path:
+        serialize.write_report_csv(path, rows)
+        print(f"wrote {path}")
 
 
 def _cmd_simulate(args) -> int:
-    rc = _load(args)
-    op, qspec, cs, cfg, initial = _build(rc)
+    rc, op, qspec, cs, cfg, initial = _build(args)
     traj = simulate(initial, cs, op, qspec, cfg, RngStream(rc.seed, args.stream))
     serialize.write_trajectory_jsonl(traj, args.out)
     print(f"simulated t in [0, {cfg.n_steps * cfg.dt:g}] on {op.n_modes} modes; "
@@ -100,39 +105,31 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_picard(args) -> int:
-    rc = _load(args)
-    op, qspec, cs, cfg, initial = _build(rc)
+    rc, op, qspec, cs, cfg, initial = _build(args)
     iterates = picard_run(initial, cs, op, qspec, cfg, RngStream(rc.seed, 0))
     rows = []
-    for k, (_, sup_diff) in enumerate(iterates):
-        if k == 0:
-            continue
+    for k, (_, sup_diff) in enumerate(iterates[1:], start=1):
         print(f"iterate {k}: sup_diff = {sup_diff!r}")
         rows.append((f"sup_diff_iterate_{k}", float(sup_diff), None, None, ""))
-    if args.out:
-        serialize.write_report_csv(args.out, rows)
-        print(f"wrote {args.out}")
+    _report(args.out, rows)
     return 0
 
 
 def _cmd_estimate_measure(args) -> int:
-    rc = _load(args)
-    op, qspec, cs, _, initial = _build(rc)
-    cfg, burn_in = config_mod.make_solver_config(rc), rc.burn_in()
+    rc, op, qspec, cs, cfg, initial = _build(args)
     trajs = measure_mod.run_ensemble(initial, cs, op, qspec, cfg, rc.seed,
                                      rc.measure["n_trajectories"])
-    mu = measure_mod.krylov_bogoliubov(trajs, burn_in)
+    mu = measure_mod.krylov_bogoliubov(trajs, rc.burn_in())
     serialize.write_measure_jsonl(mu, args.out)
     print(f"pooled {mu.n_samples} segment checkpoints from {rc.measure['n_trajectories']} "
-          f"trajectories (burn-in {burn_in:g}, every {cfg.segment_stride} steps)")
+          f"trajectories (burn-in {rc.burn_in():g}, every {cfg.segment_stride} steps)")
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_invariance_test(args) -> int:
-    rc = _load(args)
+    rc, op, qspec, cs, _, _ = _build(args)
     mu = serialize.read_measure_jsonl(args.measure)
-    op, qspec, cs, cfg, _ = _build(rc)
     if mu.n_modes != op.n_modes:
         raise ConfigError("measure and config disagree on the mode count")
     for name, got, want in (("the delay h (delay.h)", mu.h, rc.h),
@@ -149,14 +146,12 @@ def _cmd_invariance_test(args) -> int:
         print(f"{name}: KS = {ks:.5f} (5% critical {crit:.5f}) "
               f"mean shift {diff:+.4g} +- {se:.4g} [{verdict}]")
         rows.append((name, ks, se, crit, verdict))
-    serialize.write_report_csv(args.out, rows)
-    print(f"wrote {args.out}")
+    _report(args.out, rows)
     return 0 if report.all_passed else 1
 
 
 def _cmd_tightness(args) -> int:
-    rc = _load(args)
-    op, qspec, cs, cfg, initial = _build(rc)
+    rc, op, qspec, cs, cfg, initial = _build(args)
     trajs = measure_mod.run_ensemble(initial, cs, op, qspec, cfg, rc.seed,
                                      rc.measure["n_trajectories"])
     report = measure_mod.tightness_diagnostic(trajs, rc.measure["r_grid"])
@@ -164,18 +159,16 @@ def _cmd_tightness(args) -> int:
     for r, est in zip(report.r_grid, report.estimates):
         print(f"sup_t fraction with segment norm > {r:g}: {est:.4f}")
         rows.append((f"tail_fraction_R_{r:g}", float(est), None, None, ""))
-    serialize.write_report_csv(args.out, rows)
-    print(f"wrote {args.out}")
+    _report(args.out, rows)
     return 0
 
 
-def _condition_rows(rc: config_mod.RunConfig, n_samples: int):
-    """Assemble the hypothesis checklist; construction itself enforces the
-    hard inequalities (ellipticity, Mg range, smallness), so reaching the
-    sampled checks already certifies those."""
-    op, qspec, cs, _, _ = _build(rc)
+def _cmd_check_conditions(args) -> int:
+    """Print the hypothesis checklist; construction itself enforces the hard
+    inequalities (ellipticity, Mg range, smallness), so reaching the sampled
+    checks already certifies those."""
+    rc, op, qspec, cs, _, _ = _build(args)
     gen = RngStream(rc.seed, _PROBE_STREAM).generator()
-
     rows = []
 
     def add(name, estimate, threshold, ok):
@@ -189,26 +182,19 @@ def _condition_rows(rc: config_mod.RunConfig, n_samples: int):
     cert = osgood_certificate(cs)
     add("modulus_shape", 1.0 if cert.shape_ok else 0.0, 1.0, cert.shape_ok)
     add("osgood_divergence", float(cert.integrals[-1]), float("inf"), cert.certified)
-    violations, max_ratio = modulus_bound_check(cs, n_samples, gen)
+    violations, max_ratio = modulus_bound_check(cs, args.samples, gen)
     add("drift_modulus_bound", max_ratio, 1.0, violations == 0)
-    probe = lipschitz_probe_g(cs, op, max(n_samples // 100, 20), gen, h=rc.h)
+    probe = lipschitz_probe_g(cs, op, max(args.samples // 100, 20), gen, h=rc.h)
     add("neutral_lipschitz_probe", probe.estimate, probe.bound, probe.passed)
-    growth = growth_check(cs, op, max(n_samples // 100, 20), gen, qspec=qspec, h=rc.h)
+    growth = growth_check(cs, op, max(args.samples // 100, 20), gen, qspec=qspec, h=rc.h)
     add("linear_growth_probe", growth, cs.growth_K, growth <= cs.growth_K)
-    return rows
-
-
-def _cmd_check_conditions(args) -> int:
-    rows = _condition_rows(_load(args), args.samples)
     for name, est, _, thr, verdict in rows:
         mark = "ok " if verdict == "pass" else "FAIL"
         print(f"[{mark}] {name}: estimate {est:.6g}, threshold {thr:.6g}")
     ok = all(verdict == "pass" for *_, verdict in rows)
     print("configuration valid; all condition checks passed" if ok
           else "configuration loads, but some condition checks FAILED")
-    if args.out:
-        serialize.write_report_csv(args.out, rows)
-        print(f"wrote {args.out}")
+    _report(args.out, rows)
     return 0 if ok else 1
 
 

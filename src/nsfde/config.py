@@ -171,7 +171,6 @@ _FIELDS = {
     "coefficients.p": (3.0, _number()),
     "coefficients.Mg": (0.5, _number()),
     "coefficients.K": (1.0, _number()),
-    "coefficients.alpha": (0.5, _number(0.0, 1.0, hi_open=False)),
     "coefficients.grid_points": (None, _optional(_integer())),  # None: 4 * n_modes
     "solver.dt": (1.0e-3, _number()),
     "solver.t_end": (1.0, _number()),
@@ -306,8 +305,8 @@ def resolved_dict(rc: RunConfig) -> dict:
     op = make_operator(rc)
     out = asdict(rc)
     out["coefficients"]["grid_points"] = rc.grid_points()
-    out["measure"]["burn_in"] = rc.burn_in()
     out["derived"] = {
+        "burn_in": rc.burn_in(),   # measure.burn_in echoes the config: null reloads
         "window_steps": _window_steps(rc.h, rc.dt),
         "n_steps": make_solver_config(rc).n_steps,
         "mu_1": float(op.eigenvalues[0]),
@@ -319,5 +318,6 @@ def resolved_dict(rc: RunConfig) -> dict:
 
 
 def dump_resolved(rc: RunConfig, path):
+    out = resolved_dict(rc)   # builds the operator: a refused config opens no file
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(resolved_dict(rc), fh, sort_keys=False)
+        yaml.safe_dump(out, fh, sort_keys=False)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import nsfde
 from nsfde import (find_horizon, load_config, make_coefficients,
@@ -178,6 +179,49 @@ def test_refused_config_writes_no_resolved_dump(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ("error: solver.segment_stride = 0 checkpoints no "
                                        "segment to pool: set it in the config or pass --thin\n")
     assert not resolved.exists() and not (tmp_path / "m.jsonl").exists()
+
+
+def test_a_short_run_reruns_from_its_dump(tmp_path, capsys):
+    # t_end = 2 * delay.h: the default burn-in is not before the end, so the
+    # dump leaves measure.burn_in unset and reports the effective one as derived
+    cfg = _cfg(tmp_path, NOISY_CFG.replace("t_end: 0.2", "t_end: 0.1"))
+    out, rerun, resolved = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "r.yaml"))
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--resolved", str(resolved)]) == 0
+    dumped = yaml.safe_load(resolved.read_text())
+    assert dumped["measure"]["burn_in"] is None and dumped["derived"]["burn_in"] == 0.1
+    assert main(["simulate", "--config", str(resolved), "--out", str(rerun)]) == 0
+    capsys.readouterr()
+    assert rerun.read_bytes() == out.read_bytes()
+
+
+TABLE_CFG = NOISY_CFG.replace("operator: {n_modes: 4}",
+                              "operator: {n_modes: 4, a: [[0.0, 1.0], [0.5, 2.0], [1.0, 1.5]]}")
+
+
+def test_tabulated_diffusivity_reruns_from_its_dump(tmp_path, capsys):
+    out, rerun, resolved = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "r.yaml"))
+    assert main(["simulate", "--config", _cfg(tmp_path, TABLE_CFG), "--out", str(out),
+                 "--resolved", str(resolved)]) == 0
+    assert load_config(resolved).operator["a"] == [[0.0, 1.0], [0.5, 2.0], [1.0, 1.5]]
+    assert main(["simulate", "--config", str(resolved), "--out", str(rerun)]) == 0
+    capsys.readouterr()
+    assert rerun.read_bytes() == out.read_bytes()
+
+
+def test_a_table_refused_by_the_operator_leaves_no_file(tmp_path, capsys):
+    # the config loads; assembling its operator refuses it, before any dump
+    cfg = _cfg(tmp_path, "operator: {n_modes: 4, a: [[0.0, 1.0], [1.0, -1.0]]}\n"
+                         "delay: {h: 0.05}\nsolver: {dt: 0.01, t_end: 0.1}\n"
+                         "coefficients: {grid_points: 64}\n")
+    resolved, out = tmp_path / "r.yaml", tmp_path / "out"
+    for argv in (["simulate"], ["picard"], ["estimate-measure", "--thin", "1"],
+                 ["tightness"], ["check-conditions"], ["validate"],
+                 ["invariance-test", "--measure", str(tmp_path / "m.jsonl"), "--t", "0.1"]):
+        flags = [] if argv[0] == "validate" else ["--out", str(out)]
+        assert main(argv + ["--config", cfg, "--resolved", str(resolved), *flags]) == 1
+        assert "diffusivity must be strictly positive on the grid" in capsys.readouterr().err
+        assert not resolved.exists() and not out.exists()
 
 
 def test_simulate_blowup_exits_2(tmp_path, capsys):

@@ -48,6 +48,18 @@ def test_builtin_registry_and_validation():
                        modulus_N=lambda s: np.asarray(s) + 1.0)  # N(0) != 0
 
 
+def test_a_modulus_that_is_nan_at_zero_is_refused():
+    def log_squared(s):   # s log(e/s)^2 is 0 * inf = NaN at s = 0
+        s = np.asarray(s, dtype=float)
+        return s * np.log(np.e / s) ** 2
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert math.isnan(log_squared(0.0))
+        with pytest.raises(ConfigError, match="modulus must vanish at 0"):
+            CoefficientSet(f=lambda x: x, sigma=lambda x: x, kernel_b=None,
+                           modulus_N=log_squared)
+
+
 def test_drift_cap_and_modulus_identity():
     cs = builtin_coefficients()
     cap = E2 * 6.0 ** (1.0 / 3.0)

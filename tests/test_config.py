@@ -1,4 +1,6 @@
 """Config schema: defaults, strict validation, builders, resolved round trips."""
+import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
@@ -7,9 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from nsfde import (ConfigError, load_config, make_coefficients,
-                   make_initial_segment, make_noise, make_operator,
-                   make_solver_config, parse_config, resolved_dict)
+import nsfde
+from nsfde import (ConfigError, SolverConfig, assemble_operator, load_config,
+                   make_coefficients, make_initial_segment, make_noise,
+                   make_operator, make_solver_config, parse_config, resolved_dict)
 from nsfde.config import _FIELDS, dump_resolved
 
 
@@ -61,7 +64,9 @@ def test_unknown_keys_report_dotted_paths():
     ({"solver": {"store_stride": 0}}, "solver.store_stride"),
     ({"coefficients": {"grid_points": 33}}, "must be even"),
     ({"coefficients": {"grid_points": 2}}, "must be >= 4"),
-    ({"coefficients": {"alpha": 0.0}}, "coefficients.alpha"),
+    # listed here, not last, so that the automatic ids of the cases below stay put
+    ({"solver": {"t_end": 0.2}, "measure": {"burn_in": 0.2}},
+     "measure.burn_in = 0.2 must be < solver.t_end = 0.2"),
     ({"measure": {"r_grid": []}}, "measure.r_grid"),
     ({"measure": {"r_grid": [1.0, -2.0]}}, "measure.r_grid"),
     ({"operator": {"a": -1.0}}, "operator.a must be positive"),
@@ -86,8 +91,6 @@ def test_unknown_keys_report_dotted_paths():
     ({"delay": {"h": 0.3}, "solver": {"dt": 0.3, "t_end": 1.0}}, "solver.t_end / solver.dt"),
     ({"solver": {"t_end": 0.0005}}, "solver.t_end = 0.0005"),
     ({"noise": {"spectrum": ["power"]}}, "noise.spectrum = ['power'] not one of"),
-    ({"solver": {"t_end": 0.2}, "measure": {"burn_in": 0.2}},
-     "measure.burn_in = 0.2 must be < solver.t_end = 0.2"),
 ])
 def test_out_of_range_values_name_the_field(patch, needle):
     with pytest.raises(ConfigError, match=re.escape(needle)):
@@ -120,10 +123,6 @@ def test_seed_must_fit_int64():
     for seed in (2**63, 2**64):
         with pytest.raises(ConfigError, match=re.escape(f"seed = {seed} must be < 2**63")):
             parse_config({"seed": seed})
-
-
-def test_alpha_one_is_allowed():
-    assert parse_config({"coefficients": {"alpha": 1.0}}).coefficients["alpha"] == 1.0
 
 
 def test_window_must_hold_integer_step_count():
@@ -196,8 +195,8 @@ def test_resolved_dict_reports_derived_quantities():
     rc = parse_config({})
     out = resolved_dict(rc)
     assert out["coefficients"]["grid_points"] == 128
-    assert out["measure"]["burn_in"] == pytest.approx(0.2)
     der = out["derived"]
+    assert der["burn_in"] == pytest.approx(0.2)
     assert der["window_steps"] == 100
     assert der["n_steps"] == 1000
     assert der["mu_1"] == pytest.approx(np.pi ** 2, rel=1e-12)
@@ -214,6 +213,25 @@ def test_resolved_dump_reloads_to_identical_resolution(tmp_path):
     assert "derived:" in text  # informational block, ignored on reload
     rc2 = load_config(path)
     assert resolved_dict(rc2) == resolved_dict(rc)
+
+
+_TABLE = [[0.0, 1.0], [0.5, 2.0], [1.0, 1.5]]
+
+
+def test_tabulated_diffusivity_builds_the_library_operator():
+    rc = parse_config("operator: {n_modes: 4, a: [[0.0, 1.0], [0.5, 2.0], "
+                      "[1.0, 1.5]]}\n")
+    assert rc.operator["a"] == _TABLE
+    assert np.array_equal(make_operator(rc).eigenvalues,
+                          assemble_operator(4, a=_TABLE).eigenvalues)
+
+
+def test_refused_diffusivity_table_dumps_nothing(tmp_path):
+    rc = parse_config({"operator": {"n_modes": 4, "a": [[0.0, 1.0], [1.0, -1.0]]}})
+    path = tmp_path / "resolved.yaml"
+    with pytest.raises(ConfigError, match="diffusivity must be strictly positive"):
+        dump_resolved(rc, path)
+    assert not path.exists()
 
 
 def test_overrides_are_checked_like_file_values(tmp_path):
@@ -249,3 +267,26 @@ def test_readme_configuration_block_lists_the_defaults():
     for section, fields in yaml.safe_load(block).items():
         listed |= {f"{section}.{key}" for key in fields} if isinstance(fields, dict) else {section}
     assert listed == set(_FIELDS)
+
+
+def test_every_config_field_has_a_reader():
+    # a field that nothing reads is a knob that changes nothing: the sections
+    # passed whole must name a parameter, every other key must be read by name
+    pkg = Path(nsfde.__file__).resolve().parent
+    text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(pkg.rglob("*.py")))
+    solver = {f.name for f in dataclasses.fields(SolverConfig)}
+    operator = set(inspect.signature(assemble_operator).parameters)
+    unread = []
+    for path in _FIELDS:
+        section, _, key = path.rpartition(".")
+        if section == "solver":
+            read = key in solver
+        elif section == "operator":
+            read = key in operator
+        elif path == "seed":
+            read = "rc.seed" in text
+        else:
+            read = f'["{key}"]' in text or f'.get("{key}"' in text
+        if not read:
+            unread.append(path)
+    assert unread == []

@@ -70,7 +70,7 @@ def _build(args):
     else:
         cfg = replace(cfg, segment_stride=0)
     if args.resolved:
-        config_mod.dump_resolved(rc, args.resolved)
+        config_mod.dump_resolved(rc, args.resolved, op, qspec)
     return rc, op, qspec, cs, cfg, initial
 
 

@@ -307,19 +307,10 @@ def modulus_bound_check(cs: CoefficientSet, n_samples: int, gen: np.random.Gener
     if not 0.0 <= mixture <= 1.0:
         raise DomainError("mixture weight must lie in [0, 1]")
     n_log = int(round(n_samples * mixture))
-    n_uni = n_samples - n_log
-    xs, ys = [], []
-    if n_uni:
-        u = gen.uniform(-1.0, 1.0, size=(2, n_uni))
-        xs.append(u[0])
-        ys.append(u[1])
-    if n_log:
-        mags = 10.0 ** gen.uniform(-12.0, math.log10(E_MINUS_2), size=(2, n_log))
-        signs = gen.choice([-1.0, 1.0], size=(2, n_log))
-        xs.append(mags[0] * signs[0])
-        ys.append(mags[1] * signs[1])
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    uni = gen.uniform(-1.0, 1.0, size=(2, n_samples - n_log))  # a 0-size draw uses no state
+    mags = 10.0 ** gen.uniform(-12.0, math.log10(E_MINUS_2), size=(2, n_log))
+    signs = gen.choice([-1.0, 1.0], size=(2, n_log))
+    x, y = np.concatenate([uni, mags * signs], axis=1)
     lhs = np.abs(cs.f(x) - cs.f(y)) ** cs.p
     rhs = np.asarray(cs.modulus_N(np.abs(x - y) ** cs.p), dtype=float)
     pos = rhs > 0.0

@@ -1,21 +1,21 @@
 """Run configuration: YAML loading, strict validation, resolved dumps.
 
-A config file is a nested mapping with the sections below; every omitted
-field takes the documented default and every unknown key is rejected with
-its dotted path.  ``_FIELDS`` declares each field once, with its default and
-check.  Each range is checked in one place: by the constructor where one
-checks it on every path (``parse_config`` builds ``SolverConfig`` and the
-coefficient set, so a library caller is still refused at once, and the table
-checks those fields' types only), otherwise by the table.  Every refusal
-names the dotted path.  The ``operator`` and ``solver`` sections are the
-keyword arguments of ``assemble_operator`` and ``SolverConfig``, and
+A config file is a nested mapping with the sections below; every omitted field
+takes the documented default and every unknown key is rejected with its dotted
+path.  ``_FIELDS`` declares each field once, with its default and check.
+Where a constructor checks a range on every path, the table checks only the
+type (``parse_config`` builds ``SolverConfig`` and the coefficient set, so a
+library caller is refused at once); the table checks the other ranges, and the
+library builders check those of ``operator.n_modes``, ``delta_fraction``,
+``noise.*``, ``seed`` and ``initial.*`` again for callers that load no config.
+Every refusal names the dotted path.  The ``operator`` and ``solver`` sections
+are the keyword arguments of ``assemble_operator`` and ``SolverConfig``, and
 ``initial`` is the descriptor ``from_initial_condition`` reads; the builders
-pass them whole.  Each run setting has one field: ``solver.segment_stride``
-is the checkpoint stride the solver records at and ``estimate-measure``
-pools at.
-``resolved_dict`` echoes the fully defaulted config (plus a ``derived``
-block of computed quantities, ignored on reload) so that a dumped resolved
-config reloads to bit-identical behaviour.
+pass them whole.  Each run setting has one field: ``solver.segment_stride`` is
+the checkpoint stride the solver records at and ``estimate-measure`` pools at.
+``resolved_dict`` echoes the fully defaulted config, plus a ``derived`` block
+read from the run's built operator and noise (ignored on reload), so that a
+dumped resolved config reloads to bit-identical behaviour.
 """
 
 from __future__ import annotations
@@ -300,24 +300,22 @@ def make_initial_segment(rc: RunConfig, op):
     return from_initial_condition(rc.initial, rc.h, rc.dt, op, n_grid=rc.grid_points())
 
 
-def resolved_dict(rc: RunConfig) -> dict:
-    """Fully defaulted config plus a ``derived`` block of computed values."""
-    op = make_operator(rc)
+def resolved_dict(rc: RunConfig, op, qspec: noise_mod.QWienerSpec) -> dict:
+    """Fully defaulted config plus a ``derived`` block read from the built run."""
     out = asdict(rc)
     out["coefficients"]["grid_points"] = rc.grid_points()
     out["derived"] = {
         "burn_in": rc.burn_in(),   # measure.burn_in echoes the config: null reloads
         "window_steps": _window_steps(rc.h, rc.dt),
-        "n_steps": make_solver_config(rc).n_steps,
+        "n_steps": _window_steps(rc.solver["t_end"], rc.dt),
         "mu_1": float(op.eigenvalues[0]),
         "mu_max": float(op.eigenvalues[-1]),
         "delta": float(op.delta),
-        "noise_trace": float(make_noise(rc, op).trace),
+        "noise_trace": float(qspec.trace),
     }
     return out
 
 
-def dump_resolved(rc: RunConfig, path):
-    out = resolved_dict(rc)   # builds the operator: a refused config opens no file
+def dump_resolved(rc: RunConfig, path, op, qspec: noise_mod.QWienerSpec):
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(out, fh, sort_keys=False)
+        yaml.safe_dump(resolved_dict(rc, op, qspec), fh, sort_keys=False)

@@ -18,7 +18,7 @@ class ShapeError(NsfdeError, ValueError):
 
 
 class EllipticityError(ConfigError):
-    """Diffusivity is not strictly positive on the sampling grid."""
+    """Diffusivity is not strictly positive on [0, 1] (a callable: on the assembly nodes)."""
 
 
 class SingularModulusError(DomainError):

@@ -101,17 +101,29 @@ class SpectralOperator:
         return ops
 
 
-def _as_diffusivity(a):
-    """Normalize the diffusivity descriptor to a callable on [0, 1]."""
+def _diffusivity_at(a, x) -> np.ndarray:
+    """The diffusivity at the nodes ``x``, refused unless strictly positive:
+    a callable at the nodes, a table in closed form on [0, 1]."""
     if callable(a):
-        return a
-    samples = np.asarray(a, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
-        raise ConfigError("tabulated diffusivity must be a list of (x, a) pairs")
-    xs, vals = samples[:, 0], samples[:, 1]
-    if np.any(np.diff(xs) <= 0):
-        raise ConfigError("tabulated diffusivity abscissae must be strictly increasing")
-    return lambda x: np.interp(x, xs, vals)
+        knots, vals = x, np.asarray(a(x), dtype=float)
+        if vals.shape != x.shape:
+            raise ShapeError("operator.a: a diffusivity callable must return one value per node")
+        lows = vals
+    else:
+        table = np.asarray(a, dtype=float)
+        if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
+            raise ConfigError("operator.a: a tabulated diffusivity must be a list of (x, a) pairs")
+        xs, ys = table.T
+        if np.any(np.diff(xs) <= 0):
+            raise ConfigError(f"operator.a: abscissae {xs.tolist()} must be strictly increasing")
+        # the interpolant is piecewise linear and clamped beyond the table, so its
+        # minimum on [0, 1] lies at 0, at 1 or at a table abscissa between them
+        knots = np.concatenate([[0.0, 1.0], xs[(xs > 0.0) & (xs < 1.0)]])
+        vals, lows = np.interp(x, xs, ys), np.interp(knots, xs, ys)
+    i = int(np.argmin(lows))   # the first NaN, if any: refused too
+    if not lows[i] > 0.0:
+        raise EllipticityError(f"operator.a = {lows[i]:g} at x = {knots[i]:g} must be positive")
+    return vals
 
 
 def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> SpectralOperator:
@@ -134,7 +146,7 @@ def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> 
     Raises
     ------
     EllipticityError
-        If the diffusivity is not strictly positive on the sampling grid.
+        If the diffusivity is not strictly positive (a table on [0, 1], a callable on the nodes).
     """
     n_modes = int(n_modes)
     if n_modes < 1:
@@ -149,15 +161,9 @@ def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> 
         mu = float(a) * (n * np.pi) ** 2
         return SpectralOperator(eigenvalues=mu, delta=delta_fraction * mu[0])
 
-    a_fn = _as_diffusivity(a)
     n_grid = 16 * n_modes
     x = np.linspace(0.0, 1.0, n_grid + 1)
-    a_vals = np.asarray(a_fn(x), dtype=float)
-    if a_vals.shape != x.shape:
-        raise ShapeError("diffusivity callable must return one value per node")
-    if np.any(a_vals <= 0.0):
-        raise EllipticityError("diffusivity must be strictly positive on the grid")
-
+    a_vals = _diffusivity_at(a, x)
     w = simpson_weights(n_grid)
     n = np.arange(1, n_modes + 1)
     # derivative of sqrt(2) sin(n pi x) at the nodes

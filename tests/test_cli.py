@@ -209,6 +209,35 @@ def test_tabulated_diffusivity_reruns_from_its_dump(tmp_path, capsys):
     assert rerun.read_bytes() == out.read_bytes()
 
 
+def test_a_run_with_a_resolved_dump_assembles_its_operator_once(tmp_path, capsys,
+                                                                 monkeypatch):
+    calls = []
+    assemble = nsfde.spectral.assemble_operator
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(nsfde.spectral, "assemble_operator", counted)
+    resolved = tmp_path / "r.yaml"
+    assert main(["simulate", "--config", _cfg(tmp_path, TABLE_CFG), "--out",
+                 str(tmp_path / "a.jsonl"), "--resolved", str(resolved)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1 and calls[0]["a"] == [[0.0, 1.0], [0.5, 2.0], [1.0, 1.5]]
+    op = assemble(**calls[0])
+    assert yaml.safe_load(resolved.read_text())["derived"]["mu_1"] == float(op.eigenvalues[0])
+
+
+def test_validate_refuses_a_table_that_dips_between_the_assembly_nodes(tmp_path, capsys):
+    # a(0.5001) = -0.0001, yet a is positive on every 16N + 1 node for n = 4 .. 32
+    cfg = _cfg(tmp_path, "operator: {n_modes: 4, a: [[0.0, 1.0], [0.5001, -0.0001], "
+                         "[1.0, 1.0]]}\ndelay: {h: 0.05}\nsolver: {dt: 0.01, t_end: 0.1}\n")
+    assert main(["validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "configuration valid" not in captured.out
+    assert "error: operator.a = -0.0001 at x = 0.5001 must be positive" in captured.err
+
+
 def test_a_table_refused_by_the_operator_leaves_no_file(tmp_path, capsys):
     # the config loads; assembling its operator refuses it, before any dump
     cfg = _cfg(tmp_path, "operator: {n_modes: 4, a: [[0.0, 1.0], [1.0, -1.0]]}\n"
@@ -220,7 +249,7 @@ def test_a_table_refused_by_the_operator_leaves_no_file(tmp_path, capsys):
                  ["invariance-test", "--measure", str(tmp_path / "m.jsonl"), "--t", "0.1"]):
         flags = [] if argv[0] == "validate" else ["--out", str(out)]
         assert main(argv + ["--config", cfg, "--resolved", str(resolved), *flags]) == 1
-        assert "diffusivity must be strictly positive on the grid" in capsys.readouterr().err
+        assert "error: operator.a = -1 at x = 1 must be positive" in capsys.readouterr().err
         assert not resolved.exists() and not out.exists()
 
 
@@ -372,7 +401,9 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
             ("wide.jsonl", [json.dumps(dict(json.loads(head), h="wide"))] + recs,
              "wide.jsonl, line 1: h = 'wide' must be a positive finite number"),
             ("truncated.jsonl", [head] + recs[:-1],
-             "header n_samples = 16 but the file holds 15 samples")):
+             "header n_samples = 16 but the file holds 15 samples"),
+            ("array.jsonl", [head, "[1, 2]"] + recs[1:],
+             "array.jsonl, line 2: expected a JSON object")):
         broken = tmp_path / name
         broken.write_text("\n".join(text_lines) + "\n")
         assert main(["invariance-test", "--config", cfg, "--measure", str(broken),
@@ -420,6 +451,13 @@ def test_tightness_reports_tail_fractions(tmp_path, capsys, monkeypatch):
                  "--out", str(rerun)]) == 0
     capsys.readouterr()
     assert rerun.read_bytes() == report.read_bytes()
+
+    # a store stride past the run's 20 steps keeps only the time 0
+    sparse = _cfg(tmp_path, ZERO_CFG.replace("store_stride: 2", "store_stride: 21"), "sparse.yaml")
+    assert main(["tightness", "--config", sparse, "--trajectories", "2",
+                 "--out", str(tmp_path / "sparse.csv")]) == 1
+    assert "error: tightness needs at least two checkpoint times" in capsys.readouterr().err
+    assert not (tmp_path / "sparse.csv").exists()
 
     _forbid_integration(monkeypatch)
     assert main(["tightness", "--config", cfg, "--R", "a,b",

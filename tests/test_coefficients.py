@@ -38,9 +38,9 @@ def test_builtin_registry_and_validation():
     cs = builtin_coefficients(Mg=0.7)  # 2 * 0.49 = 0.98 still admissible
     assert cs.lipschitz_Mg == 0.7
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown kernel kind 'rbf'"):
         Kernel(kind="rbf")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown kernel delay mode 'mid'"):
         Kernel(delay_mode="mid")
 
     with pytest.raises(ConfigError):

@@ -10,9 +10,11 @@ import pytest
 import yaml
 
 import nsfde
-from nsfde import (ConfigError, SolverConfig, assemble_operator, load_config,
-                   make_coefficients, make_initial_segment, make_noise,
-                   make_operator, make_solver_config, parse_config, resolved_dict)
+from nsfde import config as config_mod
+from nsfde import (ConfigError, EllipticityError, SolverConfig, assemble_operator,
+                   builtin_coefficients, load_config, make_coefficients,
+                   make_initial_segment, make_noise, make_operator,
+                   make_solver_config, parse_config, power_qwiener, resolved_dict)
 from nsfde.config import _FIELDS, dump_resolved
 
 
@@ -91,6 +93,9 @@ def test_unknown_keys_report_dotted_paths():
     ({"delay": {"h": 0.3}, "solver": {"dt": 0.3, "t_end": 1.0}}, "solver.t_end / solver.dt"),
     ({"solver": {"t_end": 0.0005}}, "solver.t_end = 0.0005"),
     ({"noise": {"spectrum": ["power"]}}, "noise.spectrum = ['power'] not one of"),
+    ({"coefficients": {"K": 0}}, "coefficients.K = 0.0 must be positive"),
+    # odd but past the alias bound 2 * n_modes: only the parity check refuses it
+    ({"coefficients": {"grid_points": 129}}, "coefficients.grid_points = 129 must be even"),
 ])
 def test_out_of_range_values_name_the_field(patch, needle):
     with pytest.raises(ConfigError, match=re.escape(needle)):
@@ -191,9 +196,15 @@ def test_builders_reflect_the_parsed_values():
     assert np.array_equal(coeffs_seg.values, np.tile([0.1, 0.2, 0.3, 0.4], (6, 1)))
 
 
+def _resolved(rc):
+    """``resolved_dict`` on the operator and noise a run of ``rc`` builds."""
+    op = make_operator(rc)
+    return resolved_dict(rc, op, make_noise(rc, op))
+
+
 def test_resolved_dict_reports_derived_quantities():
     rc = parse_config({})
-    out = resolved_dict(rc)
+    out = _resolved(rc)
     assert out["coefficients"]["grid_points"] == 128
     der = out["derived"]
     assert der["burn_in"] == pytest.approx(0.2)
@@ -208,11 +219,12 @@ def test_resolved_dict_reports_derived_quantities():
 def test_resolved_dump_reloads_to_identical_resolution(tmp_path):
     rc = parse_config(_SMALL)
     path = tmp_path / "resolved.yaml"
-    dump_resolved(rc, path)
+    op = make_operator(rc)
+    dump_resolved(rc, path, op, make_noise(rc, op))
     text = path.read_text()
     assert "derived:" in text  # informational block, ignored on reload
     rc2 = load_config(path)
-    assert resolved_dict(rc2) == resolved_dict(rc)
+    assert _resolved(rc2) == _resolved(rc)
 
 
 _TABLE = [[0.0, 1.0], [0.5, 2.0], [1.0, 1.5]]
@@ -226,12 +238,49 @@ def test_tabulated_diffusivity_builds_the_library_operator():
                           assemble_operator(4, a=_TABLE).eigenvalues)
 
 
+def test_resolved_dump_reads_the_built_run_and_builds_nothing(tmp_path, monkeypatch):
+    rc = parse_config({**_SMALL, "operator": {"n_modes": 4, "a": _TABLE}})
+    op = make_operator(rc)
+    qspec = make_noise(rc, op)
+    want = _resolved(rc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a resolved dump built a run object")
+
+    for name in ("make_operator", "make_noise", "make_coefficients",
+                 "make_solver_config", "make_initial_segment", "SolverConfig"):
+        monkeypatch.setattr(config_mod, name, refuse)
+    monkeypatch.setattr(config_mod.spectral, "assemble_operator", refuse)
+    assert resolved_dict(rc, op, qspec) == want
+    assert want["derived"]["mu_1"] == float(op.eigenvalues[0])
+    assert want["derived"]["noise_trace"] == float(qspec.trace) == pytest.approx(2.0)
+    dump_resolved(rc, tmp_path / "r.yaml", op, qspec)
+    assert yaml.safe_load((tmp_path / "r.yaml").read_text()) == want
+
+
 def test_refused_diffusivity_table_dumps_nothing(tmp_path):
+    # a dump reads the built operator, so a table the operator refuses has none
     rc = parse_config({"operator": {"n_modes": 4, "a": [[0.0, 1.0], [1.0, -1.0]]}})
     path = tmp_path / "resolved.yaml"
-    with pytest.raises(ConfigError, match="diffusivity must be strictly positive"):
-        dump_resolved(rc, path)
+    with pytest.raises(EllipticityError, match="operator.a = -1 at x = 1 must be positive"):
+        op = make_operator(rc)
+        dump_resolved(rc, path, op, make_noise(rc, op))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("table, error, needle", [
+    # a dip between the assembly nodes at every n: a(0.5001) = -0.0001
+    ([[0.0, 1.0], [0.5001, -0.0001], [1.0, 1.0]], EllipticityError,
+     "operator.a = -0.0001 at x = 0.5001 must be positive"),
+    ([[0.5, 1.0], [0.2, 1.0]], ConfigError,
+     "operator.a: abscissae [0.5, 0.2] must be strictly increasing"),
+    ([[0.2, 1.0], [0.2, 2.0]], ConfigError,
+     "operator.a: abscissae [0.2, 0.2] must be strictly increasing"),
+])
+def test_a_refused_diffusivity_table_names_operator_a(table, error, needle):
+    rc = parse_config({"operator": {"n_modes": 4, "a": table}})
+    with pytest.raises(error, match=re.escape(needle)):
+        make_operator(rc)
 
 
 def test_overrides_are_checked_like_file_values(tmp_path):
@@ -262,11 +311,30 @@ def test_load_config_rejects_bad_yaml(tmp_path):
 def test_readme_configuration_block_lists_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
-    assert resolved_dict(parse_config(block)) == resolved_dict(parse_config({}))
+    assert _resolved(parse_config(block)) == _resolved(parse_config({}))
     listed = set()
     for section, fields in yaml.safe_load(block).items():
         listed |= {f"{section}.{key}" for key in fields} if isinstance(fields, dict) else {section}
     assert listed == set(_FIELDS)
+
+
+def test_config_defaults_match_the_library():
+    # each default the config and a library builder both declare, read from the
+    # builder's signature; null grid_points (4 * n_modes) is the one intended difference
+    def defaults(fn, section, renames=None):
+        return {f"{section}.{(renames or {}).get(name, name)}": par.default
+                for name, par in inspect.signature(fn).parameters.items()
+                if par.default is not inspect.Parameter.empty}
+
+    library = {**defaults(assemble_operator, "operator"),
+               **defaults(SolverConfig, "solver"),
+               **defaults(builtin_coefficients, "coefficients", {"growth_K": "K"}),
+               **defaults(power_qwiener, "noise", {"trace_target": "trace"})}
+    assert library.pop("coefficients.grid_points") == 128
+    assert _FIELDS["coefficients.grid_points"][0] is None
+    assert len(library) == 21
+    assert {path: (_FIELDS[path][0], want) for path, want in library.items()
+            if _FIELDS[path][0] != want} == {}
 
 
 def test_every_config_field_has_a_reader():

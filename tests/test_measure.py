@@ -33,7 +33,7 @@ def test_ks_statistic_small_cases():
     assert ks_statistic([0.0, 1.0], [0.5]) == 0.5
     assert ks_statistic([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
     assert ks_statistic([0.0], [1.0]) == 1.0  # disjoint supports
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="KS statistic needs nonempty samples on both sides"):
         ks_statistic([], [1.0])
 
 
@@ -47,7 +47,7 @@ def test_ks_statistic_matches_scipy():
 
 def test_ks_critical_formula():
     assert ks_critical(100, 100) == pytest.approx(1.358 * np.sqrt(0.02), rel=1e-12)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="KS critical value needs positive sample sizes"):
         ks_critical(0, 5)
 
 
@@ -84,7 +84,7 @@ def test_run_ensemble_stream_layout():
     assert all(t.seed == 31 for t in trajs)
     # distinct streams, distinct paths
     assert not np.array_equal(trajs[0].snapshots, trajs[1].snapshots)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="ensemble needs at least one trajectory"):
         run_ensemble(ini, cs, OP, Q, cfg, seed=31, n_traj=0)
 
 
@@ -166,6 +166,13 @@ def test_krylov_bogoliubov_refuses_a_mixed_ensemble():
         krylov_bogoliubov(runs, burn_in=0.1)
 
 
+def test_krylov_bogoliubov_refuses_a_burn_in_past_the_last_checkpoint():
+    # checkpoints at 0.3, 0.6 and 0.9: a burn-in of 0.95 precedes the end but drops all
+    trajs = _small_ensemble(n_traj=1, t_end=1.0, stride=30)
+    with pytest.raises(ConfigError, match="no segment checkpoints survive the burn-in window"):
+        krylov_bogoliubov(trajs, burn_in=0.95)
+
+
 def test_point_mass_measure_from_zero_dynamics():
     cs = builtin_coefficients(f="zero", sigma="zero", kernel="zero")
     cfg = SolverConfig(dt=0.01, t_end=0.5, segment_stride=10)
@@ -192,11 +199,11 @@ def test_tightness_diagnostic_exact_counts():
 
     with pytest.raises(ConfigError):
         tightness_diagnostic([], [1.0])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="tightness needs at least two checkpoint times"):
         tightness_diagnostic([_toy_traj([1.0])], [1.0])  # single checkpoint
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="ensemble trajectories disagree on checkpoint times"):
         tightness_diagnostic([_toy_traj([1.0, 0.5]), _toy_traj([1.0, 0.5, 0.2])], [1.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="radius grid must be nonempty and nonnegative"):
         tightness_diagnostic(trajs, [-1.0])
 
 

@@ -25,6 +25,9 @@ def test_geometric_spectrum_halves_each_mode():
     q = geometric_qwiener(8, trace_target=float(sum(2.0 ** -k for k in range(1, 9))))
     assert np.array_equal(q.lambdas, 2.0 ** -np.arange(1, 9))
     assert np.allclose(q.lambdas[1:] / q.lambdas[:-1], 0.5, rtol=1e-14)
+    for trace in (0.0, -1.0):
+        with pytest.raises(DomainError, match="trace_target must be positive"):
+            geometric_qwiener(8, trace_target=trace)
 
 
 def test_spec_validation():
@@ -80,6 +83,9 @@ def test_ou_std_closed_form_and_limits():
     assert np.allclose(ou_std(q, op, 1e-12), np.sqrt(q.lambdas * 1e-12), rtol=1e-4)
     with pytest.raises(ShapeError):
         ou_std(power_qwiener(3), op, dt)
+    for bad in (0.0, -dt):
+        with pytest.raises(DomainError, match="increment length dt must be positive"):
+            ou_std(q, op, bad)
 
 
 def test_ou_convolution_increment_variance():

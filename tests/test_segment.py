@@ -1,4 +1,6 @@
 """History-window container: validation, norms, construction."""
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nsfde import (ConfigError, RngStream, Segment, ShapeError,
                    assemble_operator, constant_segment,
                    from_initial_condition, random_segments, sup_norm,
                    zero_segment)
+from nsfde.segment import _window_steps
 
 
 def test_window_shape_validation():
@@ -17,6 +20,9 @@ def test_window_shape_validation():
         Segment(h=0.1, dt=0.03, values=np.zeros((4, 3)))  # h/dt not an integer
     seg = Segment(h=0.1, dt=0.01, values=np.zeros((11, 3)))
     assert seg.m == 10 and seg.n_modes == 3
+    with pytest.raises(ConfigError, match=re.escape("delay/step ratio h/dt: span 0.0 and step "
+                                                    "0.01 must be positive and finite")):
+        _window_steps(0.0, 0.01)
 
 
 def test_sup_norm_is_max_node_norm():
@@ -63,12 +69,16 @@ def test_from_initial_condition_other_kinds():
     thetas = -0.1 + 0.05 * np.arange(3)
     assert np.allclose(fn.values[:, 0], (1.0 + thetas) / np.sqrt(2.0), rtol=1e-12)
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown initial profile 'nope'"):
         from_initial_condition({"kind": "profile", "profile": "nope"}, 0.1, 0.05, op)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="initial.coeffs length must equal n_modes"):
         from_initial_condition({"kind": "coeffs", "coeffs": [1.0]}, 0.1, 0.05, op)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown initial kind 'wavelet'"):
         from_initial_condition({"kind": "wavelet"}, 0.1, 0.05, op)
+    with pytest.raises(ShapeError, match="initial callable must return one value per grid node"):
+        from_initial_condition(lambda theta, x: np.sin(np.pi * x[1:]), 0.1, 0.05, op)
+    with pytest.raises(ConfigError, match="unsupported initial-condition descriptor"):
+        from_initial_condition(0.5, 0.1, 0.05, op)
 
 
 def test_random_segment_modes_decay():

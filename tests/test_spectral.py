@@ -1,5 +1,6 @@
 """Operator assembly, semigroup algebra and the fractional decay envelope."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfde import (DomainError, EllipticityError, RngStream, SolverConfig,
-                   assemble_operator, builtin_coefficients, constant_segment,
-                   decay_constants, frac_semigroup_norm, fractional_norm,
+from nsfde import (ConfigError, DomainError, EllipticityError, RngStream,
+                   ShapeError, SolverConfig, SpectralOperator, assemble_operator,
+                   builtin_coefficients, constant_segment, decay_constants,
+                   frac_semigroup_norm, fractional_norm,
                    power_qwiener, semigroup_apply, simpson_weights, simulate)
 
 
@@ -148,6 +150,39 @@ def test_ellipticity_rejected():
         assemble_operator(n_modes=4, a=lambda x: 0.5 - x)
     with pytest.raises(EllipticityError):
         assemble_operator(n_modes=4, a=0.0)
+
+
+@pytest.mark.parametrize("build, error, needle", [
+    (lambda: SpectralOperator(eigenvalues=[], delta=0.5), ShapeError,
+     "eigenvalues must be a nonempty 1-d array"),
+    (lambda: SpectralOperator(eigenvalues=[[1.0, 2.0]], delta=0.5), ShapeError,
+     "eigenvalues must be a nonempty 1-d array"),
+    (lambda: SpectralOperator(eigenvalues=[0.0, 1.0], delta=0.5), DomainError,
+     "eigenvalues of -A must be strictly positive"),
+    (lambda: SpectralOperator(eigenvalues=[2.0, 1.0], delta=0.5), DomainError,
+     "eigenvalues must be sorted in nondecreasing order"),
+    (lambda: SpectralOperator(eigenvalues=[1.0, 2.0], delta=1.0), DomainError,
+     "spectral-gap delta must satisfy 0 < delta < mu_1"),
+    (lambda: assemble_operator(n_modes=0), ConfigError, "n_modes must be a positive integer"),
+    (lambda: assemble_operator(delta_fraction=1.0), ConfigError,
+     "delta_fraction must lie in (0, 1)"),
+    (lambda: assemble_operator(n_modes=4, a=lambda x: 1.0 + x[1:]), ShapeError,
+     "operator.a: a diffusivity callable must return one value per node"),
+    (lambda: assemble_operator(n_modes=4, a=[[0.0, 1.0]]), ConfigError,
+     "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
+])
+def test_operator_constructors_refuse_bad_arguments(build, error, needle):
+    with pytest.raises(error, match=re.escape(needle)):
+        build()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_a_table_dipping_between_the_assembly_nodes_is_refused(n):
+    table = [[0.0, 1.0], [0.5001, -0.0001], [1.0, 1.0]]
+    xs, vals = np.array(table).T
+    assert np.interp(np.linspace(0.0, 1.0, 16 * n + 1), xs, vals).min() > 0.0
+    with pytest.raises(EllipticityError, match="operator.a = -0.0001 at x = 0.5001 must be"):
+        assemble_operator(n_modes=n, a=table)
 
 
 def test_simpson_weights_integrate_cubics_exactly():

@@ -69,6 +69,9 @@ def _build(args):
         _check_a_checkpoint_survives(rc, cfg)
     else:
         cfg = replace(cfg, segment_stride=0)
+    if args.command == "tightness" and cfg.store_stride > cfg.n_steps:
+        raise ConfigError(f"tightness needs at least two checkpoint times: solver.store_stride "
+                          f"= {cfg.store_stride} exceeds the run's {cfg.n_steps} steps")
     if args.resolved:
         config_mod.dump_resolved(rc, args.resolved, op, qspec)
     return rc, op, qspec, cs, cfg, initial
@@ -99,7 +102,7 @@ def _cmd_simulate(args) -> int:
     traj = simulate(initial, cs, op, qspec, cfg, RngStream(rc.seed, args.stream))
     serialize.write_trajectory_jsonl(traj, args.out)
     print(f"simulated t in [0, {cfg.n_steps * cfg.dt:g}] on {op.n_modes} modes; "
-          f"final state norm {np.linalg.norm(traj.snapshots[-1]):.6g}")
+          f"final state norm {np.linalg.norm(traj.final_segment.head()):.6g}")
     print(f"wrote {traj.times.size} snapshots to {args.out}")
     return 0
 

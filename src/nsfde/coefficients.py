@@ -20,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SingularModulusError, check_choice
+from .errors import (ConfigError, DomainError, SingularModulusError, check_choice,
+                     check_count)
 from .segment import random_segments, sup_norm
 from .spectral import SpectralOperator, fractional_norm
 
@@ -103,10 +104,7 @@ class Kernel:
     def z_map(self, z, out=None) -> np.ndarray:
         if self.kind == "separable":
             return np.tanh(z, out=out)
-        if out is None:
-            return np.asarray(z, dtype=float)
-        out[...] = z
-        return out
+        return np.positive(z, out=out)
 
 
 _SCALARS = {
@@ -160,8 +158,7 @@ class CoefficientSet:
                               "2 Mg^2 meas(D)^2 < 1")
         if self.growth_K <= 0.0:
             raise ConfigError(f"coefficients.K = {self.growth_K!r} must be positive")
-        if self.grid_points < 4:
-            raise ConfigError(f"coefficients.grid_points = {self.grid_points!r} must be >= 4")
+        check_count("coefficients.grid_points", self.grid_points, 4)
         if self.grid_points % 2 != 0:
             raise ConfigError(f"coefficients.grid_points = {self.grid_points!r} must be even")
         if not abs(float(self.modulus_N(0.0))) <= 1e-15:   # a NaN root fails too
@@ -171,9 +168,9 @@ class CoefficientSet:
 def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
                          kernel: str = "separable", kernel_scale: float = 0.1,
                          kernel_delay: str = "point", modulus: str = "osgood",
-                         p: float = 3.0, Mg: float = 0.5, growth_K: float = 1.0,
+                         p: float = 3.0, Mg: float = 0.5, K: float = 1.0,
                          grid_points: int = 128) -> CoefficientSet:
-    """Construct a coefficient set from built-in names (see module docstring)."""
+    """Construct a coefficient set from built-in names; the parameters are the config's keys."""
     check_choice("coefficients.f", f, _SCALARS)
     check_choice("coefficients.sigma", sigma, _SCALARS)
     check_choice("coefficients.modulus", modulus, _MODULI)
@@ -182,7 +179,7 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
                                                 delay_mode=kernel_delay)
     return CoefficientSet(
         f=_SCALARS[f](p), sigma=_SCALARS[sigma](p), kernel_b=kern, modulus_N=_MODULI[modulus],
-        growth_K=growth_K, lipschitz_Mg=Mg, p=p, grid_points=grid_points,
+        growth_K=K, lipschitz_Mg=Mg, p=p, grid_points=grid_points,
         sigma_const=_CONST_SCALARS.get(sigma), f_is_zero=(f == "zero"))
 
 

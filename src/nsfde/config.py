@@ -8,11 +8,11 @@ type (``parse_config`` builds ``SolverConfig`` and the coefficient set, so a
 library caller is refused at once); the table checks the other ranges, and the
 library builders check those of ``operator.n_modes``, ``delta_fraction``,
 ``noise.*``, ``seed`` and ``initial.*`` again for callers that load no config.
-Every refusal names the dotted path.  The ``operator`` and ``solver`` sections
-are the keyword arguments of ``assemble_operator`` and ``SolverConfig``, and
-``initial`` is the descriptor ``from_initial_condition`` reads; the builders
-pass them whole.  Each run setting has one field: ``solver.segment_stride`` is
-the checkpoint stride the solver records at and ``estimate-measure`` pools at.
+Every refusal names the dotted path.  The ``operator``, ``coefficients`` and
+``solver`` sections go whole to ``assemble_operator``, ``builtin_coefficients``
+and ``SolverConfig``, and ``initial`` to ``from_initial_condition``.  Each run
+setting has one field: ``solver.segment_stride`` is the checkpoint stride the
+solver records at and ``estimate-measure`` pools at.
 ``resolved_dict`` echoes the fully defaulted config, plus a ``derived`` block
 read from the run's built operator and noise (ignored on reload), so that a
 dumped resolved config reloads to bit-identical behaviour.
@@ -29,7 +29,7 @@ import yaml
 from . import coefficients as coeff_mod
 from . import noise as noise_mod
 from . import spectral
-from .errors import ConfigError, check_choice
+from .errors import ConfigError, check_choice, check_count
 from .segment import PROFILES, _window_steps, from_initial_condition
 from .solver import SolverConfig
 
@@ -88,12 +88,7 @@ def _number(lo=None, hi=None, lo_open=True, hi_open=True):
 
 
 def _integer(lo=None):
-    def check(where, val):
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{where} must be an integer")
-        _need(lo is None or val >= lo, f"{where} = {val} must be >= {lo}")
-        return val
-    return check
+    return lambda where, val: check_count(where, val, lo)
 
 
 def _optional(check):
@@ -105,8 +100,7 @@ def _one_of(*allowed):
 
 
 def _seed(where, val):
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError("seed must be an integer")
+    val = check_count(where, val)
     _need(val >= 0, "seed must be nonnegative")
     _need(val < noise_mod.SOURCE_LIMIT, f"seed = {val} must be < 2**63")
     return val
@@ -284,12 +278,7 @@ def make_noise(rc: RunConfig, op) -> noise_mod.QWienerSpec:
 
 
 def make_coefficients(rc: RunConfig) -> coeff_mod.CoefficientSet:
-    c = rc.coefficients
-    return coeff_mod.builtin_coefficients(
-        f=c["f"], sigma=c["sigma"], kernel=c["kernel"],
-        kernel_scale=c["kernel_scale"], kernel_delay=c["kernel_delay"],
-        modulus=c["modulus"], p=c["p"], Mg=c["Mg"], growth_K=c["K"],
-        grid_points=rc.grid_points())
+    return coeff_mod.builtin_coefficients(**dict(rc.coefficients, grid_points=rc.grid_points()))
 
 
 def make_solver_config(rc: RunConfig) -> SolverConfig:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the refusal of a named choice."""
+"""Exception types shared across the package, and the refusals of a choice and a count."""
+
+import numbers
 
 
 class NsfdeError(Exception):
@@ -44,3 +46,13 @@ def check_choice(where: str, val, allowed):
     if not (isinstance(val, str) and val in allowed):
         raise ConfigError(f"{where} = {val!r} not one of {sorted(allowed)}")
     return val
+
+
+def check_count(where: str, val, lo=None):
+    """``val`` as an int if it is an integer (Python or numpy, not a bool) of at least
+    ``lo``; otherwise ConfigError naming the dotted config path ``where``."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+        raise ConfigError(f"{where} must be an integer")
+    if lo is not None and val < lo:
+        raise ConfigError(f"{where} = {val} must be >= {lo}")
+    return int(val)

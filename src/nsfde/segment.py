@@ -75,8 +75,7 @@ def sup_norm(values: np.ndarray) -> np.ndarray:
 
 
 def zero_segment(h: float, dt: float, n_modes: int) -> Segment:
-    m = _window_steps(h, dt)
-    return Segment(h=h, dt=dt, values=np.zeros((m + 1, n_modes)))
+    return constant_segment(h, dt, np.zeros(n_modes))
 
 
 def constant_segment(h: float, dt: float, coeffs) -> Segment:
@@ -100,16 +99,15 @@ def from_initial_condition(phi, h: float, dt: float, op: SpectralOperator,
     thetas = -h + dt * np.arange(m + 1)
     grid = op.grid(n_grid)
 
-    if isinstance(phi, dict):
+    if isinstance(phi, dict):   # one coefficient vector, weighted at each node
         kind = phi.get("kind", "zero")
         if kind == "zero":
-            return zero_segment(h, dt, op.n_modes)
-        if kind == "coeffs":
+            coeffs = np.zeros(op.n_modes)
+        elif kind == "coeffs":
             coeffs = np.asarray(phi["coeffs"], dtype=float)
             if coeffs.shape != (op.n_modes,):
                 raise ConfigError("initial.coeffs length must equal n_modes")
-            return constant_segment(h, dt, coeffs)
-        if kind == "profile":
+        elif kind == "profile":
             prof = phi.get("profile", "sin_pi")
             if isinstance(prof, str):
                 try:
@@ -118,11 +116,11 @@ def from_initial_condition(phi, h: float, dt: float, op: SpectralOperator,
                     raise ConfigError(f"unknown initial profile {phi['profile']!r}") from None
             amp = float(phi.get("amplitude", 1.0))
             coeffs = grid.project @ (amp * prof(grid.x))
-            if phi.get("ramp", False):
-                ramp = 1.0 + thetas / h
-                return Segment(h=h, dt=dt, values=np.outer(ramp, coeffs))
-            return constant_segment(h, dt, coeffs)
-        raise ConfigError(f"unknown initial kind {kind!r}")
+        else:
+            raise ConfigError(f"unknown initial kind {kind!r}")
+        ramped = kind == "profile" and phi.get("ramp", False)
+        weights = 1.0 + thetas / h if ramped else np.ones(m + 1)
+        return Segment(h=h, dt=dt, values=np.outer(weights, coeffs))
 
     if callable(phi):
         rows = np.empty((m + 1, op.n_modes))

@@ -56,7 +56,7 @@ import numpy as np
 from . import noise as noise_mod
 from .coefficients import CoefficientSet, GridMaps
 from .errors import (BlowupError, ConfigError, DomainError,
-                     NonconvergenceError, ShapeError, check_choice)
+                     NonconvergenceError, ShapeError, check_choice, check_count)
 from .noise import QWienerSpec, RngStream
 from .segment import Segment, _window_steps
 from .spectral import SpectralOperator
@@ -86,8 +86,7 @@ class SolverConfig:
         check_choice("solver.mode", self.mode, ("direct", "picard"))
         for key, lo in (("fp_max", 1), ("picard_iters", 1), ("store_stride", 1),
                         ("segment_stride", 0)):
-            if getattr(self, key) < lo:
-                raise ConfigError(f"solver.{key} = {getattr(self, key)!r} must be >= {lo}")
+            check_count(f"solver.{key}", getattr(self, key), lo)
         if not 0.0 < self.blowup_threshold < math.inf:
             raise ConfigError(f"solver.blowup_threshold = {self.blowup_threshold!r} "
                               "must be positive and finite")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EllipticityError, ShapeError
+from .errors import ConfigError, DomainError, EllipticityError, ShapeError, check_count
 
 _SYMMETRY_TOL = 1e-12
 
@@ -81,7 +81,7 @@ class SpectralOperator:
         (default 4N); 2N or fewer alias the retained modes and are refused."""
         if n_grid is None:
             n_grid = 4 * self.n_modes
-        n_grid = int(n_grid)
+        n_grid = check_count("coefficients.grid_points", n_grid)
         ops = self._grids.get(n_grid)
         if ops is None:
             if n_grid <= 2 * self.n_modes:
@@ -148,9 +148,7 @@ def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> 
     EllipticityError
         If the diffusivity is not strictly positive (a table on [0, 1], a callable on the nodes).
     """
-    n_modes = int(n_modes)
-    if n_modes < 1:
-        raise ConfigError("n_modes must be a positive integer")
+    n_modes = check_count("operator.n_modes", n_modes, 1)
     if not 0.0 < delta_fraction < 1.0:
         raise ConfigError("delta_fraction must lie in (0, 1)")
 

@@ -21,8 +21,9 @@ import pytest
 import yaml
 
 import nsfde
-from nsfde import (find_horizon, load_config, make_coefficients,
-                   osgood_certificate, sup_norm)
+from nsfde import (RngStream, find_horizon, load_config, make_coefficients,
+                   make_initial_segment, make_noise, make_operator,
+                   make_solver_config, osgood_certificate, simulate, sup_norm)
 from nsfde.cli import build_parser, main
 from nsfde.config import _FIELDS
 from nsfde.serialize import (read_measure_jsonl, read_report_csv,
@@ -114,6 +115,29 @@ def test_simulate_writes_versioned_trajectory(tmp_path, capsys):
     assert np.allclose(data["times"], np.linspace(0.0, 0.2, 11))
     assert not data["snapshots"].any()      # zero data stays at zero
     assert not data["fp_iters"].any()
+
+
+def test_simulate_reports_the_state_at_t_end(tmp_path, capsys):
+    # a store stride of 3 does not divide the 20 steps: the last snapshot is at
+    # t = 0.18, and the summary reads the state at 0.2 from the final window
+    text = ("operator: {n_modes: 4}\nsolver: {dt: 0.01, t_end: 0.2, store_stride: 3}\n"
+            "initial: {kind: profile, profile: sin_pi}\n")
+    cfg, out = _cfg(tmp_path, text), tmp_path / "t.jsonl"
+    rc = load_config(cfg)
+    op = make_operator(rc)
+    traj = simulate(make_initial_segment(rc, op), make_coefficients(rc), op,
+                    make_noise(rc, op), make_solver_config(rc), RngStream(rc.seed, 0))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    norm = float(re.search(r"final state norm (\S+)", capsys.readouterr().out).group(1))
+    data = read_trajectory_jsonl(out)
+    assert data["times"][-1] == pytest.approx(0.18)
+    assert norm == float(f"{np.linalg.norm(traj.final_segment.head()):.6g}")
+    assert norm != float(f"{np.linalg.norm(data['snapshots'][-1]):.6g}")
+    # at stride 1 the last snapshot is the state at t_end
+    stride_1 = _cfg(tmp_path, text.replace("store_stride: 3", "store_stride: 1"), "s1.yaml")
+    assert main(["simulate", "--config", stride_1, "--out", str(out)]) == 0
+    norm = float(re.search(r"final state norm (\S+)", capsys.readouterr().out).group(1))
+    assert norm == float(f"{np.linalg.norm(read_trajectory_jsonl(out)['snapshots'][-1]):.6g}")
 
 
 def test_simulate_is_reproducible_and_seed_overridable(tmp_path, capsys):
@@ -411,6 +435,23 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
         assert needle in capsys.readouterr().err
 
 
+def test_a_measure_pools_the_same_rows_whatever_the_ensemble_size(tmp_path, capsys):
+    # trajectory i runs on stream i: the rows of streams 0-2 in a measure of six
+    # trajectories are, bit for bit, the measure of three
+    cfg = _cfg(tmp_path, NOISY_CFG.replace("t_end: 0.2", "t_end: 0.4"))
+    three, six = tmp_path / "three.jsonl", tmp_path / "six.jsonl"
+    for n, out in ((3, three), (6, six)):
+        assert main(["estimate-measure", "--config", cfg, "--trajectories", str(n),
+                     "--thin", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    mu3, mu6 = read_measure_jsonl(three), read_measure_jsonl(six)
+    rows = mu6.sources[:, 1] < 3
+    assert mu3.n_samples == rows.sum() == mu6.n_samples // 2 > 0
+    for name in ("segments", "times", "sources"):
+        assert getattr(mu3, name).tobytes() == getattr(mu6, name)[rows].tobytes(), name
+    assert sup_norm(mu3.segments).min() > 0.0
+
+
 @pytest.mark.parametrize("text, flags, needle", [
     ("solver: {t_end: 0.3}\n", ["--thin", "1000"],
      "solver.segment_stride = 1000 with solver.t_end = 0.3 puts the last checkpoint at t = 0, "
@@ -452,14 +493,18 @@ def test_tightness_reports_tail_fractions(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert rerun.read_bytes() == report.read_bytes()
 
-    # a store stride past the run's 20 steps keeps only the time 0
+    _forbid_integration(monkeypatch)
+    # a store stride past the run's 20 steps would keep only the time 0: refused
+    # before integrating, naming the field
     sparse = _cfg(tmp_path, ZERO_CFG.replace("store_stride: 2", "store_stride: 21"), "sparse.yaml")
     assert main(["tightness", "--config", sparse, "--trajectories", "2",
-                 "--out", str(tmp_path / "sparse.csv")]) == 1
-    assert "error: tightness needs at least two checkpoint times" in capsys.readouterr().err
+                 "--out", str(tmp_path / "sparse.csv"),
+                 "--resolved", str(tmp_path / "sparse.resolved.yaml")]) == 1
+    assert capsys.readouterr().err == (
+        "error: tightness needs at least two checkpoint times: solver.store_stride = 21 "
+        "exceeds the run's 20 steps\n")
     assert not (tmp_path / "sparse.csv").exists()
-
-    _forbid_integration(monkeypatch)
+    assert not (tmp_path / "sparse.resolved.yaml").exists()
     assert main(["tightness", "--config", cfg, "--R", "a,b",
                  "--out", str(report)]) == 1
     assert "comma-separated radii" in capsys.readouterr().err

@@ -102,6 +102,27 @@ def test_out_of_range_values_name_the_field(patch, needle):
         parse_config(patch)
 
 
+@pytest.mark.parametrize("build, where, good, bad", [
+    (lambda v: SolverConfig(dt=0.01, t_end=0.2, fp_max=v), "solver.fp_max", 50, 50.5),
+    (lambda v: SolverConfig(dt=0.01, t_end=0.2, picard_iters=v), "solver.picard_iters", 2, 2.0),
+    (lambda v: SolverConfig(dt=0.01, t_end=0.2, store_stride=v), "solver.store_stride", 2, 2.5),
+    (lambda v: SolverConfig(dt=0.01, t_end=0.2, segment_stride=v), "solver.segment_stride",
+     0, 0.5),
+    (lambda v: assemble_operator(n_modes=v), "operator.n_modes", 4, 4.7),
+    (lambda v: assemble_operator(n_modes=4).grid(v), "coefficients.grid_points", 40, 40.9),
+    (lambda v: builtin_coefficients(grid_points=v), "coefficients.grid_points", 64, 64.0),
+], ids=["fp_max", "picard_iters", "store_stride", "segment_stride", "n_modes", "grid",
+        "grid_points"])
+def test_library_counts_refuse_what_is_not_an_integer(build, where, good, bad):
+    # refused when built, not truncated or left to fail later (an fp_max of
+    # 50.5 never equals the iteration count, so the fixed point would not stop)
+    for val in (bad, True, np.bool_(False), "2"):
+        with pytest.raises(ConfigError, match=re.escape(f"{where} must be an integer")):
+            build(val)
+    build(good)
+    build(np.int64(good))   # Python and numpy integers pass
+
+
 def _patch(path, val):
     section, _, key = path.rpartition(".")
     return {section: {key: val}} if section else {key: val}
@@ -328,7 +349,7 @@ def test_config_defaults_match_the_library():
 
     library = {**defaults(assemble_operator, "operator"),
                **defaults(SolverConfig, "solver"),
-               **defaults(builtin_coefficients, "coefficients", {"growth_K": "K"}),
+               **defaults(builtin_coefficients, "coefficients"),
                **defaults(power_qwiener, "noise", {"trace_target": "trace"})}
     assert library.pop("coefficients.grid_points") == 128
     assert _FIELDS["coefficients.grid_points"][0] is None
@@ -344,6 +365,7 @@ def test_every_config_field_has_a_reader():
     text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(pkg.rglob("*.py")))
     solver = {f.name for f in dataclasses.fields(SolverConfig)}
     operator = set(inspect.signature(assemble_operator).parameters)
+    coefficients = set(inspect.signature(builtin_coefficients).parameters)
     unread = []
     for path in _FIELDS:
         section, _, key = path.rpartition(".")
@@ -351,6 +373,8 @@ def test_every_config_field_has_a_reader():
             read = key in solver
         elif section == "operator":
             read = key in operator
+        elif section == "coefficients":
+            read = key in coefficients
         elif path == "seed":
             read = "rc.seed" in text
         else:

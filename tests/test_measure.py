@@ -88,6 +88,23 @@ def test_run_ensemble_stream_layout():
         run_ensemble(ini, cs, OP, Q, cfg, seed=31, n_traj=0)
 
 
+def test_ensemble_members_do_not_depend_on_the_ensemble_size():
+    # member i runs on stream i whatever n_traj is: the first three of seven are
+    # bit for bit the three of an ensemble of three, through the fixed point too
+    cs = builtin_coefficients(kernel_scale=0.3, kernel_delay="instant", grid_points=64)
+    cfg = SolverConfig(dt=0.01, t_end=0.3, store_stride=3, segment_stride=5)
+    ini = from_initial_condition({"kind": "profile", "ramp": True}, 0.05, 0.01, OP, 64)
+    three, seven = (run_ensemble(ini, cs, OP, Q, cfg, seed=33, n_traj=n) for n in (3, 7))
+    assert len(seven) == 7
+    for a, b in zip(three, seven[:3]):
+        assert a.stream_id == b.stream_id and b.fp_iters[1:].min() > 1
+        for name in ("times", "snapshots", "seg_norms", "fp_iters", "segments",
+                     "segment_times"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.final_segment.values.tobytes() == b.final_segment.values.tobytes()
+    assert not np.array_equal(seven[3].snapshots, seven[0].snapshots)
+
+
 def _small_ensemble(n_traj=3, t_end=1.0, stride=10):
     cs = builtin_coefficients(f="zero", sigma="one", kernel="zero")
     cfg = SolverConfig(dt=0.01, t_end=t_end, store_stride=stride,

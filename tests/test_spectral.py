@@ -163,7 +163,7 @@ def test_ellipticity_rejected():
      "eigenvalues must be sorted in nondecreasing order"),
     (lambda: SpectralOperator(eigenvalues=[1.0, 2.0], delta=1.0), DomainError,
      "spectral-gap delta must satisfy 0 < delta < mu_1"),
-    (lambda: assemble_operator(n_modes=0), ConfigError, "n_modes must be a positive integer"),
+    (lambda: assemble_operator(n_modes=0), ConfigError, "operator.n_modes = 0 must be >= 1"),
     (lambda: assemble_operator(delta_fraction=1.0), ConfigError,
      "delta_fraction must lie in (0, 1)"),
     (lambda: assemble_operator(n_modes=4, a=lambda x: 1.0 + x[1:]), ShapeError,

@@ -46,8 +46,9 @@ def osgood_drift(p: float) -> Callable:
 
     def _impl(x):
         # clipped at e^{-2}, where -ln a = 2 exactly gives the cap; fmin sends NaN there too
-        a = np.fmin(np.abs(x), E_MINUS_2)
-        out = np.log(a, out=np.zeros(a.shape), where=a > 0.0)
+        a = np.abs(x)
+        np.fmin(a, E_MINUS_2, a)
+        out = np.log(np.fmax(a, 5e-324))   # the least subnormal: a = 0 still ends at +0.0
         out *= -p
         out **= 1.0 / p
         out *= a
@@ -170,16 +171,18 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
                          kernel_delay: str = "point", modulus: str = "osgood",
                          p: float = 3.0, Mg: float = 0.5, K: float = 1.0,
                          grid_points: int = 128) -> CoefficientSet:
-    """Construct a coefficient set from built-in names; the parameters are the config's keys."""
+    """Construct a coefficient set from built-in names; the parameters are the config's keys.
+    When ``f`` and ``sigma`` name the same map, both fields hold one callable."""
     check_choice("coefficients.f", f, _SCALARS)
     check_choice("coefficients.sigma", sigma, _SCALARS)
     check_choice("coefficients.modulus", modulus, _MODULI)
     check_choice("coefficients.kernel", kernel, ("separable", "linear", "zero"))
     kern = None if kernel == "zero" else Kernel(kind=kernel, scale=kernel_scale,
                                                 delay_mode=kernel_delay)
+    f_map = _SCALARS[f](p)
     return CoefficientSet(
-        f=_SCALARS[f](p), sigma=_SCALARS[sigma](p), kernel_b=kern, modulus_N=_MODULI[modulus],
-        growth_K=K, lipschitz_Mg=Mg, p=p, grid_points=grid_points,
+        f=f_map, sigma=f_map if sigma == f else _SCALARS[sigma](p), kernel_b=kern,
+        modulus_N=_MODULI[modulus], growth_K=K, lipschitz_Mg=Mg, p=p, grid_points=grid_points,
         sigma_const=_CONST_SCALARS.get(sigma), f_is_zero=(f == "zero"))
 
 
@@ -299,7 +302,7 @@ def modulus_bound_check(cs: CoefficientSet, n_samples: int, gen: np.random.Gener
     (violations, max ratio LHS/RHS); rounding guard 1e-12 keeps
     exact-equality corners from being miscounted.
     """
-    if n_samples < 1:
+    if check_count("n_samples", n_samples) < 1:
         raise DomainError("need at least one sample pair")
     if not 0.0 <= mixture <= 1.0:
         raise DomainError("mixture weight must lie in [0, 1]")
@@ -335,7 +338,7 @@ def lipschitz_probe_g(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
     g is rank one, profile * mass, so the numerator is
     |mass(phi1) - mass(phi2)| ||profile||_{1/2}; pairs closer than 1e-12 are skipped.
     """
-    if n_samples < 1:
+    if check_count("n_samples", n_samples) < 1:
         raise DomainError("need at least one probe pair")
     maps = GridMaps(cs, op)
     pairs = random_segments(op, h, h / 4.0, gen, np.ones((n_samples, 2)))
@@ -358,7 +361,7 @@ def growth_check(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
     covariance ``qspec`` (sum_k lambda_k ||sigma e_k||^2 via the kernel
     density sum_k lambda_k e_k(x)^2).
     """
-    if n_samples < 1:
+    if check_count("n_samples", n_samples) < 1:
         raise DomainError("need at least one sample segment")
     grid = op.grid(cs.grid_points)
     density = np.einsum("k,jk->j", qspec.lambdas, grid.synth ** 2)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, check_count
 from .noise import QWienerSpec, RngStream
 from .segment import Segment, _window_steps, sup_norm
 from .solver import SolverConfig, Trajectory, simulate
@@ -66,7 +66,7 @@ def run_ensemble(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                  qspec: QWienerSpec, cfg: SolverConfig, seed: int,
                  n_traj: int) -> list[Trajectory]:
     """Integrate ``n_traj`` independent trajectories on streams 0..n_traj-1 of ``seed``."""
-    if n_traj < 1:
+    if check_count("n_traj", n_traj) < 1:
         raise ConfigError("ensemble needs at least one trajectory")
     return [simulate(initial, cs, op, qspec, cfg, RngStream(seed=seed, stream_id=i))
             for i in range(n_traj)]
@@ -225,7 +225,7 @@ def invariance_test(mu: EmpiricalMeasure, t: float, cs: CoefficientSet,
     """
     if t <= 0.0:
         raise DomainError("evolution time must be positive")
-    if n_draws < 2:
+    if check_count("n_draws", n_draws) < 2:
         raise ConfigError("invariance test needs at least two draws")
     if mu.n_samples < 1:
         raise ConfigError("empirical measure holds no stored segments")
@@ -257,7 +257,7 @@ def homogeneity_test(phi: Segment, s: float, t: float, cs: CoefficientSet,
     """
     if s < 0.0 or t <= s:
         raise DomainError("need t > s >= 0")
-    if n_samples < 2:
+    if check_count("n_samples", n_samples) < 2:
         raise ConfigError("homogeneity test needs at least two samples per side")
     steps = _window_steps(t - s, dt, "(t - s) / dt")
     skip = _window_steps(t, dt, "t / dt") - steps
@@ -300,7 +300,7 @@ def continuous_dependence_probe(phi: Segment, psi_list: Sequence[Segment],
     psi_list = list(psi_list)
     if not psi_list:
         raise ConfigError("need at least one comparison segment")
-    if n_paths < 2:
+    if check_count("n_paths", n_paths) < 2:
         raise ConfigError("dependence probe needs at least two noise paths")
     if p <= 0.0:
         raise DomainError("moment exponent must be positive")

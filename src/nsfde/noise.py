@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_count
 from .spectral import SpectralOperator
 
 SOURCE_LIMIT = 1 << 63  # seeds and stream ids are int64 in arrays and files
@@ -67,7 +67,7 @@ def power_qwiener(n_modes: int, exponent: float = 2.0, trace_target: float = 1.0
         raise DomainError("power spectrum needs exponent q > 1 for a finite trace")
     if trace_target <= 0.0:
         raise DomainError("trace_target must be positive")
-    k = np.arange(1, n_modes + 1, dtype=float)
+    k = np.arange(1, check_count("operator.n_modes", n_modes, 1) + 1, dtype=float)
     raw = k ** (-exponent)
     return QWienerSpec(lambdas=raw * (trace_target / raw.sum()))
 
@@ -76,7 +76,7 @@ def geometric_qwiener(n_modes: int, trace_target: float = 1.0) -> QWienerSpec:
     """Geometric spectrum lambda_k = c 2^{-k}, normalized to the trace target."""
     if trace_target <= 0.0:
         raise DomainError("trace_target must be positive")
-    k = np.arange(1, n_modes + 1, dtype=float)
+    k = np.arange(1, check_count("operator.n_modes", n_modes, 1) + 1, dtype=float)
     raw = 2.0 ** (-k)
     return QWienerSpec(lambdas=raw * (trace_target / raw.sum()))
 

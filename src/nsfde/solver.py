@@ -27,7 +27,8 @@ Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
 k = min(m, steps left) and carries a block's delayed nodes rows[b0:b1 + 1] to
 the grid in one product; one f and one sigma call on its first k rows form
-Phi1 f + xi (in a Picard iterate, on the previous iterate's nodes).
+Phi1 f + xi (in a Picard iterate, on the previous iterate's nodes), one call
+for both when ``cs.sigma is cs.f``, as ``builtin_coefficients`` makes the pair.
 The point kernel makes two z_map(z, out) calls a step, on rows j and j + 1,
 as the benchmark pins (``bench/reference/ensemble_bounded.json``), each
 writing its row of one preallocated block array in place, and one
@@ -159,6 +160,7 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     maps = GridMaps(cs, op)
     g_mode, profile, z_map, grid = maps.g_mode, maps.profile, maps.z_map, maps.grid
     weights, profile_field, profile_norm = grid.weights, maps.profile_field, maps.profile_norm
+    synth, fp_tol, fp_max = grid.synth, cfg.fp_tol, cfg.fp_max
 
     rows = np.empty((m + 1 + steps, initial.n_modes))
     rows[:m + 1] = initial.values
@@ -172,16 +174,18 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     for b0 in range(0, steps, m):
         # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
         b1 = min(b0 + m, steps)
-        fields = rows[b0:b1 + 1] @ grid.synth.T
-        src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ grid.synth.T
+        fields = rows[b0:b1 + 1] @ synth.T
+        src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ synth.T
         # the forcing Phi1 f + xi, with sigma composed on the OU increment, reads ``src``
         w = ou_std * z_block[b0:b1]
+        f_src = None if cs.f_is_zero else cs.f(src)
         if cs.sigma_const is None:
-            w = (cs.sigma(src) * (w @ grid.synth.T)) @ grid.project.T
+            sig = f_src if cs.sigma is cs.f and f_src is not None else cs.sigma(src)
+            w = (sig * (w @ synth.T)) @ grid.project.T
         elif cs.sigma_const != 1.0:
             w = cs.sigma_const * w
-        if not cs.f_is_zero:
-            w += phi1 * (cs.f(src) @ grid.project.T)
+        if f_src is not None:
+            w += phi1 * (f_src @ grid.project.T)
         if g_mode != "instant":
             # every node g reads in the block is history: all the increments are
             # known, and a doubling scan runs u_{j+1} = decay u_j + w_j
@@ -202,24 +206,24 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                 # the neutral term reads the unknown new state: contract to the fixed
                 # point of u = rhs - profile * mass(u) on its one scalar, the mass c
                 u = rows[m + i]
-                c = maps.mass(u)
+                c = weights.dot(z_map(synth @ u))   # maps.mass(u)
                 rhs = decay * u + profile * c + f_i
                 d = rhs - profile * c - u
                 r = math.sqrt(d @ d)
-                field = grid.synth @ rhs
+                field = synth @ rhs
                 iters = 1
                 while True:
                     if residual_log is not None:
                         residual_log[i].append(r)
-                    if not r >= cfg.fp_tol:
+                    if not r >= fp_tol:
                         break   # converged, or NaN: the blow-up guard takes a NaN state
-                    if iters == cfg.fp_max:
+                    if iters == fp_max:
                         raise NonconvergenceError(
-                            f"implicit neutral step failed to reach fp_tol={cfg.fp_tol:g} "
-                            f"within {cfg.fp_max} iterations (last residual {r:.3e})",
-                            residual=r, iterations=cfg.fp_max)
-                    np.subtract(field, np.multiply(c, profile_field, out=diff), out=diff)
-                    c_prev, c = c, float(weights @ z_map(diff, diff))
+                            f"implicit neutral step failed to reach fp_tol={fp_tol:g} "
+                            f"within {fp_max} iterations (last residual {r:.3e})",
+                            residual=r, iterations=fp_max)
+                    np.subtract(field, np.multiply(c, profile_field, diff), diff)
+                    c_prev, c = c, float(weights.dot(z_map(diff, diff)))
                     r = abs(c - c_prev) * profile_norm
                     iters += 1
                 u_new = rows[m + 1 + i] = rhs - profile * c

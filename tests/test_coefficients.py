@@ -404,3 +404,17 @@ def test_probes_equal_a_per_segment_loop(kernel, delay, f, sigma):
     best, used = _lipschitz_reference(cs, op, 30, _Replay(z), 0.05)
     assert rep.n_used == used == 20
     assert abs(rep.estimate - best) <= 1e-15
+
+
+@pytest.mark.parametrize("count", [10.5, True])
+@pytest.mark.parametrize("probe", ["modulus_bound_check", "lipschitz_probe_g", "growth_check"])
+def test_probe_sample_counts_must_be_integers(probe, count):
+    # a float count failed late with numpy's or range's bare TypeError
+    cs, op = builtin_coefficients(grid_points=32), assemble_operator(n_modes=4)
+    gen = RngStream(7, 0).generator()
+    call = {"modulus_bound_check": lambda: modulus_bound_check(cs, count, gen),
+            "lipschitz_probe_g": lambda: lipschitz_probe_g(cs, op, count, gen, h=0.05),
+            "growth_check": lambda: growth_check(cs, op, count, gen,
+                                                 qspec=power_qwiener(4), h=0.05)}[probe]
+    with pytest.raises(ConfigError, match="^n_samples must be an integer$"):
+        call()

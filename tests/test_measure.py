@@ -322,3 +322,33 @@ def test_dependence_probe_coupled_paths_order():
     assert np.all(np.diff(rep.estimates) < 0.0)
     assert rep.horizon == pytest.approx(0.3)
     assert rep.per_pair.shape == (3, 6)
+
+
+def _zero_measure():
+    cs = builtin_coefficients(f="zero", sigma="zero", kernel="zero")
+    cfg = SolverConfig(dt=0.01, t_end=0.3, segment_stride=10)
+    traj = simulate(zero_segment(0.05, 0.01, 4), cs, OP, Q, cfg, RngStream(3, 0))
+    return krylov_bogoliubov([traj], burn_in=0.1)
+
+
+_DRIVERS = {
+    "n_traj": lambda ini, cs, n: run_ensemble(ini, cs, OP, Q, SolverConfig(dt=0.01, t_end=0.05),
+                                              seed=31, n_traj=n),
+    "n_draws": lambda ini, cs, n: invariance_test(_zero_measure(), 0.1, cs, OP, Q, 0.01,
+                                                  RngStream(60, 0), n_draws=n),
+    "n_samples": lambda ini, cs, n: homogeneity_test(ini, 0.0, 0.1, cs, OP, Q, 0.01,
+                                                     RngStream(61, 0), n_samples=n),
+    "n_paths": lambda ini, cs, n: continuous_dependence_probe(ini, [ini], 3.0, 0.1, cs, OP,
+                                                              Q, 0.01, RngStream(62, 0),
+                                                              n_paths=n),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, True])
+@pytest.mark.parametrize("name", sorted(_DRIVERS))
+def test_driver_counts_must_be_integers(name, count):
+    # a float count failed late with numpy's bare TypeError, and True ran one
+    # trajectory (or was refused as too few, naming no type)
+    ini, cs = zero_segment(0.05, 0.01, 4), builtin_coefficients(sigma="one", kernel="zero")
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer$"):
+        _DRIVERS[name](ini, cs, count)

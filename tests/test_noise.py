@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from nsfde import (DomainError, QWienerSpec, RngStream, ShapeError,
+from nsfde import (ConfigError, DomainError, QWienerSpec, RngStream, ShapeError,
                    assemble_operator, geometric_qwiener, ou_std,
                    power_qwiener)
 
@@ -94,3 +94,13 @@ def test_ou_convolution_increment_variance():
     gen = RngStream(6, 0).generator()
     draws = gen.standard_normal((20000, 3)) * ou_std(q, op, 0.05)
     assert np.allclose(draws.var(axis=0), ou_std(q, op, 0.05) ** 2, rtol=0.06)
+
+
+@pytest.mark.parametrize("n_modes", [4.2, 4.5, True])
+@pytest.mark.parametrize("build", [power_qwiener, geometric_qwiener])
+def test_spectrum_mode_counts_must_be_integers(build, n_modes):
+    # 4.2 and 4.5 built five modes and True one, where assemble_operator refuses them
+    with pytest.raises(ConfigError, match=r"^operator.n_modes must be an integer$"):
+        build(n_modes)
+    with pytest.raises(ConfigError, match=r"^operator.n_modes = 0 must be >= 1$"):
+        build(0)

@@ -1,6 +1,7 @@
 """Time stepper, successive approximations and contraction-window arithmetic."""
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from nsfde import (BlowupError, ConfigError, DomainError, GridMaps, HorizonResul
                    NonconvergenceError, RngStream, Segment, ShapeError,
                    SolverConfig, assemble_operator, builtin_coefficients,
                    constant_segment, contraction_factor, find_horizon,
-                   from_initial_condition, ou_std, picard_run, power_qwiener,
-                   simulate, stability_bound, zero_segment)
+                   from_initial_condition, osgood_drift, ou_std, picard_run,
+                   power_qwiener, simulate, stability_bound, zero_segment)
 from nsfde.solver import _window_max
 
 OP4 = assemble_operator(n_modes=4)
@@ -403,6 +404,42 @@ def test_drift_and_diffusion_read_one_synthesized_field_a_block(h):
     assert len(f_args) == 2 * k
     for n in (1, 2):
         check_reads(f_args[(n - 1) * k:n * k], sigma_args[(n - 1) * k:n * k], out[n - 1][0])
+
+
+def test_builtin_f_and_sigma_share_one_map_when_their_names_match():
+    cs, other = builtin_coefficients(), builtin_coefficients(sigma="one")
+    assert cs.sigma is cs.f
+    assert other.sigma is not other.f
+
+
+@pytest.mark.parametrize("picard", [False, True])
+@pytest.mark.parametrize("delay", ["point", "instant"])
+def test_a_shared_f_and_sigma_is_evaluated_once_a_block(delay, picard):
+    # the built-in osgood pair is one callable: a run evaluates it once a block for
+    # both maps, and every bit equals a run whose sigma is built apart from its f
+    cs = builtin_coefficients(kernel_delay=delay, kernel_scale=0.2, grid_points=32)
+    apart = replace(cs, sigma=osgood_drift(3.0))
+    shared, calls = cs.f, []
+    cs.f = cs.sigma = lambda x: calls.append(1) or shared(x)
+    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
+                                  "amplitude": 0.5}, 0.05, 0.01, OP8, 32)
+    cfg = SolverConfig(dt=0.01, t_end=0.23, segment_stride=4, picard_iters=2)
+    blocks = math.ceil(cfg.n_steps / ini.m)   # 5-step blocks, the last one 3 steps
+
+    def run(c):
+        if picard:
+            iterates = picard_run(ini, c, OP8, Q8, replace(cfg, mode="picard"), RngStream(35, 0))
+            return [traj for traj, _ in iterates]
+        return [simulate(ini, c, OP8, Q8, cfg, RngStream(35, 0), collect_fp_residuals=True)]
+
+    once, twice = run(cs), run(apart)
+    assert len(calls) == (cfg.picard_iters if picard else 1) * blocks
+    for a, b in zip(once, twice, strict=True):
+        for name in ("snapshots", "seg_norms", "segments", "fp_iters"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.fp_residuals == b.fp_residuals
+    assert picard or once[0].fp_residuals is not None
+    assert delay == "point" or once[-1].fp_iters[1:].min() >= 2
 
 
 @pytest.mark.parametrize("delay", ["point", "instant"])

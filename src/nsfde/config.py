@@ -213,10 +213,8 @@ def _merge(defaults: dict, user: dict, path: str) -> dict:
 
 
 def parse_config(raw, overrides=None) -> RunConfig:
-    """Validate a config mapping (or YAML text) against the full schema;
-    ``overrides`` maps ``seed`` or ``section.key`` to values set before checking."""
-    if isinstance(raw, str):
-        raw = yaml.safe_load(raw)
+    """Validate a config mapping (``load_config`` reads one from YAML) against the full
+    schema; ``overrides`` maps ``seed`` or ``section.key`` to values set before checking."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

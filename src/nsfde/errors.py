@@ -20,7 +20,7 @@ class ShapeError(NsfdeError, ValueError):
 
 
 class EllipticityError(ConfigError):
-    """Diffusivity is not strictly positive on [0, 1] (a callable: on the assembly nodes)."""
+    """Diffusivity is not strictly positive on [0, 1], or a constant one is not finite."""
 
 
 class SingularModulusError(DomainError):

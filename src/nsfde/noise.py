@@ -49,8 +49,8 @@ class QWienerSpec:
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         if self.lambdas.ndim != 1 or self.lambdas.size == 0:
             raise ShapeError("lambdas must be a nonempty 1-d array")
-        if np.any(self.lambdas < 0.0):
-            raise DomainError("covariance eigenvalues must be nonnegative")
+        if not np.all((self.lambdas >= 0.0) & (self.lambdas < np.inf)):   # NaN fails both
+            raise DomainError("covariance eigenvalues must be nonnegative and finite")
 
     @property
     def trace(self) -> float:

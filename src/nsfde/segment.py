@@ -84,54 +84,38 @@ def constant_segment(h: float, dt: float, coeffs) -> Segment:
     return Segment(h=h, dt=dt, values=np.tile(coeffs, (m + 1, 1)))
 
 
-def from_initial_condition(phi, h: float, dt: float, op: SpectralOperator,
+def from_initial_condition(phi: dict, h: float, dt: float, op: SpectralOperator,
                            n_grid: int | None = None) -> Segment:
-    """Sample and project an initial trajectory onto the discrete window.
-
-    ``phi`` may be a callable ``phi(theta, x) -> field`` sampled at the window
-    nodes, or a descriptor dict: ``{"kind": "zero"}``,
-    ``{"kind": "coeffs", "coeffs": v}`` (mode coefficients held constant in
-    theta) or
-    ``{"kind": "profile", "profile": name_or_callable, "amplitude": a, "ramp": bool}``
-    where ``ramp`` scales the profile by (1 + theta / h), vanishing at -h.
+    """Project an initial-condition descriptor (a config's ``initial`` section) onto
+    the discrete window: ``{"kind": "zero"}``, ``{"kind": "coeffs", "coeffs": v}``
+    (mode coefficients held constant in theta) or ``{"kind": "profile", "profile":
+    name, "amplitude": a, "ramp": bool}``, ``name`` a key of ``PROFILES``, where
+    ``ramp`` scales the profile by (1 + theta / h), vanishing at -h.
     """
+    if not isinstance(phi, dict):
+        raise ConfigError(f"unsupported initial-condition descriptor of type {type(phi).__name__}")
     m = _window_steps(h, dt)
     thetas = -h + dt * np.arange(m + 1)
     grid = op.grid(n_grid)
 
-    if isinstance(phi, dict):   # one coefficient vector, weighted at each node
-        kind = phi.get("kind", "zero")
-        if kind == "zero":
-            coeffs = np.zeros(op.n_modes)
-        elif kind == "coeffs":
-            coeffs = np.asarray(phi["coeffs"], dtype=float)
-            if coeffs.shape != (op.n_modes,):
-                raise ConfigError("initial.coeffs length must equal n_modes")
-        elif kind == "profile":
-            prof = phi.get("profile", "sin_pi")
-            if isinstance(prof, str):
-                try:
-                    prof = PROFILES[prof]
-                except KeyError:
-                    raise ConfigError(f"unknown initial profile {phi['profile']!r}") from None
-            amp = float(phi.get("amplitude", 1.0))
-            coeffs = grid.project @ (amp * prof(grid.x))
-        else:
-            raise ConfigError(f"unknown initial kind {kind!r}")
-        ramped = kind == "profile" and phi.get("ramp", False)
-        weights = 1.0 + thetas / h if ramped else np.ones(m + 1)
-        return Segment(h=h, dt=dt, values=np.outer(weights, coeffs))
-
-    if callable(phi):
-        rows = np.empty((m + 1, op.n_modes))
-        for j, theta in enumerate(thetas):
-            field = np.asarray(phi(theta, grid.x), dtype=float)
-            if field.shape != grid.x.shape:
-                raise ShapeError("initial callable must return one value per grid node")
-            rows[j] = grid.project @ field
-        return Segment(h=h, dt=dt, values=rows)
-
-    raise ConfigError("unsupported initial-condition descriptor")
+    kind = phi.get("kind", "zero")   # one coefficient vector, weighted at each node
+    if kind == "zero":
+        coeffs = np.zeros(op.n_modes)
+    elif kind == "coeffs":
+        coeffs = np.asarray(phi["coeffs"], dtype=float)
+        if coeffs.shape != (op.n_modes,):
+            raise ConfigError("initial.coeffs length must equal n_modes")
+    elif kind == "profile":
+        prof = phi.get("profile", "sin_pi")
+        if not (isinstance(prof, str) and prof in PROFILES):
+            raise ConfigError(f"unknown initial profile {prof!r}")
+        amp = float(phi.get("amplitude", 1.0))
+        coeffs = grid.project @ (amp * PROFILES[prof](grid.x))
+    else:
+        raise ConfigError(f"unknown initial kind {kind!r}")
+    ramped = kind == "profile" and phi.get("ramp", False)
+    weights = 1.0 + thetas / h if ramped else np.ones(m + 1)
+    return Segment(h=h, dt=dt, values=np.outer(weights, coeffs))
 
 
 def random_segments(op: SpectralOperator, h: float, dt: float,

@@ -76,6 +76,9 @@ class SolverConfig:
     blowup_threshold: float = 1e8
 
     def __post_init__(self):
+        for key in ("dt", "t_end", "fp_tol", "blowup_threshold"):
+            if isinstance(getattr(self, key), bool):
+                raise ConfigError(f"solver.{key} must be a number")
         if self.dt <= 0.0:
             raise ConfigError(f"solver.dt = {self.dt!r} must be positive")
         if self.t_end < self.dt:

@@ -15,6 +15,7 @@ physical-grid synthesis and projection stay consistent with the eigenbasis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,24 +103,17 @@ class SpectralOperator:
 
 
 def _diffusivity_at(a, x) -> np.ndarray:
-    """The diffusivity at the nodes ``x``, refused unless strictly positive:
-    a callable at the nodes, a table in closed form on [0, 1]."""
-    if callable(a):
-        knots, vals = x, np.asarray(a(x), dtype=float)
-        if vals.shape != x.shape:
-            raise ShapeError("operator.a: a diffusivity callable must return one value per node")
-        lows = vals
-    else:
-        table = np.asarray(a, dtype=float)
-        if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
-            raise ConfigError("operator.a: a tabulated diffusivity must be a list of (x, a) pairs")
-        xs, ys = table.T
-        if np.any(np.diff(xs) <= 0):
-            raise ConfigError(f"operator.a: abscissae {xs.tolist()} must be strictly increasing")
-        # the interpolant is piecewise linear and clamped beyond the table, so its
-        # minimum on [0, 1] lies at 0, at 1 or at a table abscissa between them
-        knots = np.concatenate([[0.0, 1.0], xs[(xs > 0.0) & (xs < 1.0)]])
-        vals, lows = np.interp(x, xs, ys), np.interp(knots, xs, ys)
+    """Diffusivity table ``a`` at the nodes ``x``; refused unless strictly positive on [0, 1]."""
+    table = np.asarray(a)   # a bool, a callable or text: a 0-d array of no number kind
+    if table.dtype.kind not in "iuf" or table.shape[1:] != (2,) or table.shape[0] < 2:
+        raise ConfigError("operator.a: a tabulated diffusivity must be a list of (x, a) pairs")
+    xs, ys = table.astype(float).T
+    if np.any(np.diff(xs) <= 0):
+        raise ConfigError(f"operator.a: abscissae {xs.tolist()} must be strictly increasing")
+    # the interpolant is piecewise linear and clamped beyond the table, so its
+    # minimum on [0, 1] lies at 0, at 1 or at a table abscissa between them
+    knots = np.concatenate([[0.0, 1.0], xs[(xs > 0.0) & (xs < 1.0)]])
+    vals, lows = np.interp(x, xs, ys), np.interp(knots, xs, ys)
     i = int(np.argmin(lows))   # the first NaN, if any: refused too
     if not lows[i] > 0.0:
         raise EllipticityError(f"operator.a = {lows[i]:g} at x = {knots[i]:g} must be positive")
@@ -133,7 +127,7 @@ def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> 
     ----------
     n_modes : int
         Truncation dimension N.
-    a : float, callable or (K, 2) samples
+    a : real number (not a bool) or (K, 2) table of (x, a(x)) pairs
         Diffusivity; a constant triggers the analytic spectrum, otherwise a
         sine-basis Galerkin stiffness matrix is assembled with composite
         Simpson on 16N intervals and diagonalized.  16N keeps the quadrature
@@ -146,15 +140,17 @@ def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> 
     Raises
     ------
     EllipticityError
-        If the diffusivity is not strictly positive (a table on [0, 1], a callable on the nodes).
+        If the diffusivity is not strictly positive on [0, 1], or a constant is not finite.
+    ConfigError
+        If ``a`` is neither a real number (a bool is not) nor a table of (x, a) pairs.
     """
     n_modes = check_count("operator.n_modes", n_modes, 1)
     if not 0.0 < delta_fraction < 1.0:
         raise ConfigError("delta_fraction must lie in (0, 1)")
 
-    if isinstance(a, (int, float)):
-        if a <= 0.0:
-            raise EllipticityError("constant diffusivity must be strictly positive")
+    if isinstance(a, numbers.Real) and not isinstance(a, bool):
+        if not 0.0 < a < math.inf:   # NaN fails too
+            raise EllipticityError(f"operator.a = {a} must be positive and finite")
         n = np.arange(1, n_modes + 1, dtype=float)
         mu = float(a) * (n * np.pi) ** 2
         return SpectralOperator(eigenvalues=mu, delta=delta_fraction * mu[0])
@@ -191,8 +187,6 @@ def semigroup_apply(op: SpectralOperator, t: float, coeffs) -> np.ndarray:
     if t < 0.0:
         raise DomainError("semigroup time must be nonnegative")
     coeffs = _check_modes(op, coeffs)
-    if t == 0.0:
-        return coeffs.copy()
     return coeffs * np.exp(-op.eigenvalues * t)
 
 
@@ -220,8 +214,6 @@ def decay_constants(op: SpectralOperator, alpha: float) -> tuple[float, float]:
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
-    if alpha == 0.0:
-        return 1.0, float(op.delta)
     beta = op.eigenvalues - op.delta
     vals = (alpha * op.eigenvalues / beta) ** alpha * math.exp(-alpha)
     return float(np.max(vals)), float(op.delta)

@@ -33,13 +33,14 @@ def test_empty_config_takes_documented_defaults():
 
 
 def test_yaml_text_and_explicit_values_override():
-    rc = parse_config("operator: {n_modes: 8}\ncoefficients: {grid_points: 64}\n"
-                      "measure: {burn_in: 1.5}\ndelay: {h: 1}\nsolver: {t_end: 2}\n")
+    rc = parse_config(yaml.safe_load("operator: {n_modes: 8}\ncoefficients: {grid_points: 64}\n"
+                                     "measure: {burn_in: 1.5}\ndelay: {h: 1}\n"
+                                     "solver: {t_end: 2}\n"))
     assert rc.operator["n_modes"] == 8
     assert rc.grid_points() == 64
     assert rc.burn_in() == 1.5
     assert rc.h == 1.0 and isinstance(rc.h, float)
-    assert parse_config("").seed == 12345  # empty document = all defaults
+    assert parse_config(yaml.safe_load("")).seed == 12345  # empty document = all defaults
 
 
 def test_unknown_keys_report_dotted_paths():
@@ -51,6 +52,8 @@ def test_unknown_keys_report_dotted_paths():
         parse_config({"solver": 3})
     with pytest.raises(ConfigError, match="root must be a mapping"):
         parse_config([1, 2])
+    with pytest.raises(ConfigError, match="root must be a mapping"):
+        parse_config("seed: 3")   # YAML text: load_config parses files
 
 
 @pytest.mark.parametrize("patch, needle", [
@@ -252,8 +255,8 @@ _TABLE = [[0.0, 1.0], [0.5, 2.0], [1.0, 1.5]]
 
 
 def test_tabulated_diffusivity_builds_the_library_operator():
-    rc = parse_config("operator: {n_modes: 4, a: [[0.0, 1.0], [0.5, 2.0], "
-                      "[1.0, 1.5]]}\n")
+    rc = parse_config(yaml.safe_load("operator: {n_modes: 4, a: [[0.0, 1.0], [0.5, 2.0], "
+                                     "[1.0, 1.5]]}\n"))
     assert rc.operator["a"] == _TABLE
     assert np.array_equal(make_operator(rc).eigenvalues,
                           assemble_operator(4, a=_TABLE).eigenvalues)
@@ -332,7 +335,7 @@ def test_load_config_rejects_bad_yaml(tmp_path):
 def test_readme_configuration_block_lists_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
-    assert _resolved(parse_config(block)) == _resolved(parse_config({}))
+    assert _resolved(parse_config(yaml.safe_load(block))) == _resolved(parse_config({}))
     listed = set()
     for section, fields in yaml.safe_load(block).items():
         listed |= {f"{section}.{key}" for key in fields} if isinstance(fields, dict) else {section}

@@ -39,6 +39,16 @@ def test_spec_validation():
     assert q.trace == 0.75 and q.n_modes == 2
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QWienerSpec(lambdas=[np.nan, 1.0]),
+    lambda: power_qwiener(4, exponent=np.nan),
+    lambda: power_qwiener(4, trace_target=np.inf),
+])
+def test_a_spectrum_with_a_non_finite_eigenvalue_is_refused(build):
+    with pytest.raises(DomainError, match="covariance eigenvalues must be nonnegative and finite"):
+        build()
+
+
 def test_stream_reproducible_and_independent():
     a1 = RngStream(1212, 0).generator().standard_normal(100)
     a2 = RngStream(1212, 0).generator().standard_normal(100)

@@ -64,10 +64,6 @@ def test_from_initial_condition_other_kinds():
                                   0.1, 0.05, op)
     assert np.array_equal(cseg.values[0], [1.0, 0.0, 0.5, 0.0])
 
-    fn = from_initial_condition(lambda theta, x: (1.0 + theta) * np.sin(np.pi * x),
-                                0.1, 0.05, op)
-    thetas = -0.1 + 0.05 * np.arange(3)
-    assert np.allclose(fn.values[:, 0], (1.0 + thetas) / np.sqrt(2.0), rtol=1e-12)
 
     with pytest.raises(ConfigError, match="unknown initial profile 'nope'"):
         from_initial_condition({"kind": "profile", "profile": "nope"}, 0.1, 0.05, op)
@@ -75,10 +71,16 @@ def test_from_initial_condition_other_kinds():
         from_initial_condition({"kind": "coeffs", "coeffs": [1.0]}, 0.1, 0.05, op)
     with pytest.raises(ConfigError, match="unknown initial kind 'wavelet'"):
         from_initial_condition({"kind": "wavelet"}, 0.1, 0.05, op)
-    with pytest.raises(ShapeError, match="initial callable must return one value per grid node"):
-        from_initial_condition(lambda theta, x: np.sin(np.pi * x[1:]), 0.1, 0.05, op)
     with pytest.raises(ConfigError, match="unsupported initial-condition descriptor"):
         from_initial_condition(0.5, 0.1, 0.05, op)
+    # an initial window is a descriptor, its profile a PROFILES name: no callables
+    with pytest.raises(ConfigError, match="initial-condition descriptor of type function"):
+        from_initial_condition(lambda theta, x: (1.0 + theta) * np.sin(np.pi * x), 0.1, 0.05, op)
+    with pytest.raises(ConfigError, match="unknown initial profile <function"):
+        from_initial_condition({"kind": "profile", "profile": lambda x: np.sin(np.pi * x)},
+                               0.1, 0.05, op)
+    with pytest.raises(ConfigError, match=re.escape("unknown initial profile ['sin_pi']")):
+        from_initial_condition({"kind": "profile", "profile": ["sin_pi"]}, 0.1, 0.05, op)
 
 
 def test_random_segment_modes_decay():

@@ -36,6 +36,9 @@ def test_config_validation():
                      ("blowup_threshold", -1.0)):
         with pytest.raises(ConfigError, match=f"solver.{key} = {val!r} must be positive"):
             SolverConfig(dt=0.1, t_end=1.0, **{key: val})
+    for key in ("dt", "t_end", "fp_tol", "blowup_threshold"):
+        with pytest.raises(ConfigError, match=f"solver.{key} must be a number"):
+            SolverConfig(**{"dt": 0.1, "t_end": 1.0, key: True})
     with pytest.raises(ConfigError, match="solver.t_end"):
         SolverConfig(dt=0.3, t_end=1.0)  # 3.33 steps: would stop at 0.9
     with pytest.raises(ConfigError, match="solver.t_end"):

@@ -23,6 +23,8 @@ def test_constant_coefficient_spectrum_is_analytic():
     op2 = assemble_operator(n_modes=4, a=2.0)
     assert np.allclose(op2.eigenvalues, 2.0 * (np.arange(1, 5) * np.pi) ** 2,
                        rtol=1e-15)
+    for a in (np.int64(2), np.float32(2.0)):   # any real scalar is the constant
+        assert np.array_equal(assemble_operator(n_modes=4, a=a).eigenvalues, op2.eigenvalues)
 
 
 def test_semigroup_scalar_example():
@@ -67,10 +69,17 @@ def test_frac_semigroup_norm_examples():
     assert frac_semigroup_norm(op, 0.5, t_small) <= bound
 
 
+def test_semigroup_at_time_zero_returns_a_new_array_bit_for_bit():
+    op = assemble_operator(n_modes=4)
+    v = np.array([1.5, -0.0, 3e-310, -2.0])
+    out = semigroup_apply(op, 0.0, v)
+    assert out is not v and out.tobytes() == v.tobytes()   # -0.0 and the subnormal kept
+
+
 def test_decay_constant_examples():
     op = assemble_operator(n_modes=8)
     c0, delta0 = decay_constants(op, 0.0)
-    assert c0 == 1.0
+    assert (c0, delta0) == (1.0, op.delta)
     assert delta0 == pytest.approx(np.pi ** 2 / 2.0, rel=1e-15)
     c1, _ = decay_constants(op, 1.0)
     assert c1 == pytest.approx(2.0 / math.e, rel=1e-12)
@@ -108,7 +117,7 @@ def _analytic_stiffness(n):
 @pytest.mark.parametrize("n", [8, 64])
 def test_variable_coefficient_eigenvalues(n):
     exact = np.sort(scipy.linalg.eigvalsh(_analytic_stiffness(n)))
-    op = assemble_operator(n_modes=n, a=lambda x: 1.0 + 0.5 * x)
+    op = assemble_operator(n_modes=n, a=[[0.0, 1.0], [1.0, 1.5]])   # 1 + x/2 exactly
     assert np.max(np.abs(op.eigenvalues - exact) / exact) <= 1e-6
 
 
@@ -116,7 +125,7 @@ def test_variable_coefficient_tabulated_form():
     xs = np.linspace(0.0, 1.0, 257)
     table = np.column_stack([xs, 1.0 + 0.5 * xs])
     op_t = assemble_operator(n_modes=8, a=table)
-    op_c = assemble_operator(n_modes=8, a=lambda x: 1.0 + 0.5 * x)
+    op_c = assemble_operator(n_modes=8, a=[[0.0, 1.0], [1.0, 1.5]])
     assert np.max(np.abs(op_t.eigenvalues - op_c.eigenvalues) / op_c.eigenvalues) <= 1e-9
 
 
@@ -147,7 +156,7 @@ def test_quadrature_grid_must_exceed_twice_the_mode_count(n):
 
 def test_ellipticity_rejected():
     with pytest.raises(EllipticityError):
-        assemble_operator(n_modes=4, a=lambda x: 0.5 - x)
+        assemble_operator(n_modes=4, a=[[0.0, 0.5], [1.0, -0.5]])
     with pytest.raises(EllipticityError):
         assemble_operator(n_modes=4, a=0.0)
 
@@ -166,10 +175,19 @@ def test_ellipticity_rejected():
     (lambda: assemble_operator(n_modes=0), ConfigError, "operator.n_modes = 0 must be >= 1"),
     (lambda: assemble_operator(delta_fraction=1.0), ConfigError,
      "delta_fraction must lie in (0, 1)"),
-    (lambda: assemble_operator(n_modes=4, a=lambda x: 1.0 + x[1:]), ShapeError,
-     "operator.a: a diffusivity callable must return one value per node"),
     (lambda: assemble_operator(n_modes=4, a=[[0.0, 1.0]]), ConfigError,
      "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
+    # a diffusivity is a number or a table: a callable, text or a bool is neither
+    (lambda: assemble_operator(n_modes=4, a=lambda x: 1.0 + 0.5 * x), ConfigError,
+     "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
+    (lambda: assemble_operator(n_modes=4, a="[[0, 1], [1, 2]]"), ConfigError,
+     "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
+    (lambda: assemble_operator(n_modes=4, a=True), ConfigError,
+     "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
+    (lambda: assemble_operator(n_modes=4, a=np.nan), EllipticityError,
+     "operator.a = nan must be positive and finite"),
+    (lambda: assemble_operator(n_modes=4, a=np.inf), EllipticityError,
+     "operator.a = inf must be positive and finite"),
 ])
 def test_operator_constructors_refuse_bad_arguments(build, error, needle):
     with pytest.raises(error, match=re.escape(needle)):

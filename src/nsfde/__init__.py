@@ -17,8 +17,7 @@ from .errors import (BlowupError, ConfigError, DomainError, EllipticityError,
 from .spectral import (SpectralOperator, assemble_operator, decay_constants,
                        frac_semigroup_norm, fractional_norm, semigroup_apply,
                        simpson_weights)
-from .noise import (QWienerSpec, RngStream, geometric_qwiener, ou_std,
-                    power_qwiener)
+from .noise import QWienerSpec, RngStream, builtin_qwiener, ou_std
 from .segment import (PROFILES, Segment, constant_segment,
                       from_initial_condition, random_segments, sup_norm,
                       zero_segment)

@@ -69,9 +69,6 @@ def _build(args):
         _check_a_checkpoint_survives(rc, cfg)
     else:
         cfg = replace(cfg, segment_stride=0)
-    if args.command == "tightness" and cfg.store_stride > cfg.n_steps:
-        raise ConfigError(f"tightness needs at least two checkpoint times: solver.store_stride "
-                          f"= {cfg.store_stride} exceeds the run's {cfg.n_steps} steps")
     if args.resolved:
         config_mod.dump_resolved(rc, args.resolved, op, qspec)
     return rc, op, qspec, cs, cfg, initial

@@ -4,13 +4,14 @@ A config file is a nested mapping with the sections below; every omitted field
 takes the documented default and every unknown key is rejected with its dotted
 path.  ``_FIELDS`` declares each field once, with its default and check.
 Where a constructor checks a range on every path, the table checks only the
-type (``parse_config`` builds ``SolverConfig`` and the coefficient set, so a
-library caller is refused at once); the table checks the other ranges, and the
-library builders check those of ``operator.n_modes``, ``delta_fraction``,
-``noise.*``, ``seed`` and ``initial.*`` again for callers that load no config.
-Every refusal names the dotted path.  The ``operator``, ``coefficients`` and
-``solver`` sections go whole to ``assemble_operator``, ``builtin_coefficients``
-and ``SolverConfig``, and ``initial`` to ``from_initial_condition``.  Each run
+type (``parse_config`` builds ``SolverConfig``, the coefficient set and the
+noise spectrum, so a library caller is refused at once); the table checks the
+other ranges, and the library builders check those of ``operator.n_modes``,
+``delta_fraction``, ``seed`` and ``initial.*`` again for callers that load no
+config.  Every refusal names the dotted path.  The ``operator``,
+``coefficients``, ``noise`` and ``solver`` sections go whole to
+``assemble_operator``, ``builtin_coefficients``, ``builtin_qwiener`` and
+``SolverConfig``, and ``initial`` to ``from_initial_condition``.  Each run
 setting has one field: ``solver.segment_stride`` is the checkpoint stride the
 solver records at and ``estimate-measure`` pools at.
 ``resolved_dict`` echoes the fully defaulted config, plus a ``derived`` block
@@ -142,19 +143,19 @@ def _coeffs(where, val):
 # Every config field: dotted path -> (default, check).  The constructors that
 # ``parse_config`` calls check the rest: ``SolverConfig`` the ranges of
 # ``solver.*`` and ``solver.mode``, ``builtin_coefficients``/``CoefficientSet``
-# the coefficient names and the ranges of p, Mg, K and grid_points, so here
+# the coefficient names and the ranges of p, Mg, K and grid_points, and
+# ``builtin_qwiener`` the spectrum name and the ranges of ``noise.*``, so here
 # those fields have their type checked, or nothing.  Ranges stay here for
-# ``noise.*`` (its builders raise DomainError), ``operator.*`` (building it
-# runs an eigensolver) and ``coefficients.kernel_delay`` (no kernel reads it
-# when ``kernel: zero``).
+# ``operator.*`` (building it runs an eigensolver) and
+# ``coefficients.kernel_delay`` (no kernel reads it when ``kernel: zero``).
 _FIELDS = {
     "seed": (12345, _seed),
     "operator.n_modes": (32, _integer(1)),
     "operator.a": (1.0, _diffusivity),
     "operator.delta_fraction": (0.5, _number(0.0, 1.0)),
-    "noise.spectrum": ("power", _one_of("power", "geometric")),
-    "noise.exponent": (2.0, _number(1.0)),
-    "noise.trace": (1.0, _number(0.0)),
+    "noise.spectrum": ("power", None),
+    "noise.exponent": (2.0, _number()),
+    "noise.trace": (1.0, _number()),
     "delay.h": (0.1, _number(0.0)),
     "coefficients.f": ("osgood", None),
     "coefficients.sigma": ("osgood", None),
@@ -239,6 +240,7 @@ def parse_config(raw, overrides=None) -> RunConfig:
     rc = RunConfig(**data)
     make_solver_config(rc)
     make_coefficients(rc)
+    noise_mod.builtin_qwiener(rc.operator["n_modes"], **rc.noise)
     burn_in, t_end = rc.measure["burn_in"], rc.solver["t_end"]
     _need(burn_in is None or burn_in < t_end,
           f"measure.burn_in = {burn_in} must be < solver.t_end = {t_end}")
@@ -269,10 +271,7 @@ def make_operator(rc: RunConfig):
 
 
 def make_noise(rc: RunConfig, op) -> noise_mod.QWienerSpec:
-    if rc.noise["spectrum"] == "power":
-        return noise_mod.power_qwiener(op.n_modes, exponent=rc.noise["exponent"],
-                                       trace_target=rc.noise["trace"])
-    return noise_mod.geometric_qwiener(op.n_modes, trace_target=rc.noise["trace"])
+    return noise_mod.builtin_qwiener(op.n_modes, **rc.noise)
 
 
 def make_coefficients(rc: RunConfig) -> coeff_mod.CoefficientSet:

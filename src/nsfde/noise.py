@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, check_count
+from .errors import ConfigError, DomainError, ShapeError, check_choice, check_count
 from .spectral import SpectralOperator
 
 SOURCE_LIMIT = 1 << 63  # seeds and stream ids are int64 in arrays and files
@@ -61,24 +61,18 @@ class QWienerSpec:
         return int(self.lambdas.size)
 
 
-def power_qwiener(n_modes: int, exponent: float = 2.0, trace_target: float = 1.0) -> QWienerSpec:
-    """Polynomial spectrum lambda_k = c k^{-q}, q > 1, normalized to the trace target."""
+def builtin_qwiener(n_modes: int, spectrum: str = "power", exponent: float = 2.0,
+                    trace: float = 1.0) -> QWienerSpec:
+    """lambda_k = c k^{-exponent} (``power``; exponent > 1 bounds the trace in N) or c 2^{-k}
+    (``geometric``), normalized to ``trace``; the parameters are the config's ``noise`` keys."""
+    check_choice("noise.spectrum", spectrum, ("power", "geometric"))
     if exponent <= 1.0:
-        raise DomainError("power spectrum needs exponent q > 1 for a finite trace")
-    if trace_target <= 0.0:
-        raise DomainError("trace_target must be positive")
+        raise ConfigError(f"noise.exponent = {exponent!r} out of range: must exceed 1")
+    if trace <= 0.0:
+        raise ConfigError(f"noise.trace = {trace!r} out of range: must be positive")
     k = np.arange(1, check_count("operator.n_modes", n_modes, 1) + 1, dtype=float)
-    raw = k ** (-exponent)
-    return QWienerSpec(lambdas=raw * (trace_target / raw.sum()))
-
-
-def geometric_qwiener(n_modes: int, trace_target: float = 1.0) -> QWienerSpec:
-    """Geometric spectrum lambda_k = c 2^{-k}, normalized to the trace target."""
-    if trace_target <= 0.0:
-        raise DomainError("trace_target must be positive")
-    k = np.arange(1, check_count("operator.n_modes", n_modes, 1) + 1, dtype=float)
-    raw = 2.0 ** (-k)
-    return QWienerSpec(lambdas=raw * (trace_target / raw.sum()))
+    raw = k ** (-exponent) if spectrum == "power" else 2.0 ** (-k)
+    return QWienerSpec(lambdas=raw * (trace / raw.sum()))
 
 
 def ou_std(spec: QWienerSpec, op: SpectralOperator, dt: float) -> np.ndarray:

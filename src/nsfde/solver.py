@@ -102,7 +102,8 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """A path run under ``cfg``: snapshots every ``cfg.store_stride`` steps, plus provenance."""
+    """A path run under ``cfg``: snapshots every ``cfg.store_stride`` steps and at
+    ``t_end``, plus provenance."""
 
     times: np.ndarray
     snapshots: np.ndarray
@@ -243,7 +244,7 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                               f"exceeds blow-up guard {cfg.blowup_threshold:g}")
 
     # the window ending at step k is rows[k:k + m + 1]
-    stored = np.arange(0, steps + 1, cfg.store_stride)
+    stored = np.append(np.arange(0, steps, cfg.store_stride), steps)
     segments = segment_times = None
     if cfg.segment_stride:
         checkpoints = np.arange(cfg.segment_stride, steps + 1, cfg.segment_stride)

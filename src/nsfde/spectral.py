@@ -86,8 +86,8 @@ class SpectralOperator:
         ops = self._grids.get(n_grid)
         if ops is None:
             if n_grid <= 2 * self.n_modes:
-                raise DomainError(f"{n_grid} quadrature intervals alias {self.n_modes} "
-                                  "modes: need more than 2 * n_modes")
+                raise DomainError(f"coefficients.grid_points: {n_grid} quadrature intervals "
+                                  f"alias {self.n_modes} modes: need more than 2 * n_modes")
             x = np.linspace(0.0, 1.0, n_grid + 1)
             w = simpson_weights(n_grid)
             n = np.arange(1, self.n_modes + 1)
@@ -142,11 +142,12 @@ def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> 
     EllipticityError
         If the diffusivity is not strictly positive on [0, 1], or a constant is not finite.
     ConfigError
-        If ``a`` is neither a real number (a bool is not) nor a table of (x, a) pairs.
+        If ``a`` is neither a real number (a bool is not) nor a table of (x, a) pairs,
+        or the table's values overflow the stiffness matrix.
     """
     n_modes = check_count("operator.n_modes", n_modes, 1)
     if not 0.0 < delta_fraction < 1.0:
-        raise ConfigError("delta_fraction must lie in (0, 1)")
+        raise ConfigError("operator.delta_fraction must lie in (0, 1)")
 
     if isinstance(a, numbers.Real) and not isinstance(a, bool):
         if not 0.0 < a < math.inf:   # NaN fails too
@@ -162,7 +163,10 @@ def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> 
     n = np.arange(1, n_modes + 1)
     # derivative of sqrt(2) sin(n pi x) at the nodes
     dsines = math.sqrt(2.0) * np.pi * n * np.cos(np.pi * np.outer(x, n))
-    stiff = dsines.T @ (dsines * (w * a_vals)[:, None])
+    with np.errstate(all="ignore"):   # a table too large for doubles gives inf or NaN
+        stiff = dsines.T @ (dsines * (w * a_vals)[:, None])
+    if not np.isfinite(stiff).all():
+        raise ConfigError("operator.a: the table's values overflow the stiffness matrix")
     asym = np.max(np.abs(stiff - stiff.T))
     scale = max(1.0, np.max(np.abs(stiff)))
     if asym > _SYMMETRY_TOL * scale:

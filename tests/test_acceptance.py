@@ -13,13 +13,13 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from nsfde import (CoefficientSet, RngStream, Segment, SolverConfig,
-                   assemble_operator, builtin_coefficients, constant_segment,
-                   contraction_factor, continuous_dependence_probe,
+                   assemble_operator, builtin_coefficients, builtin_qwiener,
+                   constant_segment, contraction_factor, continuous_dependence_probe,
                    decay_constants, find_horizon, frac_semigroup_norm,
-                   from_initial_condition, geometric_qwiener, homogeneity_test,
+                   from_initial_condition, homogeneity_test,
                    invariance_test, krylov_bogoliubov, lipschitz_probe_g,
                    modulus_bound_check, osgood_certificate, osgood_integral,
-                   picard_run, power_qwiener, run_ensemble, simulate,
+                   picard_run, run_ensemble, simulate,
                    stability_bound, tightness_diagnostic, zero_segment)
 
 E2 = math.exp(-2.0)
@@ -32,7 +32,8 @@ def test_criterion_01_ou_stationary_variance():
     t0 = time.monotonic()
     n = 8
     op = assemble_operator(n_modes=n)
-    q = geometric_qwiener(n, trace_target=float(sum(2.0 ** -k for k in range(1, n + 1))))
+    q = builtin_qwiener(n, spectrum="geometric",
+                        trace=float(sum(2.0 ** -k for k in range(1, n + 1))))
     assert np.array_equal(q.lambdas, 2.0 ** -np.arange(1, n + 1))
 
     cs = builtin_coefficients(f="zero", sigma="one", kernel="zero")
@@ -133,7 +134,7 @@ def test_criterion_02_neutral_point_delay_oracle():
     cs = builtin_coefficients(f="osgood", sigma="zero", kernel="separable",
                               kernel_scale=c_ker, kernel_delay="point",
                               grid_points=256)
-    q = power_qwiener(1, trace_target=1.0)  # inert: sigma = 0
+    q = builtin_qwiener(1, trace=1.0)  # inert: sigma = 0
     cfg = SolverConfig(dt=dt, t_end=t_end, store_stride=50)
     m = int(round(h / dt))
     seg0 = Segment(h=h, dt=dt, values=phi(-h + dt * np.arange(m + 1))[:, None])
@@ -153,7 +154,7 @@ def test_criterion_03_successive_approximations():
     n, h, dt = 8, 0.05, 1e-3
     op = assemble_operator(n_modes=n)
     cs = builtin_coefficients(kernel_scale=0.2)
-    q = power_qwiener(n, exponent=2.0, trace_target=0.1)
+    q = builtin_qwiener(n, exponent=2.0, trace=0.1)
     ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
                                   "amplitude": 0.2}, h, dt, op)
 
@@ -269,7 +270,7 @@ def bounded_ensemble():
     n, dt, h = 16, 0.01, 0.1
     op = assemble_operator(n_modes=n)
     cs = builtin_coefficients(sigma="one", kernel_scale=0.2)
-    q = power_qwiener(n, exponent=2.0, trace_target=2.0)
+    q = builtin_qwiener(n, exponent=2.0, trace=2.0)
     ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
                                   "amplitude": 0.5}, h, dt, op)
     cfg = SolverConfig(dt=dt, t_end=100.0, store_stride=100, segment_stride=100)
@@ -303,7 +304,7 @@ def test_criterion_10_time_homogeneity():
     n, dt, h = 8, 0.01, 0.1
     op = assemble_operator(n_modes=n)
     cs = builtin_coefficients(sigma="one", kernel_scale=0.2)
-    q = power_qwiener(n, exponent=2.0, trace_target=2.0)
+    q = builtin_qwiener(n, exponent=2.0, trace=2.0)
     ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
                                   "amplitude": 0.5}, h, dt, op)
     rep = homogeneity_test(ini, 1.0, 3.0, cs, op, q, dt, RngStream(4242, 0),
@@ -319,7 +320,7 @@ def test_criterion_11_continuous_dependence():
     n, dt, h = 8, 0.01, 0.1
     op = assemble_operator(n_modes=n)
     cs = builtin_coefficients(sigma="one", kernel_scale=0.2)
-    q = power_qwiener(n, exponent=2.0, trace_target=2.0)
+    q = builtin_qwiener(n, exponent=2.0, trace=2.0)
     base = from_initial_condition({"kind": "profile", "profile": "sin_pi",
                                    "amplitude": 0.5}, h, dt, op)
     chi = np.zeros(n)
@@ -353,7 +354,7 @@ def test_criterion_12_fixed_point_contraction():
     assert probe.passed
     assert abs(probe.estimate - 0.5) <= 0.05
 
-    q = power_qwiener(n, exponent=2.0, trace_target=0.1)
+    q = builtin_qwiener(n, exponent=2.0, trace=0.1)
     ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
                                   "amplitude": 0.2}, h, dt, op)
     cfg = SolverConfig(dt=dt, t_end=0.5, fp_tol=1e-12, fp_max=200)

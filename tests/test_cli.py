@@ -68,6 +68,9 @@ def test_validate_passes_on_default_style_config(tmp_path, capsys):
     ("delay: {h: 0.1}\nsolver: {dt: 0.03}\n", "delay.h / solver.dt"),
     ("delay: {h: 0.3}\nsolver: {dt: 0.3, t_end: 1.0}\n", "solver.t_end / solver.dt"),
     ("solver: {dtt: 1}\n", "unknown config key"),
+    # finite and positive, but the stiffness product overflows: refused, with no warning
+    ("operator: {n_modes: 4, a: [[0, 1], [0.5, 1.0e+308], [1, 1]]}\n",
+     "error: operator.a: the table's values overflow the stiffness matrix\n"),
 ])
 def test_validate_rejects_bad_configs(tmp_path, capsys, text, needle):
     assert main(["validate", "--config", _cfg(tmp_path, text)]) == 1
@@ -118,8 +121,8 @@ def test_simulate_writes_versioned_trajectory(tmp_path, capsys):
 
 
 def test_simulate_reports_the_state_at_t_end(tmp_path, capsys):
-    # a store stride of 3 does not divide the 20 steps: the last snapshot is at
-    # t = 0.18, and the summary reads the state at 0.2 from the final window
+    # a store stride of 3 does not divide the 20 steps: the file still ends on
+    # the state at t = 0.2, the one the summary reads from the final window
     text = ("operator: {n_modes: 4}\nsolver: {dt: 0.01, t_end: 0.2, store_stride: 3}\n"
             "initial: {kind: profile, profile: sin_pi}\n")
     cfg, out = _cfg(tmp_path, text), tmp_path / "t.jsonl"
@@ -130,9 +133,10 @@ def test_simulate_reports_the_state_at_t_end(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     norm = float(re.search(r"final state norm (\S+)", capsys.readouterr().out).group(1))
     data = read_trajectory_jsonl(out)
-    assert data["times"][-1] == pytest.approx(0.18)
+    assert data["times"][-2:] == pytest.approx([0.18, 0.2])
+    assert np.array_equal(data["snapshots"][-1], traj.final_segment.head())
     assert norm == float(f"{np.linalg.norm(traj.final_segment.head()):.6g}")
-    assert norm != float(f"{np.linalg.norm(data['snapshots'][-1]):.6g}")
+    assert norm == float(f"{np.linalg.norm(data['snapshots'][-1]):.6g}")
     # at stride 1 the last snapshot is the state at t_end
     stride_1 = _cfg(tmp_path, text.replace("store_stride: 3", "store_stride: 1"), "s1.yaml")
     assert main(["simulate", "--config", stride_1, "--out", str(out)]) == 0
@@ -493,18 +497,20 @@ def test_tightness_reports_tail_fractions(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert rerun.read_bytes() == report.read_bytes()
 
-    _forbid_integration(monkeypatch)
-    # a store stride past the run's 20 steps would keep only the time 0: refused
-    # before integrating, naming the field
+    # a store stride past the run's 20 steps still stores the times 0 and t_end
+    reports, diagnose = [], nsfde.measure.tightness_diagnostic
+
+    def recorded(*args):
+        reports.append(diagnose(*args))
+        return reports[-1]
+
+    monkeypatch.setattr("nsfde.measure.tightness_diagnostic", recorded)
     sparse = _cfg(tmp_path, ZERO_CFG.replace("store_stride: 2", "store_stride: 21"), "sparse.yaml")
     assert main(["tightness", "--config", sparse, "--trajectories", "2",
-                 "--out", str(tmp_path / "sparse.csv"),
-                 "--resolved", str(tmp_path / "sparse.resolved.yaml")]) == 1
-    assert capsys.readouterr().err == (
-        "error: tightness needs at least two checkpoint times: solver.store_stride = 21 "
-        "exceeds the run's 20 steps\n")
-    assert not (tmp_path / "sparse.csv").exists()
-    assert not (tmp_path / "sparse.resolved.yaml").exists()
+                 "--out", str(tmp_path / "sparse.csv")]) == 0
+    capsys.readouterr()
+    assert reports[0].checkpoints.tolist() == [0.0, 0.2]
+    _forbid_integration(monkeypatch)
     assert main(["tightness", "--config", cfg, "--R", "a,b",
                  "--out", str(report)]) == 1
     assert "comma-separated radii" in capsys.readouterr().err

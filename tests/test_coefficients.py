@@ -9,11 +9,11 @@ from scipy.integrate import quad
 
 from nsfde import (CoefficientSet, ConfigError, DomainError, GridMaps, Kernel,
                    RngStream, Segment, SingularModulusError, SolverConfig,
-                   assemble_operator, builtin_coefficients,
+                   assemble_operator, builtin_coefficients, builtin_qwiener,
                    growth_check, linear_modulus, lipschitz_probe_g,
                    modulus_bound_check, modulus_shape_check,
                    fractional_norm, osgood_certificate, osgood_integral,
-                   osgood_modulus, power_qwiener, random_segments, simulate, sup_norm)
+                   osgood_modulus, random_segments, simulate, sup_norm)
 
 E2 = math.exp(-2.0)
 
@@ -118,7 +118,7 @@ def test_simulate_from_a_zero_history_warns_nothing():
     ini = Segment(h=0.05, dt=0.01, values=np.zeros((6, 8)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = simulate(ini, builtin_coefficients(), op, power_qwiener(8, trace_target=1.0),
+        traj = simulate(ini, builtin_coefficients(), op, builtin_qwiener(8, trace=1.0),
                         SolverConfig(dt=0.01, t_end=0.2), RngStream(3, 0),
                         noise_z=np.zeros((20, 8)))
     assert not traj.snapshots.any()
@@ -142,6 +142,8 @@ def test_moduli_shapes():
     with pytest.raises(DomainError):
         osgood_modulus(-0.5)
     assert float(linear_modulus(0.3)) == 0.3
+    with pytest.raises(DomainError, match="modulus argument must be nonnegative"):
+        linear_modulus(np.array([0.5, -1e-300]))
 
     assert modulus_shape_check(builtin_coefficients())
     assert modulus_shape_check(builtin_coefficients(modulus="linear"))
@@ -327,7 +329,7 @@ def test_lipschitz_probe_scales_linearly_with_kernel():
 def test_growth_check_bounded_pair_stays_under_one():
     op = assemble_operator(n_modes=8)
     cs = builtin_coefficients()  # f and sigma both bounded by ~0.246
-    q = power_qwiener(8, trace_target=1.0)
+    q = builtin_qwiener(8, trace=1.0)
     gen = RngStream(31, 0).generator()
     assert growth_check(cs, op, 200, gen, qspec=q, h=0.1) <= 1.0
 
@@ -383,7 +385,7 @@ class _Replay:
 ])
 def test_probes_equal_a_per_segment_loop(kernel, delay, f, sigma):
     op = assemble_operator(n_modes=8)
-    q = power_qwiener(8, trace_target=0.5)
+    q = builtin_qwiener(8, trace=0.5)
     cs = builtin_coefficients(f=f, sigma=sigma, kernel=kernel, kernel_delay=delay,
                               kernel_scale=0.2)
     for n, h in ((1, 0.1), (60, 0.05)):
@@ -412,9 +414,11 @@ def test_probe_sample_counts_must_be_integers(probe, count):
     # a float count failed late with numpy's or range's bare TypeError
     cs, op = builtin_coefficients(grid_points=32), assemble_operator(n_modes=4)
     gen = RngStream(7, 0).generator()
-    call = {"modulus_bound_check": lambda: modulus_bound_check(cs, count, gen),
-            "lipschitz_probe_g": lambda: lipschitz_probe_g(cs, op, count, gen, h=0.05),
-            "growth_check": lambda: growth_check(cs, op, count, gen,
-                                                 qspec=power_qwiener(4), h=0.05)}[probe]
+    call = {"modulus_bound_check": lambda n: modulus_bound_check(cs, n, gen),
+            "lipschitz_probe_g": lambda n: lipschitz_probe_g(cs, op, n, gen, h=0.05),
+            "growth_check": lambda n: growth_check(cs, op, n, gen,
+                                                   qspec=builtin_qwiener(4), h=0.05)}[probe]
     with pytest.raises(ConfigError, match="^n_samples must be an integer$"):
-        call()
+        call(count)
+    with pytest.raises(DomainError, match="^need at least one "):
+        call(0)   # an integer count, but no sample

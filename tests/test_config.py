@@ -12,9 +12,9 @@ import yaml
 import nsfde
 from nsfde import config as config_mod
 from nsfde import (ConfigError, EllipticityError, SolverConfig, assemble_operator,
-                   builtin_coefficients, load_config, make_coefficients,
+                   builtin_coefficients, builtin_qwiener, load_config, make_coefficients,
                    make_initial_segment, make_noise, make_operator,
-                   make_solver_config, parse_config, power_qwiener, resolved_dict)
+                   make_solver_config, parse_config, resolved_dict)
 from nsfde.config import _FIELDS, dump_resolved
 
 
@@ -345,18 +345,18 @@ def test_readme_configuration_block_lists_the_defaults():
 def test_config_defaults_match_the_library():
     # each default the config and a library builder both declare, read from the
     # builder's signature; null grid_points (4 * n_modes) is the one intended difference
-    def defaults(fn, section, renames=None):
-        return {f"{section}.{(renames or {}).get(name, name)}": par.default
+    def defaults(fn, section):
+        return {f"{section}.{name}": par.default
                 for name, par in inspect.signature(fn).parameters.items()
                 if par.default is not inspect.Parameter.empty}
 
     library = {**defaults(assemble_operator, "operator"),
                **defaults(SolverConfig, "solver"),
                **defaults(builtin_coefficients, "coefficients"),
-               **defaults(power_qwiener, "noise", {"trace_target": "trace"})}
+               **defaults(builtin_qwiener, "noise")}
     assert library.pop("coefficients.grid_points") == 128
     assert _FIELDS["coefficients.grid_points"][0] is None
-    assert len(library) == 21
+    assert len(library) == 22
     assert {path: (_FIELDS[path][0], want) for path, want in library.items()
             if _FIELDS[path][0] != want} == {}
 
@@ -369,6 +369,7 @@ def test_every_config_field_has_a_reader():
     solver = {f.name for f in dataclasses.fields(SolverConfig)}
     operator = set(inspect.signature(assemble_operator).parameters)
     coefficients = set(inspect.signature(builtin_coefficients).parameters)
+    noise = set(inspect.signature(builtin_qwiener).parameters)
     unread = []
     for path in _FIELDS:
         section, _, key = path.rpartition(".")
@@ -378,6 +379,8 @@ def test_every_config_field_has_a_reader():
             read = key in operator
         elif section == "coefficients":
             read = key in coefficients
+        elif section == "noise":
+            read = key in noise
         elif path == "seed":
             read = "rc.seed" in text
         else:

@@ -7,15 +7,15 @@ import scipy.stats
 
 from nsfde import (ConfigError, DomainError, RngStream, Segment, ShapeError,
                    SolverConfig, Trajectory, assemble_operator,
-                   builtin_coefficients, constant_segment,
+                   builtin_coefficients, builtin_qwiener, constant_segment,
                    continuous_dependence_probe, default_functionals,
                    from_initial_condition, homogeneity_test, invariance_test,
-                   krylov_bogoliubov, ks_critical, ks_statistic, power_qwiener,
+                   krylov_bogoliubov, ks_critical, ks_statistic,
                    run_ensemble, simulate, sup_norm, tightness_diagnostic,
                    zero_segment)
 
 OP = assemble_operator(n_modes=4)
-Q = power_qwiener(4, trace_target=0.5)
+Q = builtin_qwiener(4, trace=0.5)
 
 
 def _toy_traj(seg_norms, stream_id=0):
@@ -146,12 +146,12 @@ def test_krylov_bogoliubov_pooling_and_thinning():
     with pytest.raises(ConfigError):
         krylov_bogoliubov([no_segs], burn_in=0.1)
 
-    # a store stride past the run keeps only the snapshot at t = 0: the run
-    # still ends at 0.3, after the burn-in 0.15
+    # a store stride past the run keeps only the snapshots at t = 0 and at the
+    # run's end 0.3, after the burn-in 0.15
     cfg = SolverConfig(dt=0.01, t_end=0.3, store_stride=1000, segment_stride=10)
     sparse = simulate(zero_segment(0.05, 0.01, 4), builtin_coefficients(kernel="zero"),
                       OP, Q, cfg, RngStream(3, 0))
-    assert sparse.times.tolist() == [0.0]
+    assert sparse.times.tolist() == [0.0, 0.3]
     mu = krylov_bogoliubov([sparse], burn_in=0.15)
     assert mu.times.tolist() == pytest.approx([0.2, 0.3]) and mu.t_end == pytest.approx(0.3)
     with pytest.raises(ConfigError, match="burn_in must precede the end of the run"):
@@ -243,6 +243,9 @@ def test_invariance_test_exact_fixed_point():
     with pytest.raises(ConfigError, match="t / dt"):
         # not a whole number of steps: refused, not rounded to 0.2
         invariance_test(mu, 0.205, cs, OP, Q, 0.01, RngStream(60, 0), n_draws=8)
+    empty = replace(mu, segments=mu.segments[:0], times=mu.times[:0], sources=mu.sources[:0])
+    with pytest.raises(ConfigError, match="empirical measure holds no stored segments"):
+        invariance_test(empty, 0.2, cs, OP, Q, 0.01, RngStream(60, 0), n_draws=8)
 
 
 def test_homogeneity_deterministic_sides_coincide():

@@ -5,29 +5,39 @@ import numpy as np
 import pytest
 
 from nsfde import (ConfigError, DomainError, QWienerSpec, RngStream, ShapeError,
-                   assemble_operator, geometric_qwiener, ou_std,
-                   power_qwiener)
+                   assemble_operator, builtin_qwiener, ou_std, parse_config)
 
 
 def test_power_spectrum_shape_and_trace():
-    q = power_qwiener(6, exponent=2.0, trace_target=3.0)
+    q = builtin_qwiener(6, exponent=2.0, trace=3.0)
     assert q.trace == pytest.approx(3.0, rel=1e-15)
     assert q.lambdas.sum() == pytest.approx(3.0, rel=1e-15)
     k = np.arange(1.0, 7.0)
     assert np.allclose(q.lambdas / q.lambdas[0], k ** -2.0, rtol=1e-14)
-    with pytest.raises(DomainError):
-        power_qwiener(6, exponent=1.0)  # borderline harmonic tail: trace diverges
-    with pytest.raises(DomainError):
-        power_qwiener(6, trace_target=0.0)
+    with pytest.raises(ConfigError, match=re.escape("noise.exponent = 1.0 out of range")):
+        builtin_qwiener(6, exponent=1.0)  # borderline harmonic tail: trace diverges
+    with pytest.raises(ConfigError, match=re.escape("noise.trace = 0.0 out of range")):
+        builtin_qwiener(6, trace=0.0)
 
 
 def test_geometric_spectrum_halves_each_mode():
-    q = geometric_qwiener(8, trace_target=float(sum(2.0 ** -k for k in range(1, 9))))
+    q = builtin_qwiener(8, spectrum="geometric", trace=float(sum(2.0 ** -k for k in range(1, 9))))
     assert np.array_equal(q.lambdas, 2.0 ** -np.arange(1, 9))
     assert np.allclose(q.lambdas[1:] / q.lambdas[:-1], 0.5, rtol=1e-14)
     for trace in (0.0, -1.0):
-        with pytest.raises(DomainError, match="trace_target must be positive"):
-            geometric_qwiener(8, trace_target=trace)
+        with pytest.raises(ConfigError, match=re.escape(f"noise.trace = {trace} out of range")):
+            builtin_qwiener(8, spectrum="geometric", trace=trace)
+
+
+@pytest.mark.parametrize("noise", [{"trace": -1.0}, {"exponent": 1.0}, {"spectrum": "white"}])
+def test_the_config_and_the_builder_refuse_a_noise_field_alike(noise):
+    # the config table checks only the types of noise.*: its range refusals are the builder's
+    with pytest.raises(ConfigError) as by_config:
+        parse_config({"noise": noise})
+    with pytest.raises(ConfigError) as by_builder:
+        builtin_qwiener(4, **noise)
+    assert str(by_config.value) == str(by_builder.value)
+    assert str(by_builder.value).startswith(f"noise.{next(iter(noise))} = ")
 
 
 def test_spec_validation():
@@ -41,8 +51,8 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("build", [
     lambda: QWienerSpec(lambdas=[np.nan, 1.0]),
-    lambda: power_qwiener(4, exponent=np.nan),
-    lambda: power_qwiener(4, trace_target=np.inf),
+    lambda: builtin_qwiener(4, exponent=np.nan),
+    lambda: builtin_qwiener(4, trace=np.inf),
 ])
 def test_a_spectrum_with_a_non_finite_eigenvalue_is_refused(build):
     with pytest.raises(DomainError, match="covariance eigenvalues must be nonnegative and finite"):
@@ -81,7 +91,7 @@ def test_block_draw_equals_row_draws():
 
 def test_ou_std_closed_form_and_limits():
     op = assemble_operator(n_modes=4)
-    q = power_qwiener(4, trace_target=1.0)
+    q = builtin_qwiener(4, trace=1.0)
     dt = 0.01
     want = np.sqrt(q.lambdas * (1.0 - np.exp(-2.0 * op.eigenvalues * dt))
                    / (2.0 * op.eigenvalues))
@@ -92,7 +102,7 @@ def test_ou_std_closed_form_and_limits():
     # short-step limit: sqrt(lambda dt), the plain increment scale
     assert np.allclose(ou_std(q, op, 1e-12), np.sqrt(q.lambdas * 1e-12), rtol=1e-4)
     with pytest.raises(ShapeError):
-        ou_std(power_qwiener(3), op, dt)
+        ou_std(builtin_qwiener(3), op, dt)
     for bad in (0.0, -dt):
         with pytest.raises(DomainError, match="increment length dt must be positive"):
             ou_std(q, op, bad)
@@ -100,17 +110,17 @@ def test_ou_std_closed_form_and_limits():
 
 def test_ou_convolution_increment_variance():
     op = assemble_operator(n_modes=3)
-    q = power_qwiener(3, trace_target=1.0)
+    q = builtin_qwiener(3, trace=1.0)
     gen = RngStream(6, 0).generator()
     draws = gen.standard_normal((20000, 3)) * ou_std(q, op, 0.05)
     assert np.allclose(draws.var(axis=0), ou_std(q, op, 0.05) ** 2, rtol=0.06)
 
 
 @pytest.mark.parametrize("n_modes", [4.2, 4.5, True])
-@pytest.mark.parametrize("build", [power_qwiener, geometric_qwiener])
-def test_spectrum_mode_counts_must_be_integers(build, n_modes):
+@pytest.mark.parametrize("spectrum", ["power", "geometric"])
+def test_spectrum_mode_counts_must_be_integers(spectrum, n_modes):
     # 4.2 and 4.5 built five modes and True one, where assemble_operator refuses them
     with pytest.raises(ConfigError, match=r"^operator.n_modes must be an integer$"):
-        build(n_modes)
+        builtin_qwiener(n_modes, spectrum)
     with pytest.raises(ConfigError, match=r"^operator.n_modes = 0 must be >= 1$"):
-        build(0)
+        builtin_qwiener(0, spectrum)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nsfde import (ConfigError, RngStream, SolverConfig, assemble_operator,
-                   builtin_coefficients, krylov_bogoliubov, power_qwiener,
+                   builtin_coefficients, builtin_qwiener, krylov_bogoliubov,
                    run_ensemble, simulate, zero_segment)
 from nsfde.serialize import (MEASURE_FORMAT, REPORT_COLUMNS,
                              read_measure_jsonl, read_report_csv,
@@ -15,7 +15,7 @@ from nsfde.serialize import (MEASURE_FORMAT, REPORT_COLUMNS,
                              write_report_csv, write_trajectory_jsonl)
 
 OP = assemble_operator(n_modes=3)
-Q = power_qwiener(3, trace_target=0.5)
+Q = builtin_qwiener(3, trace=0.5)
 CS = builtin_coefficients(f="zero", sigma="one", kernel="zero")
 
 
@@ -287,6 +287,20 @@ def test_writers_refuse_what_their_reader_refuses(tmp_path, fmt, key, val):
     with pytest.raises(ConfigError, match=refusal):
         write(bad, path)
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("fmt, columns", [
+    ("trajectory", ("times", "snapshots", "seg_norms", "fp_iters")),
+    ("measure", ("segments", "times", "sources")),
+])
+def test_writers_refuse_ragged_or_empty_columns(tmp_path, fmt, columns):
+    write, sample, _ = _WRITERS[fmt]
+    obj, path = sample(), tmp_path / f"{fmt}.jsonl"
+    with pytest.raises(ConfigError, match=rf"{fmt}\.jsonl: columns .* differ in length"):
+        write(replace(obj, times=obj.times[:-1]), path)
+    with pytest.raises(ConfigError, match=rf"{fmt}\.jsonl: {fmt} file holds no"):
+        write(replace(obj, **{name: getattr(obj, name)[:0] for name in columns}), path)
+    assert not path.exists()
 
 
 def test_report_round_trip_keeps_floats_exact(tmp_path):

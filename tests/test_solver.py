@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from nsfde import (BlowupError, ConfigError, DomainError, GridMaps, HorizonResult,
                    NonconvergenceError, RngStream, Segment, ShapeError,
-                   SolverConfig, assemble_operator, builtin_coefficients,
+                   SolverConfig, assemble_operator, builtin_coefficients, builtin_qwiener,
                    constant_segment, contraction_factor, find_horizon,
                    from_initial_condition, osgood_drift, ou_std, picard_run,
-                   power_qwiener, simulate, stability_bound, zero_segment)
+                   simulate, stability_bound, zero_segment)
 from nsfde.solver import _window_max
 
 OP4 = assemble_operator(n_modes=4)
-Q4 = power_qwiener(4, trace_target=0.5)
+Q4 = builtin_qwiener(4, trace=0.5)
 LINEAR = builtin_coefficients(f="zero", sigma="zero", kernel="zero")
 
 
@@ -58,7 +58,7 @@ def test_initial_segment_checks():
         simulate(zero_segment(0.05, 0.01, 4), LINEAR, OP4, Q4, cfg, RngStream(0, 0),
                  noise_z=np.zeros((3, 4)))
     with pytest.raises(ShapeError, match="covariance spectrum and operator truncation"):
-        simulate(zero_segment(0.05, 0.01, 4), LINEAR, OP4, power_qwiener(3), cfg,
+        simulate(zero_segment(0.05, 0.01, 4), LINEAR, OP4, builtin_qwiener(3), cfg,
                  RngStream(0, 0))
 
 
@@ -112,8 +112,9 @@ def test_noise_block_override_replays_exactly():
 def test_store_stride_and_endpoint_bookkeeping():
     cfg = SolverConfig(dt=0.01, t_end=0.05, store_stride=2)
     traj = simulate(zero_segment(0.05, 0.01, 4), LINEAR, OP4, Q4, cfg, RngStream(3, 0))
-    # 5 steps at stride 2: records at steps 2 and 4, the endpoint is off-grid
-    assert np.allclose(traj.times, [0.0, 0.02, 0.04])
+    # 5 steps at stride 2: records at steps 2 and 4, and at the off-grid endpoint
+    assert np.allclose(traj.times, [0.0, 0.02, 0.04, 0.05])
+    assert np.array_equal(traj.snapshots[-1], traj.final_segment.head())
     assert traj.fp_iters[0] == 0
     assert traj.n_modes == 4
 
@@ -308,7 +309,7 @@ def _per_step_reference(ini, cs, op, qspec, dt, z, src_rows=None):
 
 
 OP8 = assemble_operator(n_modes=8)
-Q8 = power_qwiener(8, trace_target=0.5)
+Q8 = builtin_qwiener(8, trace=0.5)
 
 
 def _block_test_steps(h):

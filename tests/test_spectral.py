@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from nsfde import (ConfigError, DomainError, EllipticityError, RngStream,
                    ShapeError, SolverConfig, SpectralOperator, assemble_operator,
-                   builtin_coefficients, constant_segment, decay_constants,
+                   builtin_coefficients, builtin_qwiener, constant_segment, decay_constants,
                    frac_semigroup_norm, fractional_norm,
-                   power_qwiener, semigroup_apply, simpson_weights, simulate)
+                   semigroup_apply, simpson_weights, simulate)
 
 
 def test_constant_coefficient_spectrum_is_analytic():
@@ -52,6 +52,8 @@ def test_fractional_norm_examples():
     inv = fractional_norm(op, np.array([1.0, 1.0]), -1.0)
     assert inv == pytest.approx(math.hypot(1.0 / np.pi ** 2, 1.0 / (4.0 * np.pi ** 2)),
                                 rel=1e-15)
+    with pytest.raises(ShapeError, match="mode vector has length 3, operator has 2 modes"):
+        fractional_norm(op, np.ones(3))
 
 
 def test_frac_semigroup_norm_examples():
@@ -67,6 +69,12 @@ def test_frac_semigroup_norm_examples():
     t_small = 0.5 / np.pi ** 2 * 0.9
     bound = (0.5 / (math.e * t_small)) ** 0.5
     assert frac_semigroup_norm(op, 0.5, t_small) <= bound
+    for t in (0.0, -0.1):
+        with pytest.raises(DomainError, match=re.escape("requires t > 0")):
+            frac_semigroup_norm(op, 0.5, t)
+    for alpha in (-0.1, 1.1):
+        with pytest.raises(DomainError, match=re.escape("alpha must lie in [0, 1]")):
+            frac_semigroup_norm(op, alpha, 0.3)
 
 
 def test_semigroup_at_time_zero_returns_a_new_array_bit_for_bit():
@@ -74,6 +82,8 @@ def test_semigroup_at_time_zero_returns_a_new_array_bit_for_bit():
     v = np.array([1.5, -0.0, 3e-310, -2.0])
     out = semigroup_apply(op, 0.0, v)
     assert out is not v and out.tobytes() == v.tobytes()   # -0.0 and the subnormal kept
+    with pytest.raises(DomainError, match="semigroup time must be nonnegative"):
+        semigroup_apply(op, -1e-300, v)
 
 
 def test_decay_constant_examples():
@@ -83,6 +93,9 @@ def test_decay_constant_examples():
     assert delta0 == pytest.approx(np.pi ** 2 / 2.0, rel=1e-15)
     c1, _ = decay_constants(op, 1.0)
     assert c1 == pytest.approx(2.0 / math.e, rel=1e-12)
+    for alpha in (-0.1, 1.1):
+        with pytest.raises(DomainError, match=re.escape("alpha must lie in [0, 1]")):
+            decay_constants(op, alpha)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -139,7 +152,7 @@ def test_variable_coefficient_grid_and_semigroup():
     cfg = SolverConfig(dt=0.01, t_end=0.2)
     traj = simulate(constant_segment(0.05, 0.01, u0),
                     builtin_coefficients(f="zero", sigma="zero", kernel="zero"),
-                    op, power_qwiener(6, trace_target=0.5), cfg, RngStream(5, 0))
+                    op, builtin_qwiener(6, trace=0.5), cfg, RngStream(5, 0))
     exact = semigroup_apply(op, 0.2, u0)
     assert np.linalg.norm(traj.snapshots[-1] - exact) <= 1e-12 * np.linalg.norm(exact)
 
@@ -150,7 +163,7 @@ def test_quadrature_grid_must_exceed_twice_the_mode_count(n):
     grid = op.grid(2 * n + 2)
     # measured worst case over N = 4..64: 5.1e-15, at N = 64
     assert np.max(np.abs(grid.project @ grid.synth - np.eye(n))) <= 1e-14
-    with pytest.raises(DomainError, match="alias"):
+    with pytest.raises(DomainError, match=f"^coefficients.grid_points: {2 * n} .* alias"):
         op.grid(2 * n)  # sin(j pi x) sin(k pi x) with j + k = 2N is not integrated exactly
 
 
@@ -175,6 +188,8 @@ def test_ellipticity_rejected():
     (lambda: assemble_operator(n_modes=0), ConfigError, "operator.n_modes = 0 must be >= 1"),
     (lambda: assemble_operator(delta_fraction=1.0), ConfigError,
      "delta_fraction must lie in (0, 1)"),
+    (lambda: assemble_operator(delta_fraction=0.0), ConfigError,
+     "operator.delta_fraction must lie in (0, 1)"),
     (lambda: assemble_operator(n_modes=4, a=[[0.0, 1.0]]), ConfigError,
      "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
     # a diffusivity is a number or a table: a callable, text or a bool is neither
@@ -188,6 +203,11 @@ def test_ellipticity_rejected():
      "operator.a = nan must be positive and finite"),
     (lambda: assemble_operator(n_modes=4, a=np.inf), EllipticityError,
      "operator.a = inf must be positive and finite"),
+    # positive, but too large for doubles: the stiffness matrix overflows
+    (lambda: assemble_operator(n_modes=4, a=[[0, 1], [1, np.inf]]), ConfigError,
+     "operator.a: the table's values overflow the stiffness matrix"),
+    (lambda: assemble_operator(n_modes=4, a=[[0, 1], [0.5, 1.0e308], [1, 1]]), ConfigError,
+     "operator.a: the table's values overflow the stiffness matrix"),
 ])
 def test_operator_constructors_refuse_bad_arguments(build, error, needle):
     with pytest.raises(error, match=re.escape(needle)):

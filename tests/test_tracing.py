@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from nsfde import (RngStream, SolverConfig, assemble_operator, builtin_coefficients,
-                   measure, noise, power_qwiener, serialize, solver, zero_segment)
+                   builtin_qwiener, measure, noise, serialize, solver, zero_segment)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -46,7 +46,7 @@ def test_the_tracer_wraps_a_run_and_uninstall_restores_the_package():
     tracing = _load_tracing()
     before = [dict(vars(m)) for m in tracing._MODULES]
     generator = vars(noise.RngStream)["generator"]
-    op, q = assemble_operator(n_modes=4), power_qwiener(4, trace_target=0.5)
+    op, q = assemble_operator(n_modes=4), builtin_qwiener(4, trace=0.5)
     cs = builtin_coefficients(grid_points=64)
     f, sigma = cs.f, cs.sigma
     cfg = SolverConfig(dt=0.01, t_end=0.05, picard_iters=2)

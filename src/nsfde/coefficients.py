@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConfigError, DomainError, SingularModulusError, check_choice,
-                     check_count)
+                     check_count, check_number)
 from .segment import random_segments, sup_norm
 from .spectral import SpectralOperator, fractional_norm
 
@@ -94,10 +94,9 @@ class Kernel:
     delay_mode: str = "point"  # point | instant
 
     def __post_init__(self):
-        if self.kind not in ("separable", "linear"):
-            raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.delay_mode not in ("point", "instant"):
-            raise ConfigError(f"unknown kernel delay mode {self.delay_mode!r}")
+        check_choice("coefficients.kernel", self.kind, ("separable", "linear"))
+        self.scale = check_number("coefficients.kernel_scale", self.scale, 0.0, lo_open=False)
+        check_choice("coefficients.kernel_delay", self.delay_mode, ("point", "instant"))
 
     def profile(self, x) -> np.ndarray:
         return self.scale * np.sin(np.pi * np.asarray(x, dtype=float))
@@ -149,16 +148,12 @@ class CoefficientSet:
     f_is_zero: bool = False
 
     def __post_init__(self):
-        if self.p <= 2.0:
-            raise ConfigError(f"coefficients.p = {self.p!r} must exceed 2")
-        mg = self.lipschitz_Mg
-        if not 0.0 < mg < 1.0:
-            raise ConfigError(f"coefficients.Mg = {mg!r} must lie in (0, 1)")
+        self.p = check_number("coefficients.p", self.p, 2.0)
+        mg = self.lipschitz_Mg = check_number("coefficients.Mg", self.lipschitz_Mg, 0.0, 1.0)
         if 2.0 * mg ** 2 >= 1.0:
             raise ConfigError(f"coefficients.Mg = {mg!r} violates the neutral smallness "
                               "2 Mg^2 meas(D)^2 < 1")
-        if self.growth_K <= 0.0:
-            raise ConfigError(f"coefficients.K = {self.growth_K!r} must be positive")
+        self.growth_K = check_number("coefficients.K", self.growth_K, 0.0)
         check_count("coefficients.grid_points", self.grid_points, 4)
         if self.grid_points % 2 != 0:
             raise ConfigError(f"coefficients.grid_points = {self.grid_points!r} must be even")
@@ -172,16 +167,18 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
                          p: float = 3.0, Mg: float = 0.5, K: float = 1.0,
                          grid_points: int = 128) -> CoefficientSet:
     """Construct a coefficient set from built-in names; the parameters are the config's keys.
-    When ``f`` and ``sigma`` name the same map, both fields hold one callable."""
+    When ``f`` and ``sigma`` name the same map, both fields hold one callable.  A ``zero``
+    kernel reads no other kernel key, but they are checked all the same."""
     check_choice("coefficients.f", f, _SCALARS)
     check_choice("coefficients.sigma", sigma, _SCALARS)
     check_choice("coefficients.modulus", modulus, _MODULI)
     check_choice("coefficients.kernel", kernel, ("separable", "linear", "zero"))
-    kern = None if kernel == "zero" else Kernel(kind=kernel, scale=kernel_scale,
-                                                delay_mode=kernel_delay)
+    kern = Kernel(kind="linear" if kernel == "zero" else kernel, scale=kernel_scale,
+                  delay_mode=kernel_delay)
     f_map = _SCALARS[f](p)
     return CoefficientSet(
-        f=f_map, sigma=f_map if sigma == f else _SCALARS[sigma](p), kernel_b=kern,
+        f=f_map, sigma=f_map if sigma == f else _SCALARS[sigma](p),
+        kernel_b=None if kernel == "zero" else kern,
         modulus_N=_MODULI[modulus], growth_K=K, lipschitz_Mg=Mg, p=p, grid_points=grid_points,
         sigma_const=_CONST_SCALARS.get(sigma), f_is_zero=(f == "zero"))
 

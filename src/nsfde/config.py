@@ -2,18 +2,15 @@
 
 A config file is a nested mapping with the sections below; every omitted field
 takes the documented default and every unknown key is rejected with its dotted
-path.  ``_FIELDS`` declares each field once, with its default and check.
-Where a constructor checks a range on every path, the table checks only the
-type (``parse_config`` builds ``SolverConfig``, the coefficient set and the
-noise spectrum, so a library caller is refused at once); the table checks the
-other ranges, and the library builders check those of ``operator.n_modes``,
-``delta_fraction``, ``seed`` and ``initial.*`` again for callers that load no
-config.  Every refusal names the dotted path.  The ``operator``,
-``coefficients``, ``noise`` and ``solver`` sections go whole to
+path.  ``_FIELDS`` declares each field once, with its default.  The
+``operator``, ``coefficients``, ``noise`` and ``solver`` sections go whole to
 ``assemble_operator``, ``builtin_coefficients``, ``builtin_qwiener`` and
-``SolverConfig``, and ``initial`` to ``from_initial_condition``.  Each run
-setting has one field: ``solver.segment_stride`` is the checkpoint stride the
-solver records at and ``estimate-measure`` pools at.
+``SolverConfig``, and ``initial`` to ``from_initial_condition``; each builder
+is the one checker of its fields, and ``parse_config`` runs those checks, so
+a config is refused when it loads.  The table checks the fields no builder
+takes.  Every refusal names the dotted path.  Each run setting has one field:
+``solver.segment_stride`` is the checkpoint stride the solver records at and
+``estimate-measure`` pools at.
 ``resolved_dict`` echoes the fully defaulted config, plus a ``derived`` block
 read from the run's built operator and noise (ignored on reload), so that a
 dumped resolved config reloads to bit-identical behaviour.
@@ -22,16 +19,16 @@ dumped resolved config reloads to bit-identical behaviour.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import yaml
 
 from . import coefficients as coeff_mod
 from . import noise as noise_mod
 from . import spectral
-from .errors import ConfigError, check_choice, check_count
-from .segment import PROFILES, _window_steps, from_initial_condition
+from .errors import ConfigError, check_count, check_number, is_finite
+from .segment import _check_initial, _window_steps, from_initial_condition
 from .solver import SolverConfig
 
 
@@ -56,7 +53,7 @@ class RunConfig:
 
     def grid_points(self) -> int:
         gp = self.coefficients["grid_points"]
-        return int(gp) if gp is not None else 4 * self.operator["n_modes"]
+        return gp if gp is not None else 4 * self.operator["n_modes"]
 
     def burn_in(self) -> float:
         b = self.measure["burn_in"]
@@ -68,38 +65,6 @@ def _need(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _is_finite(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
-
-
-# Field checks: each takes the dotted path and the value, raises ConfigError
-# naming the path, and returns the value as stored (numbers as floats).
-
-def _number(lo=None, hi=None, lo_open=True, hi_open=True):
-    def check(where, val):
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{where} must be a number")
-        val = float(val)
-        _need(math.isfinite(val), f"{where} = {val!r} must be finite")
-        _need((lo is None or (val > lo if lo_open else val >= lo))
-              and (hi is None or (val < hi if hi_open else val <= hi)),
-              f"{where} = {val!r} out of range")
-        return val
-    return check
-
-
-def _integer(lo=None):
-    return lambda where, val: check_count(where, val, lo)
-
-
-def _optional(check):
-    return lambda where, val: None if val is None else check(where, val)
-
-
-def _one_of(*allowed):
-    return lambda where, val: check_choice(where, val, allowed)
-
-
 def _seed(where, val):
     val = check_count(where, val)
     _need(val >= 0, "seed must be nonnegative")
@@ -107,83 +72,54 @@ def _seed(where, val):
     return val
 
 
-def _diffusivity(where, a):
-    if isinstance(a, (int, float)) and not isinstance(a, bool):
-        _need(0.0 < float(a) < math.inf, "operator.a must be positive and finite")
-        return float(a)
-    if not isinstance(a, list):
-        raise ConfigError("operator.a must be a number or a list of [x, a(x)] pairs")
-    _need(len(a) >= 2 and all(isinstance(r, list) and len(r) == 2
-                              and _is_finite(r[0]) and _is_finite(r[1]) for r in a),
-          "operator.a must be a number or a list of [x, a(x)] pairs of finite numbers")
-    return a
-
-
 def _radii(where, r_grid):
     _need(isinstance(r_grid, list) and len(r_grid) >= 1
-          and all(_is_finite(r) and r >= 0.0 for r in r_grid),
+          and all(is_finite(r) and r >= 0.0 for r in r_grid),
           "measure.r_grid must be a nonempty list of finite nonnegative radii")
     return [float(r) for r in r_grid]
 
 
-def _flag(where, val):
-    _need(isinstance(val, bool), f"{where} must be a boolean")
-    return val
-
-
-_COEFFS_MSG = "initial.coeffs must list one coefficient per mode, each a finite number"
-
-
-def _coeffs(where, val):
-    _need(val is None or isinstance(val, list) and all(_is_finite(c) for c in val),
-          _COEFFS_MSG)
-    return val
-
-
-# Every config field: dotted path -> (default, check).  The constructors that
-# ``parse_config`` calls check the rest: ``SolverConfig`` the ranges of
-# ``solver.*`` and ``solver.mode``, ``builtin_coefficients``/``CoefficientSet``
-# the coefficient names and the ranges of p, Mg, K and grid_points, and
-# ``builtin_qwiener`` the spectrum name and the ranges of ``noise.*``, so here
-# those fields have their type checked, or nothing.  Ranges stay here for
-# ``operator.*`` (building it runs an eigensolver) and
-# ``coefficients.kernel_delay`` (no kernel reads it when ``kernel: zero``).
+# Every config field: dotted path -> (default, check).  A field that a builder
+# takes is checked by that builder alone, so only the fields no builder takes
+# have a check here; each raises ConfigError naming the path and returns the
+# value as stored (numbers as floats).
 _FIELDS = {
     "seed": (12345, _seed),
-    "operator.n_modes": (32, _integer(1)),
-    "operator.a": (1.0, _diffusivity),
-    "operator.delta_fraction": (0.5, _number(0.0, 1.0)),
+    "operator.n_modes": (32, None),
+    "operator.a": (1.0, None),
+    "operator.delta_fraction": (0.5, None),
     "noise.spectrum": ("power", None),
-    "noise.exponent": (2.0, _number()),
-    "noise.trace": (1.0, _number()),
-    "delay.h": (0.1, _number(0.0)),
+    "noise.exponent": (2.0, None),
+    "noise.trace": (1.0, None),
+    "delay.h": (0.1, partial(check_number, lo=0.0)),
     "coefficients.f": ("osgood", None),
     "coefficients.sigma": ("osgood", None),
     "coefficients.kernel": ("separable", None),
-    "coefficients.kernel_scale": (0.1, _number(0.0, lo_open=False)),
-    "coefficients.kernel_delay": ("point", _one_of("point", "instant")),
+    "coefficients.kernel_scale": (0.1, None),
+    "coefficients.kernel_delay": ("point", None),
     "coefficients.modulus": ("osgood", None),
-    "coefficients.p": (3.0, _number()),
-    "coefficients.Mg": (0.5, _number()),
-    "coefficients.K": (1.0, _number()),
-    "coefficients.grid_points": (None, _optional(_integer())),  # None: 4 * n_modes
-    "solver.dt": (1.0e-3, _number()),
-    "solver.t_end": (1.0, _number()),
-    "solver.fp_tol": (1.0e-12, _number()),
-    "solver.fp_max": (200, _integer()),
+    "coefficients.p": (3.0, None),
+    "coefficients.Mg": (0.5, None),
+    "coefficients.K": (1.0, None),
+    "coefficients.grid_points": (None, None),  # None: 4 * n_modes
+    "solver.dt": (1.0e-3, None),
+    "solver.t_end": (1.0, None),
+    "solver.fp_tol": (1.0e-12, None),
+    "solver.fp_max": (200, None),
     "solver.mode": ("direct", None),
-    "solver.picard_iters": (8, _integer()),
-    "solver.store_stride": (1, _integer()),
-    "solver.segment_stride": (0, _integer()),
-    "solver.blowup_threshold": (1.0e8, _number()),
-    "measure.burn_in": (None, _optional(_number(0.0, lo_open=False))),  # None: 2 h
-    "measure.n_trajectories": (50, _integer(1)),
+    "solver.picard_iters": (8, None),
+    "solver.store_stride": (1, None),
+    "solver.segment_stride": (0, None),
+    "solver.blowup_threshold": (1.0e8, None),
+    "measure.burn_in": (None, lambda where, val:   # None: 2 h
+                        None if val is None else check_number(where, val, 0.0, lo_open=False)),
+    "measure.n_trajectories": (50, partial(check_count, lo=1)),
     "measure.r_grid": ([0.5, 1.0, 2.0, 4.0, 8.0], _radii),
-    "initial.kind": ("zero", _one_of("zero", "profile", "coeffs")),
-    "initial.profile": ("sin_pi", _one_of(*PROFILES)),
-    "initial.amplitude": (1.0, _number()),
-    "initial.ramp": (False, _flag),
-    "initial.coeffs": (None, _coeffs),
+    "initial.kind": ("zero", None),
+    "initial.profile": ("sin_pi", None),
+    "initial.amplitude": (1.0, None),
+    "initial.ramp": (False, None),
+    "initial.coeffs": (None, None),
 }
 
 
@@ -233,14 +169,19 @@ def parse_config(raw, overrides=None) -> RunConfig:
             fields = data[section] if section else data
             fields[key] = check(path, fields[key])
 
-    # cross-field: the window must hold an integer number of steps, the
-    # constructors check their ranges, a set burn-in must end before the run,
-    # and the quadrature grid must resolve products of the retained modes
-    _window_steps(data["delay"]["h"], data["solver"]["dt"], "delay.h / solver.dt")
+    # the builders check their fields, with no assembly or projection; across
+    # fields, the window must hold a whole number of steps (refused before the
+    # run's step count, so dt is checked first, as SolverConfig checks it), a
+    # set burn-in must end before the run, and the quadrature grid must
+    # resolve products of the retained modes
+    dt = check_number("solver.dt", data["solver"]["dt"], 0.0)
+    _window_steps(data["delay"]["h"], dt, "delay.h / solver.dt")
     rc = RunConfig(**data)
     make_solver_config(rc)
+    spectral._check_operator_args(**rc.operator)
     make_coefficients(rc)
     noise_mod.builtin_qwiener(rc.operator["n_modes"], **rc.noise)
+    _check_initial(rc.initial, rc.operator["n_modes"])
     burn_in, t_end = rc.measure["burn_in"], rc.solver["t_end"]
     _need(burn_in is None or burn_in < t_end,
           f"measure.burn_in = {burn_in} must be < solver.t_end = {t_end}")
@@ -248,8 +189,6 @@ def parse_config(raw, overrides=None) -> RunConfig:
     gp = rc.coefficients["grid_points"]
     _need(gp is None or gp > 2 * n_modes,
           f"coefficients.grid_points = {gp} must exceed 2 * operator.n_modes = {2 * n_modes}")
-    _need(rc.initial["kind"] != "coeffs" or rc.initial["coeffs"] is not None
-          and len(rc.initial["coeffs"]) == n_modes, _COEFFS_MSG)
     return rc
 
 

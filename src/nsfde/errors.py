@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the refusals of a choice and a count."""
+"""Exception types shared across the package, and the refusals of a choice, a count and
+a number."""
 
+import math
 import numbers
 
 
@@ -56,3 +58,25 @@ def check_count(where: str, val, lo=None):
     if lo is not None and val < lo:
         raise ConfigError(f"{where} = {val} must be >= {lo}")
     return int(val)
+
+
+def is_finite(val) -> bool:
+    """True for a finite real number (Python or numpy, not a bool)."""
+    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+
+
+def check_number(where: str, val, lo=None, hi=None, lo_open=True, hi_open=True):
+    """``val`` as a float if it is a finite real number (not a bool) within the bounds
+    given, each open unless ``lo_open``/``hi_open`` is false; otherwise ConfigError
+    naming the dotted config path ``where``."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ConfigError(f"{where} must be a number")
+    val = float(val)
+    if not math.isfinite(val):
+        raise ConfigError(f"{where} = {val!r} must be finite")
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
+    if not ((val > lo if lo_open else val >= lo) and (val < hi if hi_open else val <= hi)):
+        raise ConfigError(f"{where} = {val!r} out of range {'(' if lo_open else '['}{lo:g}, "
+                          f"{hi:g}{')' if hi_open else ']'}")
+    return val

@@ -163,8 +163,8 @@ def tightness_diagnostic(trajs: Sequence[Trajectory], r_grid) -> TightnessReport
         if t.times.shape != times.shape or not np.array_equal(t.times, times):
             raise ShapeError("ensemble trajectories disagree on checkpoint times")
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    if r_grid.size == 0 or r_grid[0] < 0.0:
-        raise DomainError("radius grid must be nonempty and nonnegative")
+    if r_grid.size == 0 or not np.all((r_grid >= 0.0) & (r_grid < np.inf)):   # NaN fails both
+        raise DomainError("radius grid must be nonempty and nonnegative, with finite radii")
     norms = np.vstack([t.seg_norms for t in trajs])  # (M, n_times)
     m = norms.shape[0]
     estimates = np.array([
@@ -302,8 +302,8 @@ def continuous_dependence_probe(phi: Segment, psi_list: Sequence[Segment],
         raise ConfigError("need at least one comparison segment")
     if check_count("n_paths", n_paths) < 2:
         raise ConfigError("dependence probe needs at least two noise paths")
-    if p <= 0.0:
-        raise DomainError("moment exponent must be positive")
+    if not 0.0 < p < np.inf:   # NaN fails too
+        raise DomainError("moment exponent must be positive and finite")
     offsets = sup_norm(phi.values - np.array([psi.values for psi in psi_list]))
     if np.any(np.diff(offsets) > 1e-12 * max(1.0, offsets[0])):
         raise DomainError("comparison segments must be ordered with "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, check_choice, check_count
+from .errors import DomainError, ShapeError, check_choice, check_count, check_number
 from .spectral import SpectralOperator
 
 SOURCE_LIMIT = 1 << 63  # seeds and stream ids are int64 in arrays and files
@@ -28,6 +28,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
+        check_count("seed", self.seed)
+        check_count("stream_id", self.stream_id)
         if not (0 <= self.seed < SOURCE_LIMIT and 0 <= self.stream_id < SOURCE_LIMIT):
             raise DomainError(f"noise stream ({self.seed}, {self.stream_id}): "
                               "seed and stream_id must be nonnegative and < 2**63")
@@ -66,10 +68,8 @@ def builtin_qwiener(n_modes: int, spectrum: str = "power", exponent: float = 2.0
     """lambda_k = c k^{-exponent} (``power``; exponent > 1 bounds the trace in N) or c 2^{-k}
     (``geometric``), normalized to ``trace``; the parameters are the config's ``noise`` keys."""
     check_choice("noise.spectrum", spectrum, ("power", "geometric"))
-    if exponent <= 1.0:
-        raise ConfigError(f"noise.exponent = {exponent!r} out of range: must exceed 1")
-    if trace <= 0.0:
-        raise ConfigError(f"noise.trace = {trace!r} out of range: must be positive")
+    exponent = check_number("noise.exponent", exponent, 1.0)
+    trace = check_number("noise.trace", trace, 0.0)
     k = np.arange(1, check_count("operator.n_modes", n_modes, 1) + 1, dtype=float)
     raw = k ** (-exponent) if spectrum == "power" else 2.0 ** (-k)
     return QWienerSpec(lambdas=raw * (trace / raw.sum()))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_choice, check_number, is_finite
 from .spectral import SpectralOperator
 
 _RATIO_TOL = 1e-9
@@ -84,6 +84,25 @@ def constant_segment(h: float, dt: float, coeffs) -> Segment:
     return Segment(h=h, dt=dt, values=np.tile(coeffs, (m + 1, 1)))
 
 
+def _check_initial(phi: dict, n_modes: int):
+    """The initial-condition descriptor checked for ``n_modes`` modes before any
+    projection: every key whatever the kind, and one finite coefficient per mode
+    for ``coeffs``."""
+    if not isinstance(phi, dict):
+        raise ConfigError(f"unsupported initial-condition descriptor of type {type(phi).__name__}")
+    kind = check_choice("initial.kind", phi.get("kind", "zero"), ("zero", "profile", "coeffs"))
+    check_choice("initial.profile", phi.get("profile", "sin_pi"), PROFILES)
+    check_number("initial.amplitude", phi.get("amplitude", 1.0))
+    if not isinstance(phi.get("ramp", False), bool):
+        raise ConfigError("initial.ramp must be a boolean")
+    coeffs = phi.get("coeffs")
+    if (coeffs is not None or kind == "coeffs") and not (
+            isinstance(coeffs, list) and all(is_finite(c) for c in coeffs)
+            and (kind != "coeffs" or len(coeffs) == n_modes)):
+        raise ConfigError("initial.coeffs must list one coefficient per mode, "
+                          "each a finite number")
+
+
 def from_initial_condition(phi: dict, h: float, dt: float, op: SpectralOperator,
                            n_grid: int | None = None) -> Segment:
     """Project an initial-condition descriptor (a config's ``initial`` section) onto
@@ -92,8 +111,7 @@ def from_initial_condition(phi: dict, h: float, dt: float, op: SpectralOperator,
     name, "amplitude": a, "ramp": bool}``, ``name`` a key of ``PROFILES``, where
     ``ramp`` scales the profile by (1 + theta / h), vanishing at -h.
     """
-    if not isinstance(phi, dict):
-        raise ConfigError(f"unsupported initial-condition descriptor of type {type(phi).__name__}")
+    _check_initial(phi, op.n_modes)
     m = _window_steps(h, dt)
     thetas = -h + dt * np.arange(m + 1)
     grid = op.grid(n_grid)
@@ -103,16 +121,9 @@ def from_initial_condition(phi: dict, h: float, dt: float, op: SpectralOperator,
         coeffs = np.zeros(op.n_modes)
     elif kind == "coeffs":
         coeffs = np.asarray(phi["coeffs"], dtype=float)
-        if coeffs.shape != (op.n_modes,):
-            raise ConfigError("initial.coeffs length must equal n_modes")
-    elif kind == "profile":
-        prof = phi.get("profile", "sin_pi")
-        if not (isinstance(prof, str) and prof in PROFILES):
-            raise ConfigError(f"unknown initial profile {prof!r}")
-        amp = float(phi.get("amplitude", 1.0))
-        coeffs = grid.project @ (amp * PROFILES[prof](grid.x))
     else:
-        raise ConfigError(f"unknown initial kind {kind!r}")
+        amp = float(phi.get("amplitude", 1.0))
+        coeffs = grid.project @ (amp * PROFILES[phi.get("profile", "sin_pi")](grid.x))
     ramped = kind == "profile" and phi.get("ramp", False)
     weights = 1.0 + thetas / h if ramped else np.ones(m + 1)
     return Segment(h=h, dt=dt, values=np.outer(weights, coeffs))

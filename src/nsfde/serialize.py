@@ -18,8 +18,7 @@ from collections import namedtuple
 import numpy as np
 import orjson
 
-from .config import _is_finite
-from .errors import ConfigError
+from .errors import ConfigError, is_finite
 from .measure import EmpiricalMeasure
 from .noise import SOURCE_LIMIT
 from .segment import _window_steps
@@ -37,12 +36,12 @@ def _is_int(val, lo: int) -> bool:
 
 
 # field checks: (dtype of the field's column in a reader's result, predicate, description)
-_FINITE = (float, _is_finite, "a finite number")
-_POSITIVE = (float, lambda v: _is_finite(v) and v > 0.0, "a positive finite number")
+_FINITE = (float, is_finite, "a finite number")
+_POSITIVE = (float, lambda v: is_finite(v) and v > 0.0, "a positive finite number")
 _COUNT = (int, lambda v: _is_int(v, 1), "an integer >= 1")
 _INDEX = (int, lambda v: _is_int(v, 0), "an integer >= 0")
 _SOURCE = (np.int64, lambda v: _is_int(v, 0) and v < SOURCE_LIMIT, "an integer >= 0 and < 2**63")
-_NONNEGATIVE = (float, lambda v: _is_finite(v) and v >= 0.0, "a finite number >= 0")
+_NONNEGATIVE = (float, lambda v: is_finite(v) and v >= 0.0, "a finite number >= 0")
 _ARRAY = (float, None, None)  # checked against the schema's shape instead
 
 

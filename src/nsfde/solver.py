@@ -57,7 +57,8 @@ import numpy as np
 from . import noise as noise_mod
 from .coefficients import CoefficientSet, GridMaps
 from .errors import (BlowupError, ConfigError, DomainError,
-                     NonconvergenceError, ShapeError, check_choice, check_count)
+                     NonconvergenceError, ShapeError, check_choice, check_count,
+                     check_number)
 from .noise import QWienerSpec, RngStream
 from .segment import Segment, _window_steps
 from .spectral import SpectralOperator
@@ -76,24 +77,18 @@ class SolverConfig:
     blowup_threshold: float = 1e8
 
     def __post_init__(self):
-        for key in ("dt", "t_end", "fp_tol", "blowup_threshold"):
-            if isinstance(getattr(self, key), bool):
-                raise ConfigError(f"solver.{key} must be a number")
-        if self.dt <= 0.0:
-            raise ConfigError(f"solver.dt = {self.dt!r} must be positive")
+        self.dt = check_number("solver.dt", self.dt, 0.0)
+        self.t_end = check_number("solver.t_end", self.t_end)
         if self.t_end < self.dt:
             raise ConfigError(f"solver.t_end = {self.t_end!r} must be at least "
                               f"solver.dt = {self.dt!r}")
         _window_steps(self.t_end, self.dt, "solver.t_end / solver.dt")
-        if not 0.0 < self.fp_tol < math.inf:
-            raise ConfigError(f"solver.fp_tol = {self.fp_tol!r} must be positive and finite")
+        self.fp_tol = check_number("solver.fp_tol", self.fp_tol, 0.0)
         check_choice("solver.mode", self.mode, ("direct", "picard"))
         for key, lo in (("fp_max", 1), ("picard_iters", 1), ("store_stride", 1),
                         ("segment_stride", 0)):
             check_count(f"solver.{key}", getattr(self, key), lo)
-        if not 0.0 < self.blowup_threshold < math.inf:
-            raise ConfigError(f"solver.blowup_threshold = {self.blowup_threshold!r} "
-                              "must be positive and finite")
+        self.blowup_threshold = check_number("solver.blowup_threshold", self.blowup_threshold, 0.0)
 
     @property
     def n_steps(self) -> int:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EllipticityError, ShapeError, check_count
+from .errors import (ConfigError, DomainError, EllipticityError, ShapeError, check_count,
+                     check_number, is_finite)
 
 _SYMMETRY_TOL = 1e-12
 
@@ -102,22 +103,33 @@ class SpectralOperator:
         return ops
 
 
-def _diffusivity_at(a, x) -> np.ndarray:
-    """Diffusivity table ``a`` at the nodes ``x``; refused unless strictly positive on [0, 1]."""
-    table = np.asarray(a)   # a bool, a callable or text: a 0-d array of no number kind
-    if table.dtype.kind not in "iuf" or table.shape[1:] != (2,) or table.shape[0] < 2:
-        raise ConfigError("operator.a: a tabulated diffusivity must be a list of (x, a) pairs")
-    xs, ys = table.astype(float).T
+def _check_operator_args(n_modes, a, delta_fraction):
+    """``assemble_operator``'s arguments checked before any assembly: the mode count,
+    ``delta_fraction`` and ``a`` as a float, or as the (x, a) columns of a table whose
+    linear interpolant, clamped beyond the table, is positive on [0, 1]."""
+    n_modes = check_count("operator.n_modes", n_modes, 1)
+    delta_fraction = check_number("operator.delta_fraction", delta_fraction, 0.0, 1.0)
+    if isinstance(a, numbers.Real) and not isinstance(a, bool):
+        if not 0.0 < a < math.inf:   # NaN fails too
+            raise EllipticityError(f"operator.a = {a} must be positive and finite")
+        return n_modes, float(a), delta_fraction
+    try:
+        pairs = [(x, y) for x, y in a]   # a bool, a callable or text has no pairs
+    except (TypeError, ValueError):
+        pairs = []
+    if len(pairs) < 2 or not all(is_finite(v) for pair in pairs for v in pair):
+        raise ConfigError("operator.a must be a number or a list of (x, a) pairs of finite "
+                          "numbers")
+    xs, ys = np.array(pairs, dtype=float).T
     if np.any(np.diff(xs) <= 0):
         raise ConfigError(f"operator.a: abscissae {xs.tolist()} must be strictly increasing")
-    # the interpolant is piecewise linear and clamped beyond the table, so its
-    # minimum on [0, 1] lies at 0, at 1 or at a table abscissa between them
+    # the interpolant's minimum on [0, 1] lies at 0, at 1 or at a table abscissa between them
     knots = np.concatenate([[0.0, 1.0], xs[(xs > 0.0) & (xs < 1.0)]])
-    vals, lows = np.interp(x, xs, ys), np.interp(knots, xs, ys)
-    i = int(np.argmin(lows))   # the first NaN, if any: refused too
+    lows = np.interp(knots, xs, ys)
+    i = int(np.argmin(lows))
     if not lows[i] > 0.0:
         raise EllipticityError(f"operator.a = {lows[i]:g} at x = {knots[i]:g} must be positive")
-    return vals
+    return n_modes, (xs, ys), delta_fraction
 
 
 def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> SpectralOperator:
@@ -142,23 +154,19 @@ def assemble_operator(n_modes: int = 32, a=1.0, delta_fraction: float = 0.5) -> 
     EllipticityError
         If the diffusivity is not strictly positive on [0, 1], or a constant is not finite.
     ConfigError
-        If ``a`` is neither a real number (a bool is not) nor a table of (x, a) pairs,
-        or the table's values overflow the stiffness matrix.
+        If ``n_modes`` or ``delta_fraction`` is refused, ``a`` is neither a real number (a
+        bool is not) nor a table of finite (x, a) pairs, or the table's values overflow the
+        stiffness matrix.
     """
-    n_modes = check_count("operator.n_modes", n_modes, 1)
-    if not 0.0 < delta_fraction < 1.0:
-        raise ConfigError("operator.delta_fraction must lie in (0, 1)")
-
-    if isinstance(a, numbers.Real) and not isinstance(a, bool):
-        if not 0.0 < a < math.inf:   # NaN fails too
-            raise EllipticityError(f"operator.a = {a} must be positive and finite")
+    n_modes, a, delta_fraction = _check_operator_args(n_modes, a, delta_fraction)
+    if isinstance(a, float):
         n = np.arange(1, n_modes + 1, dtype=float)
-        mu = float(a) * (n * np.pi) ** 2
+        mu = a * (n * np.pi) ** 2
         return SpectralOperator(eigenvalues=mu, delta=delta_fraction * mu[0])
 
     n_grid = 16 * n_modes
     x = np.linspace(0.0, 1.0, n_grid + 1)
-    a_vals = _diffusivity_at(a, x)
+    a_vals = np.interp(x, *a)
     w = simpson_weights(n_grid)
     n = np.arange(1, n_modes + 1)
     # derivative of sqrt(2) sin(n pi x) at the nodes

@@ -267,7 +267,7 @@ def test_validate_refuses_a_table_that_dips_between_the_assembly_nodes(tmp_path,
 
 
 def test_a_table_refused_by_the_operator_leaves_no_file(tmp_path, capsys):
-    # the config loads; assembling its operator refuses it, before any dump
+    # loading the config refuses the table, before any run or dump
     cfg = _cfg(tmp_path, "operator: {n_modes: 4, a: [[0.0, 1.0], [1.0, -1.0]]}\n"
                          "delay: {h: 0.05}\nsolver: {dt: 0.01, t_end: 0.1}\n"
                          "coefficients: {grid_points: 64}\n")

@@ -12,9 +12,9 @@ import yaml
 import nsfde
 from nsfde import config as config_mod
 from nsfde import (ConfigError, EllipticityError, SolverConfig, assemble_operator,
-                   builtin_coefficients, builtin_qwiener, load_config, make_coefficients,
-                   make_initial_segment, make_noise, make_operator,
-                   make_solver_config, parse_config, resolved_dict)
+                   builtin_coefficients, builtin_qwiener, from_initial_condition,
+                   load_config, make_coefficients, make_initial_segment, make_noise,
+                   make_operator, make_solver_config, parse_config, resolved_dict)
 from nsfde.config import _FIELDS, dump_resolved
 
 
@@ -74,10 +74,10 @@ def test_unknown_keys_report_dotted_paths():
      "measure.burn_in = 0.2 must be < solver.t_end = 0.2"),
     ({"measure": {"r_grid": []}}, "measure.r_grid"),
     ({"measure": {"r_grid": [1.0, -2.0]}}, "measure.r_grid"),
-    ({"operator": {"a": -1.0}}, "operator.a must be positive"),
+    ({"operator": {"a": -1.0}}, "operator.a = -1.0 must be positive"),
     ({"operator": {"a": "piecewise"}}, "operator.a must be a number"),
     ({"operator": {"a": [[0.0, 1.0]]}}, "operator.a must be a number"),
-    ({"operator": {"a": float("inf")}}, "operator.a must be positive and finite"),
+    ({"operator": {"a": float("inf")}}, "operator.a = inf must be positive and finite"),
     ({"delay": {"h": float("inf")}}, "delay.h = inf must be finite"),
     ({"solver": {"t_end": float("inf")}}, "solver.t_end = inf must be finite"),
     ({"initial": {"amplitude": float("nan")}}, "initial.amplitude = nan must be finite"),
@@ -96,7 +96,7 @@ def test_unknown_keys_report_dotted_paths():
     ({"delay": {"h": 0.3}, "solver": {"dt": 0.3, "t_end": 1.0}}, "solver.t_end / solver.dt"),
     ({"solver": {"t_end": 0.0005}}, "solver.t_end = 0.0005"),
     ({"noise": {"spectrum": ["power"]}}, "noise.spectrum = ['power'] not one of"),
-    ({"coefficients": {"K": 0}}, "coefficients.K = 0.0 must be positive"),
+    ({"coefficients": {"K": 0}}, "coefficients.K = 0.0 out of range (0, inf)"),
     # odd but past the alias bound 2 * n_modes: only the parity check refuses it
     ({"coefficients": {"grid_points": 129}}, "coefficients.grid_points = 129 must be even"),
 ])
@@ -145,6 +145,98 @@ def _wrong_kind(default):
 def test_every_field_refuses_a_value_of_the_wrong_kind(patch, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
         parse_config(patch)
+
+
+def _refusal(path, val, **context):
+    """A case setting ``path`` to ``val``, with the fields ``context`` gives (section -> keys)."""
+    section, _, key = path.rpartition(".")
+    patch = {name: dict(fields) for name, fields in context.items()}
+    patch.setdefault(section, {})[key] = val
+    return pytest.param(path, patch, id=f"{path}={val!r}")
+
+
+_NAN = float("nan")
+_REFUSALS = [
+    _refusal("operator.n_modes", 4.5),
+    _refusal("operator.n_modes", 0),
+    _refusal("operator.a", -1.0),
+    _refusal("operator.a", "piecewise"),
+    _refusal("operator.a", [[0.0, 1.0], [1.0, _NAN]]),
+    _refusal("operator.a", [[0.0, 1.0], [1.0, -1.0]]),   # a table needs no eigensolve to refuse
+    _refusal("operator.a", [[0.5, 1.0], [0.2, 1.0]]),
+    _refusal("operator.delta_fraction", "0.5"),
+    _refusal("operator.delta_fraction", 1.0),
+    _refusal("noise.spectrum", "white"),
+    _refusal("noise.exponent", "3"),
+    _refusal("noise.exponent", 1.0),
+    _refusal("noise.exponent", _NAN),
+    _refusal("noise.trace", True),
+    _refusal("noise.trace", -1.0),
+    _refusal("noise.trace", None),
+    _refusal("coefficients.f", "cubic"),
+    _refusal("coefficients.sigma", "cubic"),
+    _refusal("coefficients.kernel", "rbf"),
+    _refusal("coefficients.kernel_scale", -1.0),
+    _refusal("coefficients.kernel_scale", "0.1"),
+    _refusal("coefficients.kernel_delay", "mid", coefficients={"kernel": "zero"}),
+    _refusal("coefficients.modulus", "quadratic"),
+    _refusal("coefficients.p", "3"),
+    _refusal("coefficients.p", 2.0),
+    _refusal("coefficients.Mg", 1.2),
+    _refusal("coefficients.Mg", 0.8),
+    _refusal("coefficients.K", True),
+    _refusal("coefficients.K", 0),
+    _refusal("coefficients.grid_points", 128.5),
+    _refusal("coefficients.grid_points", 130.0),
+    _refusal("coefficients.grid_points", 129),
+    _refusal("solver.dt", "x", solver={"t_end": 1}),
+    _refusal("solver.dt", 0.0),
+    _refusal("solver.t_end", 0.0005),
+    _refusal("solver.t_end", _NAN),
+    _refusal("solver.fp_tol", _NAN),
+    _refusal("solver.fp_max", 50.5),
+    _refusal("solver.mode", "euler"),
+    _refusal("solver.picard_iters", 0),
+    _refusal("solver.store_stride", True),
+    _refusal("solver.segment_stride", -1),
+    _refusal("solver.blowup_threshold", -1.0),
+    _refusal("initial.kind", "wavelet"),
+    _refusal("initial.profile", "nope"),
+    _refusal("initial.amplitude", "3", initial={"kind": "profile"}),
+    _refusal("initial.ramp", 1, initial={"kind": "profile"}),
+    _refusal("initial.coeffs", [_NAN] * 4, operator={"n_modes": 4}, initial={"kind": "coeffs"}),
+    _refusal("initial.coeffs", [0.1], operator={"n_modes": 4}, initial={"kind": "coeffs"}),
+    _refusal("initial.coeffs", [_NAN]),   # whatever the kind
+]
+
+# the library builder of each section, on the section's keys and the mode count
+_BUILDERS = {
+    "operator": lambda keys, n: assemble_operator(**keys),
+    "noise": lambda keys, n: builtin_qwiener(n, **keys),
+    "coefficients": lambda keys, n: builtin_coefficients(**keys),
+    "solver": lambda keys, n: SolverConfig(**{"dt": 1.0e-3, "t_end": 1.0, **keys}),
+    "initial": lambda keys, n: from_initial_condition(keys, 0.1, 1.0e-3, assemble_operator(n)),
+}
+
+
+@pytest.mark.parametrize("path, patch", _REFUSALS)
+def test_the_config_and_the_builder_refuse_a_field_alike(path, patch):
+    # each builder is the one checker of its fields, and loading a config runs that check
+    section = path.partition(".")[0]
+    with pytest.raises(ConfigError) as by_config:
+        parse_config(patch)
+    with pytest.raises(ConfigError) as by_builder:
+        _BUILDERS[section](patch[section], patch.get("operator", {}).get("n_modes", 32))
+    assert str(by_config.value) == str(by_builder.value)
+    assert str(by_builder.value).startswith(path)
+
+
+def test_the_table_checks_only_the_fields_no_builder_takes():
+    checked = {path for path, (_, check) in _FIELDS.items() if check is not None}
+    assert checked == {"seed", "delay.h", "measure.burn_in", "measure.n_trajectories",
+                       "measure.r_grid"}
+    # every field a builder takes has a case above
+    assert {case.values[0] for case in _REFUSALS} == set(_FIELDS) - checked
 
 
 def test_seed_must_fit_int64():
@@ -284,9 +376,9 @@ def test_resolved_dump_reads_the_built_run_and_builds_nothing(tmp_path, monkeypa
 
 def test_refused_diffusivity_table_dumps_nothing(tmp_path):
     # a dump reads the built operator, so a table the operator refuses has none
-    rc = parse_config({"operator": {"n_modes": 4, "a": [[0.0, 1.0], [1.0, -1.0]]}})
     path = tmp_path / "resolved.yaml"
     with pytest.raises(EllipticityError, match="operator.a = -1 at x = 1 must be positive"):
+        rc = parse_config({"operator": {"n_modes": 4, "a": [[0.0, 1.0], [1.0, -1.0]]}})
         op = make_operator(rc)
         dump_resolved(rc, path, op, make_noise(rc, op))
     assert not path.exists()
@@ -302,9 +394,8 @@ def test_refused_diffusivity_table_dumps_nothing(tmp_path):
      "operator.a: abscissae [0.2, 0.2] must be strictly increasing"),
 ])
 def test_a_refused_diffusivity_table_names_operator_a(table, error, needle):
-    rc = parse_config({"operator": {"n_modes": 4, "a": table}})
     with pytest.raises(error, match=re.escape(needle)):
-        make_operator(rc)
+        make_operator(parse_config({"operator": {"n_modes": 4, "a": table}}))
 
 
 def test_overrides_are_checked_like_file_values(tmp_path):

@@ -42,3 +42,17 @@ def test_declared_dependencies_match_the_imports():
     assert names == {"numpy", "pyyaml", "orjson"}
     # the tests keep scipy as their reference quadrature and statistics
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_serialize_imports_nothing_from_config():
+    # the file formats stand below the run configuration: serialize takes its
+    # finiteness predicate from errors
+    path = ROOT / "src" / "nsfde" / "serialize.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    assert [name for name in names if "config" in name.split(".")] == []

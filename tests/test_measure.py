@@ -220,8 +220,9 @@ def test_tightness_diagnostic_exact_counts():
         tightness_diagnostic([_toy_traj([1.0])], [1.0])  # single checkpoint
     with pytest.raises(ShapeError, match="ensemble trajectories disagree on checkpoint times"):
         tightness_diagnostic([_toy_traj([1.0, 0.5]), _toy_traj([1.0, 0.5, 0.2])], [1.0])
-    with pytest.raises(DomainError, match="radius grid must be nonempty and nonnegative"):
-        tightness_diagnostic(trajs, [-1.0])
+    for r_grid in ([-1.0], [1.0, np.nan], [np.inf]):   # a NaN radius had a tail fraction of 0
+        with pytest.raises(DomainError, match="radius grid must be nonempty and nonnegative"):
+            tightness_diagnostic(trajs, r_grid)
 
 
 def test_invariance_test_exact_fixed_point():
@@ -299,9 +300,10 @@ def test_dependence_probe_validation():
     with pytest.raises(ConfigError):
         continuous_dependence_probe(base, [], 3.0, 0.2, cs, OP, Q, 0.01,
                                     RngStream(63, 0))
-    with pytest.raises(DomainError):
-        continuous_dependence_probe(base, [nearer], 0.0, 0.2, cs, OP, Q, 0.01,
-                                    RngStream(63, 0))
+    for p in (0.0, np.nan, np.inf):   # NaN gave NaN estimates and inf gave 0
+        with pytest.raises(DomainError, match="moment exponent must be positive and finite"):
+            continuous_dependence_probe(base, [nearer], p, 0.2, cs, OP, Q, 0.01,
+                                        RngStream(63, 0), n_paths=2)
     with pytest.raises(ConfigError, match="horizon / dt"):
         continuous_dependence_probe(base, [nearer], 3.0, 0.205, cs, OP, Q, 0.01,
                                     RngStream(63, 0), n_paths=2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nsfde import (ConfigError, DomainError, QWienerSpec, RngStream, ShapeError,
-                   assemble_operator, builtin_qwiener, ou_std, parse_config)
+                   assemble_operator, builtin_qwiener, ou_std)
 
 
 def test_power_spectrum_shape_and_trace():
@@ -29,17 +29,6 @@ def test_geometric_spectrum_halves_each_mode():
             builtin_qwiener(8, spectrum="geometric", trace=trace)
 
 
-@pytest.mark.parametrize("noise", [{"trace": -1.0}, {"exponent": 1.0}, {"spectrum": "white"}])
-def test_the_config_and_the_builder_refuse_a_noise_field_alike(noise):
-    # the config table checks only the types of noise.*: its range refusals are the builder's
-    with pytest.raises(ConfigError) as by_config:
-        parse_config({"noise": noise})
-    with pytest.raises(ConfigError) as by_builder:
-        builtin_qwiener(4, **noise)
-    assert str(by_config.value) == str(by_builder.value)
-    assert str(by_builder.value).startswith(f"noise.{next(iter(noise))} = ")
-
-
 def test_spec_validation():
     with pytest.raises(DomainError):
         QWienerSpec(lambdas=np.array([1.0, -0.1]))
@@ -49,13 +38,16 @@ def test_spec_validation():
     assert q.trace == 0.75 and q.n_modes == 2
 
 
-@pytest.mark.parametrize("build", [
-    lambda: QWienerSpec(lambdas=[np.nan, 1.0]),
-    lambda: builtin_qwiener(4, exponent=np.nan),
-    lambda: builtin_qwiener(4, trace=np.inf),
+@pytest.mark.parametrize("build, error, needle", [
+    (lambda: QWienerSpec(lambdas=[np.nan, 1.0]), DomainError,
+     "covariance eigenvalues must be nonnegative and finite"),
+    (lambda: builtin_qwiener(4, exponent=np.nan), ConfigError,
+     "noise.exponent = nan must be finite"),
+    (lambda: builtin_qwiener(4, trace=np.inf), ConfigError,
+     "noise.trace = inf must be finite"),
 ])
-def test_a_spectrum_with_a_non_finite_eigenvalue_is_refused(build):
-    with pytest.raises(DomainError, match="covariance eigenvalues must be nonnegative and finite"):
+def test_a_spectrum_with_a_non_finite_eigenvalue_is_refused(build, error, needle):
+    with pytest.raises(error, match=re.escape(needle)):
         build()
 
 
@@ -77,6 +69,13 @@ def test_seed_and_stream_id_must_fit_int64():
     for seed, stream_id in ((2**63, 0), (0, 2**63), (2**64, 0)):
         with pytest.raises(DomainError, match=re.escape("nonnegative and < 2**63")):
             RngStream(seed, stream_id)
+    # refused when built, not at the first draw, and a bool is not seed 1
+    for seed, stream_id, where in ((1.5, 0, "seed"), (True, 0, "seed"), ("7", 0, "seed"),
+                                   (0, 2.0, "stream_id"), (0, np.bool_(False), "stream_id")):
+        with pytest.raises(ConfigError, match=f"{where} must be an integer"):
+            RngStream(seed, stream_id)
+    assert np.array_equal(RngStream(np.int64(5), np.uint8(2)).generator().standard_normal(4),
+                          RngStream(5, 2).generator().standard_normal(4))
 
 
 def test_block_draw_equals_row_draws():

@@ -65,21 +65,21 @@ def test_from_initial_condition_other_kinds():
     assert np.array_equal(cseg.values[0], [1.0, 0.0, 0.5, 0.0])
 
 
-    with pytest.raises(ConfigError, match="unknown initial profile 'nope'"):
+    with pytest.raises(ConfigError, match="initial.profile = 'nope' not one of"):
         from_initial_condition({"kind": "profile", "profile": "nope"}, 0.1, 0.05, op)
-    with pytest.raises(ConfigError, match="initial.coeffs length must equal n_modes"):
+    with pytest.raises(ConfigError, match="initial.coeffs must list one coefficient per mode"):
         from_initial_condition({"kind": "coeffs", "coeffs": [1.0]}, 0.1, 0.05, op)
-    with pytest.raises(ConfigError, match="unknown initial kind 'wavelet'"):
+    with pytest.raises(ConfigError, match="initial.kind = 'wavelet' not one of"):
         from_initial_condition({"kind": "wavelet"}, 0.1, 0.05, op)
     with pytest.raises(ConfigError, match="unsupported initial-condition descriptor"):
         from_initial_condition(0.5, 0.1, 0.05, op)
     # an initial window is a descriptor, its profile a PROFILES name: no callables
     with pytest.raises(ConfigError, match="initial-condition descriptor of type function"):
         from_initial_condition(lambda theta, x: (1.0 + theta) * np.sin(np.pi * x), 0.1, 0.05, op)
-    with pytest.raises(ConfigError, match="unknown initial profile <function"):
+    with pytest.raises(ConfigError, match="initial.profile = <function"):
         from_initial_condition({"kind": "profile", "profile": lambda x: np.sin(np.pi * x)},
                                0.1, 0.05, op)
-    with pytest.raises(ConfigError, match=re.escape("unknown initial profile ['sin_pi']")):
+    with pytest.raises(ConfigError, match=re.escape("initial.profile = ['sin_pi'] not one of")):
         from_initial_condition({"kind": "profile", "profile": ["sin_pi"]}, 0.1, 0.05, op)
 
 

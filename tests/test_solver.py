@@ -32,9 +32,10 @@ def test_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, fp_tol=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(dt=0.1, t_end=1.0, store_stride=0)
-    for key, val in (("fp_tol", float("nan")), ("blowup_threshold", float("nan")),
-                     ("blowup_threshold", -1.0)):
-        with pytest.raises(ConfigError, match=f"solver.{key} = {val!r} must be positive"):
+    for key, val, needle in (("fp_tol", float("nan"), "must be finite"),
+                             ("blowup_threshold", float("nan"), "must be finite"),
+                             ("blowup_threshold", -1.0, "out of range")):
+        with pytest.raises(ConfigError, match=f"solver.{key} = {val!r} {needle}"):
             SolverConfig(dt=0.1, t_end=1.0, **{key: val})
     for key in ("dt", "t_end", "fp_tol", "blowup_threshold"):
         with pytest.raises(ConfigError, match=f"solver.{key} must be a number"):

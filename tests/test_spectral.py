@@ -187,25 +187,25 @@ def test_ellipticity_rejected():
      "spectral-gap delta must satisfy 0 < delta < mu_1"),
     (lambda: assemble_operator(n_modes=0), ConfigError, "operator.n_modes = 0 must be >= 1"),
     (lambda: assemble_operator(delta_fraction=1.0), ConfigError,
-     "delta_fraction must lie in (0, 1)"),
+     "delta_fraction = 1.0 out of range (0, 1)"),
     (lambda: assemble_operator(delta_fraction=0.0), ConfigError,
-     "operator.delta_fraction must lie in (0, 1)"),
+     "operator.delta_fraction = 0.0 out of range (0, 1)"),
     (lambda: assemble_operator(n_modes=4, a=[[0.0, 1.0]]), ConfigError,
-     "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
+     "operator.a must be a number or a list of (x, a) pairs"),
     # a diffusivity is a number or a table: a callable, text or a bool is neither
     (lambda: assemble_operator(n_modes=4, a=lambda x: 1.0 + 0.5 * x), ConfigError,
-     "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
+     "operator.a must be a number or a list of (x, a) pairs"),
     (lambda: assemble_operator(n_modes=4, a="[[0, 1], [1, 2]]"), ConfigError,
-     "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
+     "operator.a must be a number or a list of (x, a) pairs"),
     (lambda: assemble_operator(n_modes=4, a=True), ConfigError,
-     "operator.a: a tabulated diffusivity must be a list of (x, a) pairs"),
+     "operator.a must be a number or a list of (x, a) pairs"),
     (lambda: assemble_operator(n_modes=4, a=np.nan), EllipticityError,
      "operator.a = nan must be positive and finite"),
     (lambda: assemble_operator(n_modes=4, a=np.inf), EllipticityError,
      "operator.a = inf must be positive and finite"),
-    # positive, but too large for doubles: the stiffness matrix overflows
     (lambda: assemble_operator(n_modes=4, a=[[0, 1], [1, np.inf]]), ConfigError,
-     "operator.a: the table's values overflow the stiffness matrix"),
+     "operator.a must be a number or a list of (x, a) pairs of finite numbers"),
+    # finite and positive, but too large for doubles: the stiffness matrix overflows
     (lambda: assemble_operator(n_modes=4, a=[[0, 1], [0.5, 1.0e308], [1, 1]]), ConfigError,
      "operator.a: the table's values overflow the stiffness matrix"),
 ])

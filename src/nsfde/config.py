@@ -1,16 +1,18 @@
 """Run configuration: YAML loading, strict validation, resolved dumps.
 
 A config file is a nested mapping with the sections below; every omitted field
-takes the documented default and every unknown key is rejected with its dotted
-path.  ``_FIELDS`` declares each field once, with its default.  The
+takes its default and every unknown key is rejected with its dotted path.  The
 ``operator``, ``coefficients``, ``noise`` and ``solver`` sections go whole to
 ``assemble_operator``, ``builtin_coefficients``, ``builtin_qwiener`` and
-``SolverConfig``, and ``initial`` to ``from_initial_condition``; each builder
-is the one checker of its fields, and ``parse_config`` runs those checks, so
-a config is refused when it loads.  The table checks the fields no builder
-takes.  Every refusal names the dotted path.  Each run setting has one field:
-``solver.segment_stride`` is the checkpoint stride the solver records at and
-``estimate-measure`` pools at.
+``SolverConfig``, and ``initial`` to ``from_initial_condition``.  A section
+passed whole to a builder takes that builder's defaults (``initial``'s live in
+``segment.INITIAL_DEFAULTS``), and the builder is the one checker of its
+fields; ``parse_config`` runs those checks, and ``RngStream``'s on the seed, so
+a config is refused when it loads.  ``_CHECKS`` checks only the fields no
+builder takes: ``delay.h``, ``measure.burn_in``, ``measure.n_trajectories`` and
+``measure.r_grid``.  Every refusal names the dotted path.  Each run setting
+has one field: ``solver.segment_stride`` is the checkpoint stride the solver
+records at and ``estimate-measure`` pools at.
 ``resolved_dict`` echoes the fully defaulted config, plus a ``derived`` block
 read from the run's built operator and noise (ignored on reload), so that a
 dumped resolved config reloads to bit-identical behaviour.
@@ -19,6 +21,7 @@ dumped resolved config reloads to bit-identical behaviour.
 from __future__ import annotations
 
 import copy
+import inspect
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -28,7 +31,7 @@ from . import coefficients as coeff_mod
 from . import noise as noise_mod
 from . import spectral
 from .errors import ConfigError, check_count, check_number, is_finite
-from .segment import _check_initial, _window_steps, from_initial_condition
+from .segment import INITIAL_DEFAULTS, _check_initial, _window_steps, from_initial_condition
 from .solver import SolverConfig
 
 
@@ -65,13 +68,6 @@ def _need(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _seed(where, val):
-    val = check_count(where, val)
-    _need(val >= 0, "seed must be nonnegative")
-    _need(val < noise_mod.SOURCE_LIMIT, f"seed = {val} must be < 2**63")
-    return val
-
-
 def _radii(where, r_grid):
     _need(isinstance(r_grid, list) and len(r_grid) >= 1
           and all(is_finite(r) and r >= 0.0 for r in r_grid),
@@ -79,59 +75,35 @@ def _radii(where, r_grid):
     return [float(r) for r in r_grid]
 
 
-# Every config field: dotted path -> (default, check).  A field that a builder
-# takes is checked by that builder alone, so only the fields no builder takes
-# have a check here; each raises ConfigError naming the path and returns the
-# value as stored (numbers as floats).
-_FIELDS = {
-    "seed": (12345, _seed),
-    "operator.n_modes": (32, None),
-    "operator.a": (1.0, None),
-    "operator.delta_fraction": (0.5, None),
-    "noise.spectrum": ("power", None),
-    "noise.exponent": (2.0, None),
-    "noise.trace": (1.0, None),
-    "delay.h": (0.1, partial(check_number, lo=0.0)),
-    "coefficients.f": ("osgood", None),
-    "coefficients.sigma": ("osgood", None),
-    "coefficients.kernel": ("separable", None),
-    "coefficients.kernel_scale": (0.1, None),
-    "coefficients.kernel_delay": ("point", None),
-    "coefficients.modulus": ("osgood", None),
-    "coefficients.p": (3.0, None),
-    "coefficients.Mg": (0.5, None),
-    "coefficients.K": (1.0, None),
-    "coefficients.grid_points": (None, None),  # None: 4 * n_modes
-    "solver.dt": (1.0e-3, None),
-    "solver.t_end": (1.0, None),
-    "solver.fp_tol": (1.0e-12, None),
-    "solver.fp_max": (200, None),
-    "solver.mode": ("direct", None),
-    "solver.picard_iters": (8, None),
-    "solver.store_stride": (1, None),
-    "solver.segment_stride": (0, None),
-    "solver.blowup_threshold": (1.0e8, None),
-    "measure.burn_in": (None, lambda where, val:   # None: 2 h
-                        None if val is None else check_number(where, val, 0.0, lo_open=False)),
-    "measure.n_trajectories": (50, partial(check_count, lo=1)),
-    "measure.r_grid": ([0.5, 1.0, 2.0, 4.0, 8.0], _radii),
-    "initial.kind": ("zero", None),
-    "initial.profile": ("sin_pi", None),
-    "initial.amplitude": (1.0, None),
-    "initial.ramp": (False, None),
-    "initial.coeffs": (None, None),
+def _defaults(builder) -> dict:
+    """The keyword defaults of ``builder``'s signature, in signature order."""
+    return {name: par.default for name, par in inspect.signature(builder).parameters.items()
+            if par.default is not inspect.Parameter.empty}
+
+
+# Every config field with its default.  A section passed whole to a builder
+# takes that builder's defaults; solver.dt and t_end have no library default,
+# and a null grid_points means 4 * n_modes, a null burn_in 2 h.
+_DEFAULTS = {
+    "seed": 12345,
+    "operator": _defaults(spectral.assemble_operator),
+    "noise": _defaults(noise_mod.builtin_qwiener),
+    "delay": {"h": 0.1},
+    "coefficients": {**_defaults(coeff_mod.builtin_coefficients), "grid_points": None},
+    "solver": {"dt": 1.0e-3, "t_end": 1.0, **_defaults(SolverConfig)},
+    "measure": {"burn_in": None, "n_trajectories": 50, "r_grid": [0.5, 1.0, 2.0, 4.0, 8.0]},
+    "initial": INITIAL_DEFAULTS,
 }
 
-
-def _nest(fields: dict) -> dict:
-    out: dict = {}
-    for path, (default, _) in fields.items():
-        section, _, key = path.rpartition(".")
-        (out.setdefault(section, {}) if section else out)[key] = default
-    return out
-
-
-_DEFAULTS = _nest(_FIELDS)
+# The checks of the fields no builder takes: each raises ConfigError naming the
+# path and returns the value as stored (numbers as floats).
+_CHECKS = {
+    "delay.h": partial(check_number, lo=0.0),
+    "measure.burn_in": lambda where, val:
+        None if val is None else check_number(where, val, 0.0, lo_open=False),
+    "measure.n_trajectories": partial(check_count, lo=1),
+    "measure.r_grid": _radii,
+}
 
 
 def _merge(defaults: dict, user: dict, path: str) -> dict:
@@ -163,11 +135,10 @@ def parse_config(raw, overrides=None) -> RunConfig:
         section, _, key = name.rpartition(".")
         data = _merge(data, {section: {key: val}} if section else {key: val}, "")
 
-    for path, (_, check) in _FIELDS.items():
-        if check is not None:
-            section, _, key = path.rpartition(".")
-            fields = data[section] if section else data
-            fields[key] = check(path, fields[key])
+    data["seed"] = int(noise_mod.RngStream(data["seed"]).seed)   # the stream checks its seed
+    for path, check in _CHECKS.items():
+        section, _, key = path.partition(".")
+        data[section][key] = check(path, data[section][key])
 
     # the builders check their fields, with no assembly or projection; across
     # fields, the window must hold a whole number of steps (refused before the

@@ -61,8 +61,12 @@ def check_count(where: str, val, lo=None):
 
 
 def is_finite(val) -> bool:
-    """True for a finite real number (Python or numpy, not a bool)."""
-    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+    """True for a finite real number (Python or numpy, not a bool); an integer past
+    the double range is not."""
+    try:
+        return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def check_number(where: str, val, lo=None, hi=None, lo_open=True, hi_open=True):
@@ -71,9 +75,9 @@ def check_number(where: str, val, lo=None, hi=None, lo_open=True, hi_open=True):
     naming the dotted config path ``where``."""
     if isinstance(val, bool) or not isinstance(val, numbers.Real):
         raise ConfigError(f"{where} must be a number")
+    if not is_finite(val):
+        raise ConfigError(f"{where} = {val} must be finite")
     val = float(val)
-    if not math.isfinite(val):
-        raise ConfigError(f"{where} = {val!r} must be finite")
     lo = -math.inf if lo is None else lo
     hi = math.inf if hi is None else hi
     if not ((val > lo if lo_open else val >= lo) and (val < hi if hi_open else val <= hi)):

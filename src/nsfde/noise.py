@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, check_choice, check_count, check_number
+from .errors import ConfigError, DomainError, ShapeError, check_choice, check_count, check_number
 from .spectral import SpectralOperator
 
 SOURCE_LIMIT = 1 << 63  # seeds and stream ids are int64 in arrays and files
@@ -28,11 +28,12 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        check_count("seed", self.seed)
-        check_count("stream_id", self.stream_id)
-        if not (0 <= self.seed < SOURCE_LIMIT and 0 <= self.stream_id < SOURCE_LIMIT):
-            raise DomainError(f"noise stream ({self.seed}, {self.stream_id}): "
-                              "seed and stream_id must be nonnegative and < 2**63")
+        for name in ("seed", "stream_id"):
+            val = check_count(name, getattr(self, name))
+            if val < 0:
+                raise ConfigError(f"{name} must be nonnegative")
+            if val >= SOURCE_LIMIT:
+                raise ConfigError(f"{name} = {val} must be < 2**63")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; same (seed, stream_id) -> identical draws."""

@@ -84,23 +84,34 @@ def constant_segment(h: float, dt: float, coeffs) -> Segment:
     return Segment(h=h, dt=dt, values=np.tile(coeffs, (m + 1, 1)))
 
 
-def _check_initial(phi: dict, n_modes: int):
+# the initial-condition keys with their defaults: the config's ``initial`` section
+INITIAL_DEFAULTS = {"kind": "zero", "profile": "sin_pi", "amplitude": 1.0, "ramp": False,
+                    "coeffs": None}
+
+
+def _check_initial(phi: dict, n_modes: int) -> dict:
     """The initial-condition descriptor checked for ``n_modes`` modes before any
-    projection: every key whatever the kind, and one finite coefficient per mode
-    for ``coeffs``."""
+    projection, returned with each omitted key at its default: no unknown key,
+    every key checked whatever the kind, and one finite coefficient per mode for
+    ``coeffs``."""
     if not isinstance(phi, dict):
         raise ConfigError(f"unsupported initial-condition descriptor of type {type(phi).__name__}")
-    kind = check_choice("initial.kind", phi.get("kind", "zero"), ("zero", "profile", "coeffs"))
-    check_choice("initial.profile", phi.get("profile", "sin_pi"), PROFILES)
-    check_number("initial.amplitude", phi.get("amplitude", 1.0))
-    if not isinstance(phi.get("ramp", False), bool):
+    for key in phi:
+        if key not in INITIAL_DEFAULTS:
+            raise ConfigError(f"unknown config key {f'initial.{key}'!r}")
+    phi = {**INITIAL_DEFAULTS, **phi}
+    kind = check_choice("initial.kind", phi["kind"], ("zero", "profile", "coeffs"))
+    check_choice("initial.profile", phi["profile"], PROFILES)
+    check_number("initial.amplitude", phi["amplitude"])
+    if not isinstance(phi["ramp"], bool):
         raise ConfigError("initial.ramp must be a boolean")
-    coeffs = phi.get("coeffs")
+    coeffs = phi["coeffs"]
     if (coeffs is not None or kind == "coeffs") and not (
             isinstance(coeffs, list) and all(is_finite(c) for c in coeffs)
             and (kind != "coeffs" or len(coeffs) == n_modes)):
         raise ConfigError("initial.coeffs must list one coefficient per mode, "
                           "each a finite number")
+    return phi
 
 
 def from_initial_condition(phi: dict, h: float, dt: float, op: SpectralOperator,
@@ -109,22 +120,22 @@ def from_initial_condition(phi: dict, h: float, dt: float, op: SpectralOperator,
     the discrete window: ``{"kind": "zero"}``, ``{"kind": "coeffs", "coeffs": v}``
     (mode coefficients held constant in theta) or ``{"kind": "profile", "profile":
     name, "amplitude": a, "ramp": bool}``, ``name`` a key of ``PROFILES``, where
-    ``ramp`` scales the profile by (1 + theta / h), vanishing at -h.
+    ``ramp`` scales the profile by (1 + theta / h), vanishing at -h.  Omitted keys
+    take their ``INITIAL_DEFAULTS`` values.
     """
-    _check_initial(phi, op.n_modes)
+    phi = _check_initial(phi, op.n_modes)
     m = _window_steps(h, dt)
     thetas = -h + dt * np.arange(m + 1)
     grid = op.grid(n_grid)
 
-    kind = phi.get("kind", "zero")   # one coefficient vector, weighted at each node
+    kind = phi["kind"]   # one coefficient vector, weighted at each node
     if kind == "zero":
         coeffs = np.zeros(op.n_modes)
     elif kind == "coeffs":
         coeffs = np.asarray(phi["coeffs"], dtype=float)
     else:
-        amp = float(phi.get("amplitude", 1.0))
-        coeffs = grid.project @ (amp * PROFILES[phi.get("profile", "sin_pi")](grid.x))
-    ramped = kind == "profile" and phi.get("ramp", False)
+        coeffs = grid.project @ (float(phi["amplitude"]) * PROFILES[phi["profile"]](grid.x))
+    ramped = kind == "profile" and phi["ramp"]
     weights = 1.0 + thetas / h if ramped else np.ones(m + 1)
     return Segment(h=h, dt=dt, values=np.outer(weights, coeffs))
 

@@ -110,7 +110,7 @@ def _check_operator_args(n_modes, a, delta_fraction):
     n_modes = check_count("operator.n_modes", n_modes, 1)
     delta_fraction = check_number("operator.delta_fraction", delta_fraction, 0.0, 1.0)
     if isinstance(a, numbers.Real) and not isinstance(a, bool):
-        if not 0.0 < a < math.inf:   # NaN fails too
+        if not (is_finite(a) and a > 0.0):   # NaN and an int past the double range fail too
             raise EllipticityError(f"operator.a = {a} must be positive and finite")
         return n_modes, float(a), delta_fraction
     try:

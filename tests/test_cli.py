@@ -25,9 +25,13 @@ from nsfde import (RngStream, find_horizon, load_config, make_coefficients,
                    make_initial_segment, make_noise, make_operator,
                    make_solver_config, osgood_certificate, simulate, sup_norm)
 from nsfde.cli import build_parser, main
-from nsfde.config import _FIELDS
+from nsfde.config import _DEFAULTS
 from nsfde.serialize import (read_measure_jsonl, read_report_csv,
                              read_trajectory_jsonl)
+
+# every config field's dotted path: each section's keys, and the top-level seed
+_FIELDS = {f"{section}.{key}" for section, keys in _DEFAULTS.items() if isinstance(keys, dict)
+           for key in keys} | {"seed"}
 
 ZERO_CFG = """\
 seed: 7
@@ -71,6 +75,8 @@ def test_validate_passes_on_default_style_config(tmp_path, capsys):
     # finite and positive, but the stiffness product overflows: refused, with no warning
     ("operator: {n_modes: 4, a: [[0, 1], [0.5, 1.0e+308], [1, 1]]}\n",
      "error: operator.a: the table's values overflow the stiffness matrix\n"),
+    # a 401-digit integer is past the double range: refused as not finite, no traceback
+    ("operator: {a: 1" + "0" * 400 + "}\n", "error: operator.a"),
 ])
 def test_validate_rejects_bad_configs(tmp_path, capsys, text, needle):
     assert main(["validate", "--config", _cfg(tmp_path, text)]) == 1

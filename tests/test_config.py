@@ -11,11 +11,25 @@ import yaml
 
 import nsfde
 from nsfde import config as config_mod
-from nsfde import (ConfigError, EllipticityError, SolverConfig, assemble_operator,
+from nsfde import (ConfigError, EllipticityError, RngStream, SolverConfig, assemble_operator,
                    builtin_coefficients, builtin_qwiener, from_initial_condition,
                    load_config, make_coefficients, make_initial_segment, make_noise,
                    make_operator, make_solver_config, parse_config, resolved_dict)
-from nsfde.config import _FIELDS, dump_resolved
+from nsfde.config import _CHECKS, _DEFAULTS, dump_resolved
+
+
+def _flatten(defaults):
+    """Every config field's dotted path with its default, in declaration order."""
+    out = {}
+    for section, fields in defaults.items():
+        if isinstance(fields, dict):
+            out.update({f"{section}.{key}": val for key, val in fields.items()})
+        else:
+            out[section] = fields
+    return out
+
+
+FIELDS = _flatten(_DEFAULTS)
 
 
 def test_empty_config_takes_documented_defaults():
@@ -139,9 +153,9 @@ def _wrong_kind(default):
 
 
 @pytest.mark.parametrize("patch, path", [
-    *[(_patch(path, _wrong_kind(default)), path) for path, (default, _) in _FIELDS.items()],
+    *[(_patch(path, _wrong_kind(default)), path) for path, default in FIELDS.items()],
     ({"coefficients": {"kernel": "zero", "kernel_delay": "mid"}}, "coefficients.kernel_delay"),
-], ids=[*_FIELDS, "kernel_delay_without_kernel"])
+], ids=[*FIELDS, "kernel_delay_without_kernel"])
 def test_every_field_refuses_a_value_of_the_wrong_kind(patch, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
         parse_config(patch)
@@ -151,12 +165,15 @@ def _refusal(path, val, **context):
     """A case setting ``path`` to ``val``, with the fields ``context`` gives (section -> keys)."""
     section, _, key = path.rpartition(".")
     patch = {name: dict(fields) for name, fields in context.items()}
-    patch.setdefault(section, {})[key] = val
+    (patch.setdefault(section, {}) if section else patch)[key] = val
     return pytest.param(path, patch, id=f"{path}={val!r}")
 
 
 _NAN = float("nan")
 _REFUSALS = [
+    _refusal("seed", -1),
+    _refusal("seed", 2**63),
+    _refusal("seed", 1.5),
     _refusal("operator.n_modes", 4.5),
     _refusal("operator.n_modes", 0),
     _refusal("operator.a", -1.0),
@@ -211,6 +228,7 @@ _REFUSALS = [
 
 # the library builder of each section, on the section's keys and the mode count
 _BUILDERS = {
+    "seed": lambda seed, n: RngStream(seed),
     "operator": lambda keys, n: assemble_operator(**keys),
     "noise": lambda keys, n: builtin_qwiener(n, **keys),
     "coefficients": lambda keys, n: builtin_coefficients(**keys),
@@ -219,7 +237,10 @@ _BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("path, patch", _REFUSALS)
+@pytest.mark.parametrize("path, patch", [
+    *_REFUSALS,
+    _refusal("initial.profle", "bump", initial={"kind": "profile"}),   # not a field
+])
 def test_the_config_and_the_builder_refuse_a_field_alike(path, patch):
     # each builder is the one checker of its fields, and loading a config runs that check
     section = path.partition(".")[0]
@@ -227,16 +248,38 @@ def test_the_config_and_the_builder_refuse_a_field_alike(path, patch):
         parse_config(patch)
     with pytest.raises(ConfigError) as by_builder:
         _BUILDERS[section](patch[section], patch.get("operator", {}).get("n_modes", 32))
-    assert str(by_config.value) == str(by_builder.value)
-    assert str(by_builder.value).startswith(path)
+    message = str(by_builder.value)
+    assert str(by_config.value) == message
+    if path in FIELDS:
+        assert message.startswith(path)
+    else:
+        assert message == f"unknown config key {path!r}"
 
 
 def test_the_table_checks_only_the_fields_no_builder_takes():
-    checked = {path for path, (_, check) in _FIELDS.items() if check is not None}
-    assert checked == {"seed", "delay.h", "measure.burn_in", "measure.n_trajectories",
-                       "measure.r_grid"}
+    checked = set(_CHECKS)
+    assert checked == {"delay.h", "measure.burn_in", "measure.n_trajectories", "measure.r_grid"}
     # every field a builder takes has a case above
-    assert {case.values[0] for case in _REFUSALS} == set(_FIELDS) - checked
+    assert {case.values[0] for case in _REFUSALS} == set(FIELDS) - checked
+
+
+_HUGE = 10**400   # a 401-digit YAML integer loads as this; float() overflows on it
+
+
+@pytest.mark.parametrize("patch, path", [
+    ({"noise": {"trace": _HUGE}}, "noise.trace"),
+    ({"delay": {"h": _HUGE}}, "delay.h"),
+    ({"measure": {"r_grid": [1.0, _HUGE]}}, "measure.r_grid"),
+    ({"initial": {"coeffs": [_HUGE]}}, "initial.coeffs"),
+    ({"operator": {"a": _HUGE}}, "operator.a"),
+    ({"operator": {"a": [[0.0, 1.0], [1.0, _HUGE]]}}, "operator.a"),
+], ids=["noise.trace", "delay.h", "measure.r_grid", "initial.coeffs", "operator.a",
+        "operator.a-table"])
+def test_an_integer_past_the_double_range_is_not_finite(patch, path):
+    with pytest.raises(ConfigError) as refused:
+        parse_config(patch)
+    assert str(refused.value).startswith(path)
+    assert "finite" in str(refused.value)
 
 
 def test_seed_must_fit_int64():
@@ -430,26 +473,15 @@ def test_readme_configuration_block_lists_the_defaults():
     listed = set()
     for section, fields in yaml.safe_load(block).items():
         listed |= {f"{section}.{key}" for key in fields} if isinstance(fields, dict) else {section}
-    assert listed == set(_FIELDS)
+    assert listed == set(FIELDS)
 
+    # the block lists sections and keys in the order a resolved dump writes them,
+    # which follows the builders' signatures
+    def order(mapping):
+        return [(name, list(val) if isinstance(val, dict) else None)
+                for name, val in mapping.items() if name != "derived"]
 
-def test_config_defaults_match_the_library():
-    # each default the config and a library builder both declare, read from the
-    # builder's signature; null grid_points (4 * n_modes) is the one intended difference
-    def defaults(fn, section):
-        return {f"{section}.{name}": par.default
-                for name, par in inspect.signature(fn).parameters.items()
-                if par.default is not inspect.Parameter.empty}
-
-    library = {**defaults(assemble_operator, "operator"),
-               **defaults(SolverConfig, "solver"),
-               **defaults(builtin_coefficients, "coefficients"),
-               **defaults(builtin_qwiener, "noise")}
-    assert library.pop("coefficients.grid_points") == 128
-    assert _FIELDS["coefficients.grid_points"][0] is None
-    assert len(library) == 22
-    assert {path: (_FIELDS[path][0], want) for path, want in library.items()
-            if _FIELDS[path][0] != want} == {}
+    assert order(yaml.safe_load(block)) == order(_resolved(parse_config({})))
 
 
 def test_every_config_field_has_a_reader():
@@ -462,7 +494,7 @@ def test_every_config_field_has_a_reader():
     coefficients = set(inspect.signature(builtin_coefficients).parameters)
     noise = set(inspect.signature(builtin_qwiener).parameters)
     unread = []
-    for path in _FIELDS:
+    for path in FIELDS:
         section, _, key = path.rpartition(".")
         if section == "solver":
             read = key in solver

@@ -1,7 +1,8 @@
-"""Dependency audit: what the package imports matches what it declares.
+"""Dependency audit: what the package and its tests import matches what it declares.
 
-Every ``import`` under ``src/nsfde`` is read with ``ast``, function-local ones
-included, so a lazily imported module counts as much as one at the top.
+Every ``import`` under ``src/nsfde`` and ``tests`` is read with ``ast``,
+function-local ones included, so a lazily imported module counts as much as
+one at the top.
 """
 import ast
 import re
@@ -13,11 +14,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _third_party_imports():
-    """Top-level names of every absolute import under src/nsfde that is
-    neither the standard library nor the package itself."""
+def _third_party_imports(root):
+    """Top-level names of every absolute import under ``root`` that is neither
+    the standard library nor the package itself."""
     tops = set()
-    for path in (ROOT / "src" / "nsfde").rglob("*.py"):
+    for path in root.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 tops.update(alias.name.partition(".")[0] for alias in node.names)
@@ -26,22 +27,37 @@ def _third_party_imports():
     return tops - set(sys.stdlib_module_names) - {"nsfde"}
 
 
-def test_the_package_imports_only_numpy_yaml_and_orjson():
-    assert _third_party_imports() == {"numpy", "yaml", "orjson"}
+def _names(deps):
+    """Lowercased distribution names of requirement strings."""
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in deps}
 
 
-def test_declared_dependencies_match_the_imports():
+@pytest.fixture(scope="module")
+def project():
     try:
         import tomllib
     except ModuleNotFoundError:             # Python 3.10
         tomllib = pytest.importorskip("tomli")
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        project = tomllib.load(fh)["project"]
-    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
-             for dep in project["dependencies"]}
-    assert names == {"numpy", "pyyaml", "orjson"}
+        return tomllib.load(fh)["project"]
+
+
+def test_the_package_imports_only_numpy_yaml_and_orjson():
+    assert _third_party_imports(ROOT / "src" / "nsfde") == {"numpy", "yaml", "orjson"}
+
+
+def test_declared_dependencies_match_the_imports(project):
+    assert _names(project["dependencies"]) == {"numpy", "pyyaml", "orjson"}
     # the tests keep scipy as their reference quadrature and statistics
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_the_tests_import_only_declared_packages(project):
+    # the dependencies plus the test extra, by import name: a test importing an
+    # undeclared package fails here, not on a fresh machine
+    declared = _names(project["dependencies"] + project["optional-dependencies"]["test"])
+    importable = {"yaml" if name == "pyyaml" else name for name in declared}
+    assert _third_party_imports(ROOT / "tests") - importable == set()
 
 
 def test_serialize_imports_nothing_from_config():

@@ -224,8 +224,7 @@ def osgood_integral(cs: CoefficientSet, eps: float) -> float:
     resolve there (one kinked away from s = e^{-2}, say) raises ``DomainError``
     when the two sums differ by more than 1e-10 relative.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError("eps must lie in (0, 1)")
+    check_number("eps", eps, 0.0, 1.0)
     n_fn = cs.modulus_N
     probes = np.geomspace(eps, 1.0, 257)
     vals = np.asarray(n_fn(probes), dtype=float)
@@ -299,10 +298,8 @@ def modulus_bound_check(cs: CoefficientSet, n_samples: int, gen: np.random.Gener
     (violations, max ratio LHS/RHS); rounding guard 1e-12 keeps
     exact-equality corners from being miscounted.
     """
-    if check_count("n_samples", n_samples) < 1:
-        raise DomainError("need at least one sample pair")
-    if not 0.0 <= mixture <= 1.0:
-        raise DomainError("mixture weight must lie in [0, 1]")
+    check_count("n_samples", n_samples, 1)
+    check_number("mixture", mixture, 0.0, 1.0, lo_open=False, hi_open=False)
     n_log = int(round(n_samples * mixture))
     uni = gen.uniform(-1.0, 1.0, size=(2, n_samples - n_log))  # a 0-size draw uses no state
     mags = 10.0 ** gen.uniform(-12.0, math.log10(E_MINUS_2), size=(2, n_log))
@@ -335,8 +332,7 @@ def lipschitz_probe_g(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
     g is rank one, profile * mass, so the numerator is
     |mass(phi1) - mass(phi2)| ||profile||_{1/2}; pairs closer than 1e-12 are skipped.
     """
-    if check_count("n_samples", n_samples) < 1:
-        raise DomainError("need at least one probe pair")
+    check_count("n_samples", n_samples, 1)
     maps = GridMaps(cs, op)
     pairs = random_segments(op, h, h / 4.0, gen, np.ones((n_samples, 2)))
     denom = sup_norm(pairs[:, 0] - pairs[:, 1])
@@ -358,8 +354,7 @@ def growth_check(cs: CoefficientSet, op: SpectralOperator, n_samples: int,
     covariance ``qspec`` (sum_k lambda_k ||sigma e_k||^2 via the kernel
     density sum_k lambda_k e_k(x)^2).
     """
-    if check_count("n_samples", n_samples) < 1:
-        raise DomainError("need at least one sample segment")
+    check_count("n_samples", n_samples, 1)
     grid = op.grid(cs.grid_points)
     density = np.einsum("k,jk->j", qspec.lambdas, grid.synth ** 2)
     amps = 10.0 ** gen.uniform(-3.0, 2.0, size=n_samples)

@@ -167,7 +167,7 @@ def load_config(path, overrides=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:   # ValueError: an integer past 4300 digits
             raise ConfigError(f"config parse failure in {path}: {exc}") from None
     return parse_config(raw, overrides)
 

@@ -10,11 +10,13 @@ class NsfdeError(Exception):
 
 
 class ConfigError(NsfdeError, ValueError):
-    """Invalid configuration value or file; the message names the offending key."""
+    """A refused scalar (a config field, a flag or a library argument) or config file;
+    the message names the field's dotted path or the argument."""
 
 
 class DomainError(NsfdeError, ValueError):
-    """Argument outside the mathematical domain of an operation."""
+    """Refused array contents, or a failed numerical condition (an unresolved Osgood
+    integral, a grid that aliases the modes); a refused scalar is a ``ConfigError``."""
 
 
 class ShapeError(NsfdeError, ValueError):
@@ -52,7 +54,7 @@ def check_choice(where: str, val, allowed):
 
 def check_count(where: str, val, lo=None):
     """``val`` as an int if it is an integer (Python or numpy, not a bool) of at least
-    ``lo``; otherwise ConfigError naming the dotted config path ``where``."""
+    ``lo``; otherwise ConfigError naming ``where``, a dotted config path or an argument."""
     if isinstance(val, bool) or not isinstance(val, numbers.Integral):
         raise ConfigError(f"{where} must be an integer")
     if lo is not None and val < lo:
@@ -72,7 +74,7 @@ def is_finite(val) -> bool:
 def check_number(where: str, val, lo=None, hi=None, lo_open=True, hi_open=True):
     """``val`` as a float if it is a finite real number (not a bool) within the bounds
     given, each open unless ``lo_open``/``hi_open`` is false; otherwise ConfigError
-    naming the dotted config path ``where``."""
+    naming ``where``, a dotted config path or an argument."""
     if isinstance(val, bool) or not isinstance(val, numbers.Real):
         raise ConfigError(f"{where} must be a number")
     if not is_finite(val):

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import ConfigError, DomainError, ShapeError, check_count
+from .errors import ConfigError, DomainError, ShapeError, check_count, check_number
 from .noise import QWienerSpec, RngStream
 from .segment import Segment, _window_steps, sup_norm
 from .solver import SolverConfig, Trajectory, simulate
@@ -45,8 +45,8 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 def ks_critical(n: int, m: int) -> float:
     """5 percent asymptotic critical value c * sqrt((n+m)/(n m)), c = 1.358."""
-    if n < 1 or m < 1:
-        raise DomainError("KS critical value needs positive sample sizes")
+    check_count("n", n, 1)
+    check_count("m", m, 1)
     return KS_COEFF_5PCT * np.sqrt((n + m) / (n * m))
 
 
@@ -66,8 +66,7 @@ def run_ensemble(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                  qspec: QWienerSpec, cfg: SolverConfig, seed: int,
                  n_traj: int) -> list[Trajectory]:
     """Integrate ``n_traj`` independent trajectories on streams 0..n_traj-1 of ``seed``."""
-    if check_count("n_traj", n_traj) < 1:
-        raise ConfigError("ensemble needs at least one trajectory")
+    check_count("n_traj", n_traj, 1)
     return [simulate(initial, cs, op, qspec, cfg, RngStream(seed=seed, stream_id=i))
             for i in range(n_traj)]
 
@@ -223,10 +222,8 @@ def invariance_test(mu: EmpiricalMeasure, t: float, cs: CoefficientSet,
     Draw i evolves on stream_id = stream.stream_id + 1 + i; the index draw
     itself uses the base stream, so the whole test is reproducible.
     """
-    if t <= 0.0:
-        raise DomainError("evolution time must be positive")
-    if check_count("n_draws", n_draws) < 2:
-        raise ConfigError("invariance test needs at least two draws")
+    check_number("t", t, 0.0)
+    check_count("n_draws", n_draws, 2)
     if mu.n_samples < 1:
         raise ConfigError("empirical measure holds no stored segments")
 
@@ -255,10 +252,9 @@ def homogeneity_test(phi: Segment, s: float, t: float, cs: CoefficientSet,
     validates the harness and the stream bookkeeping, not new dynamics.
     ``t`` and ``t - s`` must be whole multiples of ``dt``, else ``ConfigError``.
     """
-    if s < 0.0 or t <= s:
-        raise DomainError("need t > s >= 0")
-    if check_count("n_samples", n_samples) < 2:
-        raise ConfigError("homogeneity test needs at least two samples per side")
+    check_number("s", s, 0.0, lo_open=False)
+    check_number("t", t, s)
+    check_count("n_samples", n_samples, 2)
     steps = _window_steps(t - s, dt, "(t - s) / dt")
     skip = _window_steps(t, dt, "t / dt") - steps
     cfg = SolverConfig(dt=dt, t_end=steps * dt, store_stride=steps)
@@ -300,10 +296,8 @@ def continuous_dependence_probe(phi: Segment, psi_list: Sequence[Segment],
     psi_list = list(psi_list)
     if not psi_list:
         raise ConfigError("need at least one comparison segment")
-    if check_count("n_paths", n_paths) < 2:
-        raise ConfigError("dependence probe needs at least two noise paths")
-    if not 0.0 < p < np.inf:   # NaN fails too
-        raise DomainError("moment exponent must be positive and finite")
+    check_count("n_paths", n_paths, 2)
+    check_number("p", p, 0.0)
     offsets = sup_norm(phi.values - np.array([psi.values for psi in psi_list]))
     if np.any(np.diff(offsets) > 1e-12 * max(1.0, offsets[0])):
         raise DomainError("comparison segments must be ordered with "

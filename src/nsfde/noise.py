@@ -83,8 +83,7 @@ def ou_std(spec: QWienerSpec, op: SpectralOperator, dt: float) -> np.ndarray:
     lambda_k (1 - e^{-2 mu_k dt}) / (2 mu_k); its stationary limit is
     lambda_k / (2 mu_k).
     """
-    if dt <= 0.0:
-        raise DomainError("increment length dt must be positive")
+    check_number("dt", dt, 0.0)
     if spec.n_modes != op.n_modes:
         raise ShapeError("covariance spectrum and operator truncation disagree")
     mu = op.eigenvalues

@@ -56,9 +56,8 @@ import numpy as np
 
 from . import noise as noise_mod
 from .coefficients import CoefficientSet, GridMaps
-from .errors import (BlowupError, ConfigError, DomainError,
-                     NonconvergenceError, ShapeError, check_choice, check_count,
-                     check_number)
+from .errors import (BlowupError, ConfigError, NonconvergenceError, ShapeError,
+                     check_choice, check_count, check_number)
 from .noise import QWienerSpec, RngStream
 from .segment import Segment, _window_steps
 from .spectral import SpectralOperator
@@ -303,14 +302,10 @@ def picard_run(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
 
 
 def _check_window_args(mg: float, p: float, alpha: float, c_frac: float):
-    if not 0.0 < mg < 1.0:
-        raise DomainError("Mg must lie in (0, 1)")
-    if not 2.0 < p < math.inf:
-        raise DomainError("exponent p must be a finite number above 2")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
-    if not 0.0 < c_frac < math.inf:
-        raise DomainError("decay-envelope constant must be positive and finite")
+    check_number("mg", mg, 0.0, 1.0)
+    check_number("p", p, 2.0)
+    check_number("alpha", alpha, 0.0, 1.0, hi_open=False)
+    check_number("c_frac", c_frac, 0.0)
 
 
 def _window_term(mg: float, p: float, alpha: float, c_frac: float, horizon: float,
@@ -318,9 +313,7 @@ def _window_term(mg: float, p: float, alpha: float, c_frac: float, horizon: floa
     """e^{log_factor} a T^{alpha p}, a = Mg^p c^p / ((1 - Mg)^{p-1} alpha^p), summed in
     log space so that no power overflows; ``inf`` beyond the double range."""
     _check_window_args(mg, p, alpha, c_frac)
-    if horizon < 0.0:
-        raise DomainError("window length must be nonnegative")
-    if horizon == 0.0:
+    if check_number("horizon", horizon, 0.0, lo_open=False) == 0.0:
         return 0.0
     log_term = (log_factor + p * (math.log(mg) + math.log(c_frac) - math.log(alpha))
                 + alpha * p * math.log(horizon) - (p - 1.0) * math.log1p(-mg))

@@ -28,8 +28,8 @@ _SYMMETRY_TOL = 1e-12
 
 def simpson_weights(n_intervals: int) -> np.ndarray:
     """Composite-Simpson weights on a uniform grid of [0, 1] with an even interval count."""
-    if n_intervals < 2 or n_intervals % 2 != 0:
-        raise DomainError("Simpson rule needs an even number of intervals >= 2")
+    if check_count("n_intervals", n_intervals, 2) % 2:
+        raise ConfigError(f"n_intervals = {n_intervals} must be even")
     w = np.ones(n_intervals + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -196,8 +196,7 @@ def _check_modes(op: SpectralOperator, coeffs) -> np.ndarray:
 
 def semigroup_apply(op: SpectralOperator, t: float, coeffs) -> np.ndarray:
     """Apply S(t) = e^{tA}: multiply mode k by exp(-mu_k t).  Exact for t = 0."""
-    if t < 0.0:
-        raise DomainError("semigroup time must be nonnegative")
+    check_number("t", t, 0.0, lo_open=False)
     coeffs = _check_modes(op, coeffs)
     return coeffs * np.exp(-op.eigenvalues * t)
 
@@ -209,10 +208,8 @@ def fractional_norm(op: SpectralOperator, coeffs, alpha: float = 0.5) -> float:
 
 def frac_semigroup_norm(op: SpectralOperator, alpha: float, t: float) -> float:
     """Operator norm ||(-A)^alpha S(t)|| = max_k mu_k^alpha exp(-mu_k t) for t > 0."""
-    if t <= 0.0:
-        raise DomainError("frac_semigroup_norm requires t > 0")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
+    check_number("t", t, 0.0)
+    check_number("alpha", alpha, 0.0, 1.0, lo_open=False, hi_open=False)
     return float(np.max(op.eigenvalues ** alpha * np.exp(-op.eigenvalues * t)))
 
 
@@ -224,8 +221,7 @@ def decay_constants(op: SpectralOperator, alpha: float) -> tuple[float, float]:
     t* = alpha / (mu - delta), so C = max_k (alpha mu_k / (mu_k - delta))^alpha e^{-alpha}.
     The spectral-gap invariant delta < mu_1 keeps every denominator positive.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
+    check_number("alpha", alpha, 0.0, 1.0, lo_open=False, hi_open=False)
     beta = op.eigenvalues - op.delta
     vals = (alpha * op.eigenvalues / beta) ** alpha * math.exp(-alpha)
     return float(np.max(vals)), float(op.delta)

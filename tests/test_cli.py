@@ -77,6 +77,8 @@ def test_validate_passes_on_default_style_config(tmp_path, capsys):
      "error: operator.a: the table's values overflow the stiffness matrix\n"),
     # a 401-digit integer is past the double range: refused as not finite, no traceback
     ("operator: {a: 1" + "0" * 400 + "}\n", "error: operator.a"),
+    # past 4300 digits PyYAML itself fails with a bare ValueError: a parse failure
+    ("operator: {a: 1" + "0" * 5000 + "}\n", "error: config parse failure in "),
 ])
 def test_validate_rejects_bad_configs(tmp_path, capsys, text, needle):
     assert main(["validate", "--config", _cfg(tmp_path, text)]) == 1

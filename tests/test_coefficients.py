@@ -166,9 +166,9 @@ def test_modulus_bound_check_counts_real_violations():
     v2, ratio2 = modulus_bound_check(doubled, 10 ** 4, gen)
     assert v2 > 0 and ratio2 > 1.0
 
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="^n_samples = 0 must be >= 1$"):
         modulus_bound_check(builtin_coefficients(), 0, gen)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=re.escape("mixture = 1.5 out of range [0, 1]")):
         modulus_bound_check(builtin_coefficients(), 10, gen, mixture=1.5)
 
 
@@ -180,7 +180,7 @@ def test_osgood_integral_and_certificate():
     for k in (2, 3):
         got = osgood_integral(cs, math.exp(-math.exp(k)))
         assert got == pytest.approx(k - math.log(2.0) + tail, rel=1e-9)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=re.escape("eps = 1.5 out of range (0, 1)")):
         osgood_integral(cs, 1.5)
 
     cert = osgood_certificate(cs)
@@ -420,5 +420,5 @@ def test_probe_sample_counts_must_be_integers(probe, count):
                                                    qspec=builtin_qwiener(4), h=0.05)}[probe]
     with pytest.raises(ConfigError, match="^n_samples must be an integer$"):
         call(count)
-    with pytest.raises(DomainError, match="^need at least one "):
+    with pytest.raises(ConfigError, match="^n_samples = 0 must be >= 1$"):
         call(0)   # an integer count, but no sample

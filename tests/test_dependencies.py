@@ -72,3 +72,24 @@ def test_serialize_imports_nothing_from_config():
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
     assert [name for name in names if "config" in name.split(".")] == []
+
+
+def _unused_imports(path):
+    """Names that ``path`` binds by an import and never reads (``from __future__``
+    imports aside)."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in (ROOT / "src" / "nsfde").glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # __init__.py imports to re-export; every other module imports to use
+    assert _unused_imports(path) == []

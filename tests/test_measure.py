@@ -1,4 +1,5 @@
 """Occupation measures, KS machinery and the distributional consistency tests."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +48,7 @@ def test_ks_statistic_matches_scipy():
 
 def test_ks_critical_formula():
     assert ks_critical(100, 100) == pytest.approx(1.358 * np.sqrt(0.02), rel=1e-12)
-    with pytest.raises(DomainError, match="KS critical value needs positive sample sizes"):
+    with pytest.raises(ConfigError, match="^n = 0 must be >= 1$"):
         ks_critical(0, 5)
 
 
@@ -84,7 +85,7 @@ def test_run_ensemble_stream_layout():
     assert all(t.seed == 31 for t in trajs)
     # distinct streams, distinct paths
     assert not np.array_equal(trajs[0].snapshots, trajs[1].snapshots)
-    with pytest.raises(ConfigError, match="ensemble needs at least one trajectory"):
+    with pytest.raises(ConfigError, match="^n_traj = 0 must be >= 1$"):
         run_ensemble(ini, cs, OP, Q, cfg, seed=31, n_traj=0)
 
 
@@ -237,9 +238,9 @@ def test_invariance_test_exact_fixed_point():
     assert not np.asarray(rep.ks_stat).any()
     assert not rep.diff.any()
 
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=re.escape("t = 0.0 out of range (0, inf)")):
         invariance_test(mu, 0.0, cs, OP, Q, 0.01, RngStream(60, 0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^n_draws = 1 must be >= 2$"):
         invariance_test(mu, 0.2, cs, OP, Q, 0.01, RngStream(60, 0), n_draws=1)
     with pytest.raises(ConfigError, match="t / dt"):
         # not a whole number of steps: refused, not rounded to 0.2
@@ -265,9 +266,9 @@ def test_homogeneity_deterministic_sides_coincide():
                             n_samples=3)
     assert rep0.all_passed and not np.asarray(rep0.ks_stat).any()
 
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=re.escape("t = 1.0 out of range (1, inf)")):
         homogeneity_test(ini, 1.0, 1.0, cs, OP, Q, 0.01, RngStream(61, 0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^n_samples = 1 must be >= 2$"):
         homogeneity_test(ini, 0.0, 0.5, cs, OP, Q, 0.01, RngStream(61, 0),
                          n_samples=1)
     with pytest.raises(ConfigError, match="t - s"):
@@ -301,14 +302,14 @@ def test_dependence_probe_validation():
         continuous_dependence_probe(base, [], 3.0, 0.2, cs, OP, Q, 0.01,
                                     RngStream(63, 0))
     for p in (0.0, np.nan, np.inf):   # NaN gave NaN estimates and inf gave 0
-        with pytest.raises(DomainError, match="moment exponent must be positive and finite"):
+        with pytest.raises(ConfigError, match="^p = "):
             continuous_dependence_probe(base, [nearer], p, 0.2, cs, OP, Q, 0.01,
                                         RngStream(63, 0), n_paths=2)
     with pytest.raises(ConfigError, match="horizon / dt"):
         continuous_dependence_probe(base, [nearer], 3.0, 0.205, cs, OP, Q, 0.01,
                                     RngStream(63, 0), n_paths=2)
     for n_paths in (0, 1):   # no mean, or no standard error, from fewer than two paths
-        with pytest.raises(ConfigError, match="two noise paths"):
+        with pytest.raises(ConfigError, match=f"^n_paths = {n_paths} must be >= 2$"):
             continuous_dependence_probe(base, [nearer], 3.0, 0.2, cs, OP, Q, 0.01,
                                         RngStream(63, 0), n_paths=n_paths)
 

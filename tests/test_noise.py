@@ -103,7 +103,7 @@ def test_ou_std_closed_form_and_limits():
     with pytest.raises(ShapeError):
         ou_std(builtin_qwiener(3), op, dt)
     for bad in (0.0, -dt):
-        with pytest.raises(DomainError, match="increment length dt must be positive"):
+        with pytest.raises(ConfigError, match="^dt = .* out of range"):
             ou_std(q, op, bad)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfde import (BlowupError, ConfigError, DomainError, GridMaps, HorizonResult,
+from nsfde import (BlowupError, ConfigError, GridMaps, HorizonResult,
                    NonconvergenceError, RngStream, Segment, ShapeError,
                    SolverConfig, assemble_operator, builtin_coefficients, builtin_qwiener,
                    constant_segment, contraction_factor, find_horizon,
@@ -589,12 +589,12 @@ def test_window_bounds_at_zero_and_validation():
                 dict(c_frac=math.nan), dict(c_frac=math.inf)]:
         args = dict(mg=0.3, p=3.0, alpha=0.5, c_frac=1.0)
         args.update(bad)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} = "):
             contraction_factor(args["mg"], args["p"], args["alpha"],
                                args["c_frac"], 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} = "):
             find_horizon(args["mg"], args["p"], args["alpha"], args["c_frac"])
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=re.escape("horizon = -1.0 out of range [0, inf)")):
         stability_bound(0.3, 3.0, 0.5, 1.0, -1.0)
     # beyond the double range the bounds are infinite, not an OverflowError
     assert stability_bound(0.3, 500.0, 0.5, 1.0, 1e12) == math.inf

@@ -4,11 +4,11 @@ The scalar nonlinearities f and sigma act pointwise in physical space on the
 delayed field (Nemytskii maps); the neutral functional g integrates a kernel
 b(x, z, y) of the delayed field over the domain.  Built-ins include the
 bounded non-Lipschitz pair (f, N): f(x) = |x| (p |ln|x||)^{1/p} capped at
-|x| = e^{-2}, and the concave modulus N(s) = -s ln s continued linearly, for
-which |f(x) - f(0)|^p = N(|x|^p) holds with equality on the whole core
-branch.  The checkers turn the standing well-posedness assumptions (linear
-growth, modulus bound, divergent modulus integral, neutral-term smallness)
-into sampled numerical verdicts.
+|x| = e^{-2}, an even drift with f >= 0, and the concave modulus N(s) = -s ln s
+continued linearly, for which |f(x) - f(0)|^p = N(|x|^p) holds with equality on
+the whole core branch.  The checkers turn the standing well-posedness
+assumptions (linear growth, modulus bound, divergent modulus integral,
+neutral-term smallness) into sampled numerical verdicts.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def _pointwise(fn):
 
 
 def osgood_drift(p: float) -> Callable:
-    """Bounded non-Lipschitz drift with logarithmic modulus; from |x| = e^{-2} on
-    it holds its bound e^{-2} (2p)^{1/p}."""
+    """Bounded non-Lipschitz drift with logarithmic modulus, even in x and never
+    negative; from |x| = e^{-2} on it holds its bound e^{-2} (2p)^{1/p}."""
 
     def _impl(x):
         # clipped at e^{-2}, where -ln a = 2 exactly gives the cap; fmin sends NaN there too

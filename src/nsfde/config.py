@@ -5,14 +5,13 @@ takes its default and every unknown key is rejected with its dotted path.  The
 ``operator``, ``coefficients``, ``noise`` and ``solver`` sections go whole to
 ``assemble_operator``, ``builtin_coefficients``, ``builtin_qwiener`` and
 ``SolverConfig``, and ``initial`` to ``from_initial_condition``.  A section
-passed whole to a builder takes that builder's defaults (``initial``'s live in
-``segment.INITIAL_DEFAULTS``), and the builder is the one checker of its
-fields; ``parse_config`` runs those checks, and ``RngStream``'s on the seed, so
-a config is refused when it loads.  ``_CHECKS`` checks only the fields no
-builder takes: ``delay.h``, ``measure.burn_in``, ``measure.n_trajectories`` and
-``measure.r_grid``.  Every refusal names the dotted path.  Each run setting
-has one field: ``solver.segment_stride`` is the checkpoint stride the solver
-records at and ``estimate-measure`` pools at.
+passed whole to a builder takes that builder's defaults, and the builder is the
+one checker of its fields; ``parse_config`` runs those checks, and
+``RngStream``'s on the seed, so a config is refused when it loads.  ``_CHECKS``
+checks only the fields no builder takes: ``delay.h``, ``measure.burn_in``,
+``measure.n_trajectories`` and ``measure.r_grid``.  Every refusal names the
+dotted path.  Each run setting has one field: ``solver.segment_stride`` is the
+checkpoint stride the solver records at and ``estimate-measure`` pools at.
 ``resolved_dict`` echoes the fully defaulted config, plus a ``derived`` block
 read from the run's built operator and noise (ignored on reload), so that a
 dumped resolved config reloads to bit-identical behaviour.
@@ -31,7 +30,7 @@ from . import coefficients as coeff_mod
 from . import noise as noise_mod
 from . import spectral
 from .errors import ConfigError, check_count, check_number, is_finite
-from .segment import INITIAL_DEFAULTS, _check_initial, _window_steps, from_initial_condition
+from .segment import _check_initial, _window_steps, from_initial_condition
 from .solver import SolverConfig
 
 
@@ -92,7 +91,7 @@ _DEFAULTS = {
     "coefficients": {**_defaults(coeff_mod.builtin_coefficients), "grid_points": None},
     "solver": {"dt": 1.0e-3, "t_end": 1.0, **_defaults(SolverConfig)},
     "measure": {"burn_in": None, "n_trajectories": 50, "r_grid": [0.5, 1.0, 2.0, 4.0, 8.0]},
-    "initial": INITIAL_DEFAULTS,
+    "initial": _defaults(from_initial_condition),
 }
 
 # The checks of the fields no builder takes: each raises ConfigError naming the
@@ -152,14 +151,11 @@ def parse_config(raw, overrides=None) -> RunConfig:
     spectral._check_operator_args(**rc.operator)
     make_coefficients(rc)
     noise_mod.builtin_qwiener(rc.operator["n_modes"], **rc.noise)
-    _check_initial(rc.initial, rc.operator["n_modes"])
+    _check_initial(rc.operator["n_modes"], **rc.initial)
     burn_in, t_end = rc.measure["burn_in"], rc.solver["t_end"]
     _need(burn_in is None or burn_in < t_end,
           f"measure.burn_in = {burn_in} must be < solver.t_end = {t_end}")
-    n_modes = rc.operator["n_modes"]
-    gp = rc.coefficients["grid_points"]
-    _need(gp is None or gp > 2 * n_modes,
-          f"coefficients.grid_points = {gp} must exceed 2 * operator.n_modes = {2 * n_modes}")
+    spectral._check_grid_points(rc.grid_points(), rc.operator["n_modes"])
     return rc
 
 
@@ -193,7 +189,7 @@ def make_solver_config(rc: RunConfig) -> SolverConfig:
 
 
 def make_initial_segment(rc: RunConfig, op):
-    return from_initial_condition(rc.initial, rc.h, rc.dt, op, n_grid=rc.grid_points())
+    return from_initial_condition(rc.h, rc.dt, op.grid(rc.grid_points()), **rc.initial)
 
 
 def resolved_dict(rc: RunConfig, op, qspec: noise_mod.QWienerSpec) -> dict:

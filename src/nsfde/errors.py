@@ -16,7 +16,7 @@ class ConfigError(NsfdeError, ValueError):
 
 class DomainError(NsfdeError, ValueError):
     """Refused array contents, or a failed numerical condition (an unresolved Osgood
-    integral, a grid that aliases the modes); a refused scalar is a ``ConfigError``."""
+    integral); a refused scalar is a ``ConfigError``."""
 
 
 class ShapeError(NsfdeError, ValueError):

@@ -103,6 +103,7 @@ def krylov_bogoliubov(trajs, burn_in: float) -> EmpiricalMeasure:
     ``t_end``.  Pooled samples are sorted by (seed, stream_id, time), making
     the estimate invariant under reordering of the ensemble.
     """
+    check_number("burn_in", burn_in, 0.0, lo_open=False)
     trajs = list(trajs)
     if not trajs:
         raise ConfigError("empty trajectory ensemble")

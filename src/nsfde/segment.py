@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_choice, check_number, is_finite
-from .spectral import SpectralOperator
+from .spectral import GridOps, SpectralOperator
 
 _RATIO_TOL = 1e-9
 
@@ -29,7 +29,8 @@ PROFILES = {
 
 def _window_steps(h: float, dt: float, name: str = "delay/step ratio h/dt") -> int:
     """The whole number of steps dt in the span h; ``name`` labels the ratio in errors."""
-    if not (h > 0.0 and dt > 0.0 and math.isfinite(h / dt)):
+    if not (is_finite(h) and is_finite(dt) and h > 0.0 and dt > 0.0
+            and math.isfinite(h / dt)):
         raise ConfigError(f"{name}: span {h!r} and step {dt!r} must be positive and finite")
     ratio = h / dt
     m = int(round(ratio))
@@ -84,58 +85,45 @@ def constant_segment(h: float, dt: float, coeffs) -> Segment:
     return Segment(h=h, dt=dt, values=np.tile(coeffs, (m + 1, 1)))
 
 
-# the initial-condition keys with their defaults: the config's ``initial`` section
-INITIAL_DEFAULTS = {"kind": "zero", "profile": "sin_pi", "amplitude": 1.0, "ramp": False,
-                    "coeffs": None}
-
-
-def _check_initial(phi: dict, n_modes: int) -> dict:
-    """The initial-condition descriptor checked for ``n_modes`` modes before any
-    projection, returned with each omitted key at its default: no unknown key,
-    every key checked whatever the kind, and one finite coefficient per mode for
-    ``coeffs``."""
-    if not isinstance(phi, dict):
-        raise ConfigError(f"unsupported initial-condition descriptor of type {type(phi).__name__}")
-    for key in phi:
-        if key not in INITIAL_DEFAULTS:
-            raise ConfigError(f"unknown config key {f'initial.{key}'!r}")
-    phi = {**INITIAL_DEFAULTS, **phi}
-    kind = check_choice("initial.kind", phi["kind"], ("zero", "profile", "coeffs"))
-    check_choice("initial.profile", phi["profile"], PROFILES)
-    check_number("initial.amplitude", phi["amplitude"])
-    if not isinstance(phi["ramp"], bool):
+def _check_initial(n_modes: int, kind, profile, amplitude, ramp, coeffs):
+    """``from_initial_condition``'s keys checked for ``n_modes`` modes before any
+    projection: every key whatever the kind, and one finite coefficient per mode
+    for ``coeffs``."""
+    check_choice("initial.kind", kind, ("zero", "profile", "coeffs"))
+    check_choice("initial.profile", profile, PROFILES)
+    check_number("initial.amplitude", amplitude)
+    if not isinstance(ramp, bool):
         raise ConfigError("initial.ramp must be a boolean")
-    coeffs = phi["coeffs"]
     if (coeffs is not None or kind == "coeffs") and not (
             isinstance(coeffs, list) and all(is_finite(c) for c in coeffs)
             and (kind != "coeffs" or len(coeffs) == n_modes)):
         raise ConfigError("initial.coeffs must list one coefficient per mode, "
                           "each a finite number")
-    return phi
 
 
-def from_initial_condition(phi: dict, h: float, dt: float, op: SpectralOperator,
-                           n_grid: int | None = None) -> Segment:
-    """Project an initial-condition descriptor (a config's ``initial`` section) onto
-    the discrete window: ``{"kind": "zero"}``, ``{"kind": "coeffs", "coeffs": v}``
-    (mode coefficients held constant in theta) or ``{"kind": "profile", "profile":
-    name, "amplitude": a, "ramp": bool}``, ``name`` a key of ``PROFILES``, where
-    ``ramp`` scales the profile by (1 + theta / h), vanishing at -h.  Omitted keys
-    take their ``INITIAL_DEFAULTS`` values.
+def from_initial_condition(h: float, dt: float, grid: GridOps, kind: str = "zero",
+                           profile: str = "sin_pi", amplitude: float = 1.0,
+                           ramp: bool = False, coeffs: list | None = None) -> Segment:
+    """Project an initial condition onto the discrete window; the keyword parameters
+    are the config's ``initial`` keys, and ``grid`` is the quadrature grid the
+    profile is projected on.  ``kind`` "zero" is the zero window, "coeffs" holds the
+    mode coefficients ``coeffs`` constant in theta, and "profile" projects
+    ``amplitude`` times the ``PROFILES`` entry ``profile``, scaled by (1 + theta / h)
+    when ``ramp`` is true, so that it vanishes at -h.
     """
-    phi = _check_initial(phi, op.n_modes)
+    n_modes = grid.project.shape[0]
+    _check_initial(n_modes, kind, profile, amplitude, ramp, coeffs)
     m = _window_steps(h, dt)
     thetas = -h + dt * np.arange(m + 1)
-    grid = op.grid(n_grid)
 
-    kind = phi["kind"]   # one coefficient vector, weighted at each node
+    # one coefficient vector, weighted at each node
     if kind == "zero":
-        coeffs = np.zeros(op.n_modes)
+        coeffs = np.zeros(n_modes)
     elif kind == "coeffs":
-        coeffs = np.asarray(phi["coeffs"], dtype=float)
+        coeffs = np.asarray(coeffs, dtype=float)
     else:
-        coeffs = grid.project @ (float(phi["amplitude"]) * PROFILES[phi["profile"]](grid.x))
-    ramped = kind == "profile" and phi["ramp"]
+        coeffs = grid.project @ (float(amplitude) * PROFILES[profile](grid.x))
+    ramped = kind == "profile" and ramp
     weights = 1.0 + thetas / h if ramped else np.ones(m + 1)
     return Segment(h=h, dt=dt, values=np.outer(weights, coeffs))
 

@@ -36,6 +36,19 @@ def simpson_weights(n_intervals: int) -> np.ndarray:
     return w * (1.0 / (3.0 * n_intervals))
 
 
+def _check_grid_points(n_grid, n_modes: int) -> int:
+    """``n_grid`` as an int if it is an even count of Simpson intervals above 2N, which
+    integrates products of the N retained modes exactly; otherwise ConfigError naming
+    ``coefficients.grid_points``."""
+    n_grid = check_count("coefficients.grid_points", n_grid)
+    if n_grid <= 2 * n_modes:
+        raise ConfigError(f"coefficients.grid_points = {n_grid} must exceed "
+                          f"2 * operator.n_modes = {2 * n_modes}")
+    if n_grid % 2:
+        raise ConfigError(f"coefficients.grid_points = {n_grid} must be even")
+    return n_grid
+
+
 @dataclass(eq=False)
 class GridOps:
     """Physical-grid synthesis/projection pair at one quadrature resolution.
@@ -80,15 +93,12 @@ class SpectralOperator:
 
     def grid(self, n_grid: int | None = None) -> GridOps:
         """Return (cached) synthesis/projection matrices on ``n_grid`` Simpson intervals
-        (default 4N); 2N or fewer alias the retained modes and are refused."""
-        if n_grid is None:
-            n_grid = 4 * self.n_modes
-        n_grid = check_count("coefficients.grid_points", n_grid)
+        (default 4N); an odd count is refused, and so are 2N or fewer, which alias the
+        retained modes."""
+        n_grid = _check_grid_points(4 * self.n_modes if n_grid is None else n_grid,
+                                    self.n_modes)
         ops = self._grids.get(n_grid)
         if ops is None:
-            if n_grid <= 2 * self.n_modes:
-                raise DomainError(f"coefficients.grid_points: {n_grid} quadrature intervals "
-                                  f"alias {self.n_modes} modes: need more than 2 * n_modes")
             x = np.linspace(0.0, 1.0, n_grid + 1)
             w = simpson_weights(n_grid)
             n = np.arange(1, self.n_modes + 1)
@@ -203,6 +213,7 @@ def semigroup_apply(op: SpectralOperator, t: float, coeffs) -> np.ndarray:
 
 def fractional_norm(op: SpectralOperator, coeffs, alpha: float = 0.5) -> float:
     """Graph norm ||(-A)^alpha v|| of a mode vector: mode k scaled by mu_k^alpha."""
+    check_number("alpha", alpha)
     return float(np.linalg.norm(_check_modes(op, coeffs) * op.eigenvalues ** alpha))
 
 

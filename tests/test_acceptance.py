@@ -155,8 +155,7 @@ def test_criterion_03_successive_approximations():
     op = assemble_operator(n_modes=n)
     cs = builtin_coefficients(kernel_scale=0.2)
     q = builtin_qwiener(n, exponent=2.0, trace=0.1)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.2}, h, dt, op)
+    ini = from_initial_condition(h, dt, op.grid(), kind="profile", profile="sin_pi", amplitude=0.2)
 
     cfg = SolverConfig(dt=dt, t_end=0.5, mode="picard", picard_iters=8)
     iterates = picard_run(ini, cs, op, q, cfg, RngStream(7, 0))
@@ -271,8 +270,7 @@ def bounded_ensemble():
     op = assemble_operator(n_modes=n)
     cs = builtin_coefficients(sigma="one", kernel_scale=0.2)
     q = builtin_qwiener(n, exponent=2.0, trace=2.0)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, h, dt, op)
+    ini = from_initial_condition(h, dt, op.grid(), kind="profile", profile="sin_pi", amplitude=0.5)
     cfg = SolverConfig(dt=dt, t_end=100.0, store_stride=100, segment_stride=100)
     trajs = run_ensemble(ini, cs, op, q, cfg, seed=777, n_traj=200)
     return trajs, cs, op, q, dt
@@ -305,8 +303,7 @@ def test_criterion_10_time_homogeneity():
     op = assemble_operator(n_modes=n)
     cs = builtin_coefficients(sigma="one", kernel_scale=0.2)
     q = builtin_qwiener(n, exponent=2.0, trace=2.0)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, h, dt, op)
+    ini = from_initial_condition(h, dt, op.grid(), kind="profile", profile="sin_pi", amplitude=0.5)
     rep = homogeneity_test(ini, 1.0, 3.0, cs, op, q, dt, RngStream(4242, 0),
                            n_samples=1000)
     assert np.all(rep.ks_stat < rep.ks_crit)
@@ -321,8 +318,8 @@ def test_criterion_11_continuous_dependence():
     op = assemble_operator(n_modes=n)
     cs = builtin_coefficients(sigma="one", kernel_scale=0.2)
     q = builtin_qwiener(n, exponent=2.0, trace=2.0)
-    base = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                   "amplitude": 0.5}, h, dt, op)
+    base = from_initial_condition(h, dt, op.grid(),
+                                  kind="profile", profile="sin_pi", amplitude=0.5)
     chi = np.zeros(n)
     chi[0] = 1.0
     psis = [Segment(h=h, dt=dt, values=base.values + (2.0 ** -k) * chi)
@@ -355,8 +352,7 @@ def test_criterion_12_fixed_point_contraction():
     assert abs(probe.estimate - 0.5) <= 0.05
 
     q = builtin_qwiener(n, exponent=2.0, trace=0.1)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.2}, h, dt, op)
+    ini = from_initial_condition(h, dt, op.grid(), kind="profile", profile="sin_pi", amplitude=0.2)
     cfg = SolverConfig(dt=dt, t_end=0.5, fp_tol=1e-12, fp_max=200)
     traj = simulate(ini, cs, op, q, cfg, RngStream(99, 0),
                     collect_fp_residuals=True)

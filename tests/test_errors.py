@@ -8,7 +8,8 @@ import pytest
 
 from nsfde import (ConfigError, RngStream, SolverConfig, assemble_operator,
                    builtin_coefficients, builtin_qwiener, continuous_dependence_probe,
-                   decay_constants, find_horizon, frac_semigroup_norm, growth_check,
+                   decay_constants, find_horizon, frac_semigroup_norm, fractional_norm,
+                   growth_check,
                    homogeneity_test, invariance_test, krylov_bogoliubov, ks_critical,
                    lipschitz_probe_g, modulus_bound_check, osgood_integral, ou_std,
                    run_ensemble, semigroup_apply, simpson_weights, simulate,
@@ -18,9 +19,9 @@ OP, Q = assemble_operator(n_modes=4), builtin_qwiener(4)
 CS = builtin_coefficients(grid_points=32)
 QUIET = builtin_coefficients(sigma="one", kernel="zero")
 INI = zero_segment(0.05, 0.01, 4)
-MU = krylov_bogoliubov([simulate(INI, QUIET, OP, Q, SolverConfig(dt=0.01, t_end=0.3,
-                                                                 segment_stride=10),
-                                 RngStream(3, 0))], burn_in=0.1)
+TRAJS = [simulate(INI, QUIET, OP, Q, SolverConfig(dt=0.01, t_end=0.3, segment_stride=10),
+                  RngStream(3, 0))]
+MU = krylov_bogoliubov(TRAJS, burn_in=0.1)
 
 
 def _gen():
@@ -76,6 +77,9 @@ _SITES = {
     "frac_semigroup_norm.alpha": ("alpha", lambda v: frac_semigroup_norm(OP, v, 0.3),
                                   (-0.1, 1.1)),
     "decay_constants.alpha": ("alpha", lambda v: decay_constants(OP, v), (-0.1, 1.1)),
+    "fractional_norm.alpha": ("alpha", lambda v: fractional_norm(OP, np.ones(4), v),
+                              (math.inf,)),
+    "krylov_bogoliubov.burn_in": ("burn_in", lambda v: krylov_bogoliubov(TRAJS, v), (-0.1,)),
     "simpson_weights.n_intervals": ("n_intervals", lambda v: simpson_weights(v),
                                     (0, 7, 16.0)),
 }
@@ -94,3 +98,12 @@ def test_a_refused_argument_raises_config_error_naming_it(site, kind):
     for val in values:
         with pytest.raises(ConfigError, match=f"^{where}( must| = )"):
             call(val)
+
+
+@pytest.mark.parametrize("horizon, dt", [(True, 0.01), ("0.1", 0.01), (None, 0.01),
+                                         (math.nan, 0.01), (0.1, True), (0.1, "0.01")])
+def test_a_refused_span_or_step_names_the_ratio(horizon, dt):
+    # before, a horizon of True ran as 1 and text died with a bare TypeError
+    with pytest.raises(ConfigError, match=r"^horizon / dt: span .* must be positive and finite$"):
+        continuous_dependence_probe(INI, [INI], 3.0, horizon, QUIET, OP, Q, dt,
+                                    RngStream(62, 0), n_paths=2)

@@ -94,7 +94,7 @@ def test_ensemble_members_do_not_depend_on_the_ensemble_size():
     # bit for bit the three of an ensemble of three, through the fixed point too
     cs = builtin_coefficients(kernel_scale=0.3, kernel_delay="instant", grid_points=64)
     cfg = SolverConfig(dt=0.01, t_end=0.3, store_stride=3, segment_stride=5)
-    ini = from_initial_condition({"kind": "profile", "ramp": True}, 0.05, 0.01, OP, 64)
+    ini = from_initial_condition(0.05, 0.01, OP.grid(64), kind="profile", ramp=True)
     three, seven = (run_ensemble(ini, cs, OP, Q, cfg, seed=33, n_traj=n) for n in (3, 7))
     assert len(seven) == 7
     for a, b in zip(three, seven[:3]):
@@ -254,8 +254,8 @@ def test_homogeneity_deterministic_sides_coincide():
     # sigma = 0 makes both sides deterministic and identical, including the
     # noise-row discard bookkeeping on the shifted side
     cs = builtin_coefficients(sigma="zero", kernel_scale=0.2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.3}, 0.05, 0.01, OP)
+    ini = from_initial_condition(0.05, 0.01, OP.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.3)
     rep = homogeneity_test(ini, 1.0, 1.5, cs, OP, Q, 0.01, RngStream(61, 0),
                            n_samples=3)
     assert rep.all_passed
@@ -278,8 +278,8 @@ def test_homogeneity_deterministic_sides_coincide():
 
 def test_dependence_probe_identical_windows_give_zero():
     cs = builtin_coefficients(kernel_scale=0.2)
-    base = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                   "amplitude": 0.3}, 0.05, 0.01, OP)
+    base = from_initial_condition(0.05, 0.01, OP.grid(),
+                                  kind="profile", profile="sin_pi", amplitude=0.3)
     same = Segment(h=0.05, dt=0.01, values=base.values.copy())
     rep = continuous_dependence_probe(base, [same], 3.0, 0.2, cs, OP, Q, 0.01,
                                       RngStream(62, 0), n_paths=4)

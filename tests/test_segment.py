@@ -43,14 +43,14 @@ def test_constructors():
 
 def test_from_initial_condition_profile_and_ramp():
     op = assemble_operator(n_modes=8)
-    flat = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                   "amplitude": 2.0}, 0.1, 0.05, op)
+    flat = from_initial_condition(0.1, 0.05, op.grid(),
+                                  kind="profile", profile="sin_pi", amplitude=2.0)
     # 2 sin(pi x) = sqrt2 * e_1, constant in theta
     assert flat.values[:, 0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert np.max(np.abs(flat.values[:, 1:])) <= 1e-12
 
-    ramped = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                     "amplitude": 2.0, "ramp": True}, 0.1, 0.05, op)
+    ramped = from_initial_condition(0.1, 0.05, op.grid(),
+                                    kind="profile", profile="sin_pi", amplitude=2.0, ramp=True)
     assert ramped.values[0, 0] == pytest.approx(0.0, abs=1e-15)  # vanishes at -h
     assert ramped.values[-1, 0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert ramped.values[1, 0] == pytest.approx(np.sqrt(2.0) * 0.5, rel=1e-12)
@@ -58,29 +58,25 @@ def test_from_initial_condition_profile_and_ramp():
 
 def test_from_initial_condition_other_kinds():
     op = assemble_operator(n_modes=4)
-    assert not from_initial_condition({"kind": "zero"}, 0.1, 0.05, op).values.any()
+    assert not from_initial_condition(0.1, 0.05, op.grid(), kind="zero").values.any()
 
-    cseg = from_initial_condition({"kind": "coeffs", "coeffs": [1.0, 0.0, 0.5, 0.0]},
-                                  0.1, 0.05, op)
+    cseg = from_initial_condition(0.1, 0.05, op.grid(), kind="coeffs",
+                                  coeffs=[1.0, 0.0, 0.5, 0.0])
     assert np.array_equal(cseg.values[0], [1.0, 0.0, 0.5, 0.0])
 
 
     with pytest.raises(ConfigError, match="initial.profile = 'nope' not one of"):
-        from_initial_condition({"kind": "profile", "profile": "nope"}, 0.1, 0.05, op)
+        from_initial_condition(0.1, 0.05, op.grid(), kind="profile", profile="nope")
     with pytest.raises(ConfigError, match="initial.coeffs must list one coefficient per mode"):
-        from_initial_condition({"kind": "coeffs", "coeffs": [1.0]}, 0.1, 0.05, op)
+        from_initial_condition(0.1, 0.05, op.grid(), kind="coeffs", coeffs=[1.0])
     with pytest.raises(ConfigError, match="initial.kind = 'wavelet' not one of"):
-        from_initial_condition({"kind": "wavelet"}, 0.1, 0.05, op)
-    with pytest.raises(ConfigError, match="unsupported initial-condition descriptor"):
-        from_initial_condition(0.5, 0.1, 0.05, op)
-    # an initial window is a descriptor, its profile a PROFILES name: no callables
-    with pytest.raises(ConfigError, match="initial-condition descriptor of type function"):
-        from_initial_condition(lambda theta, x: (1.0 + theta) * np.sin(np.pi * x), 0.1, 0.05, op)
+        from_initial_condition(0.1, 0.05, op.grid(), kind="wavelet")
+    # a profile is a PROFILES name: no callables
     with pytest.raises(ConfigError, match="initial.profile = <function"):
-        from_initial_condition({"kind": "profile", "profile": lambda x: np.sin(np.pi * x)},
-                               0.1, 0.05, op)
+        from_initial_condition(0.1, 0.05, op.grid(), kind="profile",
+                               profile=lambda x: np.sin(np.pi * x))
     with pytest.raises(ConfigError, match=re.escape("initial.profile = ['sin_pi'] not one of")):
-        from_initial_condition({"kind": "profile", "profile": ["sin_pi"]}, 0.1, 0.05, op)
+        from_initial_condition(0.1, 0.05, op.grid(), kind="profile", profile=["sin_pi"])
 
 
 def test_random_segment_modes_decay():

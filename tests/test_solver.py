@@ -100,8 +100,8 @@ def test_ou_recursion_matches_manual_replay():
 def test_noise_block_override_replays_exactly():
     cs = builtin_coefficients(kernel_scale=0.2)
     cfg = SolverConfig(dt=0.01, t_end=0.2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.1}, 0.05, 0.01, OP4)
+    ini = from_initial_condition(0.05, 0.01, OP4.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.1)
     st_ = RngStream(77, 4)
     a = simulate(ini, cs, OP4, Q4, cfg, st_)
     z = st_.generator().standard_normal((20, 4))
@@ -144,8 +144,8 @@ def test_one_linear_step_is_pure_decay():
 def test_a_run_is_the_first_part_of_a_longer_run_on_its_stream(kernel_delay, t_end):
     # results are independent of chunking: how long a run is changes none of its steps
     cs = builtin_coefficients(kernel_scale=0.2, kernel_delay=kernel_delay)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, 0.1, 0.01, OP4)
+    ini = from_initial_condition(0.1, 0.01, OP4.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.5)
     short, full = (simulate(ini, cs, OP4, Q4, SolverConfig(dt=0.01, t_end=t), RngStream(21, 3))
                    for t in (t_end, 1.0))
     k = short.times.size
@@ -164,8 +164,8 @@ def test_blowup_guard_raises():
 def test_fixed_point_nonconvergence_raises():
     cs = builtin_coefficients(kernel_scale=0.265, kernel_delay="instant", Mg=0.55)
     cfg = SolverConfig(dt=0.01, t_end=0.1, fp_tol=1e-12, fp_max=2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.2}, 0.05, 0.01, OP4)
+    ini = from_initial_condition(0.05, 0.01, OP4.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.2)
     with pytest.raises(NonconvergenceError) as err:
         simulate(ini, cs, OP4, Q4, cfg, RngStream(5, 0))
     assert err.value.iterations == 2 and err.value.residual > cfg.fp_tol
@@ -179,8 +179,8 @@ def test_fixed_point_nonconvergence_raises():
 def test_point_and_instant_kernels_differ_but_stay_close_for_small_dt():
     # same dynamics class, different read node; with a slowly varying path
     # the two runs agree to O(h) but are not identical
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.3}, 0.05, 0.01, OP4)
+    ini = from_initial_condition(0.05, 0.01, OP4.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.3)
     cfg = SolverConfig(dt=0.01, t_end=0.3)
     pt = simulate(ini, builtin_coefficients(kernel_scale=0.1, sigma="zero"),
                   OP4, Q4, cfg, RngStream(6, 0))
@@ -208,16 +208,16 @@ def test_picard_is_exact_when_forcing_is_off():
     # every later sweep reproduces it bit for bit
     cs = builtin_coefficients(f="zero", sigma="zero", kernel_scale=0.2)
     cfg = SolverConfig(dt=0.01, t_end=0.2, mode="picard", picard_iters=3)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.4}, 0.05, 0.01, OP4)
+    ini = from_initial_condition(0.05, 0.01, OP4.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.4)
     out = picard_run(ini, cs, OP4, Q4, cfg, RngStream(10, 0))
     assert all(d == 0.0 for _, d in out[1:])
 
 
 def test_picard_matches_direct_on_shared_noise():
     cs = builtin_coefficients(kernel_scale=0.2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.2}, 0.05, 0.01, OP4)
+    ini = from_initial_condition(0.05, 0.01, OP4.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.2)
     cfg = SolverConfig(dt=0.01, t_end=0.3, mode="picard", picard_iters=10)
     final = picard_run(ini, cs, OP4, Q4, cfg, RngStream(11, 0))[-1][0]
     direct = simulate(ini, cs, OP4, Q4, SolverConfig(dt=0.01, t_end=0.3),
@@ -228,8 +228,8 @@ def test_picard_matches_direct_on_shared_noise():
 
 def test_picard_store_stride_keeps_every_kth_row():
     cs = builtin_coefficients(kernel_scale=0.2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.2}, 0.05, 0.01, OP4)
+    ini = from_initial_condition(0.05, 0.01, OP4.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.2)
     runs = [picard_run(ini, cs, OP4, Q4,
                        SolverConfig(dt=0.01, t_end=0.3, mode="picard", picard_iters=3,
                                     store_stride=k), RngStream(14, 0))
@@ -245,8 +245,8 @@ def test_picard_iterates_equal_simulate_without_drift_and_state_noise():
     # with f = 0 and sigma = 1 the previous iterate feeds nothing, so every
     # sweep from 1 on is the direct run on the same noise
     cs = builtin_coefficients(f="zero", sigma="one", kernel_scale=0.2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.4}, 0.05, 0.01, OP4)
+    ini = from_initial_condition(0.05, 0.01, OP4.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.4)
     cfg = SolverConfig(dt=0.01, t_end=0.2, mode="picard", picard_iters=3)
     direct = simulate(ini, cs, OP4, Q4, cfg, RngStream(15, 0))
     for traj, _ in picard_run(ini, cs, OP4, Q4, cfg, RngStream(15, 0))[1:]:
@@ -333,8 +333,8 @@ def _block_test_steps(h):
 def test_block_loop_matches_the_per_step_scheme(kernel, delay, sigma, h):
     cs = builtin_coefficients(kernel=kernel, kernel_delay=delay, sigma=sigma,
                               kernel_scale=0.2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, h, 0.01, OP8)
+    ini = from_initial_condition(h, 0.01, OP8.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.5)
     steps = _block_test_steps(h)
     cfg = SolverConfig(dt=0.01, t_end=steps * 0.01)
     traj = simulate(ini, cs, OP8, Q8, cfg, RngStream(21, 3), collect_fp_residuals=True)
@@ -352,8 +352,8 @@ def test_block_loop_matches_the_per_step_scheme(kernel, delay, sigma, h):
 
 def _check_picard_against_the_per_step_scheme(h):
     cs = builtin_coefficients(kernel_scale=0.2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, h, 0.01, OP8)
+    ini = from_initial_condition(h, 0.01, OP8.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.5)
     steps = _block_test_steps(h)
     cfg = SolverConfig(dt=0.01, t_end=steps * 0.01, mode="picard", picard_iters=3)
     out = picard_run(ini, cs, OP8, Q8, cfg, RngStream(22, 0))
@@ -382,8 +382,8 @@ def test_drift_and_diffusion_read_one_synthesized_field_a_block(h):
     f, sigma, f_args, sigma_args = cs.f, cs.sigma, [], []
     cs.f = lambda x: f_args.append(x) or f(x)
     cs.sigma = lambda x: sigma_args.append(x) or sigma(x)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, h, 0.01, OP8)
+    ini = from_initial_condition(h, 0.01, OP8.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.5)
     steps, m = _block_test_steps(h), ini.m
     blocks = [(b0, min(b0 + m, steps)) for b0 in range(0, steps, m)]
     assert len(blocks) == math.ceil(steps / m)
@@ -426,8 +426,8 @@ def test_a_shared_f_and_sigma_is_evaluated_once_a_block(delay, picard):
     apart = replace(cs, sigma=osgood_drift(3.0))
     shared, calls = cs.f, []
     cs.f = cs.sigma = lambda x: calls.append(1) or shared(x)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, 0.05, 0.01, OP8, 32)
+    ini = from_initial_condition(0.05, 0.01, OP8.grid(32),
+                                 kind="profile", profile="sin_pi", amplitude=0.5)
     cfg = SolverConfig(dt=0.01, t_end=0.23, segment_stride=4, picard_iters=2)
     blocks = math.ceil(cfg.n_steps / ini.m)   # 5-step blocks, the last one 3 steps
 
@@ -451,8 +451,8 @@ def test_a_shared_f_and_sigma_is_evaluated_once_a_block(delay, picard):
 def test_kernel_evaluations_per_step(delay):
     # g is evaluated through the kernel's z_map: twice a point-delay step (the
     # delayed node and its successor), fp_iters[k] times on instant step k
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
+    ini = from_initial_condition(0.05, 0.01, OP8.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.5)
     for t_end, seed in ((0.53, 0), (0.01, 1), (0.01, 2), (0.01, 3)):
         cs = builtin_coefficients(kernel_delay=delay, kernel_scale=0.2)
         z_map, calls = cs.kernel_b.z_map, []
@@ -471,8 +471,8 @@ def test_kernel_evaluations_per_step(delay):
 def test_a_z_map_swapped_between_runs_is_the_one_the_next_run_calls():
     # the benchmark's tracer wraps cs.kernel_b.z_map between rounds and counts
     # two calls a point step: each run must look the map up afresh
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
+    ini = from_initial_condition(0.05, 0.01, OP8.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.5)
     cs = builtin_coefficients(kernel_scale=0.2)
     cfg = SolverConfig(dt=0.01, t_end=0.23)
     first = simulate(ini, cs, OP8, Q8, cfg, RngStream(29, 0))
@@ -555,8 +555,8 @@ def test_blowup_guard_fires_at_a_non_finite_state_mid_block(kernel, delay):
     # step 13 is the third of the block of steps 11-15 (m = 5); its NaN noise row
     # must stop the run there, not at the block's end or in the fixed point
     cs = builtin_coefficients(kernel=kernel, kernel_delay=delay, kernel_scale=0.2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
+    ini = from_initial_condition(0.05, 0.01, OP8.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.5)
     z = RngStream(25, 0).generator().standard_normal((53, 8))
     z[12, 3] = np.nan
     with pytest.raises(BlowupError, match=re.escape("state norm nan at t = 0.13 exceeds")):
@@ -570,13 +570,56 @@ def test_simulate_leaves_the_callers_noise_unchanged(f, sigma):
     # the block scan runs in place in the forcing, which must never be the caller's
     # noise: continuous_dependence_probe replays one noise block across several runs
     cs = builtin_coefficients(f=f, sigma=sigma, kernel_scale=0.2)
-    ini = from_initial_condition({"kind": "profile", "profile": "sin_pi",
-                                  "amplitude": 0.5}, 0.05, 0.01, OP8)
+    ini = from_initial_condition(0.05, 0.01, OP8.grid(),
+                                 kind="profile", profile="sin_pi", amplitude=0.5)
     z = RngStream(26, 0).generator().standard_normal((53, 8))
     kept = z.copy()
     simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.53), RngStream(26, 0),
              noise_z=z)
     assert z.tobytes() == kept.tobytes()
+
+
+OP16 = assemble_operator(n_modes=16)
+
+
+def _scaled_paths(scale, kernel, delay, f):
+    """The path from a sign-changing window and a given noise block, and the path
+    from both multiplied by ``scale``."""
+    cs = builtin_coefficients(f=f, sigma="one", kernel=kernel, kernel_delay=delay,
+                              kernel_scale=0.2)
+    ini = from_initial_condition(0.05, 0.01, OP16.grid(), kind="profile", profile="sin_2pi",
+                                 amplitude=0.5, ramp=True)
+    z = RngStream(29, 0).generator().standard_normal((200, 16))
+    cfg = SolverConfig(dt=0.01, t_end=2.0)
+    base, scaled = (simulate(Segment(h=0.05, dt=0.01, values=k * ini.values), cs, OP16,
+                             builtin_qwiener(16, trace=0.5), cfg, RngStream(29, 0),
+                             noise_z=k * z).snapshots for k in (1.0, scale))
+    return base, scaled
+
+
+@pytest.mark.parametrize("kernel, delay, f", [("linear", "point", "zero"),
+                                              ("linear", "instant", "zero"),
+                                              ("separable", "point", "bounded_tanh"),
+                                              ("separable", "instant", "identity")])
+def test_negating_the_window_and_the_noise_negates_an_odd_system_exactly(kernel, delay, f):
+    # with f and the kernel's map odd and sigma even, the scheme keeps the symmetry
+    # bit for bit: a sign-dependent slip (an abs or a clip) breaks it
+    base, negated = _scaled_paths(-1.0, kernel, delay, f)
+    assert np.any(base != 0.0)
+    assert negated.tobytes() == (-base).tobytes()
+
+
+def test_doubling_the_window_and_the_noise_doubles_a_linear_path_exactly():
+    # the linear point system is linear in (window, noise); scaling by 2 is exact
+    base, doubled = _scaled_paths(2.0, "linear", "point", "zero")
+    assert doubled.tobytes() == (2.0 * base).tobytes()
+
+
+def test_the_osgood_drift_is_even_and_nonnegative():
+    x = np.linspace(-1.0, 1.0, 2001)
+    f = osgood_drift(3.0)(x)
+    assert np.array_equal(f, osgood_drift(3.0)(-x))
+    assert np.all(f >= 0.0)
 
 
 # ---------------------------------------------------- window arithmetic

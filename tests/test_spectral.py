@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nsfde import (ConfigError, DomainError, EllipticityError, RngStream,
                    ShapeError, SolverConfig, SpectralOperator, assemble_operator,
                    builtin_coefficients, builtin_qwiener, constant_segment, decay_constants,
-                   frac_semigroup_norm, fractional_norm,
+                   frac_semigroup_norm, fractional_norm, parse_config,
                    semigroup_apply, simpson_weights, simulate)
 
 
@@ -163,8 +163,15 @@ def test_quadrature_grid_must_exceed_twice_the_mode_count(n):
     grid = op.grid(2 * n + 2)
     # measured worst case over N = 4..64: 5.1e-15, at N = 64
     assert np.max(np.abs(grid.project @ grid.synth - np.eye(n))) <= 1e-14
-    with pytest.raises(DomainError, match=f"^coefficients.grid_points: {2 * n} .* alias"):
-        op.grid(2 * n)  # sin(j pi x) sin(k pi x) with j + k = 2N is not integrated exactly
+    # sin(j pi x) sin(k pi x) with j + k = 2N is not integrated exactly; the grid and
+    # the config refuse a count with one message
+    for count, needle in ((2 * n, f"must exceed 2 * operator.n_modes = {2 * n}"),
+                          (2 * n + 3, "must be even")):
+        message = f"coefficients.grid_points = {count} {needle}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            op.grid(count)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config({"operator": {"n_modes": n}, "coefficients": {"grid_points": count}})
 
 
 def test_ellipticity_rejected():

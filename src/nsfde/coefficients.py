@@ -85,8 +85,8 @@ class Kernel:
     the pure point delay theta_g = -h (makes the implicit step explicit on
     the grid), ``"instant"`` reads theta_g = 0 and therefore couples the
     step to the unknown new state, exercising the fixed-point path.
-    ``z_map(z, out)`` is b's pointwise map of a field (tanh, or the identity
-    for ``linear``), written into ``out`` when it is given.
+    ``z_map``, b's pointwise map of a field, is a ufunc set on construction:
+    ``np.tanh``, or ``np.positive`` (the identity) for ``linear``.
     """
 
     kind: str = "separable"  # separable | linear
@@ -97,14 +97,10 @@ class Kernel:
         check_choice("coefficients.kernel", self.kind, ("separable", "linear"))
         self.scale = check_number("coefficients.kernel_scale", self.scale, 0.0, lo_open=False)
         check_choice("coefficients.kernel_delay", self.delay_mode, ("point", "instant"))
+        self.z_map = np.tanh if self.kind == "separable" else np.positive
 
     def profile(self, x) -> np.ndarray:
         return self.scale * np.sin(np.pi * np.asarray(x, dtype=float))
-
-    def z_map(self, z, out=None) -> np.ndarray:
-        if self.kind == "separable":
-            return np.tanh(z, out=out)
-        return np.positive(z, out=out)
 
 
 _SCALARS = {
@@ -131,9 +127,10 @@ class CoefficientSet:
     fractional graph norm; construction enforces 0 < Mg < 1 together with
     the smallness requirement 2 Mg^2 meas(D)^2 < 1 used by the separable
     kernel class, where D = (0, 1) has measure 1.  ``modulus_N`` only has its
-    root pinned here (N(0) = 0); monotonicity/concavity are sampled by the
-    checkers so that deliberately ill-shaped moduli can still be constructed
-    and rejected by them.
+    root pinned here (N(0) = 0); monotonicity/concavity are sampled by the checkers
+    so that deliberately ill-shaped moduli can still be constructed and rejected by
+    them.  In a run f and sigma get a view of a per-run field buffer, which the
+    next block overwrites: a map must neither keep nor change its argument.
     """
 
     f: Callable
@@ -189,11 +186,11 @@ class GridMaps:
     g(phi)(x) = int_D b(x, phi(theta_g, y), y) dy of a built-in kernel factors
     as ``profile`` (the projected x-factor) times the scalar ``mass`` of the
     node g reads, theta_g = -h for ``g_mode`` "point" and 0 for "instant";
-    without a kernel ("none") both vanish.  The integrator calls ``z_map(z,
-    out)`` twice a point step, each writing its row of one block array in place,
-    with one ``grid.weights`` product a block, and once an instant iterate, in
-    place on one buffer, where ``profile_field`` and ``profile_norm`` run g's
-    fixed point; the Lipschitz probe takes ``mass`` of a stack of nodes.
+    without a kernel ("none") both vanish and ``z_map`` is ``np.zeros_like``, else the
+    kernel's ufunc.  The integrator calls it twice a point step, each writing its
+    row of one block array in place, with one ``grid.weights`` product a block, and
+    once an instant iterate, in place on one buffer, where ``profile_field`` and
+    ``profile_norm`` run g's fixed point; the Lipschitz probe takes ``mass`` of nodes.
     """
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator):

@@ -25,17 +25,19 @@ evaluates the kernel exactly fp_iters[k] times.
 
 Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
-k = min(m, steps left) and carries a block's delayed nodes rows[b0:b1 + 1] to
-the grid in one product; one f and one sigma call on its first k rows form
-Phi1 f + xi (in a Picard iterate, on the previous iterate's nodes), one call
-for both when ``cs.sigma is cs.f``, as ``builtin_coefficients`` makes the pair.
-The point kernel makes two z_map(z, out) calls a step, on rows j and j + 1,
-as the benchmark pins (``bench/reference/ensemble_bounded.json``), each
-writing its row of one preallocated block array in place, and one
-quadrature with the grid weights a block.  Without a kernel or with the
-point kernel, g reads only history too, so the block's increments w_j are
-all known and a doubling scan runs u_{j+1} = decay u_j + w_j in ceil(log2 k)
-whole-block operations; the instant kernel reads the new state, so it steps.
+k = min(m, steps left) and carries a block's nodes rows[b0:b1 + 1] to the grid
+in one product, into an (m + 1)-row field buffer allocated once a run.  One f
+and one sigma call on its first k rows (in a Picard iterate, on the previous
+iterate's nodes; one call for both when ``cs.sigma is cs.f``, as
+``builtin_coefficients`` makes the pair) form Phi1 f + xi, written in place
+into the rows the block's new states take.  The point kernel makes two
+z_map(z, out) calls a step, on field rows j and j + 1, as the benchmark pins
+(``bench/reference/ensemble_bounded.json``): its 2m (field row, out row) pairs
+are bound once a run, and one quadrature with the grid weights a block takes
+the masses.  Without a kernel or with the point kernel, g reads only history
+too, so the block's increments w_j are all known and a doubling scan runs
+u_{j+1} = decay u_j + w_j in ceil(log2 k) whole-block operations; the instant
+kernel reads the new state, so it steps.
 Blocked products and the scan round differently from per-step evaluation:
 results match a per-step evaluation of the vector maps to about 1e-15.
 
@@ -159,54 +161,55 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     g_mode, profile, z_map, grid = maps.g_mode, maps.profile, maps.z_map, maps.grid
     weights, profile_field, profile_norm = grid.weights, maps.profile_field, maps.profile_norm
     synth, fp_tol, fp_max = grid.synth, cfg.fp_tol, cfg.fp_max
+    wdot, multiply, subtract = weights.dot, np.multiply, np.subtract
 
     rows = np.empty((m + 1 + steps, initial.n_modes))
     rows[:m + 1] = initial.values
-    norms = np.empty(m + 1 + steps)
+    norms = np.zeros(m + 1 + steps)
     norms[:m + 1] = np.sqrt((initial.values * initial.values).sum(axis=1))
     fp_iters = np.zeros(steps + 1, dtype=int)
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
-    zs = np.empty((2 * m, weights.size))   # a point block's z_map of rows j, j + 1
+    fbuf = np.empty((m + 1, weights.size))   # a block's fields of rows[b0:b1 + 1]
+    zs = np.empty((2 * m, weights.size))     # a point block's z_map of rows j, j + 1
+    z_args = [(fbuf[(i + 1) // 2], z) for i, z in enumerate(zs)]
     scan, diff = np.empty((m, initial.n_modes)), np.empty(weights.size)
 
     for b0 in range(0, steps, m):
         # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
         b1 = min(b0 + m, steps)
-        fields = rows[b0:b1 + 1] @ synth.T
+        fields = np.matmul(rows[b0:b1 + 1], synth.T, out=fbuf[:b1 - b0 + 1])
         src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ synth.T
-        # the forcing Phi1 f + xi, with sigma composed on the OU increment, reads ``src``
-        w = ou_std * z_block[b0:b1]
+        # the forcing Phi1 f + xi (sigma composed on the OU increment) reads ``src``, in place
+        w = np.multiply(ou_std, z_block[b0:b1], out=rows[m + 1 + b0:m + 1 + b1])
         f_src = None if cs.f_is_zero else cs.f(src)
         if cs.sigma_const is None:
             sig = f_src if cs.sigma is cs.f and f_src is not None else cs.sigma(src)
-            w = (sig * (w @ synth.T)) @ grid.project.T
+            np.matmul(sig * (w @ synth.T), grid.project.T, out=w)
         elif cs.sigma_const != 1.0:
-            w = cs.sigma_const * w
+            w *= cs.sigma_const
         if f_src is not None:
             w += phi1 * (f_src @ grid.project.T)
         if g_mode != "instant":
             # every node g reads in the block is history: all the increments are
             # known, and a doubling scan runs u_{j+1} = decay u_j + w_j
             if g_mode == "point":
-                for j in range(b1 - b0):
-                    z_map(fields[j], zs[2 * j])
-                    z_map(fields[j + 1], zs[2 * j + 1])
+                for z, out in z_args[:2 * (b1 - b0)]:
+                    z_map(z, out)
                 masses = zs[:2 * (b1 - b0)] @ weights
                 w += profile * (masses[0::2] - masses[1::2])[:, None]
             w[0] += decay * rows[m + b0]
             for level, decay_s in enumerate(decay_powers[:(b1 - b0 - 1).bit_length()]):
                 s = 1 << level
-                w[s:] += np.multiply(decay_s, w[:-s], out=scan[:b1 - b0 - s])
-            rows[m + 1 + b0:m + 1 + b1] = w
+                w[s:] += multiply(decay_s, w[:-s], out=scan[:b1 - b0 - s])
             np.sqrt((w * w).sum(axis=1), out=norms[m + 1 + b0:m + 1 + b1])
         else:
             for i, f_i in enumerate(w, b0):
                 # the neutral term reads the unknown new state: contract to the fixed
                 # point of u = rhs - profile * mass(u) on its one scalar, the mass c
                 u = rows[m + i]
-                c = weights.dot(z_map(synth @ u))   # maps.mass(u)
-                rhs = decay * u + profile * c + f_i
-                d = rhs - profile * c - u
+                c = wdot(z_map(synth @ u))   # maps.mass(u)
+                rhs = decay * u + (pc := profile * c) + f_i
+                d = rhs - pc - u
                 r = math.sqrt(d @ d)
                 field = synth @ rhs
                 iters = 1
@@ -220,8 +223,8 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                             f"implicit neutral step failed to reach fp_tol={fp_tol:g} "
                             f"within {fp_max} iterations (last residual {r:.3e})",
                             residual=r, iterations=fp_max)
-                    np.subtract(field, np.multiply(c, profile_field, diff), diff)
-                    c_prev, c = c, float(weights.dot(z_map(diff, diff)))
+                    c_prev, c = c, float(wdot(z_map(
+                        subtract(field, multiply(c, profile_field, diff), diff), diff)))
                     r = abs(c - c_prev) * profile_norm
                     iters += 1
                 u_new = rows[m + 1 + i] = rhs - profile * c
@@ -230,10 +233,10 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                 if not nrm <= cfg.blowup_threshold:
                     break   # raised below, before the next step reads this state
         # the block's first norm above the guard or not finite; the instant loop
-        # stops there, so the unset norms after it are never reached
-        under = norms[m + 1 + b0:m + 1 + b1] <= cfg.blowup_threshold
-        if not under.all():
-            i = b0 + int(under.argmin())
+        # stops there, and the norms after it are still zeros
+        block_norms = norms[m + 1 + b0:m + 1 + b1]
+        if not block_norms.max() <= cfg.blowup_threshold:
+            i = b0 + int((block_norms <= cfg.blowup_threshold).argmin())
             raise BlowupError(f"state norm {norms[m + 1 + i]:.3e} at t = {(i + 1) * cfg.dt:g} "
                               f"exceeds blow-up guard {cfg.blowup_threshold:g}")
 

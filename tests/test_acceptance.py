@@ -63,14 +63,18 @@ def test_criterion_02_neutral_point_delay_oracle():
     """Single-mode deterministic run vs an independent method-of-steps integration.
 
     Mode-1 reduction with mu = pi^2, separable point-delay kernel of scale c
-    and the capped-logarithm drift:
+    and the capped-logarithm drift, which is even:
 
         d/dt [U(t) + kappa M(U(t-h))] = -mu U(t) + F(U(t-h)),
         kappa = c / sqrt2, M(v) = int tanh(v sqrt2 sin(pi x)) dx,
         F(v) = int f(v sqrt2 sin(pi x)) sqrt2 sin(pi x) dx.
 
     The oracle solves the bracket ODE window by window with DOP853 dense
-    output and adaptive quadratures, sharing nothing with the scheme.
+    output and adaptive quadratures, sharing nothing with the scheme.  Two
+    histories: 0.3 e^theta keeps the mode positive, and the ramp
+    -0.3 (1 + 10 theta) changes its sign at theta = -h / 2, after which the
+    path changes sign too, so M and the even F are read on both sides of 0
+    (an odd F there misses the bound by two orders of magnitude).
     """
     t0 = time.monotonic()
     h, dt, t_end, c_ker = 0.2, 1e-4, 1.0, 0.3
@@ -84,8 +88,8 @@ def test_criterion_02_neutral_point_delay_oracle():
         if av == 0.0:
             return 0.0
         if av >= E2:
-            return math.copysign(cap, v)
-        return math.copysign(av * (p * abs(math.log(av))) ** (1.0 / p), v)
+            return cap
+        return av * (p * abs(math.log(av))) ** (1.0 / p)
 
     def big_m(v):
         return quad(lambda x: math.tanh(v * math.sqrt(2.0) * math.sin(math.pi * x)),
@@ -96,10 +100,7 @@ def test_criterion_02_neutral_point_delay_oracle():
         return quad(lambda x: f_scalar(v * s2 * math.sin(math.pi * x)) * s2 * math.sin(math.pi * x),
                     0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
 
-    def phi(theta):
-        return 0.3 * np.exp(theta)
-
-    def oracle(t_grid):
+    def oracle(phi, t_grid):
         pieces = []
 
         def u_hist(t):
@@ -137,12 +138,13 @@ def test_criterion_02_neutral_point_delay_oracle():
     q = builtin_qwiener(1, trace=1.0)  # inert: sigma = 0
     cfg = SolverConfig(dt=dt, t_end=t_end, store_stride=50)
     m = int(round(h / dt))
-    seg0 = Segment(h=h, dt=dt, values=phi(-h + dt * np.arange(m + 1))[:, None])
-    traj = simulate(seg0, cs, op, q, cfg, RngStream(1, 0))
-
-    u_ref = oracle(traj.times)
-    err = np.max(np.abs(traj.snapshots[:, 0] - u_ref)) / np.max(np.abs(u_ref))
-    assert err < 1e-3
+    for phi in (lambda theta: 0.3 * np.exp(theta), lambda theta: -0.3 * (1.0 + 10.0 * theta)):
+        seg0 = Segment(h=h, dt=dt, values=phi(-h + dt * np.arange(m + 1))[:, None])
+        traj = simulate(seg0, cs, op, q, cfg, RngStream(1, 0))
+        u_ref = oracle(phi, traj.times)
+        err = np.max(np.abs(traj.snapshots[:, 0] - u_ref)) / np.max(np.abs(u_ref))
+        assert err < 1e-3
+    assert u_ref.min() < 0.0 < u_ref.max()   # the ramp's path changes sign
     assert time.monotonic() - t0 <= 60.0
 
 

@@ -124,9 +124,24 @@ def test_simulate_from_a_zero_history_warns_nothing():
     assert not traj.snapshots.any()
 
 
+@pytest.mark.parametrize("name", ["zero", "one", "identity", "bounded_tanh", "osgood"])
+def test_builtin_scalar_maps_leave_their_argument_unchanged(name):
+    # f and sigma get rows of a run's field buffer, which a point block's z_map
+    # reads after them: a map must not write into its argument
+    x = np.random.default_rng(9).normal(scale=0.2, size=(7, 64))
+    x[0, :6] = [0.0, -0.0, E2, -E2, 1e-300, np.nan]
+    before = x.tobytes()
+    cs = builtin_coefficients(f=name, sigma=name)
+    cs.f(x)
+    assert x.tobytes() == before
+    cs.f(x[1:, ::2])   # a strided view too
+    assert x.tobytes() == before
+
+
 @pytest.mark.parametrize("kind", ["separable", "linear"])
 def test_z_map_writes_into_out(kind):
     kern = Kernel(kind=kind)
+    assert kern.z_map is (np.tanh if kind == "separable" else np.positive)   # the ufunc itself
     z = np.random.default_rng(4).normal(scale=3.0, size=129)
     out = np.full(129, np.nan)
     assert kern.z_map(z, out) is out

@@ -377,11 +377,13 @@ def test_block_loop_matches_the_per_step_scheme_for_picard_on_long_blocks():
 def test_drift_and_diffusion_read_one_synthesized_field_a_block(h):
     # f and sigma are evaluated once a block, on one array: the grid field of the
     # block's delayed nodes rows[b0:b1], which in Picard iterate n >= 1 are those
-    # of iterate n - 1.  At h = 0.37 (m = 37) the last block is one step long
+    # of iterate n - 1.  At h = 0.37 (m = 37) the last block is one step long.  The
+    # array is a view of a buffer the next block overwrites, so the recording maps
+    # keep copies, and sigma's argument is checked to be f's at the call
     cs = builtin_coefficients(sigma="osgood", kernel_delay="point", kernel_scale=0.2)
-    f, sigma, f_args, sigma_args = cs.f, cs.sigma, [], []
-    cs.f = lambda x: f_args.append(x) or f(x)
-    cs.sigma = lambda x: sigma_args.append(x) or sigma(x)
+    f, sigma, f_args, sigma_args, f_last = cs.f, cs.sigma, [], [], []
+    cs.f = lambda x: f_last.append(x) or f_args.append(x.copy()) or f(x)
+    cs.sigma = lambda x: sigma_args.append((x is f_last[-1], x.copy())) or sigma(x)
     ini = from_initial_condition(h, 0.01, OP8.grid(),
                                  kind="profile", profile="sin_pi", amplitude=0.5)
     steps, m = _block_test_steps(h), ini.m
@@ -393,8 +395,9 @@ def test_drift_and_diffusion_read_one_synthesized_field_a_block(h):
         # one f and one sigma argument a block, read from the nodes of ``traj``
         rows = np.vstack([ini.values, traj.snapshots[1:]])
         assert len(f_seen) == len(sigma_seen) == len(blocks)
-        for (b0, b1), f_arg, sigma_arg in zip(blocks, f_seen, sigma_seen):
-            assert sigma_arg is f_arg
+        for (b0, b1), f_arg, (sigma_is_f_arg, sigma_arg) in zip(blocks, f_seen, sigma_seen):
+            assert sigma_is_f_arg
+            assert sigma_arg.tobytes() == f_arg.tobytes()
             assert np.allclose(f_arg, rows[b0:b1] @ synth.T, rtol=0.0, atol=1e-15)
 
     cfg = SolverConfig(dt=0.01, t_end=steps * 0.01)
@@ -480,7 +483,7 @@ def test_a_z_map_swapped_between_runs_is_the_one_the_next_run_calls():
     cs.kernel_b.z_map = lambda z, out=None: calls.append(1) or z_map(z, out)
     second = simulate(ini, cs, OP8, Q8, cfg, RngStream(29, 0))
     assert len(calls) == 2 * cfg.n_steps
-    del cs.kernel_b.z_map   # the class's map again, as the tracer restores it
+    cs.kernel_b.z_map = z_map   # the kernel's ufunc again, as the tracer restores it
     third = simulate(ini, cs, OP8, Q8, cfg, RngStream(29, 0))
     assert len(calls) == 2 * cfg.n_steps
     assert np.array_equal(first.snapshots, second.snapshots)

@@ -85,27 +85,26 @@ class Kernel:
     the pure point delay theta_g = -h (makes the implicit step explicit on
     the grid), ``"instant"`` reads theta_g = 0 and therefore couples the
     step to the unknown new state, exercising the fixed-point path.
-    ``z_map``, b's pointwise map of a field, is a ufunc set on construction:
-    ``np.tanh``, or ``np.positive`` (the identity) for ``linear``.
+    ``z_map``, b's pointwise map of a field, takes an optional ``out`` as a ufunc does:
+    ``np.tanh`` (separable, the default), or ``np.positive`` (the identity) for linear.
     """
 
-    kind: str = "separable"  # separable | linear
+    z_map: Callable = np.tanh
     scale: float = 1.0
     delay_mode: str = "point"  # point | instant
 
     def __post_init__(self):
-        check_choice("coefficients.kernel", self.kind, ("separable", "linear"))
         self.scale = check_number("coefficients.kernel_scale", self.scale, 0.0, lo_open=False)
         check_choice("coefficients.kernel_delay", self.delay_mode, ("point", "instant"))
-        self.z_map = np.tanh if self.kind == "separable" else np.positive
 
     def profile(self, x) -> np.ndarray:
         return self.scale * np.sin(np.pi * np.asarray(x, dtype=float))
 
 
+_ZERO, _ONE = _pointwise(np.zeros_like), _pointwise(np.ones_like)
 _SCALARS = {
-    "zero": lambda p: _pointwise(np.zeros_like),
-    "one": lambda p: _pointwise(np.ones_like),
+    "zero": lambda p: _ZERO,
+    "one": lambda p: _ONE,
     "identity": lambda p: _pointwise(lambda x: x),
     "bounded_tanh": lambda p: _pointwise(lambda x: np.tanh(x)),
     "osgood": osgood_drift,
@@ -115,8 +114,6 @@ _MODULI = {
     "osgood": osgood_modulus,
     "linear": linear_modulus,
 }
-
-_CONST_SCALARS = {"zero": 0.0, "one": 1.0}
 
 
 @dataclass(eq=False)
@@ -130,7 +127,9 @@ class CoefficientSet:
     root pinned here (N(0) = 0); monotonicity/concavity are sampled by the checkers
     so that deliberately ill-shaped moduli can still be constructed and rejected by
     them.  In a run f and sigma get a view of a per-run field buffer, which the
-    next block overwrites: a map must neither keep nor change its argument.
+    next block overwrites: a map must neither keep nor change its argument.  The forcing
+    shortcuts are read by identity when the set is built: ``f_is_zero`` if f is the built-in
+    ``zero`` map, ``sigma_const`` 0.0 or 1.0 if sigma is ``zero`` or ``one``, else None.
     """
 
     f: Callable
@@ -141,10 +140,10 @@ class CoefficientSet:
     lipschitz_Mg: float = 0.5
     p: float = 3.0
     grid_points: int = 128
-    sigma_const: Optional[float] = None
-    f_is_zero: bool = False
 
     def __post_init__(self):
+        self.f_is_zero = self.f is _ZERO
+        self.sigma_const = 0.0 if self.sigma is _ZERO else 1.0 if self.sigma is _ONE else None
         self.p = check_number("coefficients.p", self.p, 2.0)
         mg = self.lipschitz_Mg = check_number("coefficients.Mg", self.lipschitz_Mg, 0.0, 1.0)
         if 2.0 * mg ** 2 >= 1.0:
@@ -163,21 +162,20 @@ def builtin_coefficients(f: str = "osgood", sigma: str = "osgood",
                          kernel_delay: str = "point", modulus: str = "osgood",
                          p: float = 3.0, Mg: float = 0.5, K: float = 1.0,
                          grid_points: int = 128) -> CoefficientSet:
-    """Construct a coefficient set from built-in names; the parameters are the config's keys.
-    When ``f`` and ``sigma`` name the same map, both fields hold one callable.  A ``zero``
-    kernel reads no other kernel key, but they are checked all the same."""
+    """Construct a coefficient set from built-in names (the config's keys); same-named f and
+    sigma share one callable, and ``zero``/``one`` give its shortcuts.  A ``zero`` kernel
+    reads no other kernel key, but they are checked all the same."""
     check_choice("coefficients.f", f, _SCALARS)
     check_choice("coefficients.sigma", sigma, _SCALARS)
     check_choice("coefficients.modulus", modulus, _MODULI)
     check_choice("coefficients.kernel", kernel, ("separable", "linear", "zero"))
-    kern = Kernel(kind="linear" if kernel == "zero" else kernel, scale=kernel_scale,
+    kern = Kernel(z_map=np.tanh if kernel == "separable" else np.positive, scale=kernel_scale,
                   delay_mode=kernel_delay)
     f_map = _SCALARS[f](p)
     return CoefficientSet(
         f=f_map, sigma=f_map if sigma == f else _SCALARS[sigma](p),
         kernel_b=None if kernel == "zero" else kern,
-        modulus_N=_MODULI[modulus], growth_K=K, lipschitz_Mg=Mg, p=p, grid_points=grid_points,
-        sigma_const=_CONST_SCALARS.get(sigma), f_is_zero=(f == "zero"))
+        modulus_N=_MODULI[modulus], growth_K=K, lipschitz_Mg=Mg, p=p, grid_points=grid_points)
 
 
 class GridMaps:

@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .coefficients import CoefficientSet, GridMaps
+from .coefficients import _ZERO, CoefficientSet, GridMaps
 from .errors import (BlowupError, ConfigError, NonconvergenceError, ShapeError,
                      check_choice, check_count, check_number)
 from .noise import QWienerSpec, RngStream
@@ -276,19 +276,19 @@ def picard_run(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                stream: RngStream) -> list[tuple[Trajectory, float]]:
     """Successive approximations with replayed noise.
 
-    Iterate 0 integrates the pure neutral-linear dynamics (drift and
-    diffusion off).  Iterate n >= 1 re-runs the same grid and the same
-    standard-normal block, evaluating drift and diffusion along iterate
-    n - 1 (at the delayed node) while the neutral term follows the current
-    iterate.  Returns one (trajectory, sup_diff) pair per iterate, where
-    sup_diff is the sup over grid times of ||u^n - u^{n-1}|| (NaN for
-    iterate 0).
+    Iterate 0 integrates the pure neutral-linear dynamics: f and sigma are the
+    built-in ``zero`` map, whose shortcuts skip both.  Iterate n >= 1 re-runs
+    the same grid and the same standard-normal block, evaluating drift and
+    diffusion along iterate n - 1 (at the delayed node) while the neutral
+    term follows the current iterate.  Returns one (trajectory, sup_diff)
+    pair per iterate, where sup_diff is the sup over grid times of
+    ||u^n - u^{n-1}|| (NaN for iterate 0).
     """
     if cfg.mode != "picard":
         raise ConfigError("picard_run requires solver.mode = 'picard'")
     z_block = stream.generator().standard_normal((cfg.n_steps, op.n_modes))
-    traj, rows_prev = _integrate(initial, replace(cs, sigma_const=0.0, f_is_zero=True),
-                                 op, qspec, cfg, stream, z_block)
+    traj, rows_prev = _integrate(initial, replace(cs, f=_ZERO, sigma=_ZERO), op, qspec, cfg,
+                                 stream, z_block)
     out = [(traj, math.nan)]
     m = initial.m
     for _ in range(cfg.picard_iters):

@@ -10,7 +10,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from nsfde import (CoefficientSet, RngStream, Segment, SolverConfig,
                    assemble_operator, builtin_coefficients, builtin_qwiener,
@@ -58,7 +58,6 @@ def test_criterion_01_ou_stationary_variance():
 
 # -------------------------------------------------------------- criterion 2
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_criterion_02_neutral_point_delay_oracle():
     """Single-mode deterministic run vs an independent method-of-steps integration.
 
@@ -70,7 +69,10 @@ def test_criterion_02_neutral_point_delay_oracle():
         F(v) = int f(v sqrt2 sin(pi x)) sqrt2 sin(pi x) dx.
 
     The oracle solves the bracket ODE window by window with DOP853 dense
-    output and adaptive quadratures, sharing nothing with the scheme.  Two
+    output, sharing nothing with the scheme.  M and F are composite 20-point
+    Gauss-Legendre rules on [0, 1/2], doubled by the symmetry x -> 1 - x; F
+    splits at the cap's kink x*, where |v| sqrt2 sin(pi x*) = e^{-2}, with
+    panels graded toward x = 0, where the logarithm in f is singular.  Two
     histories: 0.3 e^theta keeps the mode positive, and the ramp
     -0.3 (1 + 10 theta) changes its sign at theta = -h / 2, after which the
     path changes sign too, so M and the even F are read on both sides of 0
@@ -83,22 +85,28 @@ def test_criterion_02_neutral_point_delay_oracle():
     p = 3.0
     cap = E2 * (2.0 * p) ** (1.0 / p)
 
-    def f_scalar(v):
-        av = abs(v)
-        if av == 0.0:
-            return 0.0
-        if av >= E2:
-            return cap
-        return av * (p * abs(math.log(av))) ** (1.0 / p)
+    s2 = math.sqrt(2.0)
+    gx, gw = np.polynomial.legendre.leggauss(20)
+
+    def gauss(fn, edges):
+        mid, half = (edges[1:] + edges[:-1])[:, None] / 2.0, np.diff(edges)[:, None] / 2.0
+        return float(np.sum(half * gw * fn(mid + half * gx)))
 
     def big_m(v):
-        return quad(lambda x: math.tanh(v * math.sqrt(2.0) * math.sin(math.pi * x)),
-                    0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        return 2.0 * gauss(lambda x: np.tanh(v * s2 * np.sin(np.pi * x)), np.linspace(0.0, 0.5, 3))
 
     def big_f(v):
-        s2 = math.sqrt(2.0)
-        return quad(lambda x: f_scalar(v * s2 * math.sin(math.pi * x)) * s2 * math.sin(math.pi * x),
-                    0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        if v == 0.0:
+            return 0.0
+
+        def integrand(x):   # f(v sqrt2 sin(pi x)) sqrt2 sin(pi x), f even; x > 0 at every node
+            s = s2 * np.sin(np.pi * x)
+            a = abs(v) * s
+            return np.where(a < E2, a * (p * -np.log(a)) ** (1.0 / p), cap) * s
+
+        x_star = math.asin(min(1.0, E2 / (s2 * abs(v)))) / math.pi
+        core = x_star * np.concatenate([[0.0], np.logspace(-6.0, 0.0, 7)])
+        return 2.0 * (gauss(integrand, core) + gauss(integrand, np.linspace(x_star, 0.5, 3)))
 
     def oracle(phi, t_grid):
         pieces = []

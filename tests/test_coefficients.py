@@ -1,4 +1,5 @@
 """Coefficient functionals and the sampled condition checkers."""
+import itertools
 import math
 import re
 import warnings
@@ -14,6 +15,7 @@ from nsfde import (CoefficientSet, ConfigError, DomainError, GridMaps, Kernel,
                    modulus_bound_check, modulus_shape_check,
                    fractional_norm, osgood_certificate, osgood_integral,
                    osgood_modulus, random_segments, simulate, sup_norm)
+from nsfde.coefficients import _ONE, _ZERO
 
 E2 = math.exp(-2.0)
 
@@ -25,7 +27,7 @@ def test_builtin_registry_and_validation():
         builtin_coefficients(sigma="cubic")
     with pytest.raises(ConfigError):
         builtin_coefficients(modulus="quadratic")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="coefficients.kernel = 'rbf' not one of"):
         builtin_coefficients(kernel="rbf")
     with pytest.raises(ConfigError):
         builtin_coefficients(p=2.0)  # exponent must exceed 2
@@ -38,8 +40,6 @@ def test_builtin_registry_and_validation():
     cs = builtin_coefficients(Mg=0.7)  # 2 * 0.49 = 0.98 still admissible
     assert cs.lipschitz_Mg == 0.7
 
-    with pytest.raises(ConfigError, match="coefficients.kernel = 'rbf' not one of"):
-        Kernel(kind="rbf")
     with pytest.raises(ConfigError, match="coefficients.kernel_delay = 'mid' not one of"):
         Kernel(delay_mode="mid")
 
@@ -124,6 +124,59 @@ def test_simulate_from_a_zero_history_warns_nothing():
     assert not traj.snapshots.any()
 
 
+def test_a_coefficient_set_takes_no_claims_about_its_maps():
+    # the forcing shortcuts are read from f and sigma, and z_map is the kernel's own
+    for claim in ("f_is_zero", "sigma_const"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{claim}'"):
+            CoefficientSet(f=np.tanh, sigma=np.tanh, kernel_b=None, modulus_N=osgood_modulus,
+                           **{claim: 0.0})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'kind'"):
+        Kernel(kind="linear")
+
+
+def test_builtin_names_give_the_forcing_shortcuts():
+    names = ["zero", "one", "identity", "bounded_tanh", "osgood"]
+    for f, sigma in itertools.product(names, names):
+        cs = builtin_coefficients(f=f, sigma=sigma)
+        assert cs.f_is_zero is (f == "zero")
+        assert cs.sigma_const == {"zero": 0.0, "one": 1.0}.get(sigma)
+        assert (cs.sigma is cs.f) is (sigma == f)
+
+
+def test_a_hand_built_set_of_the_builtin_maps_runs_as_the_named_one():
+    # the shortcuts follow the maps: the built-in zero and one maps skip f and
+    # sigma whoever builds the set, and any other map is called
+    op, q = assemble_operator(n_modes=8), builtin_qwiener(8, trace=0.5)
+    ini = Segment(h=0.05, dt=0.01, values=np.full((6, 8), 0.05))
+    cfg = SolverConfig(dt=0.01, t_end=0.5)
+    named = builtin_coefficients(f="zero", sigma="one", kernel_scale=0.2)
+    kept = builtin_coefficients(f="zero", sigma="one", kernel_scale=0.2)
+
+    def run(cs):
+        return simulate(ini, cs, op, q, cfg, RngStream(5, 0)).snapshots.tobytes()
+
+    by_hand = CoefficientSet(f=_ZERO, sigma=_ONE, kernel_b=named.kernel_b,
+                             modulus_N=osgood_modulus)
+    assert by_hand.f_is_zero and by_hand.sigma_const == 1.0
+    assert run(by_hand) == run(named)
+    kept.f, kept.sigma = np.tanh, np.tanh   # assigned after the build: the shortcuts stay
+    assert run(kept) == run(named)
+    calls = []
+
+    def own_zero(x):
+        calls.append(x.shape)
+        return np.zeros_like(x)
+
+    mine = CoefficientSet(f=own_zero, sigma=_ONE, kernel_b=named.kernel_b,
+                          modulus_N=osgood_modulus)
+    assert not mine.f_is_zero
+    assert run(mine) == run(named) and calls   # an equal map of one's own is called
+    tanh = CoefficientSet(f=np.tanh, sigma=np.tanh, kernel_b=named.kernel_b,
+                          modulus_N=osgood_modulus)
+    assert (tanh.f_is_zero, tanh.sigma_const) == (False, None)
+    assert run(tanh) != run(named)
+
+
 @pytest.mark.parametrize("name", ["zero", "one", "identity", "bounded_tanh", "osgood"])
 def test_builtin_scalar_maps_leave_their_argument_unchanged(name):
     # f and sigma get rows of a run's field buffer, which a point block's z_map
@@ -140,7 +193,7 @@ def test_builtin_scalar_maps_leave_their_argument_unchanged(name):
 
 @pytest.mark.parametrize("kind", ["separable", "linear"])
 def test_z_map_writes_into_out(kind):
-    kern = Kernel(kind=kind)
+    kern = builtin_coefficients(kernel=kind).kernel_b
     assert kern.z_map is (np.tanh if kind == "separable" else np.positive)   # the ufunc itself
     z = np.random.default_rng(4).normal(scale=3.0, size=129)
     out = np.full(129, np.nan)

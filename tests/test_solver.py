@@ -1,7 +1,11 @@
 """Time stepper, successive approximations and contraction-window arithmetic."""
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,6 +620,31 @@ def test_doubling_the_window_and_the_noise_doubles_a_linear_path_exactly():
     # the linear point system is linear in (window, noise); scaling by 2 is exact
     base, doubled = _scaled_paths(2.0, "linear", "point", "zero")
     assert doubled.tobytes() == (2.0 * base).tobytes()
+
+
+def _dynamic_arch_openblas():
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel when it loads, so
+    that ``OPENBLAS_CORETYPE`` selects one for a single process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_the_sign_and_scale_relations_hold_on_other_blas_kernels(coretype):
+    # the relations are exact on any BLAS kernel; OPENBLAS_CORETYPE picks the
+    # AVX2 (Haswell) or SSE3 (Prescott) kernel for the child process alone
+    tests = [f"{__file__}::{t.__name__}" for t in (
+        test_negating_the_window_and_the_noise_negates_an_odd_system_exactly,
+        test_doubling_the_window_and_the_noise_doubles_a_linear_path_exactly)]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                          capture_output=True, text=True, timeout=300,
+                          cwd=Path(__file__).resolve().parents[1],
+                          env={**os.environ, "OPENBLAS_CORETYPE": coretype})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(r"\b5 passed\b", proc.stdout), proc.stdout
 
 
 def test_the_osgood_drift_is_even_and_nonnegative():

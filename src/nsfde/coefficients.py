@@ -97,9 +97,6 @@ class Kernel:
         self.scale = check_number("coefficients.kernel_scale", self.scale, 0.0, lo_open=False)
         check_choice("coefficients.kernel_delay", self.delay_mode, ("point", "instant"))
 
-    def profile(self, x) -> np.ndarray:
-        return self.scale * np.sin(np.pi * np.asarray(x, dtype=float))
-
 
 _ZERO, _ONE = _pointwise(np.zeros_like), _pointwise(np.ones_like)
 _SCALARS = {
@@ -126,7 +123,8 @@ class CoefficientSet:
     kernel class, where D = (0, 1) has measure 1.  ``modulus_N`` only has its
     root pinned here (N(0) = 0); monotonicity/concavity are sampled by the checkers
     so that deliberately ill-shaped moduli can still be constructed and rejected by
-    them.  In a run f and sigma get a view of a per-run field buffer, which the
+    them.  The bound above 2N on ``grid_points`` is checked when the set meets an
+    operator's grid.  In a run f and sigma get a view of a per-run field buffer, which the
     next block overwrites: a map must neither keep nor change its argument.  The forcing
     shortcuts are read by identity when the set is built: ``f_is_zero`` if f is the built-in
     ``zero`` map, ``sigma_const`` 0.0 or 1.0 if sigma is ``zero`` or ``one``, else None.
@@ -197,7 +195,7 @@ class GridMaps:
         self.g_mode = "none" if kern is None else kern.delay_mode
         self.profile, self.z_map = np.zeros(op.n_modes), np.zeros_like
         if kern is not None:
-            self.profile = self.grid.project @ kern.profile(self.grid.x)
+            self.profile = self.grid.project @ (kern.scale * np.sin(np.pi * self.grid.x))
             self.z_map = kern.z_map
         self.profile_field = self.grid.synth @ self.profile
         self.profile_norm = math.sqrt(self.profile @ self.profile)

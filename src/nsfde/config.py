@@ -141,21 +141,21 @@ def parse_config(raw, overrides=None) -> RunConfig:
 
     # the builders check their fields, with no assembly or projection; across
     # fields, the window must hold a whole number of steps (refused before the
-    # run's step count, so dt is checked first, as SolverConfig checks it), a
-    # set burn-in must end before the run, and the quadrature grid must
-    # resolve products of the retained modes
+    # run's step count, so dt is checked first, as SolverConfig checks it), the
+    # quadrature grid must resolve products of the retained modes (checked before
+    # the coefficient set's own N-free bound), and a set burn-in must end before the run
     dt = check_number("solver.dt", data["solver"]["dt"], 0.0)
     _window_steps(data["delay"]["h"], dt, "delay.h / solver.dt")
     rc = RunConfig(**data)
     make_solver_config(rc)
     spectral._check_operator_args(**rc.operator)
+    spectral._check_grid_points(rc.grid_points(), rc.operator["n_modes"])
     make_coefficients(rc)
     noise_mod.builtin_qwiener(rc.operator["n_modes"], **rc.noise)
     _check_initial(rc.operator["n_modes"], **rc.initial)
     burn_in, t_end = rc.measure["burn_in"], rc.solver["t_end"]
     _need(burn_in is None or burn_in < t_end,
           f"measure.burn_in = {burn_in} must be < solver.t_end = {t_end}")
-    spectral._check_grid_points(rc.grid_points(), rc.operator["n_modes"])
     return rc
 
 

@@ -29,9 +29,7 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            val = check_count(name, getattr(self, name))
-            if val < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+            val = check_count(name, getattr(self, name), 0)
             if val >= SOURCE_LIMIT:
                 raise ConfigError(f"{name} = {val} must be < 2**63")
 

@@ -50,7 +50,7 @@ neutral term stays attached to the current iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from typing import NamedTuple, Optional
 
@@ -76,24 +76,18 @@ class SolverConfig:
     store_stride: int = 1
     segment_stride: int = 0
     blowup_threshold: float = 1e8
+    n_steps: int = field(init=False)   # t_end / dt, set when the config is built
 
     def __post_init__(self):
         self.dt = check_number("solver.dt", self.dt, 0.0)
         self.t_end = check_number("solver.t_end", self.t_end)
-        if self.t_end < self.dt:
-            raise ConfigError(f"solver.t_end = {self.t_end!r} must be at least "
-                              f"solver.dt = {self.dt!r}")
-        _window_steps(self.t_end, self.dt, "solver.t_end / solver.dt")
+        self.n_steps = _window_steps(self.t_end, self.dt, "solver.t_end / solver.dt")
         self.fp_tol = check_number("solver.fp_tol", self.fp_tol, 0.0)
         check_choice("solver.mode", self.mode, ("direct", "picard"))
         for key, lo in (("fp_max", 1), ("picard_iters", 1), ("store_stride", 1),
                         ("segment_stride", 0)):
             check_count(f"solver.{key}", getattr(self, key), lo)
         self.blowup_threshold = check_number("solver.blowup_threshold", self.blowup_threshold, 0.0)
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
 
 
 @dataclass(eq=False)

@@ -75,6 +75,9 @@ def test_validate_passes_on_default_style_config(tmp_path, capsys):
     # finite and positive, but the stiffness product overflows: refused, with no warning
     ("operator: {n_modes: 4, a: [[0, 1], [0.5, 1.0e+308], [1, 1]]}\n",
      "error: operator.a: the table's values overflow the stiffness matrix\n"),
+    # positive, but the stiffness products underflow: the operator refuses the spectrum
+    ("operator: {n_modes: 4, a: [[0, 5.0e-324], [1, 5.0e-324]]}\n",
+     "error: eigenvalues of -A must be strictly positive\n"),
     # a 401-digit integer is past the double range: refused as not finite, no traceback
     ("operator: {a: 1" + "0" * 400 + "}\n", "error: operator.a"),
     # past 4300 digits PyYAML itself fails with a bare ValueError: a parse failure
@@ -171,10 +174,10 @@ def test_simulate_is_reproducible_and_seed_overridable(tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", "--config", cfg, "--seed", "-1",
                  "--out", str(out_a)]) == 1
-    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert "seed = -1 must be >= 0" in capsys.readouterr().err
     assert main(["simulate", "--config", cfg, "--stream", "-1",
                  "--out", str(out_a)]) == 1
-    assert "stream_id must be nonnegative" in capsys.readouterr().err
+    assert "stream_id = -1 must be >= 0" in capsys.readouterr().err
 
 
 def test_seeds_and_streams_past_int64_exit_1(tmp_path, capsys):

@@ -79,12 +79,14 @@ def test_unknown_keys_report_dotted_paths():
     ({"noise": {"exponent": 1.0}}, "noise.exponent"),
     ({"delay": {"h": "wide"}}, "delay.h must be a number"),
     ({"seed": True}, "seed must be an integer"),
-    ({"seed": -4}, "seed must be nonnegative"),
+    ({"seed": -4}, "seed = -4 must be >= 0"),
     ({"initial": {"ramp": 1}}, "initial.ramp must be a boolean"),
     ({"solver": {"mode": "euler"}}, "not one of"),
     ({"solver": {"store_stride": 0}}, "solver.store_stride"),
-    ({"coefficients": {"grid_points": 33}}, "must be even"),
-    ({"coefficients": {"grid_points": 2}}, "must be >= 4"),
+    ({"coefficients": {"grid_points": 33}},
+     "coefficients.grid_points = 33 must exceed 2 * operator.n_modes = 64"),
+    ({"coefficients": {"grid_points": 2}},
+     "coefficients.grid_points = 2 must exceed 2 * operator.n_modes = 64"),
     # listed here, not last, so that the automatic ids of the cases below stay put
     ({"solver": {"t_end": 0.2}, "measure": {"burn_in": 0.2}},
      "measure.burn_in = 0.2 must be < solver.t_end = 0.2"),
@@ -110,7 +112,8 @@ def test_unknown_keys_report_dotted_paths():
      "coefficients.grid_points = 64 must exceed 2 * operator.n_modes = 64"),
     ({"coefficients": {"Mg": 0.8}}, "coefficients.Mg = 0.8"),
     ({"delay": {"h": 0.3}, "solver": {"dt": 0.3, "t_end": 1.0}}, "solver.t_end / solver.dt"),
-    ({"solver": {"t_end": 0.0005}}, "solver.t_end = 0.0005"),
+    ({"solver": {"t_end": 0.0005}},
+     "solver.t_end / solver.dt = 0.5 must be a positive integer"),
     ({"noise": {"spectrum": ["power"]}}, "noise.spectrum = ['power'] not one of"),
     ({"coefficients": {"K": 0}}, "coefficients.K = 0.0 out of range (0, inf)"),
     # odd but past the alias bound 2 * n_modes: only the parity check refuses it
@@ -446,7 +449,7 @@ def test_overrides_are_checked_like_file_values(tmp_path):
     assert rc.measure["n_trajectories"] == 50   # untouched fields keep the file's
     with pytest.raises(ConfigError, match="solver.segment_stride = -1 must be >= 0"):
         load_config(path, {"solver.segment_stride": -1})
-    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+    with pytest.raises(ConfigError, match="seed = -1 must be >= 0"):
         load_config(path, {"seed": -1})
     with pytest.raises(ConfigError, match="unknown config key 'measure.thin'"):
         load_config(path, {"measure.thin": 1})

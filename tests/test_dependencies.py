@@ -2,7 +2,8 @@
 
 Every ``import`` under ``src/nsfde`` and ``tests`` is read with ``ast``,
 function-local ones included, so a lazily imported module counts as much as
-one at the top.
+one at the top.  The same pass finds unused imports and private module names
+that no package module reads.
 """
 import ast
 import re
@@ -93,3 +94,40 @@ def _unused_imports(path):
 def test_no_module_imports_a_name_it_never_uses(path):
     # __init__.py imports to re-export; every other module imports to use
     assert _unused_imports(path) == []
+
+
+def _module_private_names(tree):
+    """Private names (one leading underscore, not dunder) a module binds at its top
+    level: functions, classes and assignment targets."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree):
+    """Every name ``tree`` reads: bare names, attributes and names imported from a module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_module_name_has_a_caller_in_the_package():
+    # code no caller in the package uses gets deleted: a private helper or constant
+    # kept alive only by the tests is dead code
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "nsfde").glob("*.py"))}
+    referenced = set().union(*map(_references, trees.values()))
+    unused = {f"{name}:{private}" for name, tree in trees.items()
+              for private in _module_private_names(tree) - referenced}
+    assert unused == set()

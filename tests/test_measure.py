@@ -155,7 +155,7 @@ def test_krylov_bogoliubov_pooling_and_thinning():
     assert sparse.times.tolist() == [0.0, 0.3]
     mu = krylov_bogoliubov([sparse], burn_in=0.15)
     assert mu.times.tolist() == pytest.approx([0.2, 0.3]) and mu.t_end == pytest.approx(0.3)
-    with pytest.raises(ConfigError, match="burn_in must precede the end of the run"):
+    with pytest.raises(ConfigError, match="no segment checkpoints survive the burn-in window"):
         krylov_bogoliubov([sparse], burn_in=0.3)
     # a checkpoint stride of 7 does not divide the 30 steps: the last checkpoint
     # is at 0.28, and the measure still records the run's end and its stride

@@ -59,8 +59,8 @@ def test_stream_reproducible_and_independent():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
-    for seed, stream_id in ((-1, 0), (0, -1)):
-        with pytest.raises(ConfigError, match="must be nonnegative"):
+    for seed, stream_id, name in ((-1, 0, "seed"), (0, -1, "stream_id")):
+        with pytest.raises(ConfigError, match=re.escape(f"{name} = -1 must be >= 0")):
             RngStream(seed, stream_id)
 
 

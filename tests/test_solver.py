@@ -18,6 +18,7 @@ from nsfde import (BlowupError, ConfigError, GridMaps, HorizonResult,
                    constant_segment, contraction_factor, find_horizon,
                    from_initial_condition, osgood_drift, ou_std, picard_run,
                    simulate, stability_bound, zero_segment)
+from nsfde.segment import _window_steps
 from nsfde.solver import _window_max
 
 OP4 = assemble_operator(n_modes=4)
@@ -51,6 +52,16 @@ def test_config_validation():
     assert SolverConfig(dt=0.1, t_end=1.0).n_steps == 10
     assert SolverConfig(dt=0.3, t_end=0.3).n_steps == 1
     assert SolverConfig(dt=1e-3, t_end=0.5).n_steps == 500
+
+
+def test_the_step_count_is_stored_when_the_config_is_built():
+    cfg = SolverConfig(dt=0.01, t_end=0.3)
+    assert cfg.n_steps == _window_steps(cfg.t_end, cfg.dt) == 30
+    assert replace(cfg, t_end=2 * cfg.t_end).n_steps == 2 * cfg.n_steps   # rebuilt, not copied
+    with pytest.raises(TypeError):
+        SolverConfig(dt=0.01, t_end=0.3, n_steps=5)   # not a parameter
+    with pytest.raises(ConfigError, match=re.escape("solver.t_end / solver.dt = 0.5 must be")):
+        SolverConfig(dt=1e-3, t_end=5e-4)   # half a step
 
 
 def test_initial_segment_checks():

@@ -215,10 +215,20 @@ def test_ellipticity_rejected():
     # finite and positive, but too large for doubles: the stiffness matrix overflows
     (lambda: assemble_operator(n_modes=4, a=[[0, 1], [0.5, 1.0e308], [1, 1]]), ConfigError,
      "operator.a: the table's values overflow the stiffness matrix"),
+    # positive, but the stiffness products underflow to an all-zero spectrum, which the
+    # operator refuses as any spectrum of -A that is not strictly positive
+    (lambda: assemble_operator(n_modes=4, a=[[0, 5e-324], [1, 5e-324]]), DomainError,
+     "eigenvalues of -A must be strictly positive"),
 ])
 def test_operator_constructors_refuse_bad_arguments(build, error, needle):
     with pytest.raises(error, match=re.escape(needle)):
         build()
+
+
+def test_a_table_of_tiny_positive_values_still_builds():
+    # 5e-324 underflows to an all-zero spectrum (refused above); these do not
+    for a in (1e-320, 1e-300):
+        assert assemble_operator(n_modes=4, a=[[0, a], [1, a]]).eigenvalues[0] > 0.0
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])

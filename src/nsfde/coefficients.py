@@ -124,10 +124,13 @@ class CoefficientSet:
     root pinned here (N(0) = 0); monotonicity/concavity are sampled by the checkers
     so that deliberately ill-shaped moduli can still be constructed and rejected by
     them.  The bound above 2N on ``grid_points`` is checked when the set meets an
-    operator's grid.  In a run f and sigma get a view of a per-run field buffer, which the
-    next block overwrites: a map must neither keep nor change its argument.  The forcing
-    shortcuts are read by identity when the set is built: ``f_is_zero`` if f is the built-in
-    ``zero`` map, ``sigma_const`` 0.0 or 1.0 if sigma is ``zero`` or ``one``, else None.
+    operator's grid.  In a run f and sigma get a view of a field buffer of the step plan
+    the operator keeps for the last system it stepped, which the next block, or a later
+    run of the same system, overwrites: a map must neither keep nor change its argument.
+    Changing the operator's or the noise spectrum's arrays in place after a run is
+    unsupported, as it is for ``op.grid()``.  The forcing shortcuts are read by identity
+    when the set is built: ``f_is_zero`` if f is the built-in ``zero`` map,
+    ``sigma_const`` 0.0 or 1.0 if sigma is ``zero`` or ``one``, else None.
     """
 
     f: Callable

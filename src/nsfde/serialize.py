@@ -89,7 +89,7 @@ def _read_jsonl(path, schema: _Schema) -> tuple[dict, dict]:
     """Header and record columns (arrays of each field's dtype) of a file in
     ``schema``; a line the schema does not take fails naming its number."""
     header, recs = None, []
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=1 << 20) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -199,12 +199,12 @@ def read_measure_jsonl(path) -> EmpiricalMeasure:
 def write_report_csv(path, rows):
     """Rectangular CSV: header ``format,<REPORT_COLUMNS>``, then one tagged row each.
 
-    ``rows`` yields tuples matching ``REPORT_COLUMNS``; floats are written via
-    repr so they reload exactly.
+    ``rows`` yields tuples matching ``REPORT_COLUMNS``; floats (numpy's too) are written
+    via the repr of the Python float so they reload exactly.
     """
     def cell(x):
         if isinstance(x, float):
-            return repr(x)
+            return repr(float(x))
         return "" if x is None else str(x)
 
     with open(path, "w", encoding="utf-8", newline="") as fh:

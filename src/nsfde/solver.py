@@ -26,20 +26,28 @@ evaluates the kernel exactly fp_iters[k] times.
 Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
 k = min(m, steps left) and carries a block's nodes rows[b0:b1 + 1] to the grid
-in one product, into an (m + 1)-row field buffer allocated once a run.  One f
+in one product, into an (m + 1)-row field buffer of the step plan.  One f
 and one sigma call on its first k rows (in a Picard iterate, on the previous
 iterate's nodes; one call for both when ``cs.sigma is cs.f``, as
 ``builtin_coefficients`` makes the pair) form Phi1 f + xi, written in place
 into the rows the block's new states take.  The point kernel makes two
 z_map(z, out) calls a step, on field rows j and j + 1, as the benchmark pins
 (``bench/reference/ensemble_bounded.json``): its 2m (field row, out row) pairs
-are bound once a run, and one quadrature with the grid weights a block takes
-the masses.  Without a kernel or with the point kernel, g reads only history
-too, so the block's increments w_j are all known and a doubling scan runs
-u_{j+1} = decay u_j + w_j in ceil(log2 k) whole-block operations; the instant
-kernel reads the new state, so it steps.
+are bound with the plan's buffers, and one quadrature with the grid weights a
+block takes the masses.  Without a kernel or with the point kernel, g reads
+only history too, so the block's increments w_j are all known and a doubling
+scan runs u_{j+1} = decay u_j + w_j in ceil(log2 k) whole-block operations;
+the instant kernel reads the new state, so it steps.
 Blocked products and the scan round differently from per-step evaluation:
 results match a per-step evaluation of the vector maps to about 1e-15.
+
+The operator keeps the step plan of the last system it stepped (qspec by
+identity, dt, m, ``cs.grid_points``, the kernel's scale and delay mode): the
+step constants, the kernel's profile on the grid and a free list of run
+buffers, one set a concurrent run.  f, sigma and z_map are read from ``cs``
+each run; f and sigma get a view of a buffer that the next block, or a later
+run of the same system, overwrites.  As for ``op.grid()``, changing the arrays
+of ``op`` or ``qspec`` in place after a run is unsupported.
 
 The successive-approximation driver (``picard_run``) replays the same noise
 stream across iterates: iterate 0 carries only the neutral-linear dynamics,
@@ -121,6 +129,33 @@ def _window_max(x: np.ndarray, w: int) -> np.ndarray:
     return x
 
 
+class _StepPlan:
+    """What every run of one system reads unchanged: the step constants, the kernel's
+    geometry on the grid (not its ``z_map``) and a free list of run buffers."""
+
+    def __init__(self, key, cs: CoefficientSet, op: SpectralOperator, qspec, dt, m):
+        mu, maps = op.eigenvalues, GridMaps(cs, op)
+        self.key, self.m, self.free, self.decay = key, m, [], np.exp(-mu * dt)
+        # decay^s for the block scan's shifts s = 1, 2, 4, ... < m, by repeated squaring
+        self.decay_powers = [self.decay]
+        while 2 ** len(self.decay_powers) < m:
+            self.decay_powers.append(self.decay_powers[-1] ** 2)
+        self.phi1, self.ou_std = -np.expm1(-mu * dt) / mu, noise_mod.ou_std(qspec, op, dt)
+        self.grid, self.g_mode, self.profile = maps.grid, maps.g_mode, maps.profile
+        self.profile_field, self.profile_norm = maps.profile_field, maps.profile_norm
+
+    def take_buffers(self):
+        """(fbuf, zs, z_args, scan, diff), held by one run until it appends them to ``free``."""
+        try:
+            return self.free.pop()
+        except IndexError:   # every set is in use, or none was made yet
+            m, size = self.m, self.grid.weights.size
+            fbuf = np.empty((m + 1, size))   # a block's fields of rows[b0:b1 + 1]
+            zs = np.empty((2 * m, size))     # a point block's z_map of rows j, j + 1
+            z_args = [(fbuf[(i + 1) // 2], z) for i, z in enumerate(zs)]
+            return fbuf, zs, z_args, np.empty((m, self.decay.size)), np.empty(size)
+
+
 def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                qspec: QWienerSpec, cfg: SolverConfig, stream: RngStream,
                z_block: Optional[np.ndarray] = None, src_rows: Optional[np.ndarray] = None,
@@ -143,17 +178,16 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                else np.asarray(z_block, dtype=float))
     if z_block.shape != shape:
         raise ShapeError(f"noise block must have shape {shape}")
-    mu = op.eigenvalues
-    decay = np.exp(-mu * cfg.dt)
-    # decay^s for the block scan's shifts s = 1, 2, 4, ... < m, by repeated squaring
-    decay_powers = [decay]
-    while 2 ** len(decay_powers) < m:
-        decay_powers.append(decay_powers[-1] ** 2)
-    phi1 = -np.expm1(-mu * cfg.dt) / mu
-    ou_std = noise_mod.ou_std(qspec, op, cfg.dt)
-    maps = GridMaps(cs, op)
-    g_mode, profile, z_map, grid = maps.g_mode, maps.profile, maps.z_map, maps.grid
-    weights, profile_field, profile_norm = grid.weights, maps.profile_field, maps.profile_norm
+    kern = cs.kernel_b
+    key = (qspec, cfg.dt, m, cs.grid_points,
+           None if kern is None else (kern.scale, kern.delay_mode))
+    plan = op._plan
+    if plan is None or plan.key != key:   # qspec compares by identity
+        plan = op._plan = _StepPlan(key, cs, op, qspec, cfg.dt, m)
+    decay, decay_powers, phi1, ou_std = plan.decay, plan.decay_powers, plan.phi1, plan.ou_std
+    g_mode, profile, grid = plan.g_mode, plan.profile, plan.grid
+    z_map = None if kern is None else kern.z_map   # read afresh: a caller may swap it
+    weights, profile_field, profile_norm = grid.weights, plan.profile_field, plan.profile_norm
     synth, fp_tol, fp_max = grid.synth, cfg.fp_tol, cfg.fp_max
     wdot, multiply, subtract = weights.dot, np.multiply, np.subtract
 
@@ -163,76 +197,76 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     norms[:m + 1] = np.sqrt((initial.values * initial.values).sum(axis=1))
     fp_iters = np.zeros(steps + 1, dtype=int)
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
-    fbuf = np.empty((m + 1, weights.size))   # a block's fields of rows[b0:b1 + 1]
-    zs = np.empty((2 * m, weights.size))     # a point block's z_map of rows j, j + 1
-    z_args = [(fbuf[(i + 1) // 2], z) for i, z in enumerate(zs)]
-    scan, diff = np.empty((m, initial.n_modes)), np.empty(weights.size)
-
-    for b0 in range(0, steps, m):
-        # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
-        b1 = min(b0 + m, steps)
-        fields = np.matmul(rows[b0:b1 + 1], synth.T, out=fbuf[:b1 - b0 + 1])
-        src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ synth.T
-        # the forcing Phi1 f + xi (sigma composed on the OU increment) reads ``src``, in place
-        w = np.multiply(ou_std, z_block[b0:b1], out=rows[m + 1 + b0:m + 1 + b1])
-        f_src = None if cs.f_is_zero else cs.f(src)
-        if cs.sigma_const is None:
-            sig = f_src if cs.sigma is cs.f and f_src is not None else cs.sigma(src)
-            np.matmul(sig * (w @ synth.T), grid.project.T, out=w)
-        elif cs.sigma_const != 1.0:
-            w *= cs.sigma_const
-        if f_src is not None:
-            w += phi1 * (f_src @ grid.project.T)
-        if g_mode != "instant":
-            # every node g reads in the block is history: all the increments are
-            # known, and a doubling scan runs u_{j+1} = decay u_j + w_j
-            if g_mode == "point":
-                for z, out in z_args[:2 * (b1 - b0)]:
-                    z_map(z, out)
-                masses = zs[:2 * (b1 - b0)] @ weights
-                w += profile * (masses[0::2] - masses[1::2])[:, None]
-            w[0] += decay * rows[m + b0]
-            for level, decay_s in enumerate(decay_powers[:(b1 - b0 - 1).bit_length()]):
-                s = 1 << level
-                w[s:] += multiply(decay_s, w[:-s], out=scan[:b1 - b0 - s])
-            np.sqrt((w * w).sum(axis=1), out=norms[m + 1 + b0:m + 1 + b1])
-        else:
-            for i, f_i in enumerate(w, b0):
-                # the neutral term reads the unknown new state: contract to the fixed
-                # point of u = rhs - profile * mass(u) on its one scalar, the mass c
-                u = rows[m + i]
-                c = wdot(z_map(synth @ u))   # maps.mass(u)
-                rhs = decay * u + (pc := profile * c) + f_i
-                d = rhs - pc - u
-                r = math.sqrt(d @ d)
-                field = synth @ rhs
-                iters = 1
-                while True:
-                    if residual_log is not None:
-                        residual_log[i].append(r)
-                    if not r >= fp_tol:
-                        break   # converged, or NaN: the blow-up guard takes a NaN state
-                    if iters == fp_max:
-                        raise NonconvergenceError(
-                            f"implicit neutral step failed to reach fp_tol={fp_tol:g} "
-                            f"within {fp_max} iterations (last residual {r:.3e})",
-                            residual=r, iterations=fp_max)
-                    c_prev, c = c, float(wdot(z_map(
-                        subtract(field, multiply(c, profile_field, diff), diff), diff)))
-                    r = abs(c - c_prev) * profile_norm
-                    iters += 1
-                u_new = rows[m + 1 + i] = rhs - profile * c
-                fp_iters[i + 1] = iters
-                norms[m + 1 + i] = nrm = math.sqrt(u_new @ u_new)
-                if not nrm <= cfg.blowup_threshold:
-                    break   # raised below, before the next step reads this state
-        # the block's first norm above the guard or not finite; the instant loop
-        # stops there, and the norms after it are still zeros
-        block_norms = norms[m + 1 + b0:m + 1 + b1]
-        if not block_norms.max() <= cfg.blowup_threshold:
-            i = b0 + int((block_norms <= cfg.blowup_threshold).argmin())
-            raise BlowupError(f"state norm {norms[m + 1 + i]:.3e} at t = {(i + 1) * cfg.dt:g} "
-                              f"exceeds blow-up guard {cfg.blowup_threshold:g}")
+    bufs = plan.take_buffers()
+    fbuf, zs, z_args, scan, diff = bufs
+    try:
+        for b0 in range(0, steps, m):
+            # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
+            b1 = min(b0 + m, steps)
+            fields = np.matmul(rows[b0:b1 + 1], synth.T, out=fbuf[:b1 - b0 + 1])
+            src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ synth.T
+            # the forcing Phi1 f + xi (sigma composed on the OU increment) reads ``src``, in place
+            w = np.multiply(ou_std, z_block[b0:b1], out=rows[m + 1 + b0:m + 1 + b1])
+            f_src = None if cs.f_is_zero else cs.f(src)
+            if cs.sigma_const is None:
+                sig = f_src if cs.sigma is cs.f and f_src is not None else cs.sigma(src)
+                np.matmul(sig * (w @ synth.T), grid.project.T, out=w)
+            elif cs.sigma_const != 1.0:
+                w *= cs.sigma_const
+            if f_src is not None:
+                w += phi1 * (f_src @ grid.project.T)
+            if g_mode != "instant":
+                # every node g reads in the block is history: all the increments are
+                # known, and a doubling scan runs u_{j+1} = decay u_j + w_j
+                if g_mode == "point":
+                    for z, out in z_args[:2 * (b1 - b0)]:
+                        z_map(z, out)
+                    masses = zs[:2 * (b1 - b0)] @ weights
+                    w += profile * (masses[0::2] - masses[1::2])[:, None]
+                w[0] += decay * rows[m + b0]
+                for level, decay_s in enumerate(decay_powers[:(b1 - b0 - 1).bit_length()]):
+                    s = 1 << level
+                    w[s:] += multiply(decay_s, w[:-s], out=scan[:b1 - b0 - s])
+                np.sqrt((w * w).sum(axis=1), out=norms[m + 1 + b0:m + 1 + b1])
+            else:
+                for i, f_i in enumerate(w, b0):
+                    # the neutral term reads the unknown new state: contract to the fixed
+                    # point of u = rhs - profile * mass(u) on its one scalar, the mass c
+                    u = rows[m + i]
+                    c = wdot(z_map(synth @ u))   # maps.mass(u)
+                    rhs = decay * u + (pc := profile * c) + f_i
+                    d = rhs - pc - u
+                    r = math.sqrt(d @ d)
+                    field = synth @ rhs
+                    iters = 1
+                    while True:
+                        if residual_log is not None:
+                            residual_log[i].append(r)
+                        if not r >= fp_tol:
+                            break   # converged, or NaN: the blow-up guard takes a NaN state
+                        if iters == fp_max:
+                            raise NonconvergenceError(
+                                f"implicit neutral step failed to reach fp_tol={fp_tol:g} "
+                                f"within {fp_max} iterations (last residual {r:.3e})",
+                                residual=r, iterations=fp_max)
+                        c_prev, c = c, float(wdot(z_map(
+                            subtract(field, multiply(c, profile_field, diff), diff), diff)))
+                        r = abs(c - c_prev) * profile_norm
+                        iters += 1
+                    u_new = rows[m + 1 + i] = rhs - profile * c
+                    fp_iters[i + 1] = iters
+                    norms[m + 1 + i] = nrm = math.sqrt(u_new @ u_new)
+                    if not nrm <= cfg.blowup_threshold:
+                        break   # raised below, before the next step reads this state
+            # the block's first norm above the guard or not finite; the instant loop
+            # stops there, and the norms after it are still zeros
+            block_norms = norms[m + 1 + b0:m + 1 + b1]
+            if not block_norms.max() <= cfg.blowup_threshold:
+                i = b0 + int((block_norms <= cfg.blowup_threshold).argmin())
+                raise BlowupError(f"state norm {norms[m + 1 + i]:.3e} at t = {(i + 1) * cfg.dt:g} "
+                                  f"exceeds blow-up guard {cfg.blowup_threshold:g}")
+    finally:
+        plan.free.append(bufs)
 
     # the window ending at step k is rows[k:k + m + 1]
     stored = np.append(np.arange(0, steps, cfg.store_stride), steps)

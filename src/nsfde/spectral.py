@@ -73,6 +73,7 @@ class SpectralOperator:
     delta: float
     mix: np.ndarray | None = None  # sine-basis -> eigenbasis change, None when diagonal
     _grids: dict = field(default_factory=dict, repr=False)
+    _plan: object = field(default=None, init=False, repr=False)  # the solver's last system
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)

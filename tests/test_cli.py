@@ -21,7 +21,7 @@ import pytest
 import yaml
 
 import nsfde
-from nsfde import (RngStream, find_horizon, load_config, make_coefficients,
+from nsfde import (RngStream, find_horizon, ks_critical, load_config, make_coefficients,
                    make_initial_segment, make_noise, make_operator,
                    make_solver_config, osgood_certificate, simulate, sup_norm)
 from nsfde.cli import build_parser, main
@@ -386,6 +386,11 @@ def test_measure_pipeline_and_invariance_verdict(tmp_path, capsys, monkeypatch):
         ["seg_norm", "head_norm", "mode_1", "mode_2", "mode_3"]
     assert all(r["verdict"] == "pass" for r in rows)
     assert all(float(r["estimate"]) == 0.0 for r in rows)
+    # the threshold column is the 5 % critical value as a plain number
+    assert main(["invariance-test", "--config", cfg, "--measure", str(mfile),
+                 "--t", "0.01", "--draws", "100", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert {float(r["threshold"]) for r in read_report_csv(report)} == {ks_critical(100, 100)}
 
     # a horizon off the step grid is refused, not rounded to 0.2
     assert main(["invariance-test", "--config", cfg, "--measure", str(mfile),

@@ -316,6 +316,10 @@ def test_report_round_trip_keeps_floats_exact(tmp_path):
     assert back[0]["threshold"] == ""       # None round-trips as empty
     assert float(back[1]["threshold"]) == 1e-300
     assert back[1]["verdict"] == "fail"
+    # a numpy float is written as the float it is, not as its numpy repr
+    write_report_csv(path, [("gamma_stat", np.float64(0.1 + 0.2), None, np.float64(0.7), "pass")])
+    back = read_report_csv(path)
+    assert back[0]["estimate"] == repr(0.1 + 0.2) and float(back[0]["threshold"]) == 0.7
 
 
 def test_format_tags_are_enforced(tmp_path):

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from nsfde import (BlowupError, ConfigError, GridMaps, HorizonResult,
                    SolverConfig, assemble_operator, builtin_coefficients, builtin_qwiener,
                    constant_segment, contraction_factor, find_horizon,
                    from_initial_condition, osgood_drift, ou_std, picard_run,
-                   simulate, stability_bound, zero_segment)
+                   run_ensemble, simulate, stability_bound, zero_segment)
 from nsfde.segment import _window_steps
 from nsfde.solver import _window_max
 
@@ -503,6 +505,80 @@ def test_a_z_map_swapped_between_runs_is_the_one_the_next_run_calls():
     assert len(calls) == 2 * cfg.n_steps
     assert np.array_equal(first.snapshots, second.snapshots)
     assert np.array_equal(first.snapshots, third.snapshots)
+
+
+def _plan_run(op, qspec=Q8, dt=0.01, h=0.05, seed=0, cs=None, **coeffs):
+    ini = from_initial_condition(h, dt, op.grid(), kind="profile", profile="sin_pi",
+                                 amplitude=0.5)
+    cs = cs or builtin_coefficients(**{"kernel_scale": 0.2, **coeffs})
+    return simulate(ini, cs, op, qspec, SolverConfig(dt=dt, t_end=0.3),
+                    RngStream(30, seed)).snapshots.tobytes()
+
+
+def test_one_operator_stepping_other_systems_in_turn_gives_each_its_own_bits():
+    # the operator keeps the last system's step plan: each change of qspec, dt, m,
+    # grid, kernel scale, delay or kernel map must give the run a fresh operator gives
+    systems = [{}, {"kernel": "linear"}, {"qspec": builtin_qwiener(8, trace=2.0)},
+               {"dt": 0.025}, {"h": 0.09}, {"grid_points": 40}, {"kernel_scale": 0.3},
+               {"kernel_delay": "instant"}, {"kernel": "zero"}]
+    op = assemble_operator(n_modes=8)
+    for system in systems + systems[::-1] + systems:
+        assert _plan_run(op, **system) == _plan_run(assemble_operator(n_modes=8), **system)
+    assert len(op._plan.free) == 1
+
+
+def test_repeated_runs_of_one_system_keep_one_plan_and_read_each_sets_kernel_map():
+    # picard_run's iterate 0 and every caller that rebuilds its coefficient set (the CLI
+    # does per command) reuse the plan, and each run calls the z_map of its own set
+    op, calls = assemble_operator(n_modes=8), []
+    ini = from_initial_condition(0.05, 0.01, op.grid(), kind="profile", profile="sin_pi",
+                                 amplitude=0.5)
+    cfg = SolverConfig(dt=0.01, t_end=0.1, mode="picard", picard_iters=2)
+    cs = builtin_coefficients(kernel_scale=0.2)
+    simulate(ini, cs, op, Q8, cfg, RngStream(31, 0))
+    plan = op._plan
+    for k in range(50):
+        picard_run(ini, cs, op, Q8, cfg, RngStream(31, k))
+        run_ensemble(ini, cs, op, Q8, cfg, seed=k, n_traj=2)
+        rebuilt = builtin_coefficients(kernel_scale=0.2)
+        rebuilt.kernel_b.z_map = lambda z, out=None: calls.append(1) or np.tanh(z, out)
+        simulate(ini, rebuilt, op, Q8, cfg, RngStream(31, k))
+        assert len(calls) == 2 * cfg.n_steps * (k + 1)
+    assert op._plan is plan and len(plan.free) == 1
+
+
+def test_two_threads_stepping_one_system_give_the_serial_bits():
+    # each f call waits for the other thread's, so both runs hold run buffers at once
+    f, barrier = osgood_drift(3.0), threading.Barrier(2, timeout=60)
+
+    def paired_f(x):
+        barrier.wait()
+        return f(x)
+
+    cs = builtin_coefficients(kernel_scale=0.2)
+    paired = replace(cs, f=paired_f)
+    serial = [_plan_run(OP8, seed=i, cs=replace(cs, f=f)) for i in range(16)]
+    op = assemble_operator(n_modes=8)
+    with ThreadPoolExecutor(2) as pool:
+        halves = pool.map(lambda ids: [_plan_run(op, seed=i, cs=paired) for i in ids],
+                          (range(8), range(8, 16)))
+        assert [b for half in halves for b in half] == serial
+
+
+def test_threads_stepping_two_systems_on_one_operator_give_the_serial_bits():
+    # more threads than cores and a short switch interval: runs of two systems
+    # replace each other's plan on the shared operator while other runs step
+    jobs = [(system, seed) for seed in range(12) for system in ({}, {"kernel_delay": "instant"})]
+    serial = [_plan_run(assemble_operator(n_modes=8), seed=seed, **system)
+              for system, seed in jobs]
+    op, interval = assemble_operator(n_modes=8), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(_plan_run, op, seed=seed, **system) for system, seed in jobs]
+            assert [run.result(timeout=120) for run in runs] == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("h", [0.05, 0.37])

@@ -124,13 +124,15 @@ class CoefficientSet:
     root pinned here (N(0) = 0); monotonicity/concavity are sampled by the checkers
     so that deliberately ill-shaped moduli can still be constructed and rejected by
     them.  The bound above 2N on ``grid_points`` is checked when the set meets an
-    operator's grid.  In a run f and sigma get a view of a field buffer of the step plan
-    the operator keeps for the last system it stepped, which the next block, or a later
-    run of the same system, overwrites: a map must neither keep nor change its argument.
-    Changing the operator's or the noise spectrum's arrays in place after a run is
-    unsupported, as it is for ``op.grid()``.  The forcing shortcuts are read by identity
-    when the set is built: ``f_is_zero`` if f is the built-in ``zero`` map,
-    ``sigma_const`` 0.0 or 1.0 if sigma is ``zero`` or ``one``, else None.
+    operator's grid.  In a run f and sigma get a view of the (m + 1)-row field buffer of
+    the step plan the operator keeps for the last system it stepped, which the next block,
+    or a later run of the same system, overwrites: a map must neither keep nor change its
+    argument.  A point kernel's ``z_map`` writes into the (2m, G) output rows that only a
+    point system's plan holds.  Changing the operator's or the noise spectrum's arrays in
+    place after a run is unsupported: the plan keeps what it built from them.  The
+    forcing shortcuts are read by identity when the set is built: ``f_is_zero`` if f is
+    the built-in ``zero`` map, ``sigma_const`` 0.0 or 1.0 if sigma is ``zero`` or
+    ``one``, else None.
     """
 
     f: Callable
@@ -186,10 +188,8 @@ class GridMaps:
     as ``profile`` (the projected x-factor) times the scalar ``mass`` of the
     node g reads, theta_g = -h for ``g_mode`` "point" and 0 for "instant";
     without a kernel ("none") both vanish and ``z_map`` is ``np.zeros_like``, else the
-    kernel's ufunc.  The integrator calls it twice a point step, each writing its
-    row of one block array in place, with one ``grid.weights`` product a block, and
-    once an instant iterate, in place on one buffer, where ``profile_field`` and
-    ``profile_norm`` run g's fixed point; the Lipschitz probe takes ``mass`` of nodes.
+    kernel's ufunc.  The solver's step plan keeps one per system, though each run
+    calls its own set's ``z_map``; the Lipschitz probe takes ``mass`` of nodes.
     """
 
     def __init__(self, cs: CoefficientSet, op: SpectralOperator):
@@ -200,8 +200,6 @@ class GridMaps:
         if kern is not None:
             self.profile = self.grid.project @ (kern.scale * np.sin(np.pi * self.grid.x))
             self.z_map = kern.z_map
-        self.profile_field = self.grid.synth @ self.profile
-        self.profile_norm = math.sqrt(self.profile @ self.profile)
 
     def mass(self, states: np.ndarray):
         """Scalar factor of g: grid integral of z_map on the field, (S,) for an (S, N) stack."""

@@ -43,11 +43,14 @@ results match a per-step evaluation of the vector maps to about 1e-15.
 
 The operator keeps the step plan of the last system it stepped (qspec by
 identity, dt, m, ``cs.grid_points``, the kernel's scale and delay mode): the
-step constants, the kernel's profile on the grid and a free list of run
-buffers, one set a concurrent run.  f, sigma and z_map are read from ``cs``
-each run; f and sigma get a view of a buffer that the next block, or a later
-run of the same system, overwrites.  As for ``op.grid()``, changing the arrays
-of ``op`` or ``qspec`` in place after a run is unsupported.
+step constants, the kernel on the grid (``GridMaps``) and a free list of run
+buffers, one set a concurrent run.  Every set holds the (m + 1, G) field
+buffer, the scan's (m, N) rows and the instant iterate's (G,) field; only a
+point system's set also holds the (2m, G) z_map outputs and their 2m pairs.
+f, sigma and z_map are read from ``cs`` each run; f and sigma get a view of a
+buffer that the next block, or a later run of the same system, overwrites.
+Changing the arrays of ``op`` or ``qspec`` in place after a run is unsupported:
+the plan keeps what it built from them.
 
 The successive-approximation driver (``picard_run``) replays the same noise
 stream across iterates: iterate 0 carries only the neutral-linear dynamics,
@@ -130,28 +133,31 @@ def _window_max(x: np.ndarray, w: int) -> np.ndarray:
 
 
 class _StepPlan:
-    """What every run of one system reads unchanged: the step constants, the kernel's
-    geometry on the grid (not its ``z_map``) and a free list of run buffers."""
+    """What every run of one system reads unchanged: the step constants, the kernel on
+    the grid (``maps``; a run calls its own set's ``z_map``), the instant fixed point's
+    ``profile_field`` and ``profile_norm``, and a free list of run buffers."""
 
     def __init__(self, key, cs: CoefficientSet, op: SpectralOperator, qspec, dt, m):
         mu, maps = op.eigenvalues, GridMaps(cs, op)
-        self.key, self.m, self.free, self.decay = key, m, [], np.exp(-mu * dt)
+        self.key, self.m, self.maps, self.free, self.decay = key, m, maps, [], np.exp(-mu * dt)
         # decay^s for the block scan's shifts s = 1, 2, 4, ... < m, by repeated squaring
         self.decay_powers = [self.decay]
         while 2 ** len(self.decay_powers) < m:
             self.decay_powers.append(self.decay_powers[-1] ** 2)
         self.phi1, self.ou_std = -np.expm1(-mu * dt) / mu, noise_mod.ou_std(qspec, op, dt)
-        self.grid, self.g_mode, self.profile = maps.grid, maps.g_mode, maps.profile
-        self.profile_field, self.profile_norm = maps.profile_field, maps.profile_norm
+        self.profile_field = maps.grid.synth @ maps.profile
+        self.profile_norm = math.sqrt(maps.profile @ maps.profile)
 
     def take_buffers(self):
-        """(fbuf, zs, z_args, scan, diff), held by one run until it appends them to ``free``."""
+        """(fbuf, zs, z_args, scan, diff), held by one run until it appends them to ``free``;
+        ``zs`` has no rows and ``z_args`` no pairs unless the kernel is a point kernel."""
         try:
             return self.free.pop()
         except IndexError:   # every set is in use, or none was made yet
-            m, size = self.m, self.grid.weights.size
+            m, size = self.m, self.maps.grid.weights.size
             fbuf = np.empty((m + 1, size))   # a block's fields of rows[b0:b1 + 1]
-            zs = np.empty((2 * m, size))     # a point block's z_map of rows j, j + 1
+            # a point block's z_map of rows j, j + 1
+            zs = np.empty((2 * m if self.maps.g_mode == "point" else 0, size))
             z_args = [(fbuf[(i + 1) // 2], z) for i, z in enumerate(zs)]
             return fbuf, zs, z_args, np.empty((m, self.decay.size)), np.empty(size)
 
@@ -185,7 +191,7 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     if plan is None or plan.key != key:   # qspec compares by identity
         plan = op._plan = _StepPlan(key, cs, op, qspec, cfg.dt, m)
     decay, decay_powers, phi1, ou_std = plan.decay, plan.decay_powers, plan.phi1, plan.ou_std
-    g_mode, profile, grid = plan.g_mode, plan.profile, plan.grid
+    g_mode, profile, grid = plan.maps.g_mode, plan.maps.profile, plan.maps.grid
     z_map = None if kern is None else kern.z_map   # read afresh: a caller may swap it
     weights, profile_field, profile_norm = grid.weights, plan.profile_field, plan.profile_norm
     synth, fp_tol, fp_max = grid.synth, cfg.fp_tol, cfg.fp_max

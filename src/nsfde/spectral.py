@@ -71,8 +71,7 @@ class SpectralOperator:
 
     eigenvalues: np.ndarray
     delta: float
-    mix: np.ndarray | None = None  # sine-basis -> eigenbasis change, None when diagonal
-    _grids: dict = field(default_factory=dict, repr=False)
+    mix: np.ndarray | None = None  # (N, N) sine-basis -> eigenbasis change, None when diagonal
     _plan: object = field(default=None, init=False, repr=False)  # the solver's last system
 
     def __post_init__(self):
@@ -85,31 +84,27 @@ class SpectralOperator:
             raise DomainError("eigenvalues must be sorted in nondecreasing order")
         if not 0.0 < self.delta < self.eigenvalues[0]:
             raise DomainError("spectral-gap delta must satisfy 0 < delta < mu_1")
+        if self.mix is not None and np.shape(self.mix) != (self.n_modes,) * 2:
+            raise ShapeError(f"mix has shape {np.shape(self.mix)}, operator has "
+                             f"{self.n_modes} modes: it must be {(self.n_modes,) * 2}")
 
     @property
     def n_modes(self) -> int:
         return int(self.eigenvalues.size)
 
     def grid(self, n_grid: int | None = None) -> GridOps:
-        """Return (cached) synthesis/projection matrices on ``n_grid`` Simpson intervals
-        (default 4N); an odd count is refused, and so are 2N or fewer, which alias the
-        retained modes."""
+        """Synthesis/projection matrices on ``n_grid`` Simpson intervals (default 4N), built
+        afresh on each call; an odd count is refused, and so are 2N or fewer, which alias
+        the retained modes."""
         n_grid = _check_grid_points(4 * self.n_modes if n_grid is None else n_grid,
                                     self.n_modes)
-        ops = self._grids.get(n_grid)
-        if ops is None:
-            x = np.linspace(0.0, 1.0, n_grid + 1)
-            w = simpson_weights(n_grid)
-            n = np.arange(1, self.n_modes + 1)
-            sines = math.sqrt(2.0) * np.sin(np.pi * np.outer(x, n))
-            if self.mix is not None:
-                synth = sines @ self.mix
-            else:
-                synth = sines
-            project = synth.T * w
-            ops = GridOps(x=x, weights=w, synth=synth, project=project)
-            self._grids[n_grid] = ops
-        return ops
+        x = np.linspace(0.0, 1.0, n_grid + 1)
+        w = simpson_weights(n_grid)
+        n = np.arange(1, self.n_modes + 1)
+        synth = math.sqrt(2.0) * np.sin(np.pi * np.outer(x, n))
+        if self.mix is not None:
+            synth = synth @ self.mix
+        return GridOps(x=x, weights=w, synth=synth, project=synth.T * w)
 
 
 def _check_operator_args(n_modes, a, delta_fraction):

@@ -6,6 +6,8 @@ one at the top.  The same pass finds unused imports and private module names
 that no package module reads.
 """
 import ast
+import dataclasses
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -131,3 +133,19 @@ def test_every_private_module_name_has_a_caller_in_the_package():
     unused = {f"{name}:{private}" for name, tree in trees.items()
               for private in _module_private_names(tree) - referenced}
     assert unused == set()
+
+
+def test_no_private_dataclass_field_is_passed_on_by_replace():
+    # dataclasses.replace passes every init field to the object it makes, so a private
+    # cache declared as one would be shared with that object and serve it stale results
+    shared = set()
+    for path in sorted((ROOT / "src" / "nsfde").glob("*.py")):
+        if path.stem.startswith("__"):   # __main__ runs the command line on import
+            continue
+        module = importlib.import_module(f"nsfde.{path.stem}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                shared.update(f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                              if f.name.startswith("_") and f.init)
+    assert shared == set()

@@ -547,6 +547,21 @@ def test_repeated_runs_of_one_system_keep_one_plan_and_read_each_sets_kernel_map
     assert op._plan is plan and len(plan.free) == 1
 
 
+@pytest.mark.parametrize("coeffs, point", [({}, True), ({"kernel": "linear"}, True),
+                                           ({"kernel_delay": "instant"}, False),
+                                           ({"kernel": "zero"}, False)])
+def test_only_a_point_systems_buffers_hold_the_z_map_outputs(coeffs, point):
+    # a point block's z_map writes rows j and j + 1 of its field into 2m rows (m = 5,
+    # G = 129); an instant or kernel-less run reads neither those rows nor their pairs
+    op = assemble_operator(n_modes=8)
+    _plan_run(op, **coeffs)
+    [(fbuf, zs, z_args, scan, diff)] = op._plan.free
+    assert (fbuf.shape, scan.shape, diff.shape) == ((6, 129), (5, 8), (129,))
+    assert zs.shape == ((10 if point else 0), 129) and len(z_args) == zs.shape[0]
+    for i, (z, out) in enumerate(z_args):
+        assert np.shares_memory(z, fbuf[(i + 1) // 2]) and np.shares_memory(out, zs[i])
+
+
 def test_two_threads_stepping_one_system_give_the_serial_bits():
     # each f call waits for the other thread's, so both runs hold run buffers at once
     f, barrier = osgood_drift(3.0), threading.Barrier(2, timeout=60)

@@ -1,6 +1,7 @@
 """Operator assembly, semigroup algebra and the fractional decay envelope."""
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,11 +175,33 @@ def test_quadrature_grid_must_exceed_twice_the_mode_count(n):
             parse_config({"operator": {"n_modes": n}, "coefficients": {"grid_points": count}})
 
 
+def test_an_operator_made_by_replace_builds_its_own_grid():
+    # replace passes the fields to a new operator: its grid is that of a freshly built
+    # operator with the same fields, not one the first operator built
+    op = assemble_operator(n_modes=4)
+    table = assemble_operator(n_modes=4, a=[[0.0, 1.0], [0.5, 2.0], [1.0, 1.5]])
+    for old, new, fresh in (
+            (op, replace(op, eigenvalues=op.eigenvalues[:2]),
+             SpectralOperator(eigenvalues=op.eigenvalues[:2], delta=op.delta)),
+            (table, replace(table, mix=-table.mix),
+             SpectralOperator(eigenvalues=table.eigenvalues, delta=table.delta,
+                              mix=-table.mix))):
+        for n_grid in (None, 16):
+            old.grid(n_grid)
+            got, want = new.grid(n_grid), fresh.grid(n_grid)
+            assert got.synth.shape == (want.x.size, new.n_modes)
+            for name in ("x", "weights", "synth", "project"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_ellipticity_rejected():
     with pytest.raises(EllipticityError):
         assemble_operator(n_modes=4, a=[[0.0, 0.5], [1.0, -0.5]])
     with pytest.raises(EllipticityError):
         assemble_operator(n_modes=4, a=0.0)
+
+
+TABLE4 = assemble_operator(n_modes=4, a=[[0.0, 1.0], [1.0, 2.0]])
 
 
 @pytest.mark.parametrize("build, error, needle", [
@@ -192,6 +215,14 @@ def test_ellipticity_rejected():
      "eigenvalues must be sorted in nondecreasing order"),
     (lambda: SpectralOperator(eigenvalues=[1.0, 2.0], delta=1.0), DomainError,
      "spectral-gap delta must satisfy 0 < delta < mu_1"),
+    # the mixing is an (N, N) change of basis: a wider one would synthesize 5 columns
+    (lambda: SpectralOperator(eigenvalues=[1.0, 2.0], delta=0.5, mix=np.ones((2, 5))),
+     ShapeError, "mix has shape (2, 5), operator has 2 modes: it must be (2, 2)"),
+    (lambda: SpectralOperator(eigenvalues=[1.0, 2.0], delta=0.5, mix=np.ones(2)),
+     ShapeError, "mix has shape (2,), operator has 2 modes: it must be (2, 2)"),
+    # a table operator cut to its first modes keeps its 4 x 4 mixing
+    (lambda: replace(TABLE4, eigenvalues=TABLE4.eigenvalues[:2]), ShapeError,
+     "mix has shape (4, 4), operator has 2 modes: it must be (2, 2)"),
     (lambda: assemble_operator(n_modes=0), ConfigError, "operator.n_modes = 0 must be >= 1"),
     (lambda: assemble_operator(delta_fraction=1.0), ConfigError,
      "delta_fraction = 1.0 out of range (0, 1)"),

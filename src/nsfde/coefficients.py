@@ -127,12 +127,12 @@ class CoefficientSet:
     operator's grid.  In a run f and sigma get a view of the (m + 1)-row field buffer of
     the step plan the operator keeps for the last system it stepped, which the next block,
     or a later run of the same system, overwrites: a map must neither keep nor change its
-    argument.  A point kernel's ``z_map`` writes into the (2m, G) output rows that only a
-    point system's plan holds.  Changing the operator's or the noise spectrum's arrays in
-    place after a run is unsupported: the plan keeps what it built from them.  The
-    forcing shortcuts are read by identity when the set is built: ``f_is_zero`` if f is
-    the built-in ``zero`` map, ``sigma_const`` 0.0 or 1.0 if sigma is ``zero`` or
-    ``one``, else None.
+    argument.  A point kernel's ``z_map`` writes into (G,) halves of the (m, 2G) output
+    rows that only a point system's plan holds.  Changing the operator's or the noise
+    spectrum's arrays in place after a run is unsupported: the plan keeps what it built
+    from them.  The forcing shortcuts are read by identity when the set is built:
+    ``f_is_zero`` if f is the built-in ``zero`` map, ``sigma_const`` 0.0 or 1.0 if sigma
+    is ``zero`` or ``one``, else None.
     """
 
     f: Callable

@@ -26,27 +26,34 @@ evaluates the kernel exactly fp_iters[k] times.
 Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
 k = min(m, steps left) and carries a block's nodes rows[b0:b1 + 1] to the grid
-in one product, into an (m + 1)-row field buffer of the step plan.  One f
-and one sigma call on its first k rows (in a Picard iterate, on the previous
-iterate's nodes; one call for both when ``cs.sigma is cs.f``, as
-``builtin_coefficients`` makes the pair) form Phi1 f + xi, written in place
-into the rows the block's new states take.  The point kernel makes two
-z_map(z, out) calls a step, on field rows j and j + 1, as the benchmark pins
-(``bench/reference/ensemble_bounded.json``): its 2m (field row, out row) pairs
-are bound with the plan's buffers, and one quadrature with the grid weights a
-block takes the masses.  Without a kernel or with the point kernel, g reads
-only history too, so the block's increments w_j are all known and a doubling
-scan runs u_{j+1} = decay u_j + w_j in ceil(log2 k) whole-block operations;
-the instant kernel reads the new state, so it steps.
+in one product, into an (m + 1)-row field buffer of the step plan.  The OU
+increments xi of the whole run are written once, into the rows the new states
+take; one f and one sigma call a block on its first k field rows (in a Picard
+iterate, on the previous iterate's nodes; one call for both when ``cs.sigma is
+cs.f``, as ``builtin_coefficients`` makes the pair) compose sigma on them and
+add Phi1 f, in place.  The point kernel makes two z_map(z, out) calls a step, on field rows j
+and j + 1, as the benchmark pins (``bench/reference/ensemble_bounded.json``):
+its 2m (field row, out row) pairs are bound with the plan's buffers, the two
+outputs of step j in the halves of row j of an (m, 2G) buffer, and one product
+with the grid weights and their negatives a block takes the mass differences.
+Without a kernel or with the point kernel, g reads only history too, so the
+block's increments w_j are all known and a doubling scan over the start state
+and them runs u_{j+1} = decay u_j + w_j in ceil(log2 (k + 1)) whole-block
+operations; the instant kernel reads the new state, so it steps.  A scanned
+block is tested against the blow-up guard by its sum of squares, and only a
+block that may hold a row past the guard takes its exact row norms; the norms
+of the whole path are taken once the run ends.  The instant loop takes each
+step's norm as it goes.
 Blocked products and the scan round differently from per-step evaluation:
 results match a per-step evaluation of the vector maps to about 1e-15.
 
 The operator keeps the step plan of the last system it stepped (qspec by
 identity, dt, m, ``cs.grid_points``, the kernel's scale and delay mode): the
-step constants, the kernel on the grid (``GridMaps``) and a free list of run
-buffers, one set a concurrent run.  Every set holds the (m + 1, G) field
-buffer, the scan's (m, N) rows and the instant iterate's (G,) field; only a
-point system's set also holds the (2m, G) z_map outputs and their 2m pairs.
+step constants (read-only, as concurrent runs share them), the kernel on the
+grid (``GridMaps``) and a free list of run buffers, one set a concurrent run.
+Every set holds the (m + 1, G) field buffer, the scan's (m, N) rows and the
+instant iterate's (G,) field; only a point system's set also holds the
+(m, 2G) z_map outputs and their 2m pairs.
 f, sigma and z_map are read from ``cs`` each run; f and sigma get a view of a
 buffer that the next block, or a later run of the same system, overwrites.
 Changing the arrays of ``op`` or ``qspec`` in place after a run is unsupported:
@@ -135,30 +142,41 @@ def _window_max(x: np.ndarray, w: int) -> np.ndarray:
 class _StepPlan:
     """What every run of one system reads unchanged: the step constants, the kernel on
     the grid (``maps``; a run calls its own set's ``z_map``), the instant fixed point's
-    ``profile_field`` and ``profile_norm``, and a free list of run buffers."""
+    ``profile_field`` and ``profile_norm``, and a free list of run buffers.  Concurrent
+    runs share the constant arrays, so they are read-only."""
 
     def __init__(self, key, cs: CoefficientSet, op: SpectralOperator, qspec, dt, m):
         mu, maps = op.eigenvalues, GridMaps(cs, op)
         self.key, self.m, self.maps, self.free, self.decay = key, m, maps, [], np.exp(-mu * dt)
-        # decay^s for the block scan's shifts s = 1, 2, 4, ... < m, by repeated squaring
-        self.decay_powers = [self.decay]
-        while 2 ** len(self.decay_powers) < m:
-            self.decay_powers.append(self.decay_powers[-1] ** 2)
-        self.phi1, self.ou_std = -np.expm1(-mu * dt) / mu, noise_mod.ou_std(qspec, op, dt)
+        # decay^s for the block scan's shifts s = 1, 2, 4, ... <= m, by repeated squaring
+        decay_powers = [self.decay]
+        while 2 ** len(decay_powers) <= m:
+            decay_powers.append(decay_powers[-1] ** 2)
+        self.decay_powers = tuple(decay_powers)
+        self.ou_std = noise_mod.ou_std(qspec, op, dt)
+        # f on the grid to Phi1 f, Phi1 = (1 - decay) / mu
+        self.phi1_project = maps.grid.project.T * (-np.expm1(-mu * dt) / mu)
+        # a point step's mass difference mass(row j) - mass(row j + 1), as one dot
+        self.wdiff = np.concatenate([maps.grid.weights, -maps.grid.weights])
         self.profile_field = maps.grid.synth @ maps.profile
         self.profile_norm = math.sqrt(maps.profile @ maps.profile)
+        for a in (*decay_powers, self.ou_std, self.phi1_project, self.wdiff, self.profile_field,
+                  maps.profile):
+            a.setflags(write=False)
 
     def take_buffers(self):
-        """(fbuf, zs, z_args, scan, diff), held by one run until it appends them to ``free``;
-        ``zs`` has no rows and ``z_args`` no pairs unless the kernel is a point kernel."""
+        """(fbuf, zs, z_args, scan, diff), held by one run until it appends them to ``free``.
+        A point system's ``zs`` is (m, 2G): the z_map outputs of field rows j and j + 1 go
+        into the two halves of row j, bound in ``z_args`` as pairs 2j and 2j + 1; any
+        other system's has no rows and ``z_args`` no pairs."""
         try:
             return self.free.pop()
         except IndexError:   # every set is in use, or none was made yet
             m, size = self.m, self.maps.grid.weights.size
             fbuf = np.empty((m + 1, size))   # a block's fields of rows[b0:b1 + 1]
-            # a point block's z_map of rows j, j + 1
-            zs = np.empty((2 * m if self.maps.g_mode == "point" else 0, size))
-            z_args = [(fbuf[(i + 1) // 2], z) for i, z in enumerate(zs)]
+            zs = np.empty((m if self.maps.g_mode == "point" else 0, 2 * size))
+            z_args = [(fbuf[j + half], z[half * size:(half + 1) * size])
+                      for j, z in enumerate(zs) for half in (0, 1)]
             return fbuf, zs, z_args, np.empty((m, self.decay.size)), np.empty(size)
 
 
@@ -190,17 +208,22 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     plan = op._plan
     if plan is None or plan.key != key:   # qspec compares by identity
         plan = op._plan = _StepPlan(key, cs, op, qspec, cfg.dt, m)
-    decay, decay_powers, phi1, ou_std = plan.decay, plan.decay_powers, plan.phi1, plan.ou_std
+    decay, decay_powers, phi1_project = plan.decay, plan.decay_powers, plan.phi1_project
     g_mode, profile, grid = plan.maps.g_mode, plan.maps.profile, plan.maps.grid
     z_map = None if kern is None else kern.z_map   # read afresh: a caller may swap it
-    weights, profile_field, profile_norm = grid.weights, plan.profile_field, plan.profile_norm
-    synth, fp_tol, fp_max = grid.synth, cfg.fp_tol, cfg.fp_max
-    wdot, multiply, subtract = weights.dot, np.multiply, np.subtract
+    wdiff, profile_field, profile_norm = plan.wdiff, plan.profile_field, plan.profile_norm
+    synth, fp_tol, fp_max, thr = grid.synth, cfg.fp_tol, cfg.fp_max, cfg.blowup_threshold
+    wdot, multiply, subtract = grid.weights.dot, np.multiply, np.subtract
+    # a block whose sum of squares is below this holds no row past the guard, whatever
+    # the rounding of either sum (thr * thr overflows to inf where thr ** 2 raises)
+    half_thr_sq = 0.5 * thr * thr
 
     rows = np.empty((m + 1 + steps, initial.n_modes))
     rows[:m + 1] = initial.values
     norms = np.zeros(m + 1 + steps)
     norms[:m + 1] = np.sqrt((initial.values * initial.values).sum(axis=1))
+    # the OU increments xi, to which each block adds the rest of its new states' forcing
+    new_rows = np.multiply(plan.ou_std, z_block, out=rows[m + 1:])
     fp_iters = np.zeros(steps + 1, dtype=int)
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
     bufs = plan.take_buffers()
@@ -209,10 +232,11 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
         for b0 in range(0, steps, m):
             # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
             b1 = min(b0 + m, steps)
-            fields = np.matmul(rows[b0:b1 + 1], synth.T, out=fbuf[:b1 - b0 + 1])
+            k = b1 - b0
+            fields = np.matmul(rows[b0:b1 + 1], synth.T, out=fbuf[:k + 1])
             src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ synth.T
             # the forcing Phi1 f + xi (sigma composed on the OU increment) reads ``src``, in place
-            w = np.multiply(ou_std, z_block[b0:b1], out=rows[m + 1 + b0:m + 1 + b1])
+            w = new_rows[b0:b1]
             f_src = None if cs.f_is_zero else cs.f(src)
             if cs.sigma_const is None:
                 sig = f_src if cs.sigma is cs.f and f_src is not None else cs.sigma(src)
@@ -220,19 +244,21 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
             elif cs.sigma_const != 1.0:
                 w *= cs.sigma_const
             if f_src is not None:
-                w += phi1 * (f_src @ grid.project.T)
+                w += f_src @ phi1_project
             if g_mode != "instant":
                 # every node g reads in the block is history: all the increments are
-                # known, and a doubling scan runs u_{j+1} = decay u_j + w_j
+                # known, and a doubling scan over the start state and them,
+                # rows[m + b0:m + 1 + b1], runs u_{j+1} = decay u_j + w_j
                 if g_mode == "point":
-                    for z, out in z_args[:2 * (b1 - b0)]:
+                    for z, out in z_args[:2 * k]:
                         z_map(z, out)
-                    masses = zs[:2 * (b1 - b0)] @ weights
-                    w += profile * (masses[0::2] - masses[1::2])[:, None]
-                w[0] += decay * rows[m + b0]
-                for level, decay_s in enumerate(decay_powers[:(b1 - b0 - 1).bit_length()]):
+                    w += (zs[:k] @ wdiff)[:, None] * profile
+                path = rows[m + b0:m + 1 + b1]
+                for level, decay_s in enumerate(decay_powers[:k.bit_length()]):
                     s = 1 << level
-                    w[s:] += multiply(decay_s, w[:-s], out=scan[:b1 - b0 - s])
+                    path[s:] += multiply(decay_s, path[:-s], out=scan[:k + 1 - s])
+                if float(np.vdot(w, w)) < half_thr_sq:
+                    continue   # the norms are taken once the run ends
                 np.sqrt((w * w).sum(axis=1), out=norms[m + 1 + b0:m + 1 + b1])
             else:
                 for i, f_i in enumerate(w, b0):
@@ -262,17 +288,19 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                     u_new = rows[m + 1 + i] = rhs - profile * c
                     fp_iters[i + 1] = iters
                     norms[m + 1 + i] = nrm = math.sqrt(u_new @ u_new)
-                    if not nrm <= cfg.blowup_threshold:
+                    if not nrm <= thr:
                         break   # raised below, before the next step reads this state
             # the block's first norm above the guard or not finite; the instant loop
             # stops there, and the norms after it are still zeros
             block_norms = norms[m + 1 + b0:m + 1 + b1]
-            if not block_norms.max() <= cfg.blowup_threshold:
-                i = b0 + int((block_norms <= cfg.blowup_threshold).argmin())
+            if not block_norms.max() <= thr:
+                i = b0 + int((block_norms <= thr).argmin())
                 raise BlowupError(f"state norm {norms[m + 1 + i]:.3e} at t = {(i + 1) * cfg.dt:g} "
-                                  f"exceeds blow-up guard {cfg.blowup_threshold:g}")
+                                  f"exceeds blow-up guard {thr:g}")
     finally:
         plan.free.append(bufs)
+    if g_mode != "instant":   # the instant loop took each norm as it stepped
+        np.sqrt((new_rows * new_rows).sum(axis=1), out=norms[m + 1:])
 
     # the window ending at step k is rows[k:k + m + 1]
     stored = np.append(np.arange(0, steps, cfg.store_stride), steps)

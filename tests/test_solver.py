@@ -331,8 +331,9 @@ Q8 = builtin_qwiener(8, trace=0.5)
 
 
 def _block_test_steps(h):
-    # 53 steps is not a multiple of m = 5; at m = 37 (six scan levels, not a
-    # power of two) 75 = 2m + 1 steps end on a one-step tail block
+    # 53 steps is a multiple of neither m = 5 nor m = 8 (a power of two: a full block's
+    # scan over its start state and 8 increments takes shifts up to 8); at m = 37 (six
+    # scan levels, not a power of two) 75 = 2m + 1 steps end on a one-step tail block
     return 75 if h == 0.37 else 53
 
 
@@ -343,6 +344,8 @@ def _block_test_steps(h):
     ("separable", "point", "one", 0.05),
     ("linear", "instant", "one", 0.05),
     ("separable", "point", "osgood", 0.01),     # m = 1: one step a block
+    ("separable", "point", "osgood", 0.08),
+    ("zero", "point", "one", 0.08),
     ("separable", "point", "osgood", 0.37),
     ("zero", "point", "osgood", 0.37),
     ("separable", "instant", "osgood", 0.37),
@@ -388,6 +391,10 @@ def test_block_loop_matches_the_per_step_scheme_for_picard():
 
 def test_block_loop_matches_the_per_step_scheme_for_picard_on_long_blocks():
     _check_picard_against_the_per_step_scheme(0.37)
+
+
+def test_block_loop_matches_the_per_step_scheme_for_picard_on_power_of_two_blocks():
+    _check_picard_against_the_per_step_scheme(0.08)
 
 
 @pytest.mark.parametrize("h", [0.05, 0.37])
@@ -551,15 +558,39 @@ def test_repeated_runs_of_one_system_keep_one_plan_and_read_each_sets_kernel_map
                                            ({"kernel_delay": "instant"}, False),
                                            ({"kernel": "zero"}, False)])
 def test_only_a_point_systems_buffers_hold_the_z_map_outputs(coeffs, point):
-    # a point block's z_map writes rows j and j + 1 of its field into 2m rows (m = 5,
-    # G = 129); an instant or kernel-less run reads neither those rows nor their pairs
+    # a point block's z_map writes rows j and j + 1 of its field into the two halves of
+    # row j of an (m, 2G) buffer (m = 5, G = 129); an instant or kernel-less run reads
+    # neither those rows nor their pairs
     op = assemble_operator(n_modes=8)
     _plan_run(op, **coeffs)
     [(fbuf, zs, z_args, scan, diff)] = op._plan.free
     assert (fbuf.shape, scan.shape, diff.shape) == ((6, 129), (5, 8), (129,))
-    assert zs.shape == ((10 if point else 0), 129) and len(z_args) == zs.shape[0]
+    assert zs.shape == ((5 if point else 0), 258) and len(z_args) == 2 * zs.shape[0]
     for i, (z, out) in enumerate(z_args):
-        assert np.shares_memory(z, fbuf[(i + 1) // 2]) and np.shares_memory(out, zs[i])
+        j, half = divmod(i, 2)
+        assert np.shares_memory(z, fbuf[j + half]) and z.shape == out.shape == (129,)
+        assert out.base is zs and np.shares_memory(out, zs[j, half * 129:(half + 1) * 129])
+        assert not np.shares_memory(out, zs[j, (1 - half) * 129:(2 - half) * 129])
+
+
+@pytest.mark.parametrize("coeffs", [{}, {"kernel_delay": "instant"}, {"kernel": "zero"}])
+def test_the_step_plans_constants_are_read_only_and_runs_leave_them_unchanged(coeffs):
+    # concurrent runs of one system share the plan's constant arrays
+    op = assemble_operator(n_modes=8)
+    _plan_run(op, **coeffs)
+    plan = op._plan
+    consts = [plan.decay, *plan.decay_powers, plan.ou_std, plan.phi1_project, plan.wdiff,
+              plan.profile_field, plan.maps.profile]
+    assert len(plan.decay_powers) == 3   # shifts 1, 2 and 4 at m = 5
+    kept = [a.tobytes() for a in consts]
+    for a in consts:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    for seed in range(3):
+        _plan_run(op, seed=seed, **coeffs)
+        _plan_run(op, seed=seed, cs=builtin_coefficients(sigma="one", kernel_scale=0.2,
+                                                         **coeffs))
+    assert op._plan is plan and [a.tobytes() for a in consts] == kept
 
 
 def test_two_threads_stepping_one_system_give_the_serial_bits():
@@ -656,6 +687,48 @@ def test_blowup_guard_fires_mid_block_at_the_first_crossing():
     with pytest.raises(BlowupError, match=re.escape(f"at t = {step * 0.01:g} exceeds")):
         simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.5, blowup_threshold=guard),
                  RngStream(23, 0))
+
+
+def _huge_run(amplitude, guard):
+    # m = 20 steps a block; squares of the huge rows may overflow, which numpy warns of
+    cs = builtin_coefficients(f="identity", sigma="one", kernel="linear", kernel_scale=0.2)
+    ini = from_initial_condition(0.2, 0.01, OP8.grid(), kind="profile", profile="sin_pi",
+                                 amplitude=amplitude)
+    with np.errstate(over="ignore"):
+        return ini, simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.43,
+                                                            blowup_threshold=guard),
+                             RngStream(32, 0))
+
+
+def _sliding_norm_max(ini, traj):
+    rows = np.vstack([ini.values, traj.snapshots[1:]])
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    return np.lib.stride_tricks.sliding_window_view(norms, ini.m + 1).max(axis=1)
+
+
+def test_a_guard_whose_square_overflows_passes_rows_below_it():
+    # 1e154 ** 2 raises OverflowError; the first block's sum of squares overflows, but
+    # each row's norm, at most about 6.4e153, is below the guard
+    ini, traj = _huge_run(9e153, 1e154)
+    assert np.isfinite(traj.seg_norms).all() and traj.seg_norms.max() < 1e154
+    with np.errstate(over="ignore"):
+        assert np.sum(traj.snapshots[1:21] ** 2) == np.inf
+    assert traj.seg_norms.tobytes() == _sliding_norm_max(ini, traj).tobytes()
+
+
+def test_a_guard_whose_square_overflows_catches_a_row_whose_norm_overflows():
+    with pytest.raises(BlowupError, match=re.escape(
+            "state norm inf at t = 0.01 exceeds blow-up guard 1e+300")):
+        _huge_run(5e299, 1e300)
+
+
+@pytest.mark.parametrize("kernel", ["separable", "zero"])
+def test_a_point_runs_seg_norms_are_the_sliding_max_of_its_row_norms(kernel):
+    cs = builtin_coefficients(kernel=kernel, kernel_scale=0.2)
+    ini = from_initial_condition(0.05, 0.01, OP8.grid(), kind="profile", profile="sin_pi",
+                                 amplitude=0.5)
+    traj = simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.53), RngStream(33, 0))
+    assert traj.seg_norms.tobytes() == _sliding_norm_max(ini, traj).tobytes()
 
 
 @pytest.mark.parametrize("kernel, delay", [("separable", "point"), ("zero", "point"),

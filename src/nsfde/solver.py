@@ -21,7 +21,9 @@ c <- mass(rhs - profile c), with the field of rhs formed once a step and
 the new state once at the end.  Its k-th residual ||u_k - u_{k-1}|| is
 |c_{k-1} - c_{k-2}| ||profile|| for k >= 2, so iteration counts and
 residuals are those of the vector iteration up to rounding, and step k
-evaluates the kernel exactly fp_iters[k] times.
+evaluates the kernel exactly fp_iters[k] times.  It stops at a residual below
+fp_tol max(1, |c| ||profile||): rounding alone keeps a large neutral term's
+residual above an absolute tolerance.
 
 Drift and diffusion read the delayed node u(t - h), known m = h / dt steps
 ahead (Bellman's method of steps), so the loop advances in blocks of
@@ -37,13 +39,17 @@ its 2m (field row, out row) pairs are bound with the plan's buffers, the two
 outputs of step j in the halves of row j of an (m, 2G) buffer, and one product
 with the grid weights and their negatives a block takes the mass differences.
 Without a kernel or with the point kernel, g reads only history too, so the
-block's increments w_j are all known and a doubling scan over the start state
-and them runs u_{j+1} = decay u_j + w_j in ceil(log2 (k + 1)) whole-block
-operations; the instant kernel reads the new state, so it steps.  A scanned
-block is tested against the blow-up guard by its sum of squares, and only a
-block that may hold a row past the guard takes its exact row norms; the norms
-of the whole path are taken once the run ends.  The instant loop takes each
-step's norm as it goes.
+block's increments w_j are all known and u_{j+1} = decay u_j + w_j runs over the
+start state and them at once; the instant kernel reads the new state, so it
+steps.  A system of at most ``_PROP_MAX_ENTRIES`` entries N (m + 1)^2 takes one
+per-mode product with the plan's propagators decay^(j - i), on the block padded
+with zeros to m + 1 rows, so every product has one height.  A larger system,
+and a block that (m + 1) times its sum of squares puts near the guard or past
+it, runs a doubling scan in ceil(log2 (k + 1)) whole-block operations instead;
+the product's zeros times a non-finite increment would spoil earlier rows.
+Only a scanned block whose sum of squares may hold a row past the guard takes
+its exact row norms; the norms of the whole path are taken once the run ends.
+The instant loop takes each step's norm as it goes.
 Blocked products and the scan round differently from per-step evaluation:
 results match a per-step evaluation of the vector maps to about 1e-15.
 
@@ -53,7 +59,8 @@ step constants (read-only, as concurrent runs share them), the kernel on the
 grid (``GridMaps``) and a free list of run buffers, one set a concurrent run.
 Every set holds the (m + 1, G) field buffer, the scan's (m, N) rows and the
 instant iterate's (G,) field; only a point system's set also holds the
-(m, 2G) z_map outputs and their 2m pairs.
+(m, 2G) z_map outputs and their 2m pairs, and only a system with propagators
+the (m + 1, N) tail-block pad and the (N, m + 1, 1) product.
 f, sigma and z_map are read from ``cs`` each run; f and sigma get a view of a
 buffer that the next block, or a later run of the same system, overwrites.
 Changing the arrays of ``op`` or ``qspec`` in place after a run is unsupported:
@@ -87,7 +94,7 @@ from .spectral import SpectralOperator
 class SolverConfig:
     dt: float
     t_end: float
-    fp_tol: float = 1e-12
+    fp_tol: float = 1e-12   # relative to the neutral term's norm once that exceeds 1
     fp_max: int = 200
     mode: str = "direct"  # direct | picard
     picard_iters: int = 8
@@ -139,11 +146,19 @@ def _window_max(x: np.ndarray, w: int) -> np.ndarray:
     return x
 
 
+#: the most entries N (m + 1)^2 of the per-mode block propagators a plan builds (512 KB);
+#: past it a block's product costs more than the doubling scan it replaces
+_PROP_MAX_ENTRIES = 2 ** 16
+
+
 class _StepPlan:
     """What every run of one system reads unchanged: the step constants, the kernel on
     the grid (``maps``; a run calls its own set's ``z_map``), the instant fixed point's
-    ``profile_field`` and ``profile_norm``, and a free list of run buffers.  Concurrent
-    runs share the constant arrays, so they are read-only."""
+    ``profile_field`` and ``profile_norm``, and a free list of run buffers.  A point or
+    kernel-less system of at most ``_PROP_MAX_ENTRIES`` propagator entries holds ``prop``,
+    (N, m + 1, m + 1) with prop[n, j, i] = decay_n^(j - i) for i <= j and 0 above the
+    diagonal; any other has None.  Concurrent runs share the constant arrays, so they
+    are read-only."""
 
     def __init__(self, key, cs: CoefficientSet, op: SpectralOperator, qspec, dt, m):
         mu, maps = op.eigenvalues, GridMaps(cs, op)
@@ -153,6 +168,11 @@ class _StepPlan:
         while 2 ** len(decay_powers) <= m:
             decay_powers.append(decay_powers[-1] ** 2)
         self.decay_powers = tuple(decay_powers)
+        consts, self.prop = [*decay_powers], None
+        if maps.g_mode != "instant" and mu.size * (m + 1) ** 2 <= _PROP_MAX_ENTRIES:
+            lag = np.arange(m + 1)
+            self.prop = np.tril(self.decay[:, None, None] ** abs(lag[:, None] - lag))
+            consts.append(self.prop)
         self.ou_std = noise_mod.ou_std(qspec, op, dt)
         # f on the grid to Phi1 f, Phi1 = (1 - decay) / mu
         self.phi1_project = maps.grid.project.T * (-np.expm1(-mu * dt) / mu)
@@ -160,24 +180,28 @@ class _StepPlan:
         self.wdiff = np.concatenate([maps.grid.weights, -maps.grid.weights])
         self.profile_field = maps.grid.synth @ maps.profile
         self.profile_norm = math.sqrt(maps.profile @ maps.profile)
-        for a in (*decay_powers, self.ou_std, self.phi1_project, self.wdiff, self.profile_field,
+        for a in (*consts, self.ou_std, self.phi1_project, self.wdiff, self.profile_field,
                   maps.profile):
             a.setflags(write=False)
 
     def take_buffers(self):
-        """(fbuf, zs, z_args, scan, diff), held by one run until it appends them to ``free``.
-        A point system's ``zs`` is (m, 2G): the z_map outputs of field rows j and j + 1 go
-        into the two halves of row j, bound in ``z_args`` as pairs 2j and 2j + 1; any
-        other system's has no rows and ``z_args`` no pairs."""
+        """(fbuf, zs, z_args, scan, diff, pad, prod), held by one run until it appends them
+        to ``free``.  A point system's ``zs`` is (m, 2G): the z_map outputs of field rows j
+        and j + 1 go into the two halves of row j, bound in ``z_args`` as pairs 2j and
+        2j + 1; any other system's has no rows and ``z_args`` no pairs.  A system with
+        ``prop`` gets the (m + 1, N) ``pad`` a tail block is copied into and the
+        (N, m + 1, 1) product ``prod``; any other gets None for both."""
         try:
             return self.free.pop()
         except IndexError:   # every set is in use, or none was made yet
-            m, size = self.m, self.maps.grid.weights.size
+            m, n, size = self.m, self.decay.size, self.maps.grid.weights.size
             fbuf = np.empty((m + 1, size))   # a block's fields of rows[b0:b1 + 1]
             zs = np.empty((m if self.maps.g_mode == "point" else 0, 2 * size))
             z_args = [(fbuf[j + half], z[half * size:(half + 1) * size])
                       for j, z in enumerate(zs) for half in (0, 1)]
-            return fbuf, zs, z_args, np.empty((m, self.decay.size)), np.empty(size)
+            pad, prod = ((None, None) if self.prop is None else
+                         (np.empty((m + 1, n)), np.empty((n, m + 1, 1))))
+            return fbuf, zs, z_args, np.empty((m, n)), np.empty(size), pad, prod
 
 
 def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
@@ -209,7 +233,7 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     if plan is None or plan.key != key:   # qspec compares by identity
         plan = op._plan = _StepPlan(key, cs, op, qspec, cfg.dt, m)
     decay, decay_powers, phi1_project = plan.decay, plan.decay_powers, plan.phi1_project
-    g_mode, profile, grid = plan.maps.g_mode, plan.maps.profile, plan.maps.grid
+    g_mode, profile, grid, prop = plan.maps.g_mode, plan.maps.profile, plan.maps.grid, plan.prop
     z_map = None if kern is None else kern.z_map   # read afresh: a caller may swap it
     wdiff, profile_field, profile_norm = plan.wdiff, plan.profile_field, plan.profile_norm
     synth, fp_tol, fp_max, thr = grid.synth, cfg.fp_tol, cfg.fp_max, cfg.blowup_threshold
@@ -217,6 +241,8 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     # a block whose sum of squares is below this holds no row past the guard, whatever
     # the rounding of either sum (thr * thr overflows to inf where thr ** 2 raises)
     half_thr_sq = 0.5 * thr * thr
+    # as decay < 1, a block row's square is at most m + 1 times the block's sum of squares
+    prop_thr_sq = half_thr_sq / (m + 1)
 
     rows = np.empty((m + 1 + steps, initial.n_modes))
     rows[:m + 1] = initial.values
@@ -227,7 +253,7 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     fp_iters = np.zeros(steps + 1, dtype=int)
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
     bufs = plan.take_buffers()
-    fbuf, zs, z_args, scan, diff = bufs
+    fbuf, zs, z_args, scan, diff, pad, prod = bufs
     try:
         for b0 in range(0, steps, m):
             # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
@@ -247,13 +273,25 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                 w += f_src @ phi1_project
             if g_mode != "instant":
                 # every node g reads in the block is history: all the increments are
-                # known, and a doubling scan over the start state and them,
+                # known, and one product or a doubling scan over the start state and them,
                 # rows[m + b0:m + 1 + b1], runs u_{j+1} = decay u_j + w_j
                 if g_mode == "point":
                     for z, out in z_args[:2 * k]:
                         z_map(z, out)
                     w += (zs[:k] @ wdiff)[:, None] * profile
                 path = rows[m + b0:m + 1 + b1]
+                if prop is not None and float(np.vdot(path, path)) < prop_thr_sq:
+                    # no row passes the guard and every entry is finite (the product's
+                    # zeros times a non-finite entry would spoil earlier rows); a tail block
+                    # is padded to the full height, so no row's bits depend on the run's end
+                    x = path
+                    if k < m:
+                        x = pad
+                        pad[:k + 1] = path
+                        pad[k + 1:] = 0.0
+                    np.matmul(prop, x.T[:, :, None], out=prod)
+                    w[:] = prod[:, 1:k + 1, 0].T
+                    continue   # the norms are taken once the run ends
                 for level, decay_s in enumerate(decay_powers[:k.bit_length()]):
                     s = 1 << level
                     path[s:] += multiply(decay_s, path[:-s], out=scan[:k + 1 - s])
@@ -274,7 +312,7 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
                     while True:
                         if residual_log is not None:
                             residual_log[i].append(r)
-                        if not r >= fp_tol:
+                        if not r >= fp_tol * max(1.0, abs(c) * profile_norm):
                             break   # converged, or NaN: the blow-up guard takes a NaN state
                         if iters == fp_max:
                             raise NonconvergenceError(

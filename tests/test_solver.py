@@ -193,6 +193,21 @@ def test_fixed_point_nonconvergence_raises():
     assert err.value.iterations == 1 and err.value.residual > cfg.fp_tol
 
 
+@pytest.mark.parametrize("amplitude", [1e5, 1e7])
+def test_the_fixed_point_tolerance_scales_with_a_neutral_term_above_one(amplitude):
+    # rounding alone keeps the residual |c - c_prev| ||profile|| of a large state above
+    # 1e-12; the iteration stops below fp_tol max(1, |c| ||profile||), so the run steps on
+    cs = builtin_coefficients(f="identity", sigma="one", kernel="linear",
+                              kernel_delay="instant", kernel_scale=0.2)
+    op = assemble_operator(n_modes=8)
+    ini = from_initial_condition(0.05, 0.01, op.grid(), kind="profile", profile="sin_pi",
+                                 amplitude=amplitude)
+    traj = simulate(ini, cs, op, builtin_qwiener(8, trace=0.5),
+                    SolverConfig(dt=0.01, t_end=0.2), RngStream(1, 0))
+    assert traj.times.size == 21 and 2 <= traj.fp_iters[1:].min()
+    assert traj.fp_iters.max() <= 15
+
+
 def test_point_and_instant_kernels_differ_but_stay_close_for_small_dt():
     # same dynamics class, different read node; with a slowly varying path
     # the two runs agree to O(h) but are not identical
@@ -331,10 +346,13 @@ Q8 = builtin_qwiener(8, trace=0.5)
 
 
 def _block_test_steps(h):
-    # 53 steps is a multiple of neither m = 5 nor m = 8 (a power of two: a full block's
-    # scan over its start state and 8 increments takes shifts up to 8); at m = 37 (six
-    # scan levels, not a power of two) 75 = 2m + 1 steps end on a one-step tail block
-    return 75 if h == 0.37 else 53
+    # 53 steps is a multiple of neither m = 5 nor m = 8; at m = 37, 91 and 128, 2m + 1
+    # steps make two full blocks and a one-step tail.  Up to m = 37 a block is one
+    # propagator product; at m = 91 (8 (m + 1)^2 = 67712 entries) and m = 128 (a power of
+    # two: a full block's scan over its start state and 128 increments takes shifts up
+    # to 128) the plan builds no propagators and every block takes the doubling scan
+    m = round(h / 0.01)
+    return 2 * m + 1 if m in (37, 91, 128) else 53
 
 
 @pytest.mark.parametrize("kernel, delay, sigma, h", [
@@ -349,6 +367,10 @@ def _block_test_steps(h):
     ("separable", "point", "osgood", 0.37),
     ("zero", "point", "osgood", 0.37),
     ("separable", "instant", "osgood", 0.37),
+    ("separable", "point", "osgood", 0.91),     # past the propagator bound: the scan
+    ("zero", "point", "one", 0.91),
+    ("separable", "point", "osgood", 1.28),
+    ("zero", "point", "osgood", 1.28),
 ])
 def test_block_loop_matches_the_per_step_scheme(kernel, delay, sigma, h):
     cs = builtin_coefficients(kernel=kernel, kernel_delay=delay, sigma=sigma,
@@ -358,6 +380,7 @@ def test_block_loop_matches_the_per_step_scheme(kernel, delay, sigma, h):
     steps = _block_test_steps(h)
     cfg = SolverConfig(dt=0.01, t_end=steps * 0.01)
     traj = simulate(ini, cs, OP8, Q8, cfg, RngStream(21, 3), collect_fp_residuals=True)
+    assert (OP8._plan.prop is None) == (delay == "instant" or ini.m > 37)
     z = RngStream(21, 3).generator().standard_normal((steps, 8))
     rows, iters, residuals = _per_step_reference(ini, cs, OP8, Q8, 0.01, z)
     assert np.allclose(traj.snapshots, rows[ini.m:], rtol=0.0, atol=1e-13)
@@ -395,6 +418,11 @@ def test_block_loop_matches_the_per_step_scheme_for_picard_on_long_blocks():
 
 def test_block_loop_matches_the_per_step_scheme_for_picard_on_power_of_two_blocks():
     _check_picard_against_the_per_step_scheme(0.08)
+
+
+@pytest.mark.parametrize("h", [0.91, 1.28])
+def test_block_loop_matches_the_per_step_scheme_for_picard_on_scanned_blocks(h):
+    _check_picard_against_the_per_step_scheme(h)
 
 
 @pytest.mark.parametrize("h", [0.05, 0.37])
@@ -560,17 +588,32 @@ def test_repeated_runs_of_one_system_keep_one_plan_and_read_each_sets_kernel_map
 def test_only_a_point_systems_buffers_hold_the_z_map_outputs(coeffs, point):
     # a point block's z_map writes rows j and j + 1 of its field into the two halves of
     # row j of an (m, 2G) buffer (m = 5, G = 129); an instant or kernel-less run reads
-    # neither those rows nor their pairs
+    # neither those rows nor their pairs.  Point and kernel-less systems, which take the
+    # propagator product, hold its (m + 1, N) tail-block pad and (N, m + 1, 1) output
     op = assemble_operator(n_modes=8)
     _plan_run(op, **coeffs)
-    [(fbuf, zs, z_args, scan, diff)] = op._plan.free
+    [(fbuf, zs, z_args, scan, diff, pad, prod)] = op._plan.free
     assert (fbuf.shape, scan.shape, diff.shape) == ((6, 129), (5, 8), (129,))
+    if "kernel_delay" in coeffs:   # instant
+        assert pad is None and prod is None
+    else:
+        assert (pad.shape, prod.shape) == ((6, 8), (8, 6, 1))
     assert zs.shape == ((5 if point else 0), 258) and len(z_args) == 2 * zs.shape[0]
     for i, (z, out) in enumerate(z_args):
         j, half = divmod(i, 2)
         assert np.shares_memory(z, fbuf[j + half]) and z.shape == out.shape == (129,)
         assert out.base is zs and np.shares_memory(out, zs[j, half * 129:(half + 1) * 129])
         assert not np.shares_memory(out, zs[j, (1 - half) * 129:(2 - half) * 129])
+
+
+def test_a_tail_block_reads_none_of_the_pads_earlier_rows():
+    # at m = 7 a 30-step run ends on a 2-step tail block, copied into the pad; the rows
+    # below it are zeroed, as the product's zeros times a NaN left there would be NaN
+    op = assemble_operator(n_modes=8)
+    fresh = _plan_run(op, h=0.07)
+    [bufs] = op._plan.free
+    bufs[-2][:] = np.nan
+    assert _plan_run(op, h=0.07) == fresh
 
 
 @pytest.mark.parametrize("coeffs", [{}, {"kernel_delay": "instant"}, {"kernel": "zero"}])
@@ -582,6 +625,11 @@ def test_the_step_plans_constants_are_read_only_and_runs_leave_them_unchanged(co
     consts = [plan.decay, *plan.decay_powers, plan.ou_std, plan.phi1_project, plan.wdiff,
               plan.profile_field, plan.maps.profile]
     assert len(plan.decay_powers) == 3   # shifts 1, 2 and 4 at m = 5
+    if "kernel_delay" in coeffs:   # an instant system never scans: no propagators
+        assert plan.prop is None
+    else:
+        assert plan.prop.shape == (8, 6, 6)
+        consts.append(plan.prop)
     kept = [a.tobytes() for a in consts]
     for a in consts:
         with pytest.raises(ValueError, match="read-only"):
@@ -631,8 +679,8 @@ def test_threads_stepping_two_systems_on_one_operator_give_the_serial_bits():
 def test_point_kernel_increments_integrate_each_row(h):
     # a point block of k steps makes 2k z_map calls, on rows j and j + 1 of its
     # field, and adds profile * (mass_j - mass_{j+1}) for step j.  At a = 1e6,
-    # exp(-mu dt) is exactly 0, and with zero drift and noise the scan adds exact
-    # zeros, so each new row is its increment.  A recording f that returns zeros
+    # exp(-mu dt) is exactly 0, and with zero drift and noise the recurrence adds
+    # exact zeros, so each new row is its increment.  A recording f that returns zeros
     # marks each block's start.  At h = 0.37 (m = 37) the last block is one step long
     op = assemble_operator(n_modes=8, a=1e6)
     assert not np.exp(-op.eigenvalues * 0.01).any()
@@ -731,17 +779,25 @@ def test_a_point_runs_seg_norms_are_the_sliding_max_of_its_row_norms(kernel):
     assert traj.seg_norms.tobytes() == _sliding_norm_max(ini, traj).tobytes()
 
 
-@pytest.mark.parametrize("kernel, delay", [("separable", "point"), ("zero", "point"),
-                                           ("separable", "instant")])
-def test_blowup_guard_fires_at_a_non_finite_state_mid_block(kernel, delay):
-    # step 13 is the third of the block of steps 11-15 (m = 5); its NaN noise row
-    # must stop the run there, not at the block's end or in the fixed point
-    cs = builtin_coefficients(kernel=kernel, kernel_delay=delay, kernel_scale=0.2)
+@pytest.mark.parametrize("kernel, delay, sigma, bad", [
+    ("separable", "point", "osgood", np.nan), ("zero", "point", "osgood", np.nan),
+    ("separable", "instant", "osgood", np.nan),
+    # with unit sigma an infinite noise entry reaches the state as inf
+    ("separable", "point", "one", np.inf), ("zero", "point", "one", np.inf)],
+    ids=["separable-point", "zero-point", "separable-instant", "separable-point-inf",
+         "zero-point-inf"])
+def test_blowup_guard_fires_at_a_non_finite_state_mid_block(kernel, delay, sigma, bad):
+    # step 13 is the third of the block of steps 11-15 (m = 5); its non-finite noise row
+    # must stop the run there, not at the block's end or in the fixed point.  The block's
+    # propagator product would turn the earlier rows NaN (zeros times the later row), so
+    # the block takes the scan
+    cs = builtin_coefficients(kernel=kernel, kernel_delay=delay, sigma=sigma,
+                              kernel_scale=0.2)
     ini = from_initial_condition(0.05, 0.01, OP8.grid(),
                                  kind="profile", profile="sin_pi", amplitude=0.5)
     z = RngStream(25, 0).generator().standard_normal((53, 8))
-    z[12, 3] = np.nan
-    with pytest.raises(BlowupError, match=re.escape("state norm nan at t = 0.13 exceeds")):
+    z[12, 3] = bad
+    with pytest.raises(BlowupError, match=re.escape(f"state norm {bad} at t = 0.13 exceeds")):
         simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.53), RngStream(25, 0),
                  noise_z=z)
 
@@ -749,7 +805,7 @@ def test_blowup_guard_fires_at_a_non_finite_state_mid_block(kernel, delay):
 @pytest.mark.parametrize("f", ["osgood", "zero"])
 @pytest.mark.parametrize("sigma", ["one", "osgood", "zero"])
 def test_simulate_leaves_the_callers_noise_unchanged(f, sigma):
-    # the block scan runs in place in the forcing, which must never be the caller's
+    # the block recurrence runs in place in the forcing, which must never be the caller's
     # noise: continuous_dependence_probe replays one noise block across several runs
     cs = builtin_coefficients(f=f, sigma=sigma, kernel_scale=0.2)
     ini = from_initial_condition(0.05, 0.01, OP8.grid(),

@@ -49,7 +49,10 @@ it, runs a doubling scan in ceil(log2 (k + 1)) whole-block operations instead;
 the product's zeros times a non-finite increment would spoil earlier rows.
 Only a scanned block whose sum of squares may hold a row past the guard takes
 its exact row norms; the norms of the whole path are taken once the run ends.
-The instant loop takes each step's norm as it goes.
+The instant loop writes each step's rhs, residual and fields into its run's
+buffers and the new state into its row, and takes each step's norm as it goes.
+A non-finite state turns NaN where the grid's zero synthesis row meets it, with
+numpy's invalid-value warning silenced once a run: the guard reports the NaN.
 Blocked products and the scan round differently from per-step evaluation:
 results match a per-step evaluation of the vector maps to about 1e-15.
 
@@ -57,10 +60,11 @@ The operator keeps the step plan of the last system it stepped (qspec by
 identity, dt, m, ``cs.grid_points``, the kernel's scale and delay mode): the
 step constants (read-only, as concurrent runs share them), the kernel on the
 grid (``GridMaps``) and a free list of run buffers, one set a concurrent run.
-Every set holds the (m + 1, G) field buffer, the scan's (m, N) rows and the
-instant iterate's (G,) field; only a point system's set also holds the
-(m, 2G) z_map outputs and their 2m pairs, and only a system with propagators
-the (m + 1, N) tail-block pad and the (N, m + 1, 1) product.
+Every set holds the (m + 1, G) field buffer and the scan's (m, N) rows; only an
+instant system's set also holds a step's (N,) rhs and residual and its (G,)
+field and iterate field, only a point system's the (m, 2G) z_map outputs and
+their 2m pairs, and only a system with propagators the (m + 1, N) tail-block
+pad and the (N, m + 1, 1) product.
 f, sigma and z_map are read from ``cs`` each run; f and sigma get a view of a
 buffer that the next block, or a later run of the same system, overwrites.
 Changing the arrays of ``op`` or ``qspec`` in place after a run is unsupported:
@@ -158,7 +162,8 @@ class _StepPlan:
     kernel-less system of at most ``_PROP_MAX_ENTRIES`` propagator entries holds ``prop``,
     (N, m + 1, m + 1) with prop[n, j, i] = decay_n^(j - i) for i <= j and 0 above the
     diagonal; any other has None.  Concurrent runs share the constant arrays, so they
-    are read-only."""
+    are read-only, and each takes a set of run buffers of its own (``take_buffers``):
+    a block's fields and scan rows, and only what its delay mode writes besides."""
 
     def __init__(self, key, cs: CoefficientSet, op: SpectralOperator, qspec, dt, m):
         mu, maps = op.eigenvalues, GridMaps(cs, op)
@@ -185,12 +190,14 @@ class _StepPlan:
             a.setflags(write=False)
 
     def take_buffers(self):
-        """(fbuf, zs, z_args, scan, diff, pad, prod), held by one run until it appends them
+        """(fbuf, zs, z_args, scan, step, pad, prod), held by one run until it appends them
         to ``free``.  A point system's ``zs`` is (m, 2G): the z_map outputs of field rows j
         and j + 1 go into the two halves of row j, bound in ``z_args`` as pairs 2j and
-        2j + 1; any other system's has no rows and ``z_args`` no pairs.  A system with
-        ``prop`` gets the (m + 1, N) ``pad`` a tail block is copied into and the
-        (N, m + 1, 1) product ``prod``; any other gets None for both."""
+        2j + 1; any other system's has no rows and ``z_args`` no pairs.  An instant system's
+        ``step`` holds a step's (N,) ``rhs`` and residual and its (G,) field and iterate
+        field; any other gets None.  A system with ``prop`` gets the (m + 1, N) ``pad`` a
+        tail block is copied into and the (N, m + 1, 1) product ``prod``; any other gets
+        None for both."""
         try:
             return self.free.pop()
         except IndexError:   # every set is in use, or none was made yet
@@ -199,9 +206,11 @@ class _StepPlan:
             zs = np.empty((m if self.maps.g_mode == "point" else 0, 2 * size))
             z_args = [(fbuf[j + half], z[half * size:(half + 1) * size])
                       for j, z in enumerate(zs) for half in (0, 1)]
+            step = ((np.empty(n), np.empty(n), np.empty(size), np.empty(size))
+                    if self.maps.g_mode == "instant" else None)
             pad, prod = ((None, None) if self.prop is None else
                          (np.empty((m + 1, n)), np.empty((n, m + 1, 1))))
-            return fbuf, zs, z_args, np.empty((m, n)), np.empty(size), pad, prod
+            return fbuf, zs, z_args, np.empty((m, n)), step, pad, prod
 
 
 def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
@@ -237,7 +246,10 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     z_map = None if kern is None else kern.z_map   # read afresh: a caller may swap it
     wdiff, profile_field, profile_norm = plan.wdiff, plan.profile_field, plan.profile_norm
     synth, fp_tol, fp_max, thr = grid.synth, cfg.fp_tol, cfg.fp_max, cfg.blowup_threshold
-    wdot, multiply, subtract = grid.weights.dot, np.multiply, np.subtract
+    # np.dot makes the BLAS call np.matmul makes on these operands, with less dispatch
+    dot, sdot, wdot, synth_t, project_t = (np.dot, synth.dot, grid.weights.dot, synth.T,
+                                           grid.project.T)
+    add, multiply, subtract = np.add, np.multiply, np.subtract
     # a block whose sum of squares is below this holds no row past the guard, whatever
     # the rounding of either sum (thr * thr overflows to inf where thr ** 2 raises)
     half_thr_sq = 0.5 * thr * thr
@@ -253,88 +265,97 @@ def _integrate(initial: Segment, cs: CoefficientSet, op: SpectralOperator,
     fp_iters = np.zeros(steps + 1, dtype=int)
     residual_log = [[] for _ in range(steps)] if collect_fp_residuals else None
     bufs = plan.take_buffers()
-    fbuf, zs, z_args, scan, diff, pad, prod = bufs
+    fbuf, zs, z_args, scan, step, pad, prod = bufs
+    if step is not None:
+        rhs, d, field, diff = step
     try:
-        for b0 in range(0, steps, m):
-            # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known at its start
-            b1 = min(b0 + m, steps)
-            k = b1 - b0
-            fields = np.matmul(rows[b0:b1 + 1], synth.T, out=fbuf[:k + 1])
-            src = fields[:-1] if src_rows is None else src_rows[b0:b1] @ synth.T
-            # the forcing Phi1 f + xi (sigma composed on the OU increment) reads ``src``, in place
-            w = new_rows[b0:b1]
-            f_src = None if cs.f_is_zero else cs.f(src)
-            if cs.sigma_const is None:
-                sig = f_src if cs.sigma is cs.f and f_src is not None else cs.sigma(src)
-                np.matmul(sig * (w @ synth.T), grid.project.T, out=w)
-            elif cs.sigma_const != 1.0:
-                w *= cs.sigma_const
-            if f_src is not None:
-                w += f_src @ phi1_project
-            if g_mode != "instant":
-                # every node g reads in the block is history: all the increments are
-                # known, and one product or a doubling scan over the start state and them,
-                # rows[m + b0:m + 1 + b1], runs u_{j+1} = decay u_j + w_j
-                if g_mode == "point":
-                    for z, out in z_args[:2 * k]:
-                        z_map(z, out)
-                    w += (zs[:k] @ wdiff)[:, None] * profile
-                path = rows[m + b0:m + 1 + b1]
-                if prop is not None and float(np.vdot(path, path)) < prop_thr_sq:
-                    # no row passes the guard and every entry is finite (the product's
-                    # zeros times a non-finite entry would spoil earlier rows); a tail block
-                    # is padded to the full height, so no row's bits depend on the run's end
-                    x = path
-                    if k < m:
-                        x = pad
-                        pad[:k + 1] = path
-                        pad[k + 1:] = 0.0
-                    np.matmul(prop, x.T[:, :, None], out=prod)
-                    w[:] = prod[:, 1:k + 1, 0].T
-                    continue   # the norms are taken once the run ends
-                for level, decay_s in enumerate(decay_powers[:k.bit_length()]):
-                    s = 1 << level
-                    path[s:] += multiply(decay_s, path[:-s], out=scan[:k + 1 - s])
-                if float(np.vdot(w, w)) < half_thr_sq:
-                    continue   # the norms are taken once the run ends
-                np.sqrt((w * w).sum(axis=1), out=norms[m + 1 + b0:m + 1 + b1])
-            else:
-                for i, f_i in enumerate(w, b0):
-                    # the neutral term reads the unknown new state: contract to the fixed
-                    # point of u = rhs - profile * mass(u) on its one scalar, the mass c
-                    u = rows[m + i]
-                    c = wdot(z_map(synth @ u))   # maps.mass(u)
-                    rhs = decay * u + (pc := profile * c) + f_i
-                    d = rhs - pc - u
-                    r = math.sqrt(d @ d)
-                    field = synth @ rhs
-                    iters = 1
-                    while True:
-                        if residual_log is not None:
-                            residual_log[i].append(r)
-                        if not r >= fp_tol * max(1.0, abs(c) * profile_norm):
-                            break   # converged, or NaN: the blow-up guard takes a NaN state
-                        if iters == fp_max:
-                            raise NonconvergenceError(
-                                f"implicit neutral step failed to reach fp_tol={fp_tol:g} "
-                                f"within {fp_max} iterations (last residual {r:.3e})",
-                                residual=r, iterations=fp_max)
-                        c_prev, c = c, float(wdot(z_map(
-                            subtract(field, multiply(c, profile_field, diff), diff), diff)))
-                        r = abs(c - c_prev) * profile_norm
-                        iters += 1
-                    u_new = rows[m + 1 + i] = rhs - profile * c
-                    fp_iters[i + 1] = iters
-                    norms[m + 1 + i] = nrm = math.sqrt(u_new @ u_new)
-                    if not nrm <= thr:
-                        break   # raised below, before the next step reads this state
-            # the block's first norm above the guard or not finite; the instant loop
-            # stops there, and the norms after it are still zeros
-            block_norms = norms[m + 1 + b0:m + 1 + b1]
-            if not block_norms.max() <= thr:
-                i = b0 + int((block_norms <= thr).argmin())
-                raise BlowupError(f"state norm {norms[m + 1 + i]:.3e} at t = {(i + 1) * cfg.dt:g} "
-                                  f"exceeds blow-up guard {thr:g}")
+        # a non-finite state meets the grid's exact zero synthesis row; the guard below
+        # reports the NaN that makes, so numpy's warning is silenced once a run
+        with np.errstate(invalid="ignore"):
+            for b0 in range(0, steps, m):
+                # one synthesis of the nodes the block reads, rows[b0:b1 + 1], all known
+                b1 = min(b0 + m, steps)
+                k = b1 - b0
+                fields = dot(rows[b0:b1 + 1], synth_t, out=fbuf[:k + 1])
+                src = fields[:-1] if src_rows is None else dot(src_rows[b0:b1], synth_t)
+                # the forcing Phi1 f + xi (sigma composed on the OU increment) reads
+                # ``src``, in place
+                w = new_rows[b0:b1]
+                f_src = None if cs.f_is_zero else cs.f(src)
+                if cs.sigma_const is None:
+                    sig = f_src if cs.sigma is cs.f and f_src is not None else cs.sigma(src)
+                    dot(sig * dot(w, synth_t), project_t, out=w)
+                elif cs.sigma_const != 1.0:
+                    w *= cs.sigma_const
+                if f_src is not None:
+                    w += dot(f_src, phi1_project)
+                if g_mode != "instant":
+                    # every node g reads in the block is history: all the increments are
+                    # known, and one product or a doubling scan over the start state and them,
+                    # rows[m + b0:m + 1 + b1], runs u_{j+1} = decay u_j + w_j
+                    if g_mode == "point":
+                        for z, out in z_args[:2 * k]:
+                            z_map(z, out)
+                        w += dot(zs[:k], wdiff)[:, None] * profile
+                    path = rows[m + b0:m + 1 + b1]
+                    if prop is not None and float(np.vdot(path, path)) < prop_thr_sq:
+                        # no row passes the guard and every entry is finite (the product's
+                        # zeros times a non-finite entry would spoil earlier rows); a tail block
+                        # is padded to the full height, so no row's bits depend on the run's end
+                        x = path
+                        if k < m:
+                            x = pad
+                            pad[:k + 1] = path
+                            pad[k + 1:] = 0.0
+                        np.matmul(prop, x.T[:, :, None], out=prod)
+                        w[:] = prod[:, 1:k + 1, 0].T
+                        continue   # the norms are taken once the run ends
+                    for level, decay_s in enumerate(decay_powers[:k.bit_length()]):
+                        s = 1 << level
+                        path[s:] += multiply(decay_s, path[:-s], out=scan[:k + 1 - s])
+                    if float(np.vdot(w, w)) < half_thr_sq:
+                        continue   # the norms are taken once the run ends
+                    np.sqrt((w * w).sum(axis=1), out=norms[m + 1 + b0:m + 1 + b1])
+                else:
+                    for i, f_i in enumerate(w, b0):
+                        # the neutral term reads the unknown new state: contract to the fixed
+                        # point of u = rhs - profile * mass(u) on its one scalar, the mass c;
+                        # rhs = decay u + pc + f_i with pc = profile c, residual rhs - pc - u
+                        u = rows[m + i]
+                        c = wdot(z_map(sdot(u, out=field)))   # maps.mass(u)
+                        pc = multiply(profile, c, out=d)
+                        add(multiply(decay, u, out=rhs), pc, out=rhs)
+                        add(rhs, f_i, out=rhs)
+                        subtract(subtract(rhs, pc, out=d), u, out=d)
+                        r = math.sqrt(d.dot(d))
+                        sdot(rhs, out=field)
+                        for iters in range(1, fp_max + 1):
+                            if residual_log is not None:
+                                residual_log[i].append(r)
+                            scale = abs(c) * profile_norm
+                            if not r >= fp_tol * (scale if scale > 1.0 else 1.0):
+                                break   # converged, or NaN: the blow-up guard takes a NaN state
+                            if iters == fp_max:
+                                raise NonconvergenceError(
+                                    f"implicit neutral step failed to reach fp_tol={fp_tol:g} "
+                                    f"within {fp_max} iterations (last residual {r:.3e})",
+                                    residual=r, iterations=fp_max)
+                            c_prev = c
+                            c = float(wdot(z_map(
+                                subtract(field, multiply(c, profile_field, diff), diff), diff)))
+                            r = abs(c - c_prev) * profile_norm
+                        u_new = subtract(rhs, multiply(profile, c, out=d), out=rows[m + 1 + i])
+                        fp_iters[i + 1] = iters
+                        norms[m + 1 + i] = nrm = math.sqrt(u_new.dot(u_new))
+                        if not nrm <= thr:
+                            break   # raised below, before the next step reads this state
+                # the block's first norm above the guard or not finite; the instant loop
+                # stops there, and the norms after it are still zeros
+                block_norms = norms[m + 1 + b0:m + 1 + b1]
+                if not block_norms.max() <= thr:
+                    i = b0 + int((block_norms <= thr).argmin())
+                    raise BlowupError(f"state norm {norms[m + 1 + i]:.3e} at "
+                                      f"t = {(i + 1) * cfg.dt:g} exceeds blow-up guard {thr:g}")
     finally:
         plan.free.append(bufs)
     if g_mode != "instant":   # the instant loop took each norm as it stepped

@@ -1,10 +1,12 @@
 """Time stepper, successive approximations and contraction-window arithmetic."""
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -589,15 +591,18 @@ def test_only_a_point_systems_buffers_hold_the_z_map_outputs(coeffs, point):
     # a point block's z_map writes rows j and j + 1 of its field into the two halves of
     # row j of an (m, 2G) buffer (m = 5, G = 129); an instant or kernel-less run reads
     # neither those rows nor their pairs.  Point and kernel-less systems, which take the
-    # propagator product, hold its (m + 1, N) tail-block pad and (N, m + 1, 1) output
+    # propagator product, hold its (m + 1, N) tail-block pad and (N, m + 1, 1) output;
+    # only an instant system holds a step's (N,) rhs and residual and (G,) fields
     op = assemble_operator(n_modes=8)
     _plan_run(op, **coeffs)
-    [(fbuf, zs, z_args, scan, diff, pad, prod)] = op._plan.free
-    assert (fbuf.shape, scan.shape, diff.shape) == ((6, 129), (5, 8), (129,))
+    [(fbuf, zs, z_args, scan, step, pad, prod)] = op._plan.free
+    assert (fbuf.shape, scan.shape) == ((6, 129), (5, 8))
     if "kernel_delay" in coeffs:   # instant
         assert pad is None and prod is None
+        assert [a.shape for a in step] == [(8,), (8,), (129,), (129,)]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(step, 2))
     else:
-        assert (pad.shape, prod.shape) == ((6, 8), (8, 6, 1))
+        assert (pad.shape, prod.shape) == ((6, 8), (8, 6, 1)) and step is None
     assert zs.shape == ((5 if point else 0), 258) and len(z_args) == 2 * zs.shape[0]
     for i, (z, out) in enumerate(z_args):
         j, half = divmod(i, 2)
@@ -641,15 +646,19 @@ def test_the_step_plans_constants_are_read_only_and_runs_leave_them_unchanged(co
     assert op._plan is plan and [a.tobytes() for a in consts] == kept
 
 
-def test_two_threads_stepping_one_system_give_the_serial_bits():
-    # each f call waits for the other thread's, so both runs hold run buffers at once
+@pytest.mark.parametrize("delay", ["point", "instant"])
+def test_two_threads_stepping_one_system_give_the_serial_bits(delay):
+    # each f call waits for the other thread's, so both runs hold run buffers at once,
+    # and each z_map call lets the other thread step
     f, barrier = osgood_drift(3.0), threading.Barrier(2, timeout=60)
 
     def paired_f(x):
         barrier.wait()
         return f(x)
 
-    cs = builtin_coefficients(kernel_scale=0.2)
+    cs = builtin_coefficients(kernel_delay=delay, kernel_scale=0.2)
+    z_map = cs.kernel_b.z_map
+    cs.kernel_b.z_map = lambda z, out=None: time.sleep(0) or z_map(z, out)
     paired = replace(cs, f=paired_f)
     serial = [_plan_run(OP8, seed=i, cs=replace(cs, f=f)) for i in range(16)]
     op = assemble_operator(n_modes=8)
@@ -779,14 +788,20 @@ def test_a_point_runs_seg_norms_are_the_sliding_max_of_its_row_norms(kernel):
     assert traj.seg_norms.tobytes() == _sliding_norm_max(ini, traj).tobytes()
 
 
-@pytest.mark.parametrize("kernel, delay, sigma, bad", [
-    ("separable", "point", "osgood", np.nan), ("zero", "point", "osgood", np.nan),
-    ("separable", "instant", "osgood", np.nan),
+@pytest.mark.parametrize("kernel, delay, sigma, bad, norm", [
+    ("separable", "point", "osgood", np.nan, np.nan), ("zero", "point", "osgood", np.nan, np.nan),
+    ("separable", "instant", "osgood", np.nan, np.nan),
     # with unit sigma an infinite noise entry reaches the state as inf
-    ("separable", "point", "one", np.inf), ("zero", "point", "one", np.inf)],
+    ("separable", "point", "one", np.inf, np.inf), ("zero", "point", "one", np.inf, np.inf),
+    # the grid's first node synthesises to exactly 0, and 0 * inf is NaN in the sigma
+    # composition and in the instant step's field, without a numpy warning
+    ("separable", "point", "osgood", np.inf, np.nan), ("zero", "point", "osgood", np.inf, np.nan),
+    ("separable", "instant", "one", np.inf, np.nan),
+    ("separable", "instant", "osgood", np.inf, np.nan)],
     ids=["separable-point", "zero-point", "separable-instant", "separable-point-inf",
-         "zero-point-inf"])
-def test_blowup_guard_fires_at_a_non_finite_state_mid_block(kernel, delay, sigma, bad):
+         "zero-point-inf", "separable-point-osgood-inf", "zero-point-osgood-inf",
+         "separable-instant-inf", "separable-instant-osgood-inf"])
+def test_blowup_guard_fires_at_a_non_finite_state_mid_block(kernel, delay, sigma, bad, norm):
     # step 13 is the third of the block of steps 11-15 (m = 5); its non-finite noise row
     # must stop the run there, not at the block's end or in the fixed point.  The block's
     # propagator product would turn the earlier rows NaN (zeros times the later row), so
@@ -797,7 +812,7 @@ def test_blowup_guard_fires_at_a_non_finite_state_mid_block(kernel, delay, sigma
                                  kind="profile", profile="sin_pi", amplitude=0.5)
     z = RngStream(25, 0).generator().standard_normal((53, 8))
     z[12, 3] = bad
-    with pytest.raises(BlowupError, match=re.escape(f"state norm {bad} at t = 0.13 exceeds")):
+    with pytest.raises(BlowupError, match=re.escape(f"state norm {norm} at t = 0.13 exceeds")):
         simulate(ini, cs, OP8, Q8, SolverConfig(dt=0.01, t_end=0.53), RngStream(25, 0),
                  noise_z=z)
 
